@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "sim/stats_writer.h"
 #include "trace/generator.h"
@@ -460,14 +461,14 @@ BenchReport::write()
         out += '"';
         out += k;
         out += "\":\"";
-        out += StatsWriter::jsonEscape(v);
+        out += json::escape(v);
         out += '"';
     };
     const auto key_num = [&out](const char *k, double v) {
         out += '"';
         out += k;
         out += "\":";
-        out += StatsWriter::formatDouble(v);
+        out += json::formatDouble(v);
     };
     out += "{\n  ";
     key_str("schema", "mempod-bench-v1");
@@ -523,9 +524,9 @@ BenchReport::write()
             out += ',';
         first = false;
         out += '"';
-        out += StatsWriter::jsonEscape(phase);
+        out += json::escape(phase);
         out += "\":";
-        out += StatsWriter::formatDouble(static_cast<double>(ns));
+        out += json::formatDouble(static_cast<double>(ns));
     }
     out += "},\n  \"benchmarks\": [";
     for (std::size_t i = 0; i < entries_.size(); ++i) {

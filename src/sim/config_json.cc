@@ -7,7 +7,6 @@
  */
 #include "sim/config.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -15,8 +14,10 @@
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace mempod {
@@ -82,55 +83,53 @@ parseValue(DramModel &dst, const std::string &v, const char *key)
     }
 }
 
-std::string
-quoted(const std::string &s)
+json::Value
+leaf(json::Value::Kind kind, std::string text, bool boolean = false)
 {
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out + "\"";
+    json::Value v;
+    v.kind = kind;
+    v.text = std::move(text);
+    v.boolean = boolean;
+    return v;
 }
 
-std::string
+json::Value
 printValue(bool v)
 {
-    return v ? "true" : "false";
+    return leaf(json::Value::Kind::kBool, "", v);
 }
 
-std::string
+json::Value
 printValue(const std::string &v)
 {
-    return quoted(v);
+    return leaf(json::Value::Kind::kString, v);
 }
 
-std::string
+json::Value
 printValue(Mechanism m)
 {
-    return quoted(mechanismName(m));
+    return leaf(json::Value::Kind::kString, mechanismName(m));
 }
 
-std::string
+json::Value
 printValue(DramModel m)
 {
-    return quoted(dramModelName(m));
+    return leaf(json::Value::Kind::kString, dramModelName(m));
 }
 
 template <typename T>
-std::string
+json::Value
 printValue(T v)
 {
     static_assert(std::is_unsigned_v<T>);
-    return std::to_string(v);
+    return leaf(json::Value::Kind::kNumber, std::to_string(v));
 }
 
 /** One leaf knob: a dotted key plus its accessors. */
 struct Field
 {
     const char *key;
-    std::function<std::string(const SimConfig &)> get;
+    std::function<json::Value(const SimConfig &)> get;
     std::function<void(SimConfig &, const std::string &)> set;
 };
 
@@ -295,191 +294,62 @@ splitKey(const std::string &key)
     return segs;
 }
 
-/**
- * Minimal JSON reader for the subset toJson() emits: objects whose
- * leaves are unsigned integers, booleans or strings. Produces the
- * flattened (dotted key, raw value) list in document order.
- */
-class JsonFlattener
+/** Member `key` of `node` (made an object), appended when absent. */
+json::Value &
+child(json::Value &node, const std::string &key)
 {
-  public:
-    explicit JsonFlattener(const std::string &text) : text_(text) {}
+    node.kind = json::Value::Kind::kObject;
+    for (auto &[k, v] : node.members)
+        if (k == key)
+            return v;
+    return node.members.emplace_back(key, json::Value{}).second;
+}
 
-    std::vector<std::pair<std::string, std::string>>
-    flatten()
-    {
-        std::vector<std::pair<std::string, std::string>> out;
-        skipWs();
-        parseObject("", out);
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after top-level object");
-        return out;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const char *what)
-    {
-        MEMPOD_PANIC("SimConfig::fromJson: %s (at byte %zu)", what,
-                     pos_);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail("unexpected character");
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return s;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("unterminated escape");
-                const char e = text_[pos_++];
-                if (e != '"' && e != '\\')
-                    fail("unsupported escape sequence");
-                s += e;
-            } else {
-                s += c;
-            }
-        }
-    }
-
-    std::string
-    parseScalar()
-    {
-        if (peek() == '"')
-            return parseString();
-        std::string s;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_]))))
-            s += text_[pos_++];
-        if (s.empty())
-            fail("expected a value");
-        return s;
-    }
-
-    void
-    parseObject(const std::string &prefix,
-                std::vector<std::pair<std::string, std::string>> &out)
-    {
-        expect('{');
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return;
-        }
-        while (true) {
-            skipWs();
-            const std::string key = parseString();
-            if (key.empty() || key.find('.') != std::string::npos)
-                fail("invalid object key");
-            skipWs();
-            expect(':');
-            skipWs();
-            const std::string dotted =
-                prefix.empty() ? key : prefix + "." + key;
-            if (peek() == '{')
-                parseObject(dotted, out);
-            else
-                out.emplace_back(dotted, parseScalar());
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return;
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-namespace {
-
-/** Order-preserving JSON tree assembled from the dotted field keys. */
-struct JsonNode
+/** Apply every leaf under `obj` as a set() on its dotted key. */
+void
+applyObject(SimConfig &cfg, const json::Value &obj,
+            const std::string &prefix)
 {
-    std::string value; // leaf payload (already JSON-encoded)
-    std::vector<std::pair<std::string, JsonNode>> children;
-
-    JsonNode &
-    child(const std::string &name)
-    {
-        for (auto &[n, node] : children)
-            if (n == name)
-                return node;
-        children.emplace_back(name, JsonNode{});
-        return children.back().second;
-    }
-
-    void
-    emit(std::string &out, std::size_t depth) const
-    {
-        if (children.empty()) {
-            out += value;
-            return;
+    for (const auto &[key, v] : obj.members) {
+        if (key.empty() || key.find('.') != std::string::npos) {
+            MEMPOD_PANIC("SimConfig::fromJson: invalid object key "
+                         "\"%s\"",
+                         key.c_str());
         }
-        out += "{\n";
-        for (std::size_t i = 0; i < children.size(); ++i) {
-            out.append(2 * (depth + 1), ' ');
-            out += quoted(children[i].first) + ": ";
-            children[i].second.emit(out, depth + 1);
-            out += i + 1 < children.size() ? ",\n" : "\n";
+        const std::string dotted = prefix.empty() ? key : prefix + "." + key;
+        switch (v.kind) {
+          case json::Value::Kind::kObject:
+            applyObject(cfg, v, dotted);
+            break;
+          case json::Value::Kind::kBool:
+            cfg.set(dotted, v.boolean ? "true" : "false");
+            break;
+          case json::Value::Kind::kNumber:
+          case json::Value::Kind::kString:
+            cfg.set(dotted, v.text);
+            break;
+          default:
+            MEMPOD_PANIC("SimConfig::fromJson: key '%s' holds an array "
+                         "or null; expected an object, number, string "
+                         "or boolean",
+                         dotted.c_str());
         }
-        out.append(2 * depth, ' ');
-        out += "}";
     }
-};
+}
 
 } // namespace
 
 std::string
 SimConfig::toJson() const
 {
-    JsonNode root;
+    json::Value root;
     for (const Field &f : fieldTable()) {
-        JsonNode *node = &root;
+        json::Value *node = &root;
         for (const std::string &seg : splitKey(f.key))
-            node = &node->child(seg);
-        node->value = f.get(*this);
+            node = &child(*node, seg);
+        *node = f.get(*this);
     }
-    std::string out;
-    root.emit(out, 0);
-    out += "\n";
-    return out;
+    return json::pretty(root) + "\n";
 }
 
 void
@@ -497,11 +367,17 @@ SimConfig::set(const std::string &key, const std::string &value)
 }
 
 SimConfig
-SimConfig::fromJson(const std::string &json)
+SimConfig::fromJson(const std::string &text)
 {
+    const json::Parsed doc = json::parse(text);
+    if (doc.error) {
+        MEMPOD_PANIC("SimConfig::fromJson: %s (at byte %zu)",
+                     doc.error->message.c_str(), doc.error->offset);
+    }
+    if (doc.value.kind != json::Value::Kind::kObject)
+        MEMPOD_PANIC("SimConfig::fromJson: top level must be an object");
     SimConfig cfg;
-    for (const auto &[key, value] : JsonFlattener(json).flatten())
-        cfg.set(key, value);
+    applyObject(cfg, doc.value, "");
     return cfg;
 }
 

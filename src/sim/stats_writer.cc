@@ -1,12 +1,12 @@
 #include "sim/stats_writer.h"
 
-#include <charconv>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include <unistd.h>
+
+#include "common/json.h"
 
 namespace mempod {
 
@@ -26,7 +26,7 @@ appendKeyString(std::string &out, const char *key, const std::string &v)
     out += '"';
     out += key;
     out += "\":\"";
-    out += StatsWriter::jsonEscape(v);
+    out += json::escape(v);
     out += '"';
 }
 
@@ -45,7 +45,7 @@ appendKeyDouble(std::string &out, const char *key, double v)
     out += '"';
     out += key;
     out += "\":";
-    out += StatsWriter::formatDouble(v);
+    out += json::formatDouble(v);
 }
 
 void
@@ -108,57 +108,6 @@ appendMetricValue(std::string &out, const MetricValue &v)
 }
 
 } // namespace
-
-std::string
-StatsWriter::jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-StatsWriter::formatDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[64];
-    // to_chars emits the shortest representation that round-trips to
-    // the identical bit pattern, and — unlike printf's %g — never
-    // consults LC_NUMERIC, so goldens hold on any host locale.
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    (void)ec; // 64 bytes always fit a double
-    return std::string(buf, end);
-}
 
 std::string
 StatsWriter::toJson(const MetricRegistry &reg, const MetricSnapshot &snap,
@@ -226,7 +175,7 @@ StatsWriter::toJson(const MetricRegistry &reg, const MetricSnapshot &snap,
     for (std::size_t c = 0; c < r.perCoreAmmatNs.size(); ++c) {
         if (c)
             out += ',';
-        out += formatDouble(r.perCoreAmmatNs[c]);
+        out += json::formatDouble(r.perCoreAmmatNs[c]);
     }
     out += "],\n    \"attribution_ns\": {";
     appendKeyDouble(out, "mshr_wait", r.attribution.mshrWaitNs);
@@ -265,7 +214,7 @@ StatsWriter::toJson(const MetricRegistry &reg, const MetricSnapshot &snap,
             out += ",\n";
         first = false;
         out += "    \"";
-        out += jsonEscape(name);
+        out += json::escape(name);
         out += "\": {";
         appendKeyString(out, "desc", reg.description(name));
         out += ',';
@@ -296,7 +245,7 @@ StatsWriter::toJsonl(const std::vector<IntervalRecord> &records)
                 out += ',';
             first = false;
             out += '"';
-            out += jsonEscape(name);
+            out += json::escape(name);
             out += "\":";
             appendU64(out, v.count);
         }
@@ -309,9 +258,9 @@ StatsWriter::toJsonl(const std::vector<IntervalRecord> &records)
                 out += ',';
             first = false;
             out += '"';
-            out += jsonEscape(name);
+            out += json::escape(name);
             out += "\":";
-            out += formatDouble(v.real);
+            out += json::formatDouble(v.real);
         }
         out += "}}\n";
     }
@@ -439,7 +388,7 @@ StatsWriter::perfToJson(const PerfReport &r)
             out += ',';
         first = false;
         out += '"';
-        out += jsonEscape(name);
+        out += json::escape(name);
         out += "\":";
         appendU64(out, ns);
     }
@@ -450,7 +399,7 @@ StatsWriter::perfToJson(const PerfReport &r)
             out += ',';
         first = false;
         out += '"';
-        out += jsonEscape(name);
+        out += json::escape(name);
         out += "\":";
         appendU64(out, v);
     }
@@ -461,9 +410,9 @@ StatsWriter::perfToJson(const PerfReport &r)
             out += ',';
         first = false;
         out += '"';
-        out += jsonEscape(name);
+        out += json::escape(name);
         out += "\":";
-        out += formatDouble(v);
+        out += json::formatDouble(v);
     }
     out += "},\n  \"histograms\": {";
     first = true;
@@ -472,7 +421,7 @@ StatsWriter::perfToJson(const PerfReport &r)
             out += ',';
         first = false;
         out += '"';
-        out += jsonEscape(name);
+        out += json::escape(name);
         out += "\":";
         appendBuckets(out, buckets);
     }

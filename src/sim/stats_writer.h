@@ -25,16 +25,6 @@ namespace mempod {
 class StatsWriter
 {
   public:
-    /** Escape `s` for inclusion inside a JSON string literal. */
-    static std::string jsonEscape(const std::string &s);
-
-    /**
-     * Shortest round-trip decimal rendering of `v`; non-finite values
-     * become `null` (JSON has no NaN/Inf). Uses std::to_chars, so the
-     * bytes are identical under any host LC_NUMERIC locale.
-     */
-    static std::string formatDouble(double v);
-
     /**
      * Full end-of-run document: run identity, a "summary" object
      * mirroring the RunResult (the numbers the console tables print),

@@ -1,259 +1,17 @@
 #include "trace/manifest.h"
 
-#include <cctype>
-#include <cstdio>
-#include <map>
-#include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace mempod {
 
 namespace {
 
-/**
- * A minimal string-preserving JSON value tree. The repo's flat_json
- * helper deliberately drops strings (it flattens numeric stats files);
- * the manifest is mostly strings, so it gets its own tiny parser.
- */
-struct JsonValue
-{
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        for (const auto &[k, v] : members)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    JsonParser(const std::string &text, const std::string &path)
-        : text_(text), path_(path)
-    {
-    }
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after the JSON document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        std::size_t line = 1;
-        for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i)
-            if (text_[i] == '\n')
-                ++line;
-        MEMPOD_FATAL("'%s' line %zu: %s", path_.c_str(), line,
-                     what.c_str());
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of file");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"')
-            return parseString();
-        if (c == 't' || c == 'f')
-            return parseBool();
-        if (c == 'n')
-            return parseNull();
-        return parseNumber();
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::kObject;
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            JsonValue key = parseString();
-            expect(':');
-            v.members.emplace_back(key.text, parseValue());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::kArray;
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.items.push_back(parseValue());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("unterminated string escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case '/': c = '/'; break;
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  default:
-                    fail(std::string("unsupported string escape '\\") +
-                         e + "'");
-                }
-            }
-            v.text.push_back(c);
-        }
-        if (pos_ >= text_.size())
-            fail("unterminated string");
-        ++pos_; // closing quote
-        return v;
-    }
-
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        if (text_.compare(pos_, 4, "true") == 0) {
-            v.boolean = true;
-            pos_ += 4;
-        } else if (text_.compare(pos_, 5, "false") == 0) {
-            v.boolean = false;
-            pos_ += 5;
-        } else {
-            fail("malformed literal");
-        }
-        return v;
-    }
-
-    JsonValue
-    parseNull()
-    {
-        if (text_.compare(pos_, 4, "null") != 0)
-            fail("malformed literal");
-        pos_ += 4;
-        return JsonValue{};
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a value");
-        JsonValue v;
-        v.kind = JsonValue::Kind::kNumber;
-        try {
-            v.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (...) {
-            fail("malformed number '" +
-                 text_.substr(start, pos_ - start) + "'");
-        }
-        return v;
-    }
-
-    const std::string &text_;
-    std::string path_;
-    std::size_t pos_ = 0;
-};
-
-std::string
-readFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        MEMPOD_FATAL("cannot open trace manifest '%s'", path.c_str());
-    std::string out;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
-}
+using json::Value;
 
 std::string
 dirnameOf(const std::string &path)
@@ -272,8 +30,8 @@ resolvePath(const std::string &base, const std::string &path)
 }
 
 /** Require a specific kind, with the manifest path in the error. */
-const JsonValue &
-require(const JsonValue *v, JsonValue::Kind kind, const char *what,
+const Value &
+require(const Value *v, Value::Kind kind, const char *what,
         const std::string &manifest)
 {
     static const char *names[] = {"null",   "bool",  "number",
@@ -292,20 +50,19 @@ require(const JsonValue *v, JsonValue::Kind kind, const char *what,
 }
 
 std::uint64_t
-asU64(const JsonValue &v, const char *what, const std::string &manifest)
+asU64(const Value &v, const char *what, const std::string &manifest)
 {
-    if (v.number < 0 || v.number != static_cast<double>(
-                                        static_cast<std::uint64_t>(
-                                            v.number))) {
+    const std::optional<std::uint64_t> u = v.asU64();
+    if (!u) {
         MEMPOD_FATAL("trace manifest '%s': %s must be a non-negative "
                      "integer",
                      manifest.c_str(), what);
     }
-    return static_cast<std::uint64_t>(v.number);
+    return *u;
 }
 
 void
-rejectUnknownKeys(const JsonValue &obj,
+rejectUnknownKeys(const Value &obj,
                   const std::set<std::string> &known,
                   const char *where, const std::string &manifest)
 {
@@ -325,29 +82,36 @@ rejectUnknownKeys(const JsonValue &obj,
 std::vector<ExternalTraceSpec>
 loadTraceManifest(const std::string &path)
 {
-    const std::string text = readFile(path);
+    const std::optional<std::string> text = json::readFile(path);
+    if (!text)
+        MEMPOD_FATAL("cannot open trace manifest '%s'", path.c_str());
+    const json::Parsed doc = json::parse(*text);
+    if (doc.error) {
+        MEMPOD_FATAL("'%s' line %zu: %s", path.c_str(), doc.error->line,
+                     doc.error->message.c_str());
+    }
+    const Value &root = doc.value;
     const std::string base = dirnameOf(path);
-    JsonValue root = JsonParser(text, path).parse();
-    if (root.kind != JsonValue::Kind::kObject)
+    if (root.kind != Value::Kind::kObject)
         MEMPOD_FATAL("trace manifest '%s': top level must be an object",
                      path.c_str());
     rejectUnknownKeys(root, {"version", "traces"}, "the manifest", path);
-    const JsonValue &version = require(
-        root.find("version"), JsonValue::Kind::kNumber, "\"version\"",
+    const Value &version = require(
+        root.find("version"), Value::Kind::kNumber, "\"version\"",
         path);
     if (asU64(version, "\"version\"", path) != 1) {
-        MEMPOD_FATAL("trace manifest '%s': version %.0f, but this "
+        MEMPOD_FATAL("trace manifest '%s': version %s, but this "
                      "build reads version 1",
-                     path.c_str(), version.number);
+                     path.c_str(), version.text.c_str());
     }
-    const JsonValue &traces = require(
-        root.find("traces"), JsonValue::Kind::kArray, "\"traces\"",
+    const Value &traces = require(
+        root.find("traces"), Value::Kind::kArray, "\"traces\"",
         path);
 
     std::vector<ExternalTraceSpec> out;
     std::set<std::string> names;
-    for (const JsonValue &entry : traces.items) {
-        if (entry.kind != JsonValue::Kind::kObject) {
+    for (const Value &entry : traces.items) {
+        if (entry.kind != Value::Kind::kObject) {
             MEMPOD_FATAL("trace manifest '%s': each \"traces\" entry "
                          "must be an object",
                          path.c_str());
@@ -358,10 +122,10 @@ loadTraceManifest(const std::string &path)
                           "a trace entry", path);
         ExternalTraceSpec spec;
         spec.name = require(entry.find("name"),
-                            JsonValue::Kind::kString, "\"name\"", path)
+                            Value::Kind::kString, "\"name\"", path)
                         .text;
         spec.format = require(entry.find("format"),
-                              JsonValue::Kind::kString, "\"format\"",
+                              Value::Kind::kString, "\"format\"",
                               path)
                           .text;
         if (spec.format != "native" && spec.format != "champsim" &&
@@ -378,10 +142,10 @@ loadTraceManifest(const std::string &path)
                          path.c_str(), spec.name.c_str());
         }
 
-        const JsonValue *file = entry.find("file");
-        const JsonValue *files = entry.find("files");
+        const Value *file = entry.find("file");
+        const Value *files = entry.find("files");
         if (spec.format == "native") {
-            const JsonValue &f = require(file, JsonValue::Kind::kString,
+            const Value &f = require(file, Value::Kind::kString,
                                          "\"file\"", path);
             if (files != nullptr) {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" is "
@@ -397,16 +161,16 @@ loadTraceManifest(const std::string &path)
                              path.c_str(), spec.name.c_str(),
                              spec.format.c_str());
             }
-            const JsonValue &fs = require(
-                files, JsonValue::Kind::kArray, "\"files\"", path);
+            const Value &fs = require(
+                files, Value::Kind::kArray, "\"files\"", path);
             if (fs.items.empty()) {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" has an "
                              "empty \"files\" list",
                              path.c_str(), spec.name.c_str());
             }
             std::set<std::uint64_t> cores;
-            for (const JsonValue &fe : fs.items) {
-                if (fe.kind != JsonValue::Kind::kObject) {
+            for (const Value &fe : fs.items) {
+                if (fe.kind != Value::Kind::kObject) {
                     MEMPOD_FATAL("trace manifest '%s': \"files\" "
                                  "entries must be objects with "
                                  "\"path\" and \"core\"",
@@ -417,12 +181,12 @@ loadTraceManifest(const std::string &path)
                 ManifestFile mf;
                 mf.path = resolvePath(
                     base, require(fe.find("path"),
-                                  JsonValue::Kind::kString, "\"path\"",
+                                  Value::Kind::kString, "\"path\"",
                                   path)
                               .text);
                 const std::uint64_t core =
                     asU64(require(fe.find("core"),
-                                  JsonValue::Kind::kNumber, "\"core\"",
+                                  Value::Kind::kNumber, "\"core\"",
                                   path),
                           "\"core\"", path);
                 if (core > 255 || !cores.insert(core).second) {
@@ -437,7 +201,7 @@ loadTraceManifest(const std::string &path)
             }
         }
 
-        if (const JsonValue *t = entry.find("timing")) {
+        if (const Value *t = entry.find("timing")) {
             if (spec.format != "champsim") {
                 MEMPOD_FATAL("trace manifest '%s': \"timing\" only "
                              "applies to champsim traces (trace "
@@ -445,7 +209,7 @@ loadTraceManifest(const std::string &path)
                              path.c_str(), spec.name.c_str(),
                              spec.format.c_str());
             }
-            spec.timing = require(t, JsonValue::Kind::kString,
+            spec.timing = require(t, Value::Kind::kString,
                                   "\"timing\"", path)
                               .text;
             if (spec.timing != "period" && spec.timing != "ip") {
@@ -456,12 +220,12 @@ loadTraceManifest(const std::string &path)
                              spec.timing.c_str());
             }
         }
-        if (const JsonValue *p = entry.find("period_ps")) {
-            spec.periodPs = asU64(require(p, JsonValue::Kind::kNumber,
+        if (const Value *p = entry.find("period_ps")) {
+            spec.periodPs = asU64(require(p, Value::Kind::kNumber,
                                           "\"period_ps\"", path),
                                   "\"period_ps\"", path);
         }
-        if (const JsonValue *b = entry.find("addr_bias")) {
+        if (const Value *b = entry.find("addr_bias")) {
             if (spec.format != "champsim") {
                 MEMPOD_FATAL("trace manifest '%s': \"addr_bias\" only "
                              "applies to champsim traces (trace "
@@ -469,14 +233,14 @@ loadTraceManifest(const std::string &path)
                              path.c_str(), spec.name.c_str(),
                              spec.format.c_str());
             }
-            spec.addrBias = asU64(require(b, JsonValue::Kind::kNumber,
+            spec.addrBias = asU64(require(b, Value::Kind::kNumber,
                                           "\"addr_bias\"", path),
                                   "\"addr_bias\"", path);
         }
-        if (const JsonValue *s = entry.find("time_scale")) {
-            spec.timeScale = require(s, JsonValue::Kind::kNumber,
-                                     "\"time_scale\"", path)
-                                 .number;
+        if (const Value *s = entry.find("time_scale")) {
+            spec.timeScale = *require(s, Value::Kind::kNumber,
+                                      "\"time_scale\"", path)
+                                  .asDouble();
             if (!(spec.timeScale > 0)) {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" "
                              "time_scale must be > 0",

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "trace/catalog.h"
+#include "trace/manifest.h"
 #include "trace/native.h"
 #include "trace/profiles.h"
 
@@ -246,6 +247,56 @@ TEST_F(CatalogManifest, UnknownManifestKeyIsFatal)
     m.close();
     WorkloadCatalog cat;
     EXPECT_DEATH(cat.loadManifest(bad), "frobnicate");
+}
+
+/** A one-entry champsim manifest whose addr_bias is `bias`, verbatim. */
+std::string
+biasManifest(const std::string &dir, const std::string &bias)
+{
+    const std::string path = dir + "/bias.json";
+    std::ofstream(path)
+        << "{\"version\": 1, \"traces\": [{\"name\": \"x\", "
+           "\"format\": \"champsim\", \"addr_bias\": "
+        << bias << ", \"files\": [{\"path\": \"x.champsim\", "
+                   "\"core\": 0}]}]}\n";
+    return path;
+}
+
+TEST_F(CatalogManifest, IntegersLoadExactly)
+{
+    const auto specs =
+        loadTraceManifest(biasManifest(dir_, "9007199254740993"));
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0].addrBias, 9007199254740993ull);
+    EXPECT_EQ(loadTraceManifest(biasManifest(dir_, "18446744073709551615"))
+                  [0]
+                      .addrBias,
+              UINT64_MAX);
+}
+
+TEST_F(CatalogManifest, NonIntegersAreFatalNotUndefined)
+{
+    for (const char *bias :
+         {"1e30", "18446744073709551616", "1.5", "-1"}) {
+        const std::string path = biasManifest(dir_, bias);
+        EXPECT_DEATH(loadTraceManifest(path),
+                     "addr_bias.* must be a non-negative integer")
+            << bias;
+    }
+}
+
+TEST_F(CatalogManifest, DeepNestingIsFatalNotAStackOverflow)
+{
+    std::string objects;
+    while (objects.size() < 200 * 1024)
+        objects += "{\"a\":";
+    for (const std::string &doc :
+         {std::string(200 * 1024, '['), objects}) {
+        const std::string path = dir_ + "/deep.json";
+        std::ofstream(path) << doc;
+        EXPECT_DEATH(loadTraceManifest(path),
+                     "deep.json' line 1: nesting deeper");
+    }
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/json.h"
 #include "sim/config.h"
 
 namespace mempod {
@@ -35,6 +36,30 @@ TEST(ConfigJson, RoundTripPreservesEveryPreset)
         EXPECT_EQ(back.near.timing.tCL, c.near.timing.tCL);
         EXPECT_EQ(back.far.org.busBits, c.far.org.busBits);
     }
+}
+
+TEST(ConfigJson, ControlCharactersInStringsAreEscaped)
+{
+    SimConfig c;
+    c.near.name = "q\"b\\n\nc\x01";
+    const std::string text = c.toJson();
+    bool in_string = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (in_string) {
+            EXPECT_GE(static_cast<unsigned char>(text[i]), 0x20)
+                << "raw byte at " << i;
+            if (text[i] == '\\')
+                ++i;
+            else if (text[i] == '"')
+                in_string = false;
+        } else {
+            in_string = text[i] == '"';
+        }
+    }
+    EXPECT_FALSE(json::parse(text).error);
+    const SimConfig back = SimConfig::fromJson(text);
+    EXPECT_EQ(back.near.name, c.near.name);
+    EXPECT_EQ(back.toJson(), text);
 }
 
 TEST(ConfigJson, MissingKeysKeepDefaults)
@@ -123,6 +148,16 @@ TEST(ConfigJsonDeathTest, MalformedJsonPanics)
                  "fromJson");
     EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": 1} x)"),
                  "trailing");
+}
+
+TEST(ConfigJsonDeathTest, DeepNestingPanicsInsteadOfOverflowing)
+{
+    std::string brackets(200 * 1024, '[');
+    std::string objects;
+    while (objects.size() < 200 * 1024)
+        objects += "{\"a\":";
+    EXPECT_DEATH((void)SimConfig::fromJson(brackets), "fromJson.*nesting");
+    EXPECT_DEATH((void)SimConfig::fromJson(objects), "fromJson.*nesting");
 }
 
 } // namespace

@@ -4,16 +4,17 @@
  * stats-JSON double renderer and the report table formatter must emit
  * a '.' decimal point even under an LC_NUMERIC locale whose separator
  * is ',' — otherwise goldens and `diff -r` determinism checks break
- * on localized hosts. Both formatters use std::to_chars, which never
- * consults the locale; these tests pin that property.
+ * on localized hosts — and the JSON reader must still read one. All
+ * three use std::to_chars/from_chars, which never consult the locale;
+ * these tests pin that property.
  */
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <string>
 
+#include "common/json.h"
 #include "sim/report.h"
-#include "sim/stats_writer.h"
 
 namespace mempod {
 namespace {
@@ -45,12 +46,23 @@ TEST(Locale, FormatDoubleIgnoresLcNumeric)
     CommaLocale locale;
     if (!locale.active())
         GTEST_SKIP() << "no comma-separator locale installed";
-    const std::string s = StatsWriter::formatDouble(3.14159);
+    const std::string s = json::formatDouble(3.14159);
     EXPECT_NE(s.find('.'), std::string::npos) << s;
     EXPECT_EQ(s.find(','), std::string::npos) << s;
     // Shortest-round-trip rendering of 0.1 is "0.1" — byte-for-byte,
     // not whatever the locale would print.
-    EXPECT_EQ(StatsWriter::formatDouble(0.1), "0.1");
+    EXPECT_EQ(json::formatDouble(0.1), "0.1");
+}
+
+TEST(Locale, JsonNumbersParseIgnoringLcNumeric)
+{
+    CommaLocale locale;
+    if (!locale.active())
+        GTEST_SKIP() << "no comma-separator locale installed";
+    const json::Parsed doc = json::parse("[3.25, 1e-3]");
+    ASSERT_FALSE(doc.error);
+    EXPECT_EQ(*doc.value.items[0].asDouble(), 3.25);
+    EXPECT_EQ(*doc.value.items[1].asDouble(), 1e-3);
 }
 
 TEST(Locale, TableNumberIgnoresLcNumeric)
@@ -67,8 +79,8 @@ TEST(Locale, FormattersAreStableInTheCLocaleToo)
     // Sanity in the default locale: same bytes as under a comma one.
     EXPECT_EQ(TablePrinter::num(1234.5678, 2), "1234.57");
     EXPECT_EQ(TablePrinter::num(-0.125, 3), "-0.125");
-    EXPECT_EQ(StatsWriter::formatDouble(16.5), "16.5");
-    EXPECT_EQ(StatsWriter::formatDouble(0.0), "0");
+    EXPECT_EQ(json::formatDouble(16.5), "16.5");
+    EXPECT_EQ(json::formatDouble(0.0), "0");
 }
 
 } // namespace

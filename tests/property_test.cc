@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
 #include "core/pod.h"
 #include "dram/channel.h"
@@ -145,10 +147,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 // End-to-end: across mechanisms and workload families, every demand
-// completes exactly once and AMMAT is finite and positive.
+// completes exactly once and AMMAT is finite and positive. The workload
+// is a std::string so the printed parameter (and the CTest name built
+// from it) holds its text rather than an address that varies with ASLR.
 class MechanismSweep
-    : public ::testing::TestWithParam<std::tuple<Mechanism,
-                                                 const char *>>
+    : public ::testing::TestWithParam<std::tuple<Mechanism, std::string>>
 {
 };
 
@@ -178,8 +181,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          Mechanism::kMemPod,
                                          Mechanism::kHma, Mechanism::kThm,
                                          Mechanism::kCameo),
-                       ::testing::Values("xalanc", "lbm", "libquantum",
-                                         "mix5")),
+                       ::testing::Values(std::string("xalanc"),
+                                         std::string("lbm"),
+                                         std::string("libquantum"),
+                                         std::string("mix5"))),
     [](const auto &info) {
         return std::string(mechanismName(std::get<0>(info.param))) +
                "_" + std::get<1>(info.param);

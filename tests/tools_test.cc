@@ -144,6 +144,20 @@ TEST(PerfTool, DiffStillFailsOnGenuineRegression)
     std::filesystem::remove_all(dir);
 }
 
+TEST(PerfTool, DeeplyNestedInputExitsTwo)
+{
+    const auto dir = tmpDir();
+    writeText(dir / "base.json", "{\"events_per_second\": 100}");
+    writeText(dir / "deep.json", std::string(200 * 1024, '['));
+    const CmdResult r =
+        run(std::string(MEMPOD_PERF_TOOL_PATH) + " diff " +
+            (dir / "base.json").string() + " " +
+            (dir / "deep.json").string());
+    // 2 = unreadable input, distinct from 1 = regression found.
+    EXPECT_EQ(r.status, 2);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ExplainTool, AttributionSumsExactlyToMeasuredAmmatDelta)
 {
     const auto dir = tmpDir();

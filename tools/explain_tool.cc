@@ -36,20 +36,38 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "flat_json.h"
+#include "common/json.h"
 
 namespace {
 
-using mempod::tools::FlatDoc;
-using mempod::tools::FlatParser;
+using namespace mempod;
 
+/** Numeric leaves of one stats export, keyed by dotted path. */
+using FlatDoc = std::map<std::string, double>;
+
+/** Load and flatten one stats export; exits(2) with context on failure. */
 FlatDoc
 loadStats(const char *path)
 {
-    return mempod::tools::loadFlat("explain_tool", path);
+    const std::optional<std::string> text = json::readFile(path);
+    if (!text) {
+        std::fprintf(stderr, "explain_tool: cannot open '%s'\n", path);
+        std::exit(2);
+    }
+    const json::Parsed doc = json::parse(*text);
+    if (doc.error) {
+        std::fprintf(stderr,
+                     "explain_tool: '%s' is not valid JSON: %s (line "
+                     "%zu, byte %zu)\n",
+                     path, doc.error->message.c_str(), doc.error->line,
+                     doc.error->offset);
+        std::exit(2);
+    }
+    return json::flattenNumbers(doc.value);
 }
 
 /** Fetch a required key; exits(2) naming it when absent. */
@@ -114,9 +132,11 @@ parseLedgerHeader(const char *path, const std::vector<std::string> &lines)
         std::fprintf(stderr, "explain_tool: '%s' is empty\n", path);
         std::exit(2);
     }
+    const json::Parsed header = json::parse(lines[0]);
     FlatDoc doc;
-    FlatParser p(lines[0], doc);
-    if (!p.parse() || doc.find("decisions") == doc.end()) {
+    if (!header.error)
+        doc = json::flattenNumbers(header.value);
+    if (doc.find("decisions") == doc.end()) {
         std::fprintf(stderr,
                      "explain_tool: '%s' does not start with a "
                      "mempod-decisions-v1 header line\n",

@@ -15,13 +15,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "sim/energy.h"
 #include "sim/simulation.h"
@@ -43,17 +43,6 @@ parseMechanism(const std::string &s)
                      s.c_str());
     }
     return m;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        MEMPOD_FATAL("cannot open config file '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 [[noreturn]] void
@@ -169,7 +158,13 @@ main(int argc, char **argv)
     SimConfig cfg;
     if (!config_file.empty()) {
         // The file is the whole truth; only --set amends it.
-        cfg = SimConfig::fromJson(readFile(config_file));
+        const std::optional<std::string> text =
+            json::readFile(config_file);
+        if (!text) {
+            MEMPOD_FATAL("cannot open config file '%s'",
+                         config_file.c_str());
+        }
+        cfg = SimConfig::fromJson(*text);
     } else {
         const Mechanism mech = parseMechanism(mech_name);
         cfg = future ? SimConfig::future(mech)

@@ -33,8 +33,6 @@
  *       Fails when no such leaf exists in both files, so the gate
  *       cannot silently pass on schema drift; --warn-only does not
  *       soften it.
- *
- * The JSON reader lives in flat_json.h, shared with explain_tool.
  */
 #include <algorithm>
 #include <cmath>
@@ -42,20 +40,38 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "flat_json.h"
+#include "common/json.h"
 
 namespace {
 
-using mempod::tools::FlatDoc;
+using namespace mempod;
+
+/** Numeric leaves of one sidecar, keyed by dotted path. */
+using FlatDoc = std::map<std::string, double>;
 
 /** Load and flatten one sidecar; exits(2) with context on failure. */
 FlatDoc
 loadFlat(const char *path)
 {
-    return mempod::tools::loadFlat("perf_tool", path);
+    const std::optional<std::string> text = json::readFile(path);
+    if (!text) {
+        std::fprintf(stderr, "perf_tool: cannot open '%s'\n", path);
+        std::exit(2);
+    }
+    const json::Parsed doc = json::parse(*text);
+    if (doc.error) {
+        std::fprintf(stderr,
+                     "perf_tool: '%s' is not valid JSON: %s (line %zu, "
+                     "byte %zu)\n",
+                     path, doc.error->message.c_str(), doc.error->line,
+                     doc.error->offset);
+        std::exit(2);
+    }
+    return json::flattenNumbers(doc.value);
 }
 
 /** Compact numeric rendering: integers plain, else 6 significant. */

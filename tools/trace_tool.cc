@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "analysis/footprint.h"
+#include "common/json.h"
 #include "trace/catalog.h"
 #include "trace/champsim.h"
 #include "trace/native.h"
@@ -245,33 +246,12 @@ cmdInfo(int argc, char **argv)
     return 0;
 }
 
-/**
- * Extract the string value of `"key":"..."` from one trace-event line;
- * returns "" when absent. The tracer writes one event per line with
- * unescaped identifier-like values, so plain substring search is an
- * exact parse for its own output.
- */
+/** String member `key` of a trace event; "" when absent. */
 std::string
-jsonField(const std::string &line, const char *key)
+field(const json::Value &event, const char *key)
 {
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const std::size_t start = at + needle.size();
-    const std::size_t end = line.find('"', start);
-    return end == std::string::npos ? "" : line.substr(start, end - start);
-}
-
-/** Extract a numeric field `"key":123[.456]`; -1 when absent. */
-double
-jsonNumber(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return -1.0;
-    return std::strtod(line.c_str() + at + needle.size(), nullptr);
+    const json::Value *v = event.find(key);
+    return v && v->kind == json::Value::Kind::kString ? v->text : "";
 }
 
 int
@@ -313,21 +293,32 @@ cmdSummary(int argc, char **argv)
 
     std::string line;
     while (std::getline(in, line)) {
-        const std::string ph = jsonField(line, "ph");
+        // The tracer writes one event object per line, comma-separated
+        // inside the traceEvents array; the envelope lines around it
+        // are not complete documents and are skipped.
+        if (!line.empty() && line.back() == ',')
+            line.pop_back();
+        const json::Parsed event = json::parse(line);
+        if (event.error)
+            continue;
+        const std::string ph = field(event.value, "ph");
         if (ph.empty() || ph == "M")
             continue;
         ++events;
-        const std::string name = jsonField(line, "name");
+        const std::string name = field(event.value, "name");
         ++counts[ph + " " + name];
         if (ph == "i")
             ++instants[name];
         if (ph != "b" && ph != "e")
             continue;
-        const std::string key = jsonField(line, "cat") + "/" +
-                                jsonField(line, "id") + "/" + name;
-        const double ts = jsonNumber(line, "ts");
+        const std::string id = field(event.value, "id");
+        const std::string key =
+            field(event.value, "cat") + "/" + id + "/" + name;
+        const json::Value *ts_value = event.value.find("ts");
+        const double ts =
+            ts_value ? ts_value->asDouble().value_or(-1.0) : -1.0;
         if (ph == "b") {
-            open[key] = Span{jsonField(line, "id"), ts, ts};
+            open[key] = Span{id, ts, ts};
         } else {
             auto it = open.find(key);
             if (it == open.end()) {
