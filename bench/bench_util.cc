@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -85,167 +86,213 @@ listWorkloads()
     }
 }
 
-/** Strict decimal parse; exits(2) on trailing garbage or overflow. */
-std::uint64_t
-parseUint(const char *what, const char *flag, const char *text)
+/**
+ * Strict decimal parse of `text` into `out`, within [lo, hi]; returns
+ * the error text ("" on success).
+ */
+std::string
+parseUint(const std::string &text, std::uint64_t &out,
+          std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX)
 {
     char *end = nullptr;
     errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "%s: %s expects an unsigned integer, got "
-                             "'%s'\n",
-                     what, flag, text);
-        std::exit(2);
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        return "expects an unsigned integer, got '" + text + "'";
+    if (v < lo || v > hi) {
+        return "must be " +
+               (hi == UINT64_MAX ? ">= " + std::to_string(lo)
+                                 : "in [" + std::to_string(lo) + ", " +
+                                       std::to_string(hi) + "]") +
+               ", got " + text;
     }
-    return v;
+    out = v;
+    return {};
+}
+
+template <typename T>
+Flag::Action
+storeUint(T &out, std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX)
+{
+    return [&out, lo, hi](const std::string &v) {
+        std::uint64_t n = 0;
+        const std::string err = parseUint(v, n, lo, hi);
+        out = static_cast<T>(n);
+        return err;
+    };
 }
 
 } // namespace
 
+Flag::Action
+storeTrue(bool &out)
+{
+    return [&out](const std::string &) {
+        out = true;
+        return std::string();
+    };
+}
+
+Flag::Action
+storeText(std::string &out)
+{
+    return [&out](const std::string &v) {
+        out = v;
+        return std::string();
+    };
+}
+
+void
+usageError(const char *what, const std::string &message)
+{
+    std::fprintf(stderr, "%s: %s\n", what, message.c_str());
+    std::exit(2);
+}
+
 Options
-parseOptions(int argc, char **argv, const char *what)
+parseOptions(int argc, char **argv, const char *what,
+             std::vector<Flag> extra)
 {
     if (g_harnessStartNs == 0)
         g_harnessStartNs = perfNowNs();
     Options opt;
-    std::string emit_list;
     bool emit_given = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n", what,
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
+    // A shortcut flag is one dotted-key entry in Options::sets.
+    const auto enable = [&opt](const char *key) {
+        return [&opt, key](const std::string &) {
+            opt.sets.emplace_back(key, "true");
+            return std::string();
         };
-        if (arg == "--full") {
-            opt.full = true;
-        } else if (arg == "--requests") {
-            opt.requests = parseUint(what, "--requests", next());
-        } else if (arg == "--seed") {
-            opt.seed = parseUint(what, "--seed", next());
-        } else if (arg == "--jobs") {
-            const std::uint64_t n = parseUint(what, "--jobs", next());
-            if (n == 0 || n > 1024) {
-                std::fprintf(stderr,
-                             "%s: --jobs must be in [1, 1024], got "
-                             "%llu\n",
-                             what, static_cast<unsigned long long>(n));
-                std::exit(2);
-            }
-            opt.jobs = static_cast<unsigned>(n);
-        } else if (arg == "--shards") {
-            const std::uint64_t n =
-                parseUint(what, "--shards", next());
-            if (n > 1024) {
-                std::fprintf(stderr,
-                             "%s: --shards must be in [0, 1024], got "
-                             "%llu\n",
-                             what, static_cast<unsigned long long>(n));
-                std::exit(2);
-            }
-            opt.shards = static_cast<std::uint32_t>(n);
-        } else if (arg == "--workloads") {
-            opt.workloads = splitCommas(next());
-        } else if (arg == "--manifest") {
-            const char *path = next();
-            // Load immediately: later flags (--list-workloads, the
-            // --workloads validation below) see the external traces.
-            WorkloadCatalog::global().loadManifest(path);
-            opt.manifests.push_back(path);
-        } else if (arg == "--out") {
-            opt.artifacts.root = next();
-            if (opt.artifacts.root.empty()) {
-                std::fprintf(stderr, "%s: --out needs a directory\n",
-                             what);
-                std::exit(2);
-            }
-        } else if (arg == "--emit") {
-            emit_list = next();
-            emit_given = true;
-            std::string bad;
-            if (!applyEmitList(emit_list, opt.artifacts, &bad)) {
-                std::fprintf(stderr,
-                             "%s: --emit: unknown artifact kind '%s' "
-                             "(use stats,traces,decisions,perf)\n",
-                             what, bad.c_str());
-                std::exit(2);
-            }
-            if (opt.artifacts.perf)
-                opt.perf = true; // a perf sidecar implies profiling
-        } else if (arg == "--interval-us") {
-            opt.intervalUs = parseUint(what, "--interval-us", next());
-        } else if (arg == "--trace-sample") {
-            opt.traceSample =
-                parseUint(what, "--trace-sample", next());
-            if (opt.traceSample == 0) {
-                std::fprintf(stderr,
-                             "%s: --trace-sample must be >= 1 (1 = "
-                             "trace every request)\n",
-                             what);
-                std::exit(2);
-            }
-        } else if (arg == "--perf") {
-            opt.perf = true;
-        } else if (arg == "--fidelity") {
-            opt.fidelity = next();
-            if (opt.fidelity != "detailed" && opt.fidelity != "fast" &&
-                opt.fidelity != "sampled") {
-                std::fprintf(stderr,
-                             "%s: --fidelity must be detailed, fast "
-                             "or sampled, got '%s'\n",
-                             what, opt.fidelity.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--set") {
-            const std::string kv = next();
-            const std::size_t eq = kv.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::fprintf(stderr,
-                             "%s: --set expects key=value, got '%s'\n",
-                             what, kv.c_str());
-                std::exit(2);
-            }
-            opt.sets.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
-        } else if (arg == "--paranoid") {
-            opt.paranoid = true;
-        } else if (arg == "--bench-out") {
-            opt.benchOut = next();
-            if (opt.benchOut.empty()) {
-                std::fprintf(stderr,
-                             "%s: --bench-out needs a directory\n",
-                             what);
-                std::exit(2);
-            }
-        } else if (arg == "--list-workloads") {
-            listWorkloads();
-            std::exit(0);
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "%s\noptions: --full | --requests N | --seed N |"
-                " --jobs N | --shards N | --workloads a,b,c |"
-                " --manifest FILE |"
-                " --out DIR | --emit stats,traces,decisions,perf |"
-                " --interval-us N | --trace-sample N | --perf |"
-                " --fidelity detailed|fast|sampled | --set key=value |"
-                " --paranoid | --bench-out DIR | --list-workloads\n",
-                what);
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", what,
-                         arg.c_str());
-            std::exit(2);
+    };
+    std::vector<Flag> table = {
+        {"--full", nullptr, "paper-scale run (all workloads, long traces)",
+         storeTrue(opt.full)},
+        {"--requests", "N", "trace length (also caps external traces)",
+         storeUint(opt.requests)},
+        {"--seed", "N", "generator seed (default 42)", storeUint(opt.seed)},
+        {"--jobs", "N", "worker threads in [1, 1024] (default: all cores)",
+         storeUint(opt.jobs, 1, 1024)},
+        {"--shards", "N",
+         "sim.shards=N: PDES shards in [0, 1024]; 0 = serial kernel",
+         [&](const std::string &v) {
+             std::uint64_t n = 0;
+             const std::string err = parseUint(v, n, 0, 1024);
+             opt.sets.emplace_back("sim.shards", std::to_string(n));
+             return err;
+         }},
+        {"--workloads", "a,b", "explicit workload list",
+         [&](const std::string &v) {
+             opt.workloads = splitCommas(v);
+             return std::string();
+         }},
+        {"--manifest", "FILE",
+         "load a traces.json manifest; its traces become workloads",
+         [&](const std::string &v) {
+             // Load immediately: later flags (--list-workloads, the
+             // --workloads validation below) see the external traces.
+             WorkloadCatalog::global().loadManifest(v);
+             return std::string();
+         }},
+        {"--list-workloads", nullptr, "print the workload suite and exit",
+         [](const std::string &) -> std::string {
+             listWorkloads();
+             std::exit(0);
+         }},
+        {"--out", "DIR",
+         "run directory for stats/, traces/, decisions/, perf/",
+         [&](const std::string &v) -> std::string {
+             opt.artifacts.root = v;
+             return v.empty() ? "needs a directory" : "";
+         }},
+        {"--emit", "LIST",
+         "kinds under --out: stats,traces,decisions (default),perf",
+         [&](const std::string &v) -> std::string {
+             emit_given = true;
+             std::string bad;
+             if (!applyEmitList(v, opt.artifacts, &bad)) {
+                 return "has unknown artifact kind '" + bad +
+                        "' (use stats,traces,decisions,perf)";
+             }
+             if (opt.artifacts.perf) // a perf sidecar needs a profile
+                 opt.sets.emplace_back("perf.enabled", "true");
+             return {};
+         }},
+        {"--interval-us", "N",
+         "JSONL period in simulated us (default 50; 0 = summary only)",
+         storeUint(opt.intervalUs)},
+        {"--trace-sample", "N", "trace 1 in N demand requests (default 64)",
+         storeUint(opt.traceSample, 1)},
+        {"--perf", nullptr,
+         "perf.enabled=true: host profile, table on stderr",
+         enable("perf.enabled")},
+        {"--fidelity", "MODE",
+         "detailed|fast: dram.model=MODE; sampled: "
+         "sim.sampling.enabled=true",
+         [&](const std::string &v) -> std::string {
+             if (v == "detailed" || v == "fast")
+                 opt.sets.emplace_back("dram.model", v);
+             else if (v == "sampled")
+                 opt.sets.emplace_back("sim.sampling.enabled", "true");
+             else
+                 return "must be detailed, fast or sampled, got '" + v +
+                        "'";
+             return {};
+         }},
+        {"--set", "KEY=VALUE",
+         "dotted-key config override (repeatable; see EXPERIMENTS.md)",
+         [&](const std::string &v) -> std::string {
+             const std::size_t eq = v.find('=');
+             if (eq == std::string::npos || eq == 0)
+                 return "expects key=value, got '" + v + "'";
+             opt.sets.emplace_back(v.substr(0, eq), v.substr(eq + 1));
+             return {};
+         }},
+        {"--paranoid", nullptr,
+         "validate.paranoid=true: O(pages) invariant scans every epoch",
+         enable("validate.paranoid")},
+        {"--bench-out", "DIR", "where BENCH_<name>.json lands (default .)",
+         [&](const std::string &v) -> std::string {
+             opt.benchOut = v;
+             return v.empty() ? "needs a directory" : "";
+         }},
+    };
+    table.insert(table.end(), extra.begin(), extra.end());
+    table.push_back({"--help", nullptr, "print this table and exit",
+                     [&](const std::string &) -> std::string {
+                         std::printf("%s\noptions:\n", what);
+                         for (const Flag &f : table) {
+                             const std::string lhs =
+                                 f.arg ? std::string(f.name) + " " + f.arg
+                                       : f.name;
+                             std::printf("  %-20s %s\n", lhs.c_str(),
+                                         f.help);
+                         }
+                         std::exit(0);
+                     }});
+
+    for (int i = 1; i < argc; ++i) {
+        const std::string name =
+            std::strcmp(argv[i], "-h") ? argv[i] : "--help";
+        const auto row =
+            std::find_if(table.begin(), table.end(),
+                         [&](const Flag &f) { return name == f.name; });
+        if (row == table.end())
+            usageError(what, "unknown option '" + name + "'");
+        std::string value;
+        if (row->arg) {
+            if (i + 1 >= argc)
+                usageError(what, name + " needs a value");
+            value = argv[++i];
         }
+        const std::string err = row->apply(value);
+        if (!err.empty())
+            usageError(what, name + " " + err);
     }
     for (const auto &w : opt.workloads)
         WorkloadCatalog::global().find(w); // fatal on typo, up front
-    if (emit_given && !opt.artifacts.enabled()) {
-        std::fprintf(stderr, "%s: --emit requires --out DIR\n", what);
-        std::exit(2);
-    }
+    if (emit_given && !opt.artifacts.enabled())
+        usageError(what, "--emit requires --out DIR");
     if (opt.artifacts.enabled())
         ensureWritableDir(opt.artifacts.root, "--out", what);
     if (opt.benchOut != ".")
@@ -259,27 +306,21 @@ ensureWritableDir(const std::string &dir, const char *flag,
 {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
+    const std::string where = std::string(flag) + ": ";
     if (ec) {
-        std::fprintf(stderr, "%s: %s: cannot create directory '%s': "
-                             "%s\n",
-                     what, flag, dir.c_str(), ec.message().c_str());
-        std::exit(2);
+        usageError(what, where + "cannot create directory '" + dir +
+                             "': " + ec.message());
     }
     // create_directories succeeds silently when `dir` already exists —
     // even as a plain file; a write probe catches that and read-only
     // mounts in one check.
-    if (!std::filesystem::is_directory(dir, ec) || ec) {
-        std::fprintf(stderr, "%s: %s: '%s' is not a directory\n", what,
-                     flag, dir.c_str());
-        std::exit(2);
-    }
+    if (!std::filesystem::is_directory(dir, ec) || ec)
+        usageError(what, where + "'" + dir + "' is not a directory");
     const std::string probe = dir + "/.write-probe";
     std::FILE *f = std::fopen(probe.c_str(), "wb");
     if (!f) {
-        std::fprintf(stderr, "%s: %s: directory '%s' is not writable: "
-                             "%s\n",
-                     what, flag, dir.c_str(), std::strerror(errno));
-        std::exit(2);
+        usageError(what, where + "directory '" + dir +
+                             "' is not writable: " + std::strerror(errno));
     }
     std::fclose(f);
     std::filesystem::remove(probe, ec);
@@ -338,19 +379,10 @@ timingJob(const SimConfig &config, const std::string &workload,
     BatchJob job;
     job.kind = JobKind::kTiming;
     job.config = config;
-    job.config.shards = opt.shards;
     job.config.statsIntervalPs = opt.statsIntervalPs();
     job.config.tracer.enabled = opt.artifacts.wantTraces();
     job.config.tracer.sampleEvery = opt.traceSample;
     job.config.tracer.seed = opt.seed;
-    job.config.perfEnabled = opt.perf;
-    job.config.validateParanoid = opt.paranoid;
-    // Fidelity first, then --set, so window lengths etc. can fine-tune
-    // the mode a run selected.
-    if (opt.fidelity == "fast")
-        job.config.set("dram.model", "fast");
-    else if (opt.fidelity == "sampled")
-        job.config.set("sim.sampling.enabled", "true");
     for (const auto &[key, value] : opt.sets)
         job.config.set(key, value);
     job.workload = workload;
@@ -553,7 +585,7 @@ finishBench(const char *name, const Options &opt,
     report.addResults(results);
     const std::string path = report.write();
     std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-    if (opt.perf && report.havePerf())
+    if (report.havePerf())
         report.mergedPerf().printTable(stderr, name);
 }
 

@@ -4,40 +4,13 @@
  * (scale control, workload selection, worker count), workload-set
  * helpers, the process-wide trace cache, and BatchRunner glue.
  *
- * Every harness accepts:
- *   --full           paper-scale run (all workloads, long traces)
- *   --requests N     trace length override (also caps external traces)
- *   --workloads a,b  explicit workload list
- *   --manifest FILE  load a traces.json corpus manifest; its traces
- *                    become named workloads (an entry reusing a
- *                    synthetic name replays the capture instead of
- *                    generating — record-and-replay)
- *   --list-workloads print the suite (incl. Table 3 mixes and loaded
- *                    external traces) and exit
- *   --seed N         generator seed
- *   --jobs N         worker threads (default: hardware concurrency)
- *   --shards N       intra-simulation PDES shards (sim.shards); 0 =
- *                    serial kernel. Output is byte-identical at any
- *                    value — only host parallelism changes.
- *   --out DIR        run directory for every per-job artifact; fixed
- *                    subdirs stats/ (JSON + JSONL registry exports),
- *                    traces/ (Chrome trace-event JSON), decisions/
- *                    ("mempod-decisions-v1" ledgers) and perf/
- *                    (host-profile sidecars)
- *   --emit LIST      comma list of artifact kinds to write under
- *                    --out (stats,traces,decisions,perf); default
- *                    stats,traces,decisions. "perf" implies --perf.
- *   --interval-us N  JSONL sampling period in simulated µs (default
- *                    50, the migration epoch; 0 = summary JSON only)
- *   --trace-sample N trace 1 in N demand requests (default 64)
- *   --fidelity M     detailed (default) | fast (fixed-latency DRAM
- *                    model, dram.model=fast) | sampled (SMARTS-style
- *                    alternating fidelity, sim.sampling.enabled)
- *   --set key=value  dotted-key config override applied to every
- *                    timing job after --fidelity (repeatable; e.g.
- *                    --set sim.sampling.measure_ps=20000000)
- *   --paranoid       deep invariant scans every epoch (O(pages) remap
- *                    walks); for CI smokes, not perf runs
+ * Every simulation binary parses its command line with parseOptions()
+ * over one option table: the shared rows in bench_util.cc plus any
+ * rows the binary adds (tools/mempod_sim.cc adds its single-run
+ * flags). Run any binary with --help for the table. Shortcut flags
+ * (--shards, --paranoid, --perf, --fidelity) append dotted-key
+ * entries to Options::sets in command-line order next to --set, so
+ * the last entry for a key wins.
  *
  * Results are identical at any --jobs value (same seed => same
  * numbers); only wall-clock time changes. The run directory is
@@ -47,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -67,17 +41,13 @@ struct Options
     std::uint64_t requests = 0; //!< 0 = pick by mode
     std::uint64_t seed = 42;
     unsigned jobs = 0; //!< worker threads; 0 = hardware concurrency
-    std::uint32_t shards = 0; //!< sim.shards; 0 = serial kernel
     std::vector<std::string> workloads; //!< empty = pick by mode
-    std::vector<std::string> manifests; //!< traces.json paths loaded
     ArtifactSink artifacts; //!< --out run dir + --emit enable bits
     std::uint64_t intervalUs = 50; //!< JSONL period (µs); 0 = off
     std::uint64_t traceSample = 64; //!< trace 1 in N demand requests
-    bool perf = false;      //!< host profiling + one-page table (stderr)
-    std::string fidelity = "detailed"; //!< detailed | fast | sampled
-    //! dotted-key overrides applied to every timing job, in order
+    //! dotted-key overrides from --set and the shortcut flags, in
+    //! command-line order; applied to every timing job
     std::vector<std::pair<std::string, std::string>> sets;
-    bool paranoid = false;  //!< deep invariant scans every epoch
     std::string benchOut = "."; //!< where BENCH_<name>.json lands
 
     /**
@@ -116,8 +86,37 @@ struct Options
     std::vector<std::string> suiteWorkloads() const;
 };
 
-/** Parse argv; prints usage and exits on --help / bad input. */
-Options parseOptions(int argc, char **argv, const char *what);
+/**
+ * One row of an option table: the flag, its argument name (nullptr
+ * for a switch), one line of help, and the action. The action gets the
+ * argument ("" for a switch) and returns an error message, empty on
+ * success.
+ */
+struct Flag
+{
+    using Action = std::function<std::string(const std::string &value)>;
+
+    const char *name;
+    const char *arg;
+    const char *help;
+    Action apply;
+};
+
+/** Row actions that set `out` (true, or the argument); never fail. */
+Flag::Action storeTrue(bool &out);
+Flag::Action storeText(std::string &out);
+
+/**
+ * Parse argv against the shared harness rows plus `extra`; --help
+ * prints the whole table and exits 0. A bad flag or value prints
+ * "<what>: <message>" to stderr and exits 2.
+ */
+Options parseOptions(int argc, char **argv, const char *what,
+                     std::vector<Flag> extra = {});
+
+/** Print "<what>: <message>" to stderr and exit(2). */
+[[noreturn]] void usageError(const char *what,
+                             const std::string &message);
 
 /**
  * Create `dir` if missing and prove it is writable by creating and
@@ -216,8 +215,9 @@ class BenchReport
 
 /**
  * Standard harness epilogue: write BENCH_<name>.json (always) and,
- * under --perf, print the merged one-page host-profile table to
- * stderr (stdout stays byte-identical to a perf-disabled run).
+ * when any job ran with perf.enabled, print the merged one-page
+ * host-profile table to stderr (stdout stays byte-identical to a
+ * perf-disabled run).
  */
 void finishBench(const char *name, const Options &opt,
                  const std::vector<JobResult> &results);

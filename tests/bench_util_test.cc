@@ -41,6 +41,14 @@ parse(std::vector<std::string> args)
     return parseOptions(a.argc(), a.argv(), "test");
 }
 
+/** The config a harness timing job runs under `opt`. */
+SimConfig
+jobConfig(const Options &opt)
+{
+    return timingJob(SimConfig::paper(Mechanism::kMemPod), "xalanc", opt)
+        .config;
+}
+
 TEST(ParseOptions, Defaults)
 {
     const Options opt = parse({});
@@ -144,14 +152,39 @@ TEST(ParseOptions, EmitSelectsArtifactKinds)
     EXPECT_FALSE(opt.artifacts.wantDecisions());
     EXPECT_TRUE(opt.artifacts.wantPerf());
     // Asking for perf artifacts implies host profiling.
-    EXPECT_TRUE(opt.perf);
+    EXPECT_TRUE(jobConfig(opt).perfEnabled);
+    EXPECT_FALSE(jobConfig(parse({})).perfEnabled);
 }
 
 TEST(ParseOptions, FidelityFlag)
 {
-    EXPECT_EQ(parse({}).fidelity, "detailed");
-    EXPECT_EQ(parse({"--fidelity", "fast"}).fidelity, "fast");
-    EXPECT_EQ(parse({"--fidelity", "sampled"}).fidelity, "sampled");
+    const SimConfig def = jobConfig(parse({}));
+    EXPECT_EQ(def.dramModel, DramModel::kDetailed);
+    EXPECT_FALSE(def.sampling.enabled);
+    EXPECT_EQ(jobConfig(parse({"--fidelity", "fast"})).dramModel,
+              DramModel::kFast);
+    const SimConfig sampled = jobConfig(parse({"--fidelity", "sampled"}));
+    EXPECT_EQ(sampled.dramModel, DramModel::kDetailed);
+    EXPECT_TRUE(sampled.sampling.enabled);
+}
+
+TEST(ParseOptions, ShortcutFlagsAreOrderedSetEntries)
+{
+    const Options opt =
+        parse({"--shards", "4", "--set", "sim.shards=2", "--paranoid",
+               "--fidelity", "fast", "--set", "dram.model=detailed",
+               "--perf"});
+    const std::vector<std::pair<std::string, std::string>> expected{
+        {"sim.shards", "4"},          {"sim.shards", "2"},
+        {"validate.paranoid", "true"}, {"dram.model", "fast"},
+        {"dram.model", "detailed"},   {"perf.enabled", "true"}};
+    EXPECT_EQ(opt.sets, expected);
+    // The last entry for a key wins.
+    const SimConfig c = jobConfig(opt);
+    EXPECT_EQ(c.shards, 2u);
+    EXPECT_EQ(c.dramModel, DramModel::kDetailed);
+    EXPECT_TRUE(c.validateParanoid);
+    EXPECT_TRUE(c.perfEnabled);
 }
 
 TEST(ParseOptions, SetCollectsOverridesInOrder)
@@ -181,6 +214,23 @@ TEST(ParseOptionsDeathTest, RejectsUnknownFidelity)
 {
     EXPECT_EXIT(parse({"--fidelity", "turbo"}),
                 ::testing::ExitedWithCode(2), "--fidelity must be");
+}
+
+TEST(ParseOptionsDeathTest, RejectsAbsurdShards)
+{
+    EXPECT_EXIT(parse({"--shards", "1025"}),
+                ::testing::ExitedWithCode(2), "--shards must be in");
+}
+
+TEST(ParseOptionsDeathTest, ExtraRowErrorsExitTwo)
+{
+    Argv a({"--knob", "bad"});
+    EXPECT_EXIT(parseOptions(a.argc(), a.argv(), "test",
+                             {{"--knob", "V", "test row",
+                               [](const std::string &v) {
+                                   return "rejects '" + v + "'";
+                               }}}),
+                ::testing::ExitedWithCode(2), "--knob rejects 'bad'");
 }
 
 TEST(ParseOptionsDeathTest, RejectsZeroTraceSample)
@@ -250,6 +300,18 @@ TEST(JobHelpers, TimingJobCarriesHarnessScale)
     EXPECT_EQ(job.gen.seed, 9u);
     EXPECT_EQ(job.label, "MemPod");
     EXPECT_EQ(job.config.mechanism, Mechanism::kMemPod);
+}
+
+TEST(JobHelpers, TimingJobKeepsConfigWithoutFlags)
+{
+    SimConfig c = SimConfig::paper(Mechanism::kMemPod);
+    c.shards = 4;
+    c.validateParanoid = true;
+    c.perfEnabled = true;
+    const BatchJob job = timingJob(c, "xalanc", parse({}));
+    EXPECT_EQ(job.config.shards, 4u);
+    EXPECT_TRUE(job.config.validateParanoid);
+    EXPECT_TRUE(job.config.perfEnabled);
 }
 
 TEST(JobHelpers, StudyJobUsesOfflineScale)

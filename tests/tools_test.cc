@@ -9,6 +9,10 @@
  *     skipping)
  *   - explain_tool's per-component attribution sums exactly to the
  *     measured AMMAT delta between two real runs
+ *   - mempod_sim (MEMPOD_SIM_PATH) rejects bad command lines with exit
+ *     2, prints the same results as an in-process run, writes run
+ *     directories that are byte-identical across --jobs and --shards,
+ *     and replays its own --record capture exactly
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +22,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "sim/simulation.h"
@@ -34,11 +40,26 @@ struct CmdResult
     int status = -1;
 };
 
-CmdResult
-run(const std::string &cmd)
+std::string
+slurp(const std::filesystem::path &p)
 {
+    std::ostringstream ss;
+    ss << std::ifstream(p, std::ios::binary).rdbuf();
+    return ss.str();
+}
+
+/** Run `cmd`; stderr goes to `*err` when given, else is discarded. */
+CmdResult
+run(const std::string &cmd, std::string *err = nullptr)
+{
+    const std::filesystem::path err_file =
+        std::filesystem::temp_directory_path() /
+        ("mempod_tools_test_" + std::to_string(getpid()) + ".stderr");
     CmdResult r;
-    std::FILE *p = popen((cmd + " 2>/dev/null").c_str(), "r");
+    std::FILE *p =
+        popen((cmd + " 2>" + (err ? err_file.string() : "/dev/null"))
+                  .c_str(),
+              "r");
     if (!p)
         return r;
     char buf[4096];
@@ -47,6 +68,10 @@ run(const std::string &cmd)
         r.out.append(buf, n);
     const int rc = pclose(p);
     r.status = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    if (err) {
+        *err = slurp(err_file);
+        std::filesystem::remove(err_file);
+    }
     return r;
 }
 
@@ -212,6 +237,174 @@ TEST(ExplainTool, IdenticalRunsReportIdenticalLedgers)
     EXPECT_NE(out.out.find("decision ledgers are identical"),
               std::string::npos)
         << out.out;
+    std::filesystem::remove_all(dir);
+}
+
+/** mempod_sim with `args`, its BENCH_mempod_sim.json kept in `dir`. */
+std::string
+mempodSim(const std::filesystem::path &dir, const std::string &args)
+{
+    return std::string(MEMPOD_SIM_PATH) + " --bench-out " + dir.string() +
+           " " + args;
+}
+
+template <typename... Args>
+std::string
+format(const char *fmt, Args... args)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof buf, fmt, args...);
+    return buf;
+}
+
+/** Every regular file under `root`, by relative path, with its bytes. */
+std::map<std::string, std::string>
+tree(const std::filesystem::path &root)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(root)) {
+        if (e.is_regular_file())
+            files[std::filesystem::relative(e.path(), root)] =
+                slurp(e.path());
+    }
+    return files;
+}
+
+/** The in-process run mempod_sim's default 42-seed job performs. */
+RunResult
+inProcess(const SimConfig &c, const std::string &workload)
+{
+    GeneratorConfig gc;
+    gc.totalRequests = 20000;
+    gc.seed = 42;
+    return runSimulation(c, WorkloadCatalog::global().build(workload, gc),
+                         workload);
+}
+
+TEST(MempodSim, UnknownFlagExitsTwoWithNothingOnStdout)
+{
+    std::string err;
+    const CmdResult r =
+        run(std::string(MEMPOD_SIM_PATH) + " --requets 1000", &err);
+    EXPECT_EQ(r.status, 2);
+    EXPECT_NE(err.find("unknown option '--requets'"), std::string::npos)
+        << err;
+    EXPECT_EQ(r.out, "");
+}
+
+TEST(MempodSim, BadCommandLinesExitTwo)
+{
+    const char *bad[] = {
+        "--requests abc",
+        "--config none.json --mechanism hma",
+        "--config none.json --preset future",
+        "--preset fast-only --mechanism cameo",
+        "--preset slow-only --mechanism mempod",
+        "--preset future-fast-only --mechanism hma",
+        "--preset turbo",
+        "--mechanism turbo",
+        "--workloads xalanc,mcf",
+        "--trace none.trc --workloads xalanc",
+    };
+    for (const char *args : bad) {
+        std::string err;
+        const CmdResult r =
+            run(std::string(MEMPOD_SIM_PATH) + " " + args, &err);
+        EXPECT_EQ(r.status, 2) << args;
+        EXPECT_NE(err.find("mempod_sim: "), std::string::npos) << args;
+        EXPECT_EQ(r.out, "") << args;
+    }
+}
+
+TEST(MempodSim, HelpPrintsTheSharedTable)
+{
+    const CmdResult r = run(std::string(MEMPOD_SIM_PATH) + " --help");
+    EXPECT_EQ(r.status, 0);
+    for (const char *row :
+         {"--requests N", "--shards N", "--out DIR", "--set KEY=VALUE",
+          "--mechanism NAME", "--preset NAME", "--baseline", "--help"})
+        EXPECT_NE(r.out.find(row), std::string::npos) << row;
+}
+
+TEST(MempodSim, MemPodResultsMatchInProcessRun)
+{
+    const auto dir = tmpDir();
+    const CmdResult r =
+        run(mempodSim(dir, "--workloads xalanc --requests 20000"));
+    ASSERT_EQ(r.status, 0);
+    const RunResult want =
+        inProcess(SimConfig::paper(Mechanism::kMemPod), "xalanc");
+    EXPECT_GT(want.migration.migrations, 0u);
+    for (const std::string &line :
+         {format("AMMAT:              %.2f ns\n", want.ammatNs),
+          format("migrations:         %llu (",
+                 static_cast<unsigned long long>(
+                     want.migration.migrations)),
+          format("(%llu events)\n", static_cast<unsigned long long>(
+                                        want.eventsExecuted))})
+        EXPECT_NE(r.out.find(line), std::string::npos) << line << r.out;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(MempodSim, HmaBaselineMatchesInProcessRuns)
+{
+    const auto dir = tmpDir();
+    const CmdResult r = run(mempodSim(
+        dir, "--workloads mix5 --mechanism hma --requests 20000 "
+             "--baseline"));
+    ASSERT_EQ(r.status, 0);
+    SimConfig hma = SimConfig::paper(Mechanism::kHma);
+    hma.scaleHmaEpoch(40.0);
+    SimConfig none = hma;
+    none.mechanism = Mechanism::kNoMigration;
+    const RunResult want = inProcess(hma, "mix5");
+    const RunResult base = inProcess(none, "mix5");
+    for (const std::string &line :
+         {format("no-migration AMMAT: %.2f ns\n", base.ammatNs),
+          format("AMMAT:              %.2f ns  (%.3f normalized)\n",
+                 want.ammatNs, want.ammatNs / base.ammatNs),
+          format("migrations:         %llu (",
+                 static_cast<unsigned long long>(
+                     want.migration.migrations)),
+          format("(%llu events)\n", static_cast<unsigned long long>(
+                                        want.eventsExecuted))})
+        EXPECT_NE(r.out.find(line), std::string::npos) << line << r.out;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(MempodSim, RunDirectoryIdenticalAcrossJobsAndShards)
+{
+    const auto dir = tmpDir();
+    const std::string args = "--workloads xalanc --requests 20000 "
+                             "--baseline --emit stats,traces,decisions";
+    const CmdResult a = run(mempodSim(
+        dir, args + " --jobs 1 --shards 0 --out " + (dir / "a").string()));
+    const CmdResult b = run(mempodSim(
+        dir, args + " --jobs 2 --shards 4 --out " + (dir / "b").string()));
+    ASSERT_EQ(a.status, 0);
+    ASSERT_EQ(b.status, 0);
+    EXPECT_EQ(a.out, b.out);
+    const auto files = tree(dir / "a");
+    EXPECT_EQ(files.size(), 8u); // 2 jobs x (json, jsonl, trace, ledger)
+    EXPECT_TRUE(files == tree(dir / "b"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(MempodSim, RecordThenTraceReplaysIdentically)
+{
+    const auto dir = tmpDir();
+    const std::string trc = (dir / "capture.trc").string();
+    const CmdResult live =
+        run(mempodSim(dir, "--workloads xalanc --requests 20000 "
+                           "--baseline --record " + trc));
+    const CmdResult replay =
+        run(mempodSim(dir, "--trace " + trc + " --baseline"));
+    ASSERT_EQ(live.status, 0);
+    ASSERT_EQ(replay.status, 0);
+    const std::string recorded = "recorded 20000 records to " + trc + "\n";
+    ASSERT_EQ(live.out.rfind(recorded, 0), 0u) << live.out;
+    EXPECT_EQ(live.out.substr(recorded.size()), replay.out);
     std::filesystem::remove_all(dir);
 }
 

@@ -1,78 +1,51 @@
 /**
  * @file
- * General-purpose simulation driver: run any workload (or a saved
- * trace file) through any mechanism and configuration from the
- * command line, and print the full statistics bundle — the tool a
- * downstream user reaches for first.
- *
- * Usage:
- *   mempod_sim --workload mix5 --mechanism mempod --requests 500000
- *              [--epoch-us 50] [--counters 64] [--bits 2]
- *              [--pods 4] [--cache-kb 0] [--future] [--seed 42]
- *              [--trace file.bin] [--per-core]
- *              [--manifest traces.json] [--record capture.trc]
+ * General-purpose simulation driver: run one workload (or a saved
+ * trace file) through any mechanism and configuration, and print the
+ * full statistics bundle. A one-job harness over the shared option
+ * table (bench/bench_util.h; run with --help): every harness flag
+ * means the same here. The config resolves as --config FILE, or else
+ * the --preset factory for --mechanism plus HMA epoch scaling (as in
+ * fig8); then the --set entries in order.
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "sim/energy.h"
-#include "sim/simulation.h"
-#include "trace/catalog.h"
 #include "trace/native.h"
-#include "trace/source.h"
 
 namespace {
 
 using namespace mempod;
 
-Mechanism
-parseMechanism(const std::string &s)
+/** A --preset name and the SimConfig factory call it stands for. */
+struct Preset
 {
-    Mechanism m;
-    if (!mechanismFromName(s, m)) {
-        MEMPOD_FATAL("unknown mechanism '%s' (use "
-                     "none|mempod|hma|thm|cameo)",
-                     s.c_str());
-    }
-    return m;
-}
+    const char *name;
+    bool singleTier; //!< a NoMigration system; --mechanism is an error
+    SimConfig (*make)(Mechanism);
+};
 
-[[noreturn]] void
-usage()
-{
-    std::printf(
-        "mempod_sim --workload NAME | --trace FILE\n"
-        "  [--mechanism none|mempod|hma|thm|cameo]  (default mempod)\n"
-        "  [--requests N]       trace length          (default 500000)\n"
-        "  [--epoch-us U]       MemPod interval       (default 50)\n"
-        "  [--counters K]       MEA entries per pod   (default 64)\n"
-        "  [--bits B]           MEA counter width     (default 2)\n"
-        "  [--pods P]           number of pods        (default 4)\n"
-        "  [--cache-kb C]       bookkeeping cache     (default off)\n"
-        "  [--future]           HBM-4GHz + DDR4-2400 system\n"
-        "  [--fast-only|--slow-only] single-technology system\n"
-        "  [--seed S] [--per-core] [--baseline]\n"
-        "  [--manifest FILE]    load a traces.json corpus manifest;\n"
-        "                       its workloads become --workload names\n"
-        "                       (repeatable)\n"
-        "  [--record FILE]      capture the trace actually simulated\n"
-        "                       to FILE in the native format for\n"
-        "                       byte-identical replay via --trace\n"
-        "  [--config FILE]      load a SimConfig JSON file; the knob\n"
-        "                       flags above are ignored (use --set)\n"
-        "  [--set key=value]    dotted-key override, applied last\n"
-        "                       (repeatable; schema in EXPERIMENTS.md)\n"
-        "  [--dump-config]      print the resolved config JSON and exit\n");
-    std::exit(0);
-}
+constexpr Preset kPresets[] = {
+    {"paper", false, SimConfig::paper},
+    {"future", false, SimConfig::future},
+    {"fast-only", true,
+     [](Mechanism) { return SimConfig::fastOnly(false); }},
+    {"slow-only", true,
+     [](Mechanism) { return SimConfig::slowOnly(false); }},
+    {"future-fast-only", true,
+     [](Mechanism) { return SimConfig::fastOnly(true); }},
+    {"future-slow-only", true,
+     [](Mechanism) { return SimConfig::slowOnly(true); }},
+};
 
 } // namespace
 
@@ -80,137 +53,106 @@ int
 main(int argc, char **argv)
 {
     using namespace mempod;
+    using namespace mempod::bench;
 
-    std::string workload = "mix5";
-    std::string trace_file;
-    std::string record_file;
-    std::string mech_name = "mempod";
-    std::uint64_t requests = 500'000;
-    std::uint64_t seed = 42;
-    std::uint64_t epoch_us = 50;
-    std::uint32_t counters = 64;
-    std::uint32_t bits = 2;
-    std::uint32_t pods = 4;
-    std::uint64_t cache_kb = 0;
-    bool future = false, fast_only = false, slow_only = false;
-    bool per_core = false, baseline = false;
-    std::string config_file;
-    std::vector<std::pair<std::string, std::string>> overrides;
-    bool dump_config = false;
+    const char *what = "mempod_sim";
+    std::optional<Mechanism> mech;
+    const Preset *preset = nullptr;
+    std::string trace_file, record_file, config_file;
+    bool dump_config = false, per_core = false, baseline = false;
+    Options opt = parseOptions(
+        argc, argv, what,
+        {{"--mechanism", "NAME", "none|mempod|hma|thm|cameo (default mempod)",
+          [&](const std::string &v) -> std::string {
+              Mechanism m;
+              if (!mechanismFromName(v, m)) {
+                  return "must be none, mempod, hma, thm or cameo, "
+                         "got '" + v + "'";
+              }
+              mech = m;
+              return {};
+          }},
+         {"--preset", "NAME",
+          "paper (default)|future|[future-]fast-only|[future-]slow-only",
+          [&](const std::string &v) -> std::string {
+              preset = nullptr;
+              for (const Preset &p : kPresets) {
+                  if (v == p.name)
+                      preset = &p;
+              }
+              return preset ? "" : "names no preset: '" + v + "'";
+          }},
+         {"--trace", "FILE",
+          "replay a native trace (the workload is the file stem)",
+          storeText(trace_file)},
+         {"--record", "FILE",
+          "capture the simulated trace to FILE for --trace",
+          storeText(record_file)},
+         {"--config", "FILE",
+          "SimConfig JSON instead of --preset/--mechanism",
+          storeText(config_file)},
+         {"--dump-config", nullptr,
+          "print the resolved config JSON and exit", storeTrue(dump_config)},
+         {"--per-core", nullptr, "also print per-core AMMAT",
+          storeTrue(per_core)},
+         {"--baseline", nullptr,
+          "also run NoMigration and normalize AMMAT to it",
+          storeTrue(baseline)}});
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                MEMPOD_FATAL("%s needs a value", a.c_str());
-            return argv[++i];
-        };
-        if (a == "--workload")
-            workload = next();
-        else if (a == "--trace")
-            trace_file = next();
-        else if (a == "--manifest")
-            WorkloadCatalog::global().loadManifest(next());
-        else if (a == "--record")
-            record_file = next();
-        else if (a == "--mechanism")
-            mech_name = next();
-        else if (a == "--requests")
-            requests = std::strtoull(next(), nullptr, 10);
-        else if (a == "--seed")
-            seed = std::strtoull(next(), nullptr, 10);
-        else if (a == "--epoch-us")
-            epoch_us = std::strtoull(next(), nullptr, 10);
-        else if (a == "--counters")
-            counters = static_cast<std::uint32_t>(std::atoi(next()));
-        else if (a == "--bits")
-            bits = static_cast<std::uint32_t>(std::atoi(next()));
-        else if (a == "--pods")
-            pods = static_cast<std::uint32_t>(std::atoi(next()));
-        else if (a == "--cache-kb")
-            cache_kb = std::strtoull(next(), nullptr, 10);
-        else if (a == "--future")
-            future = true;
-        else if (a == "--fast-only")
-            fast_only = true;
-        else if (a == "--slow-only")
-            slow_only = true;
-        else if (a == "--config")
-            config_file = next();
-        else if (a == "--set") {
-            const std::string kv = next();
-            const std::size_t eq = kv.find('=');
-            if (eq == std::string::npos || eq == 0)
-                MEMPOD_FATAL("--set expects key=value, got '%s'",
-                             kv.c_str());
-            overrides.emplace_back(kv.substr(0, eq),
-                                   kv.substr(eq + 1));
-        } else if (a == "--dump-config")
-            dump_config = true;
-        else if (a == "--per-core")
-            per_core = true;
-        else if (a == "--baseline")
-            baseline = true;
-        else
-            usage();
-    }
+    if (!config_file.empty() && (mech || preset))
+        usageError(what, "--config excludes --mechanism and --preset");
+    if (preset && preset->singleTier && mech)
+        usageError(what, "a single-tier --preset excludes --mechanism");
+    if (opt.workloads.size() > 1)
+        usageError(what, "--workloads must name exactly one workload");
+    if (!trace_file.empty() && !opt.workloads.empty())
+        usageError(what, "--trace names the workload; drop --workloads");
 
     SimConfig cfg;
     if (!config_file.empty()) {
-        // The file is the whole truth; only --set amends it.
-        const std::optional<std::string> text =
+        const std::optional<std::string> json =
             json::readFile(config_file);
-        if (!text) {
+        if (!json) {
             MEMPOD_FATAL("cannot open config file '%s'",
                          config_file.c_str());
         }
-        cfg = SimConfig::fromJson(*text);
+        cfg = SimConfig::fromJson(*json);
     } else {
-        const Mechanism mech = parseMechanism(mech_name);
-        cfg = future ? SimConfig::future(mech)
-                     : SimConfig::paper(mech);
-        if (fast_only)
-            cfg = SimConfig::fastOnly(future);
-        if (slow_only)
-            cfg = SimConfig::slowOnly(future);
-        cfg.geom.numPods = fast_only || slow_only ? 1 : pods;
-        cfg.mempod.interval = epoch_us * 1_us;
-        cfg.mempod.pod.meaEntries = counters;
-        cfg.mempod.pod.meaCounterBits = bits;
-        if (mech == Mechanism::kHma)
-            cfg.scaleHmaEpoch(40.0);
-        if (cache_kb > 0) {
-            cfg.mempod.pod.metaCacheEnabled = true;
-            cfg.mempod.pod.metaCacheBytes = cache_kb * 1024 / pods;
-            cfg.hma.metaCacheEnabled = true;
-            cfg.hma.metaCacheBytes = cache_kb * 1024;
-            cfg.thm.metaCacheEnabled = true;
-            cfg.thm.metaCacheBytes = cache_kb * 1024;
-        }
+        cfg = (preset ? preset->make : SimConfig::paper)(
+            mech.value_or(Mechanism::kMemPod));
+        if (cfg.mechanism == Mechanism::kHma)
+            cfg.scaleHmaEpoch(40.0); // keep the paper's ratios (fig8)
     }
-    for (const auto &[key, value] : overrides)
-        cfg.set(key, value);
     if (dump_config) {
+        for (const auto &[key, value] : opt.sets)
+            cfg.set(key, value);
         std::printf("%s", cfg.toJson().c_str());
         return 0;
     }
 
-    // One streaming cursor serves the summary, the optional baseline
-    // and the main run — every consumer resets it before draining, so
-    // external traces never have to be materialized.
-    std::unique_ptr<TraceSource> source;
+    std::string workload =
+        opt.workloads.empty() ? "mix5" : opt.workloads.front();
     if (!trace_file.empty()) {
-        source = std::make_unique<NativeTraceSource>(trace_file);
-        workload = trace_file;
-    } else {
-        GeneratorConfig gc;
-        gc.totalRequests = requests;
-        gc.seed = seed;
-        source = WorkloadCatalog::global().open(workload, gc);
+        ExternalTraceSpec spec;
+        spec.name = std::filesystem::path(trace_file).stem().string();
+        spec.format = "native";
+        spec.files.push_back({trace_file, 0});
+        WorkloadCatalog::global().registerExternal(spec);
+        workload = spec.name;
+    }
+    // mempod_sim's default length: 500k generated requests, or the
+    // whole --trace file.
+    if (!opt.requests && !opt.full) {
+        opt.requests = trace_file.empty()
+                           ? 500'000
+                           : NativeTraceSource(trace_file).size();
     }
 
+    // One cursor over the cached trace serves --record and the
+    // summary; the jobs below reuse the same cache entry.
+    const std::unique_ptr<TraceSource> source =
+        makeTrace(workload, opt.timingRequests(), opt.seed)->open();
     if (!record_file.empty()) {
-        source->reset();
         NativeTraceWriter writer(record_file);
         TraceRecord rec;
         while (source->next(rec))
@@ -222,7 +164,9 @@ main(int argc, char **argv)
                     record_file.c_str());
     }
 
-    std::printf("config: %s\n", cfg.describe().c_str());
+    BatchJob job = timingJob(cfg, workload, opt);
+    job.label = mechanismName(job.config.mechanism);
+    std::printf("config: %s\n", job.config.describe().c_str());
     const TraceSummary ts = summarize(*source);
     std::printf("trace: %llu requests, %.1f req/us, %llu pages, "
                 "%.2f ms\n\n",
@@ -231,15 +175,23 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(ts.touchedPages),
                 static_cast<double>(ts.duration) / 1e9);
 
+    BatchRunner runner(runnerOptions(opt));
+    if (baseline) {
+        BatchJob base = job;
+        base.config.mechanism = Mechanism::kNoMigration;
+        base.label = mechanismName(Mechanism::kNoMigration);
+        runner.add(std::move(base));
+    }
+    runner.add(std::move(job));
+    const std::vector<JobResult> results = runner.runAll();
+
     double base_ammat = 0;
     if (baseline) {
-        SimConfig bcfg = cfg;
-        bcfg.mechanism = Mechanism::kNoMigration;
-        base_ammat = runSimulation(bcfg, *source, workload).ammatNs;
+        base_ammat = need(results.front()).ammatNs;
         std::printf("no-migration AMMAT: %.2f ns\n", base_ammat);
     }
 
-    const RunResult r = runSimulation(cfg, *source, workload);
+    const RunResult &r = need(results.back());
     if (r.sampled) {
         std::printf("sampled AMMAT:      %.2f ns +/- %.2f (95%% CI, "
                     "%llu windows)\n",
@@ -282,5 +234,6 @@ main(int argc, char **argv)
             std::printf(" c%zu=%.1f", c, r.perCoreAmmatNs[c]);
         std::printf("\n");
     }
+    finishBench(what, opt, results);
     return 0;
 }
