@@ -3,9 +3,11 @@
 #include <bit>
 #include <memory>
 
+#include "common/decision_log.h"
 #include "common/log.h"
 #include "common/tracer.h"
 #include "mem/manager_factory.h"
+#include "sim/validate.h"
 
 namespace mempod {
 
@@ -101,8 +103,8 @@ CameoManager::proceed(Demand d)
 
     std::uint64_t &st = groupState(group);
     const std::uint32_t slot = unpackSlot(st, member);
-    if (decisions_)
-        decisions_->noteAccess(DecisionLog::kNoPod, line, slot == 0,
+    if (DecisionLog *log = eq_.decisions())
+        log->noteAccess(DecisionLog::kNoPod, line, slot == 0,
                                eq_.now());
 
     Request req;
@@ -147,12 +149,12 @@ CameoManager::scheduleSwap(std::uint64_t group, std::uint32_t member)
     busyGroups_.insert(group);
     // CAMEO is event-triggered: a single slow access is the whole
     // activity evidence, so the tracked count is 1.
+    DecisionLog *log = eq_.decisions();
     const std::uint64_t decision =
-        decisions_ ? decisions_->record(DecisionLog::kNoPod,
-                                        lineAt(group, member),
-                                        lineAt(group, occupant),
-                                        /*trackerCount=*/1, eq_.now())
-                   : DecisionLog::kNoId;
+        log ? log->record(DecisionLog::kNoPod, lineAt(group, member),
+                          lineAt(group, occupant),
+                          /*trackerCount=*/1, eq_.now())
+            : DecisionLog::kNoId;
 
     std::uint64_t flow = 0;
     if (Tracer *tr = eq_.tracer()) {
@@ -200,7 +202,7 @@ CameoManager::scheduleSwap(std::uint64_t group, std::uint32_t member)
         ++mstats_.migrations;
         mstats_.bytesMoved += 2 * kLineBytes;
         if (decision != DecisionLog::kNoId)
-            decisions_->commit(decision, eq_.now());
+            eq_.decisions()->commit(decision, eq_.now());
         if (flow != 0) {
             if (Tracer *tr = eq_.tracer()) {
                 const std::uint32_t tid = tr->track("cameo");
@@ -213,7 +215,7 @@ CameoManager::scheduleSwap(std::uint64_t group, std::uint32_t member)
     };
     op.onAbort = [this, release, flow, decision] {
         if (decision != DecisionLog::kNoId)
-            decisions_->abort(decision, eq_.now());
+            eq_.decisions()->abort(decision, eq_.now());
         if (flow != 0) {
             if (Tracer *tr = eq_.tracer()) {
                 const std::uint32_t tid = tr->track("cameo");
@@ -230,13 +232,8 @@ CameoManager::scheduleSwap(std::uint64_t group, std::uint32_t member)
 void
 CameoManager::validateInvariants(bool paranoid) const
 {
-    if (mstats_.migrations != engine_.stats().opsCommitted)
-        MEMPOD_PANIC(
-            "invariant violated [cameo_migration_conservation]: "
-            "counted %llu migrations but the engine committed %llu",
-            static_cast<unsigned long long>(mstats_.migrations),
-            static_cast<unsigned long long>(
-                engine_.stats().opsCommitted));
+    checkMigrationConservation("CAMEO", mstats_.migrations,
+                               engine_.stats().opsCommitted);
     if (!paranoid)
         return;
     for (const auto &[group, st] : groups_) {

@@ -2,9 +2,11 @@
 
 #include <memory>
 
+#include "common/decision_log.h"
 #include "common/log.h"
 #include "common/tracer.h"
 #include "mem/manager_factory.h"
+#include "sim/validate.h"
 
 namespace mempod {
 
@@ -57,8 +59,8 @@ HmaManager::proceed(Demand d)
 {
     const PageId page = AddressMap::pageOf(d.homeAddr);
     counters_.touch(page);
-    if (decisions_)
-        decisions_->noteAccess(DecisionLog::kNoPod, page,
+    if (DecisionLog *log = eq_.decisions())
+        log->noteAccess(DecisionLog::kNoPod, page,
                                placement_.inFast(page), eq_.now());
     if (locks_.isLocked(page)) {
         ++mstats_.blockedRequests;
@@ -151,10 +153,11 @@ HmaManager::onInterval()
         const std::uint64_t resident = placement_.residentOf(victim);
         busy_.insert(page);
         busy_.insert(resident);
+        DecisionLog *log = eq_.decisions();
         const std::uint64_t decision =
-            decisions_ ? decisions_->record(DecisionLog::kNoPod, page,
-                                            resident, e.count, eq_.now())
-                       : DecisionLog::kNoId;
+            log ? log->record(DecisionLog::kNoPod, page, resident,
+                              e.count, eq_.now())
+                : DecisionLog::kNoId;
 
         std::uint64_t flow = 0;
         if (Tracer *tr = eq_.tracer()) {
@@ -196,7 +199,7 @@ HmaManager::onInterval()
             ++mstats_.migrations;
             mstats_.bytesMoved += 2 * kPageBytes;
             if (decision != DecisionLog::kNoId)
-                decisions_->commit(decision, eq_.now());
+                eq_.decisions()->commit(decision, eq_.now());
             if (flow != 0) {
                 if (Tracer *tr = eq_.tracer()) {
                     const std::uint32_t tid = tr->track("hma");
@@ -211,7 +214,7 @@ HmaManager::onInterval()
         };
         op.onAbort = [this, page, resident, release, flow, decision] {
             if (decision != DecisionLog::kNoId)
-                decisions_->abort(decision, eq_.now());
+                eq_.decisions()->abort(decision, eq_.now());
             if (flow != 0) {
                 if (Tracer *tr = eq_.tracer()) {
                     const std::uint32_t tid = tr->track("hma");
@@ -233,13 +236,8 @@ HmaManager::onInterval()
 void
 HmaManager::validateInvariants(bool paranoid) const
 {
-    if (mstats_.migrations != engine_.stats().opsCommitted)
-        MEMPOD_PANIC(
-            "invariant violated [hma_migration_conservation]: counted "
-            "%llu migrations but the engine committed %llu",
-            static_cast<unsigned long long>(mstats_.migrations),
-            static_cast<unsigned long long>(
-                engine_.stats().opsCommitted));
+    checkMigrationConservation("HMA", mstats_.migrations,
+                               engine_.stats().opsCommitted);
     if (paranoid)
         placement_.checkConsistency();
 }

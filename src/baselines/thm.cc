@@ -3,9 +3,11 @@
 #include <bit>
 #include <memory>
 
+#include "common/decision_log.h"
 #include "common/log.h"
 #include "common/tracer.h"
 #include "mem/manager_factory.h"
+#include "sim/validate.h"
 
 namespace mempod {
 
@@ -123,8 +125,8 @@ ThmManager::proceed(Demand d)
 
     SegState &st = segState(seg);
     const std::uint32_t slot = st.slotOf[member];
-    if (decisions_)
-        decisions_->noteAccess(DecisionLog::kNoPod,
+    if (DecisionLog *log = eq_.decisions())
+        log->noteAccess(DecisionLog::kNoPod,
                                AddressMap::pageOf(d.homeAddr),
                                slot == 0, eq_.now());
 
@@ -169,12 +171,11 @@ ThmManager::scheduleSwap(std::uint64_t seg, std::uint32_t member)
     busySegs_.insert(seg);
     // The competing counter clears on trigger, so the decision-time
     // count is the threshold it just reached.
+    DecisionLog *log = eq_.decisions();
     const std::uint64_t decision =
-        decisions_
-            ? decisions_->record(DecisionLog::kNoPod,
-                                 pageAt(seg, member),
-                                 pageAt(seg, occupant),
-                                 params_.threshold, eq_.now())
+        log ? log->record(DecisionLog::kNoPod, pageAt(seg, member),
+                          pageAt(seg, occupant), params_.threshold,
+                          eq_.now())
             : DecisionLog::kNoId;
 
     std::uint64_t flow = 0;
@@ -216,7 +217,7 @@ ThmManager::scheduleSwap(std::uint64_t seg, std::uint32_t member)
         ++mstats_.migrations;
         mstats_.bytesMoved += 2 * kPageBytes;
         if (decision != DecisionLog::kNoId)
-            decisions_->commit(decision, eq_.now());
+            eq_.decisions()->commit(decision, eq_.now());
         if (flow != 0) {
             if (Tracer *tr = eq_.tracer()) {
                 const std::uint32_t tid = tr->track("thm");
@@ -229,7 +230,7 @@ ThmManager::scheduleSwap(std::uint64_t seg, std::uint32_t member)
     };
     op.onAbort = [this, release, flow, decision] {
         if (decision != DecisionLog::kNoId)
-            decisions_->abort(decision, eq_.now());
+            eq_.decisions()->abort(decision, eq_.now());
         if (flow != 0) {
             if (Tracer *tr = eq_.tracer()) {
                 const std::uint32_t tid = tr->track("thm");
@@ -246,13 +247,8 @@ ThmManager::scheduleSwap(std::uint64_t seg, std::uint32_t member)
 void
 ThmManager::validateInvariants(bool paranoid) const
 {
-    if (mstats_.migrations != engine_.stats().opsCommitted)
-        MEMPOD_PANIC(
-            "invariant violated [thm_migration_conservation]: counted "
-            "%llu migrations but the engine committed %llu",
-            static_cast<unsigned long long>(mstats_.migrations),
-            static_cast<unsigned long long>(
-                engine_.stats().opsCommitted));
+    checkMigrationConservation("THM", mstats_.migrations,
+                               engine_.stats().opsCommitted);
     if (!paranoid)
         return;
     for (const auto &[seg, st] : segs_) {

@@ -120,8 +120,8 @@ EventQueue::beginApply(TimePs when, EventKey key)
     overrideKey_ = key;
     haveOverride_ = true;
     ctxDomain_ = static_cast<DomainId>(key.ord >> kCounterBits);
-    if (tracer_)
-        tracer_->setEventKey(EventKey{when, key.schedTime, key.ord});
+    if (Tracer *tr = probes_.tracer)
+        tr->setEventKey(EventKey{when, key.schedTime, key.ord});
 }
 
 void
@@ -408,8 +408,8 @@ EventQueue::dispatch(Event &ev)
         static_cast<DomainId>(ev.ord >> (kCounterBits + kDomainBits));
     currentKey_ = EventKey{ev.when, ev.schedTime, ev.ord & kOrderMask};
     ++executed_;
-    if (tracer_)
-        tracer_->setEventKey(currentKey_);
+    if (Tracer *tr = probes_.tracer)
+        tr->setEventKey(currentKey_);
     ev.cb();
 }
 

@@ -27,7 +27,24 @@
 
 namespace mempod {
 
+class DecisionLog;
+class PerfMonitor;
 class Tracer;
+
+/**
+ * The run's observation probes, non-owning and all null by default.
+ * Simulation's constructor attaches one bundle to its queue before it
+ * builds any component; the sharded executor's constructor swaps in
+ * per-domain staging tracers for the coordinator and each lane.
+ * Nothing else attaches. Components read a probe through the queue
+ * they already hold, so a disabled probe costs one pointer test.
+ */
+struct Probes
+{
+    Tracer *tracer = nullptr;
+    DecisionLog *decisions = nullptr;
+    PerfMonitor *perf = nullptr;
+};
 
 /** Execution domain: 0 is the coordinator, 1+i is DRAM channel i. */
 using DomainId = std::uint32_t;
@@ -206,13 +223,31 @@ class EventQueue
 
     const HostStats &hostStats() const { return host_; }
 
+    /** Attach the run's probes; see Probes for who calls this. */
+    void attach(const Probes &probes) { probes_ = probes; }
+
     /**
-     * The simulation-wide event tracer, or nullptr when tracing is
-     * off. Components reach it through the queue they already hold, so
-     * the disabled hot-path cost is this one pointer test.
+     * The event tracer, or nullptr when tracing is off. On a sharded
+     * run each domain's queue carries its own staging tracer.
      */
-    Tracer *tracer() const { return tracer_; }
-    void setTracer(Tracer *tracer) { tracer_ = tracer; }
+    Tracer *tracer() const { return probes_.tracer; }
+
+    /**
+     * The migration decision ledger, or nullptr when it is disabled,
+     * so the pointer doubles as the enable flag on the hot path.
+     * Mechanisms record every candidate selection, its tracker state
+     * and outcome, plus per-demand near-tier touches for
+     * realized-benefit accounting. Coordinator-only: lane queues of a
+     * sharded run never carry it.
+     */
+    DecisionLog *decisions() const { return probes_.decisions; }
+
+    /**
+     * The host profiler, or nullptr when profiling is off. Host time
+     * flows out only, so reading it can never perturb event order.
+     * Coordinator-only, like the ledger.
+     */
+    PerfMonitor *perf() const { return probes_.perf; }
 
     // ------------------------------------------------------------------
     // Sharded-executor surface (sim/parallel.{h,cc}). The serial
@@ -345,7 +380,7 @@ class EventQueue
     std::uint64_t drainTick_ = 0;
     std::uint64_t cursorTick_ = 0;
 
-    Tracer *tracer_ = nullptr;
+    Probes probes_;
     TimePs now_ = 0;
     /** Per-domain schedule-call counters, indexed by DomainId. */
     std::vector<std::uint64_t> counters_;

@@ -108,6 +108,7 @@ class Tracer
 
     std::size_t eventCount() const { return events_.size(); }
     std::uint64_t sampleEvery() const { return cfg_.sampleEvery; }
+    const TracerConfig &config() const { return cfg_; }
 
     /**
      * Canonical key of the event whose callback is now running; the

@@ -39,14 +39,6 @@ MemPodManager::start()
 }
 
 void
-MemPodManager::setDecisionLog(DecisionLog *log)
-{
-    MemoryManager::setDecisionLog(log);
-    for (auto &pod : pods_)
-        pod->setDecisionLog(log);
-}
-
-void
 MemPodManager::validateInvariants(bool paranoid) const
 {
     for (const auto &pod : pods_)

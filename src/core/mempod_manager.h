@@ -35,9 +35,6 @@ class MemPodManager : public MemoryManager
 
     std::uint64_t pendingWork() const override;
 
-    /** Forward the ledger to every Pod (each records under its id). */
-    void setDecisionLog(DecisionLog *log) override;
-
     /** Run every Pod's conservation checks. */
     void validateInvariants(bool paranoid) const override;
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "common/decision_log.h"
 #include "common/log.h"
 #include "common/tracer.h"
+#include "sim/validate.h"
 
 namespace mempod {
 
@@ -72,8 +74,8 @@ Pod::handleDemand(PageId home_page, std::uint64_t offset_in_page,
 {
     const std::uint64_t local = mem_.map().podLocalOfPage(home_page);
     mea_.touch(local);
-    if (decisions_)
-        decisions_->noteAccess(id_, local, remap_.inFast(local),
+    if (DecisionLog *log = eq_.decisions())
+        log->noteAccess(id_, local, remap_.inFast(local),
                                eq_.now());
     BlockedReq r{offset_in_page, d.type,    d.arrival,
                  d.core,         d.traceId, /*parkedAt=*/0,
@@ -160,10 +162,11 @@ Pod::scheduleSwap(std::uint64_t hot_local, std::uint64_t victim_resident,
 {
     migrating_.insert(hot_local);
     migrating_.insert(victim_resident);
+    DecisionLog *log = eq_.decisions();
     const std::uint64_t decision =
-        decisions_ ? decisions_->record(id_, hot_local, victim_resident,
-                                        tracker_count, eq_.now())
-                   : DecisionLog::kNoId;
+        log ? log->record(id_, hot_local, victim_resident, tracker_count,
+                          eq_.now())
+            : DecisionLog::kNoId;
 
     // Migration lifecycle: the MEA victory selects the candidate here;
     // the flow continues through the engine's swap and ends at the
@@ -194,7 +197,7 @@ Pod::scheduleSwap(std::uint64_t hot_local, std::uint64_t victim_resident,
         ++stats_.migrations;
         stats_.bytesMoved += 2 * kPageBytes;
         if (decision != DecisionLog::kNoId)
-            decisions_->commit(decision, eq_.now());
+            eq_.decisions()->commit(decision, eq_.now());
         if (flow != 0) {
             if (Tracer *tr = eq_.tracer()) {
                 const std::uint32_t tid = podTrack(*tr);
@@ -208,7 +211,7 @@ Pod::scheduleSwap(std::uint64_t hot_local, std::uint64_t victim_resident,
     };
     op.onAbort = [this, hot_local, victim_resident, flow, decision] {
         if (decision != DecisionLog::kNoId)
-            decisions_->abort(decision, eq_.now());
+            eq_.decisions()->abort(decision, eq_.now());
         if (flow != 0) {
             if (Tracer *tr = eq_.tracer()) {
                 const std::uint32_t tid = podTrack(*tr);
@@ -290,13 +293,9 @@ Pod::onInterval()
 void
 Pod::validateInvariants(bool paranoid) const
 {
-    if (stats_.migrations != engine_.stats().opsCommitted)
-        MEMPOD_PANIC(
-            "invariant violated [pod_migration_conservation]: pod %u "
-            "counted %llu migrations but its engine committed %llu",
-            id_, static_cast<unsigned long long>(stats_.migrations),
-            static_cast<unsigned long long>(
-                engine_.stats().opsCommitted));
+    checkMigrationConservation(("pod" + std::to_string(id_)).c_str(),
+                               stats_.migrations,
+                               engine_.stats().opsCommitted);
     if (paranoid)
         remap_.checkConsistency();
 }

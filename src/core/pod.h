@@ -44,9 +44,6 @@ class Pod
     /** Interval boundary: pick hot pages and schedule migrations. */
     void onInterval();
 
-    /** Attach the shared migration decision ledger (may stay null). */
-    void setDecisionLog(DecisionLog *log) { decisions_ = log; }
-
     /**
      * Pod-level conservation laws: committed swaps must match the
      * engine's commit count; with `paranoid`, additionally verify the
@@ -134,8 +131,6 @@ class Pod
     std::unordered_set<std::uint64_t> locked_;
     std::unordered_map<std::uint64_t, std::vector<BlockedReq>> blocked_;
     std::uint64_t blockedCount_ = 0;
-
-    DecisionLog *decisions_ = nullptr; //!< shared ledger (may be null)
 
     MigrationStats stats_;
 };

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/log.h"
+#include "sim/validate.h"
 
 namespace mempod {
 
@@ -88,11 +89,7 @@ RemapTable::storageBitsInverted() const
 void
 RemapTable::checkConsistency() const
 {
-    for (std::uint64_t i = 0; i < location_.size(); ++i) {
-        MEMPOD_ASSERT(resident_[location_[i]] == i,
-                      "remap permutation corrupted at page %llu",
-                      static_cast<unsigned long long>(i));
-    }
+    checkPermutation("remap table", location_, resident_);
 }
 
 } // namespace mempod

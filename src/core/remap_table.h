@@ -66,7 +66,7 @@ class RemapTable
     /** Modeled hardware cost of the inverted fast-slot table. */
     std::uint64_t storageBitsInverted() const;
 
-    /** Verify the permutation invariant; panics on corruption. */
+    /** Verify the bijection law (checkPermutation); panics on corruption. */
     void checkConsistency() const;
 
   private:

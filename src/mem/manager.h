@@ -13,7 +13,6 @@
 #include <functional>
 #include <string>
 
-#include "common/decision_log.h"
 #include "common/metrics.h"
 #include "common/types.h"
 #include "mem/request.h"
@@ -37,7 +36,11 @@ struct MigrationStats
     std::uint64_t metadataPs = 0;
 };
 
-/** Base class for MemPod and all baseline mechanisms. */
+/**
+ * Base class for MemPod and all baseline mechanisms. A mechanism
+ * reaches the run's probes (tracer, decision ledger) through the
+ * EventQueue it is built on; see EventQueue::decisions().
+ */
 class MemoryManager
 {
   public:
@@ -66,15 +69,6 @@ class MemoryManager
 
     /** Mechanism name for reports. */
     virtual std::string name() const = 0;
-
-    /**
-     * Attach the shared migration decision ledger. Mechanisms record
-     * every candidate selection, its tracker state and outcome, plus
-     * per-demand near-tier touches for realized-benefit accounting.
-     * Called before start(); never called when the ledger is disabled,
-     * so `decisions_` doubles as the enable flag on the hot path.
-     */
-    virtual void setDecisionLog(DecisionLog *log) { decisions_ = log; }
 
     /**
      * Mechanism-level conservation laws, called by the invariant
@@ -146,7 +140,6 @@ class MemoryManager
 
   protected:
     MigrationStats mstats_;
-    DecisionLog *decisions_ = nullptr; //!< shared ledger (may be null)
 };
 
 } // namespace mempod

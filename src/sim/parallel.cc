@@ -15,18 +15,42 @@ ParallelExecutor::ParallelExecutor(EventQueue &coordinator,
       shards_(std::min<unsigned>(std::max(shards, 1u),
                                  static_cast<unsigned>(num_channels))),
       lookahead_(lookahead_ps),
-      samplePeriod_(sample_period_ps)
+      samplePeriod_(sample_period_ps),
+      pm_(coordinator.perf())
 {
     MEMPOD_ASSERT(num_channels > 0, "executor needs at least one channel");
     MEMPOD_ASSERT(lookahead_ > 0,
                   "conservative execution needs positive lookahead");
+    // Sharded tracing: records stage per domain, stamped with their
+    // event's canonical key, and absorbTraces() merges them into the
+    // master in serial emission order (byte-identical JSON).
+    const Tracer *const master = coord_.tracer();
+    const auto staging = [master] {
+        return master ? std::make_unique<Tracer>(master->config(),
+                                                 /*staging=*/true)
+                      : nullptr;
+    };
+    coordStaging_ = staging();
+    coord_.attach({.tracer = coordStaging_.get(),
+                   .decisions = coord_.decisions(),
+                   .perf = pm_});
     lanes_.reserve(num_channels);
     for (std::size_t i = 0; i < num_channels; ++i) {
         auto lane = std::make_unique<Lane>();
         lane->q.setHomeDomain(static_cast<DomainId>(1 + i));
         lane->q.routeCrossDomain(true);
+        // Lanes run on the workers: they carry their staging tracer
+        // only; the ledger and the profiler are coordinator-side.
+        lane->staging = staging();
+        lane->q.attach({.tracer = lane->staging.get()});
         lanes_.push_back(std::move(lane));
     }
+    if (pm_) {
+        pm_->resizeShards(shards_);
+        slackHist_ = &pm_->histogram("exec.lookahead_slack_ps");
+    }
+    // Every probe is fixed before the first worker starts, so workers
+    // read pm_ without synchronization beyond the thread start.
     workers_.reserve(shards_);
     for (unsigned s = 0; s < shards_; ++s)
         workers_.emplace_back(&ParallelExecutor::workerLoop, this, s);
@@ -53,8 +77,8 @@ ParallelExecutor::channelQueues()
     return qs;
 }
 
-EventQueue &
-ParallelExecutor::channelQueue(std::size_t ch)
+const EventQueue &
+ParallelExecutor::channelQueue(std::size_t ch) const
 {
     return lanes_[ch]->q;
 }
@@ -67,17 +91,6 @@ ParallelExecutor::bindChannels(MemorySystem &mem)
                   lanes_.size(), mem.numChannels());
     for (std::size_t i = 0; i < lanes_.size(); ++i)
         lanes_[i]->chan = &mem.channel(i);
-}
-
-void
-ParallelExecutor::enableTracing(const TracerConfig &cfg)
-{
-    coordStaging_ = std::make_unique<Tracer>(cfg, /*staging=*/true);
-    coord_.setTracer(coordStaging_.get());
-    for (auto &lane : lanes_) {
-        lane->staging = std::make_unique<Tracer>(cfg, /*staging=*/true);
-        lane->q.setTracer(lane->staging.get());
-    }
 }
 
 void
@@ -150,34 +163,32 @@ ParallelExecutor::workerLoop(unsigned shard)
     // the coordinator and this worker goes through mu_, so phase
     // transitions are happens-before edges and the lanes themselves
     // need no synchronization. The same applies to the perf lanes:
-    // pm_ is read and this shard's accumulators are written only with
-    // mu_ held, so host profiling adds no new synchronization — and
-    // the stall/busy clock reads happen only when a monitor is
-    // attached (`pm` snapshot below), so a disabled run pays one
+    // pm_ is fixed before this thread starts and this shard's
+    // accumulators are written only with mu_ held, so host profiling
+    // adds no new synchronization — and a disabled run pays one
     // pointer test per window.
     std::unique_lock<std::mutex> lk(mu_);
     std::uint64_t seen = 0;
     for (;;) {
-        // Snapshot pm_ so the stall start and end reads agree even if
-        // setPerf lands mid-wait (that first park is setup time, not a
-        // window barrier, and is deliberately not counted).
-        PerfMonitor *const pm = pm_;
-        const std::uint64_t stall0 = pm ? perfNowNs() : 0;
+        // The first park (seen == 0) waits out the rest of setup, not
+        // a window barrier, so it is never counted as stall.
+        const bool timed = pm_ && seen != 0;
+        const std::uint64_t stall0 = timed ? perfNowNs() : 0;
         cvWork_.wait(lk, [&] { return shutdown_ || gen_ != seen; });
-        if (pm)
-            pm->shard(shard).stallNs += perfNowNs() - stall0;
+        if (timed)
+            pm_->shard(shard).stallNs += perfNowNs() - stall0;
         if (shutdown_)
             return;
         seen = gen_;
         const EventKey bound = bound_;
         lk.unlock();
-        const std::uint64_t busy0 = pm ? perfNowNs() : 0;
+        const std::uint64_t busy0 = pm_ ? perfNowNs() : 0;
         for (std::size_t i = shard; i < lanes_.size(); i += shards_)
             runLane(*lanes_[i], bound);
-        const std::uint64_t busy_ns = pm ? perfNowNs() - busy0 : 0;
+        const std::uint64_t busy_ns = pm_ ? perfNowNs() - busy0 : 0;
         lk.lock();
-        if (pm)
-            pm->shard(shard).busyNs += busy_ns;
+        if (pm_)
+            pm_->shard(shard).busyNs += busy_ns;
         if (--pending_ == 0)
             cvDone_.notify_one();
     }
@@ -393,20 +404,6 @@ ParallelExecutor::perDomainExecuted() const
     for (const auto &lane : lanes_)
         out.push_back(lane->q.executed());
     return out;
-}
-
-void
-ParallelExecutor::setPerf(PerfMonitor *pm)
-{
-    // Under mu_ so parked workers observe the pointer (and the sized
-    // shard lanes) at their next wakeup, never mid-window.
-    std::lock_guard<std::mutex> lk(mu_);
-    pm_ = pm;
-    slackHist_ = nullptr;
-    if (pm_ != nullptr) {
-        pm_->resizeShards(shards_);
-        slackHist_ = &pm_->histogram("exec.lookahead_slack_ps");
-    }
 }
 
 std::uint64_t

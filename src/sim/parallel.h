@@ -80,6 +80,12 @@ class ParallelExecutor
 {
   public:
     /**
+     * Reads the coordinator's probes once: with a tracer attached it
+     * builds one staging tracer per domain and attaches each to its
+     * queue (lanes carry nothing else); with a host profiler it sizes
+     * the shard lanes. Host time flows one way — out — so the monitor
+     * cannot perturb event order.
+     *
      * @param coordinator The simulation's main queue (domain 0).
      * @param num_channels One lane (domain, wheel) per channel.
      * @param shards Worker-thread count; clamped to [1, num_channels].
@@ -96,7 +102,7 @@ class ParallelExecutor
 
     /** Per-channel queues, channel order; for MemorySystem's ShardPlan. */
     std::vector<EventQueue *> channelQueues();
-    EventQueue &channelQueue(std::size_t ch);
+    const EventQueue &channelQueue(std::size_t ch) const;
 
     /** Resolve memory-model pointers once the MemorySystem exists. */
     void bindChannels(MemorySystem &mem);
@@ -104,11 +110,7 @@ class ParallelExecutor
     /** Termination predicate, checked after every coordinator event. */
     void setDrained(std::function<bool()> fn) { drained_ = std::move(fn); }
 
-    /**
-     * Route trace records through per-domain staging buffers; call
-     * absorbTraces() after the run to merge them into the master.
-     */
-    void enableTracing(const TracerConfig &cfg);
+    /** Merge the staged per-domain trace records into `master`. */
     void absorbTraces(Tracer &master);
 
     /**
@@ -146,15 +148,6 @@ class ParallelExecutor
     std::vector<std::uint64_t> perDomainExecuted() const;
     /** Events executed by worker shard `s` (its lanes summed). */
     std::uint64_t perShardExecuted(unsigned s) const;
-
-    /**
-     * Attach a host profiler. Host time flows one way — out — so the
-     * monitor cannot perturb event order; with none attached every
-     * instrumented site is one branch on a null pointer. Workers write
-     * only their own shard lane and every hand-off goes through mu_,
-     * so no extra synchronization is needed. Call before runWindow().
-     */
-    void setPerf(PerfMonitor *pm);
 
     /** Smallest completion slack over the horizon seen so far, ps
      *  (~0ull before the first merge). Perf-only near-miss gauge. */
@@ -199,8 +192,8 @@ class ParallelExecutor
     std::function<bool()> drained_;
     std::unique_ptr<Tracer> coordStaging_;
 
-    PerfMonitor *pm_ = nullptr;
-    Log2Histogram *slackHist_ = nullptr; //!< resolved once in setPerf
+    PerfMonitor *const pm_; //!< the coordinator's, fixed at construction
+    Log2Histogram *slackHist_ = nullptr; //!< resolved in the constructor
     std::uint64_t minSlack_ = ~std::uint64_t{0};
 
     bool finished_ = false;

@@ -48,23 +48,26 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
             "functional completions run frontend and manager code "
             "synchronously inside the channel lane");
     }
+    if (config_.tracer.enabled)
+        tracer_ = std::make_unique<Tracer>(config_.tracer);
+    // Decision epochs use the MemPod interval uniformly, so ledgers
+    // from different mechanisms line up when compared.
+    const TimePs epoch_ps = std::max<TimePs>(config_.mempod.interval, 1);
+    if (config_.decisionsEnabled) {
+        decisions_ = std::make_unique<DecisionLog>(
+            epoch_ps, benefitPerTouchNs(config_));
+    }
+    // The one attach point: every component built below reads its
+    // probes through this queue (a sharded executor re-points the
+    // coordinator's tracer at a staging buffer in its constructor).
+    eq_.attach({tracer_.get(), decisions_.get(), perf_.get()});
+
     if (config_.shards > 0) {
         const std::size_t channels =
             config_.geom.fastChannels + config_.geom.slowChannels;
         exec_ = std::make_unique<ParallelExecutor>(
             eq_, channels, config_.shards, lookaheadPs(config_),
             config_.statsIntervalPs);
-    }
-    if (config_.tracer.enabled) {
-        tracer_ = std::make_unique<Tracer>(config_.tracer);
-        if (exec_) {
-            // Sharded: records stage per domain, stamped with their
-            // event's canonical key; absorbed into the master after the
-            // run in serial emission order (byte-identical JSON).
-            exec_->enableTracing(config_.tracer);
-        } else {
-            eq_.setTracer(tracer_.get());
-        }
     }
     ShardPlan plan;
     if (exec_) {
@@ -100,14 +103,6 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     manager_->setCoreStallHook(
         [this](TimePs duration) { frontend_->suspendCores(duration); });
 
-    // Decision epochs use the MemPod interval uniformly, so ledgers
-    // from different mechanisms line up when compared.
-    const TimePs epoch_ps = std::max<TimePs>(config_.mempod.interval, 1);
-    if (config_.decisionsEnabled) {
-        decisions_ = std::make_unique<DecisionLog>(
-            epoch_ps, benefitPerTouchNs(config_));
-        manager_->setDecisionLog(decisions_.get());
-    }
     if (config_.validateEnabled) {
         validator_ = std::make_unique<InvariantChecker>(
             config_, *frontend_, *mem_, *manager_, decisions_.get(),
@@ -120,9 +115,6 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     }
 
     registerAllMetrics();
-
-    if (exec_)
-        exec_->setPerf(perf_.get());
 }
 
 void
@@ -447,8 +439,7 @@ Simulation::collectPerf(const RunResult &r)
     }
 
     perfReport_ = pm.report(r.simulatedPs, r.eventsExecuted);
-    perfReport_.windows = exec_ ? exec_->windows() : 0;
-    havePerfReport_ = true;
+    perfReport_->windows = exec_ ? exec_->windows() : 0;
 }
 
 RunResult

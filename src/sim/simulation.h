@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/decision_log.h"
@@ -71,9 +72,6 @@ class Simulation
     /** PDES executor, or nullptr when config.shards == 0 (serial). */
     const ParallelExecutor *executor() const { return exec_.get(); }
 
-    /** Host profiler, or nullptr when config.perfEnabled is false. */
-    PerfMonitor *perf() { return perf_.get(); }
-
     /**
      * Migration decision ledger, or nullptr when
      * config.decisionsEnabled is false. Populated entirely from
@@ -84,9 +82,6 @@ class Simulation
 
     /** Invariant checker, or nullptr when validation is disabled. */
     const InvariantChecker *validator() const { return validator_.get(); }
-
-    /** Sampling controller, or nullptr when sampling is disabled. */
-    const FidelityController *fidelity() const { return fidelity_.get(); }
 
     /**
      * The per-touch fast-vs-slow latency gap (ns) used to price
@@ -104,7 +99,7 @@ class Simulation
     const PerfReport *
     perfReport() const
     {
-        return havePerfReport_ ? &perfReport_ : nullptr;
+        return perfReport_ ? &*perfReport_ : nullptr;
     }
 
     /**
@@ -122,8 +117,10 @@ class Simulation
 
     SimConfig config_;
     EventQueue eq_;
+    // The probe owners, attached to eq_ before any component exists.
     std::unique_ptr<PerfMonitor> perf_;
     std::unique_ptr<Tracer> tracer_;
+    std::unique_ptr<DecisionLog> decisions_;
     // Declared before mem_: the channels hold references to the
     // executor's per-lane queues, so the executor must be destroyed
     // after the memory system (members destroy in reverse order).
@@ -132,14 +129,12 @@ class Simulation
     std::unique_ptr<LogicalToPhysical> placement_;
     std::unique_ptr<MemoryManager> manager_;
     std::unique_ptr<TraceFrontend> frontend_;
-    std::unique_ptr<DecisionLog> decisions_;
     std::unique_ptr<InvariantChecker> validator_;
     std::unique_ptr<FidelityController> fidelity_;
     MetricRegistry registry_;
     std::unique_ptr<IntervalSampler> sampler_;
     MetricSnapshot finalSnapshot_;
-    PerfReport perfReport_;
-    bool havePerfReport_ = false;
+    std::optional<PerfReport> perfReport_;
 };
 
 /** Convenience: build + run in one call. */

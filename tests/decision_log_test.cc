@@ -142,6 +142,16 @@ TEST(DecisionLog, LedgerJsonlIsByteIdenticalAcrossShardCounts)
               std::string::npos);
 }
 
+TEST(DecisionLog, LedgerIsCoordinatorOnly)
+{
+    Simulation sim(tinyConfig(Mechanism::kMemPod, 2));
+    EXPECT_EQ(sim.eq().decisions(), sim.decisionLog());
+    const ParallelExecutor *ex = sim.executor();
+    ASSERT_NE(ex, nullptr);
+    for (std::size_t i = 0; i < ex->numLanes(); ++i)
+        EXPECT_EQ(ex->channelQueue(i).decisions(), nullptr) << "lane " << i;
+}
+
 TEST(DecisionLog, EveryMechanismFeedsTheSharedLedger)
 {
     const Trace t = tinyTrace();

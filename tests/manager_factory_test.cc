@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/decision_log.h"
 #include "common/event_queue.h"
 #include "mem/manager.h"
 #include "mem/manager_factory.h"
@@ -85,6 +86,42 @@ TEST_F(FactoryFixture, HmaForwardsEpochStallThroughHook)
     eq.runUntil(25_us);
     EXPECT_EQ(stalls, 2); // epochs at 10 us and 20 us
     EXPECT_EQ(seen, 1_us);
+}
+
+TEST(ManagerFactory, DirectlyBuiltManagerRecordsIntoAttachedLedger)
+{
+    // No Simulation: the queue's probes are the only way the ledger
+    // reaches a mechanism, down to each MemPod Pod.
+    for (const Mechanism m : {Mechanism::kMemPod, Mechanism::kHma,
+                              Mechanism::kThm, Mechanism::kCameo}) {
+        SCOPED_TRACE(mechanismName(m));
+        EventQueue q;
+        MemorySystem sys(q, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
+                         DramSpec::ddr4_1600());
+        DecisionLog log(20_us, 1.0);
+        q.attach({.decisions = &log});
+        SimConfig cfg;
+        cfg.geom = SystemGeometry::tiny();
+        cfg.mechanism = m;
+        cfg.mempod.interval = 20_us;
+        cfg.hma.interval = 20_us;
+        cfg.hma.sortStall = 1_us;
+        cfg.hma.threshold = 3;
+        cfg.thm.threshold = 3;
+        auto mgr = ManagerFactory::build(cfg, q, sys);
+        mgr->start();
+        // Hammer one slow page per Pod, then cross one interval.
+        for (std::uint64_t p = 0; p < sys.geom().numPods; ++p) {
+            const PageId page = sys.geom().fastPages() + p;
+            for (int i = 0; i < 10; ++i)
+                mgr->handleDemand(
+                    {.homeAddr = AddressMap::addrOfPage(page),
+                     .arrival = q.now()});
+        }
+        q.runUntil(30_us);
+        EXPECT_GT(log.size(), 0u);
+        EXPECT_EQ(log.committedCount(), mgr->migrationStats().migrations);
+    }
 }
 
 TEST(ManagerFactoryDeathTest, UnregisteredMechanismPanics)

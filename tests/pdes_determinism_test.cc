@@ -9,8 +9,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/runner.h"
@@ -214,6 +216,31 @@ TEST(PdesDeterminism, PerfMonitorDoesNotPerturbOutput)
                                      std::to_string(i));
         }
     }
+}
+
+TEST(PdesDeterminism, SetupParkIsNotShardStall)
+{
+    // Workers start parked inside the constructor; time spent before
+    // run() is setup, so no shard may account more than the run phase.
+    SimConfig cfg = SimConfig::paper(Mechanism::kMemPod);
+    cfg.shards = 2;
+    cfg.perfEnabled = true;
+    Simulation sim(cfg);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    sim.run(makeTrace("mix5", 7), "setup-park");
+    const PerfReport *rep = sim.perfReport();
+    ASSERT_NE(rep, nullptr);
+    std::uint64_t run_ns = 0;
+    for (const auto &[phase, ns] : rep->phasesNs)
+        if (phase == "run")
+            run_ns = ns;
+    ASSERT_GT(run_ns, 0u);
+    ASSERT_EQ(rep->shards.size(), 2u);
+    constexpr std::uint64_t kSlackNs = 20'000'000;
+    for (std::size_t s = 0; s < rep->shards.size(); ++s)
+        EXPECT_LE(rep->shards[s].stallNs + rep->shards[s].busyNs,
+                  run_ns + kSlackNs)
+            << "shard " << s;
 }
 
 TEST(PdesDeterminism, ExecutorWorkPartition)

@@ -8,6 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include "baselines/cameo.h"
+#include "baselines/hma.h"
+#include "baselines/thm.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 #include "sim/validate.h"
@@ -99,6 +102,50 @@ TEST(ValidateDeath, MigrationCountMismatchPanics)
 {
     EXPECT_DEATH(checkMigrationConservation("MemPod", 7, 6),
                  "invariant violated \\[migration_conservation\\]");
+}
+
+/** A baseline whose protected migration count drifts from its engine. */
+template <class Manager>
+struct Miscounted : Manager
+{
+    using Manager::Manager;
+    void bump() { ++this->mstats_.migrations; }
+};
+
+struct ConservationDeath : ::testing::Test
+{
+    EventQueue eq;
+    MemorySystem mem{eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
+                     DramSpec::ddr4_1600()};
+
+    /** Every mechanism reports the one shared law, not its own. */
+    template <class Manager>
+    void
+    expectSharedLaw(Miscounted<Manager> &mgr)
+    {
+        mgr.validateInvariants(false); // consistent: must not panic
+        mgr.bump();
+        EXPECT_DEATH(mgr.validateInvariants(false),
+                     "invariant violated \\[migration_conservation\\]");
+    }
+};
+
+TEST_F(ConservationDeath, HmaMiscountPanics)
+{
+    Miscounted<HmaManager> mgr(eq, mem, HmaParams{});
+    expectSharedLaw(mgr);
+}
+
+TEST_F(ConservationDeath, ThmMiscountPanics)
+{
+    Miscounted<ThmManager> mgr(eq, mem, ThmParams{});
+    expectSharedLaw(mgr);
+}
+
+TEST_F(ConservationDeath, CameoMiscountPanics)
+{
+    Miscounted<CameoManager> mgr(eq, mem, CameoParams{});
+    expectSharedLaw(mgr);
 }
 
 SimConfig
