@@ -19,22 +19,6 @@ namespace mempod::bench {
 
 namespace {
 
-/** Harness start, stamped in parseOptions; total-wall reference. */
-std::uint64_t g_harnessStartNs = 0;
-
-/** Value below which fraction `q` of `sorted` falls (linear interp). */
-double
-quantile(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 std::vector<std::string>
 splitCommas(const std::string &s)
 {
@@ -154,8 +138,6 @@ Options
 parseOptions(int argc, char **argv, const char *what,
              std::vector<Flag> extra)
 {
-    if (g_harnessStartNs == 0)
-        g_harnessStartNs = perfNowNs();
     Options opt;
     bool emit_given = false;
     // A shortcut flag is one dotted-key entry in Options::sets.
@@ -442,151 +424,43 @@ banner(const char *figure, const char *caption, const Options &opt)
                 opt.full ? "FULL" : "reduced");
 }
 
-BenchReport::BenchReport(std::string name, std::string out_dir)
-    : name_(std::move(name)), dir_(std::move(out_dir))
-{
-}
-
-void
-BenchReport::addResults(const std::vector<JobResult> &results)
-{
-    for (const JobResult &r : results) {
-        if (!r.ok)
-            continue;
-        jobWallSeconds_.push_back(r.wallSeconds);
-        events_ += r.result.eventsExecuted;
-        simulatedPs_ += r.result.simulatedPs;
-        const std::string entry =
-            r.label.empty() ? r.workload : r.label + "/" + r.workload;
-        entries_.emplace_back(entry, r.wallSeconds * 1e3);
-        if (r.hasPerf) {
-            mergedPerf_.merge(r.perf);
-            havePerf_ = true;
-        }
-    }
-}
-
-void
-BenchReport::addEntry(const std::string &name, double wall_ms)
-{
-    jobWallSeconds_.push_back(wall_ms / 1e3);
-    entries_.emplace_back(name, wall_ms);
-}
-
-std::string
-BenchReport::write()
-{
-    const PerfHostInfo host = perfHostInfo();
-    std::vector<double> sorted = jobWallSeconds_;
-    std::sort(sorted.begin(), sorted.end());
-    double total_wall = 0.0;
-    for (const double w : jobWallSeconds_)
-        total_wall += w;
-    const double harness_wall =
-        g_harnessStartNs
-            ? static_cast<double>(perfNowNs() - g_harnessStartNs) / 1e9
-            : total_wall;
-
-    std::string out;
-    out.reserve(4 * 1024);
-    const auto key_str = [&out](const char *k, const std::string &v) {
-        out += '"';
-        out += k;
-        out += "\":\"";
-        out += json::escape(v);
-        out += '"';
-    };
-    const auto key_num = [&out](const char *k, double v) {
-        out += '"';
-        out += k;
-        out += "\":";
-        out += json::formatDouble(v);
-    };
-    out += "{\n  ";
-    key_str("schema", "mempod-bench-v1");
-    out += ",\n  ";
-    key_str("name", name_);
-    out += ",\n  \"host\": {";
-    key_str("sysname", host.sysname);
-    out += ',';
-    key_str("machine", host.machine);
-    out += ',';
-    key_num("cpus", host.cpus);
-    out += "},\n  ";
-    key_num("jobs", static_cast<double>(jobWallSeconds_.size()));
-    out += ",\n  \"wall_seconds\": {";
-    key_num("total", harness_wall);
-    out += ',';
-    key_num("sum", total_wall);
-    out += ',';
-    key_num("median", quantile(sorted, 0.50));
-    out += ',';
-    key_num("p10", quantile(sorted, 0.10));
-    out += ',';
-    key_num("p90", quantile(sorted, 0.90));
-    out += "},\n  ";
-    key_num("events_executed", static_cast<double>(events_));
-    out += ",\n  ";
-    key_num("events_per_second",
-            total_wall > 0 ? static_cast<double>(events_) / total_wall
-                           : 0.0);
-    out += ",\n  ";
-    // Fidelity-fair throughput: simulated milliseconds retired per
-    // host second (events/s rewards models that spend *more* events
-    // per request). Wall-clock based, so noisy on shared runners.
-    key_num("sim_ms_per_second",
-            total_wall > 0
-                ? static_cast<double>(simulatedPs_) / 1e9 / total_wall
-                : 0.0);
-    out += ",\n  ";
-    // Simulation cost: events executed per simulated millisecond — a
-    // pure function of the configs and traces, so byte-deterministic
-    // across hosts. The sampled-speedup CI gate compares this leaf
-    // (perf_tool diff --require-speedup): sampling's whole point is
-    // retiring the same simulated time in ~10x fewer events.
-    key_num("events_per_sim_ms",
-            simulatedPs_ > 0
-                ? static_cast<double>(events_) /
-                      (static_cast<double>(simulatedPs_) / 1e9)
-                : 0.0);
-    out += ",\n  \"phases_ns\": {";
-    bool first = true;
-    for (const auto &[phase, ns] : mergedPerf_.phasesNs) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += json::escape(phase);
-        out += "\":";
-        out += json::formatDouble(static_cast<double>(ns));
-    }
-    out += "},\n  \"benchmarks\": [";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (i)
-            out += ',';
-        out += "\n    {";
-        key_str("name", entries_[i].first);
-        out += ',';
-        key_num("wall_ms", entries_[i].second);
-        out += '}';
-    }
-    out += entries_.empty() ? "]\n}\n" : "\n  ]\n}\n";
-
-    const std::string path = dir_ + "/BENCH_" + name_ + ".json";
-    StatsWriter::writeFile(path, out);
-    return path;
-}
-
 void
 finishBench(const char *name, const Options &opt,
             const std::vector<JobResult> &results)
 {
-    BenchReport report(name, opt.benchOut);
-    report.addResults(results);
-    const std::string path = report.write();
+    std::uint64_t jobs = 0, events = 0, simulated_ps = 0;
+    PerfReport perf;
+    bool have_perf = false;
+    for (const JobResult &r : results) {
+        if (!r.ok)
+            continue;
+        ++jobs;
+        events += r.result.eventsExecuted;
+        simulated_ps += r.result.simulatedPs;
+        if (r.hasPerf) {
+            perf.merge(r.perf);
+            have_perf = true;
+        }
+    }
+    // Simulation cost: events executed per simulated millisecond, the
+    // leaf `run_tool speedup` gates. Like every field here it is a pure
+    // function of the configs and traces, so the file is byte-identical
+    // across --jobs, reruns and hosts.
+    const double events_per_sim_ms =
+        simulated_ps > 0 ? static_cast<double>(events) /
+                               (static_cast<double>(simulated_ps) / 1e9)
+                         : 0.0;
+    const std::string path = opt.benchOut + "/BENCH_" + name + ".json";
+    StatsWriter::writeFile(
+        path, "{\n  \"schema\":\"mempod-bench-v2\",\n  \"name\":\"" +
+                  json::escape(name) + "\",\n  \"jobs\":" +
+                  std::to_string(jobs) + ",\n  \"events_executed\":" +
+                  std::to_string(events) +
+                  ",\n  \"events_per_sim_ms\":" +
+                  json::formatDouble(events_per_sim_ms) + "\n}\n");
     std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-    if (report.havePerf())
-        report.mergedPerf().printTable(stderr, name);
+    if (have_perf)
+        perf.printTable(stderr, name);
 }
 
 } // namespace mempod::bench

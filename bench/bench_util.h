@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/perf.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "trace/catalog.h"
@@ -179,45 +178,11 @@ void banner(const char *figure, const char *caption,
             const Options &opt);
 
 /**
- * Accumulator behind BENCH_<name>.json ("mempod-bench-v1"): per-job
- * (or per-benchmark) wall times, summed event counts and merged host
- * profiles, rendered with median/p10/p90 wall statistics and host
- * info so the repo accumulates a comparable perf trajectory run over
- * run (tools/perf_tool.cc diffs two of these).
- */
-class BenchReport
-{
-  public:
-    BenchReport(std::string name, std::string out_dir);
-
-    /** Fold a harness batch in: wall, events, perf (when enabled). */
-    void addResults(const std::vector<JobResult> &results);
-
-    /** One named timing entry (microbenchmark medians etc.). */
-    void addEntry(const std::string &name, double wall_ms);
-
-    /** Render + atomically write BENCH_<name>.json; returns the path. */
-    std::string write();
-
-    const PerfReport &mergedPerf() const { return mergedPerf_; }
-    bool havePerf() const { return havePerf_; }
-
-  private:
-    std::string name_;
-    std::string dir_;
-    std::vector<double> jobWallSeconds_;
-    std::vector<std::pair<std::string, double>> entries_;
-    std::uint64_t events_ = 0;
-    std::uint64_t simulatedPs_ = 0;
-    PerfReport mergedPerf_;
-    bool havePerf_ = false;
-};
-
-/**
- * Standard harness epilogue: write BENCH_<name>.json (always) and,
- * when any job ran with perf.enabled, print the merged one-page
- * host-profile table to stderr (stdout stays byte-identical to a
- * perf-disabled run).
+ * Standard harness epilogue: write BENCH_<name>.json
+ * ("mempod-bench-v2": name, jobs, events_executed, events_per_sim_ms;
+ * deterministic fields only) into --bench-out and, when any job ran
+ * with perf.enabled, print the merged one-page host-profile table to
+ * stderr (stdout stays byte-identical to a perf-disabled run).
  */
 void finishBench(const char *name, const Options &opt,
                  const std::vector<JobResult> &results);

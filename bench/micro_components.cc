@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/event_queue.h"
 #include "common/rng.h"
 #include "core/remap_table.h"
@@ -321,67 +320,4 @@ BENCHMARK(BM_BatchRunnerFanOut)->Arg(1)->Arg(2)->Arg(4);
 
 } // namespace
 
-/**
- * Reporter shim: passes everything through to the normal console
- * reporter while recording each benchmark's per-iteration wall time,
- * so the run also lands in BENCH_micro_components.json and the repo's
- * perf trajectory covers the building blocks, not just the figures.
- */
-class CapturingReporter : public benchmark::ConsoleReporter
-{
-  public:
-    bool
-    ReportContext(const Context &context) override
-    {
-        return benchmark::ConsoleReporter::ReportContext(context);
-    }
-
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (run.run_type != Run::RT_Iteration || run.error_occurred)
-                continue;
-            const double iters =
-                run.iterations > 0
-                    ? static_cast<double>(run.iterations)
-                    : 1.0;
-            entries.emplace_back(run.benchmark_name(),
-                                 run.real_accumulated_time / iters *
-                                     1e3);
-        }
-        benchmark::ConsoleReporter::ReportRuns(runs);
-    }
-
-    std::vector<std::pair<std::string, double>> entries;
-};
-
-int
-main(int argc, char **argv)
-{
-    // Pull out our own flag before google-benchmark sees the argv
-    // (it rejects flags it doesn't know).
-    std::string bench_out = ".";
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--bench-out" && i + 1 < argc) {
-            bench_out = argv[++i];
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    int bench_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
-        return 1;
-    CapturingReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-
-    mempod::bench::BenchReport report("micro_components", bench_out);
-    for (const auto &[name, wall_ms] : reporter.entries)
-        report.addEntry(name, wall_ms);
-    const std::string path = report.write();
-    std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -7,7 +7,7 @@
  * harness, tool and test. The sink replaces them with a single run
  * directory plus per-kind enable bits; artifact kinds live in fixed
  * subdirectories so downstream consumers (CI diff steps, validators,
- * explain_tool) can address them by convention:
+ * run_tool) can address them by convention:
  *
  *   <root>/stats/      job<NNN>_<label>_<workload>.json[l]
  *   <root>/traces/     <stem>.trace.json      (Chrome trace events)

@@ -4,11 +4,12 @@
  * (paths injected by CMake as MEMPOD_*_TOOL_PATH):
  *   - trace_tool summary --json emits the pinned
  *     mempod-trace-summary-v1 schema
- *   - perf_tool diff tolerates metric keys present in only one file
- *     (reports "(new)"/"(removed)" instead of crashing or silently
- *     skipping)
- *   - explain_tool's per-component attribution sums exactly to the
- *     measured AMMAT delta between two real runs
+ *   - run_tool (MEMPOD_RUN_TOOL_PATH): summary, the speedup gate
+ *     (which fails on a missing, zero or non-finite leaf), explain
+ *     (its per-component attribution sums exactly to the measured AMMAT
+ *     delta between two real runs; it rejects malformed ledgers), and
+ *     check, with one failing fixture per schema or run-level assertion
+ *     and a pass on a real fig8 run directory
  *   - mempod_sim (MEMPOD_SIM_PATH) rejects bad command lines with exit
  *     2, prints the same results as an in-process run, writes run
  *     directories that are byte-identical across --jobs and --shards,
@@ -20,11 +21,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/simulation.h"
 #include "sim/stats_writer.h"
@@ -136,107 +140,522 @@ TEST(TraceTool, SummaryJsonMatchesPinnedSchema)
     std::filesystem::remove_all(dir);
 }
 
-TEST(PerfTool, DiffReportsNewAndRemovedKeysWithoutFailing)
+/** run_tool with `args`; stderr into `*err` when given. */
+CmdResult
+runTool(const std::string &args, std::string *err = nullptr)
 {
-    const auto dir = tmpDir();
-    writeText(dir / "base.json",
-              "{\"events_per_second\": 100, \"old\": {\"wall_ms\": 5}}");
-    writeText(dir / "cur.json",
-              "{\"events_per_second\": 101, \"fresh\": {\"wall_ms\": 7}}");
-    const CmdResult r =
-        run(std::string(MEMPOD_PERF_TOOL_PATH) + " diff " +
-            (dir / "base.json").string() + " " +
-            (dir / "cur.json").string());
-    // Schema drift alone is not a regression: exit 0.
-    EXPECT_EQ(r.status, 0);
-    EXPECT_NE(r.out.find("(new)"), std::string::npos);
-    EXPECT_NE(r.out.find("(removed)"), std::string::npos);
-    EXPECT_NE(r.out.find("1 new, 1 removed"), std::string::npos);
-    std::filesystem::remove_all(dir);
+    return run(std::string(MEMPOD_RUN_TOOL_PATH) + " " + args, err);
 }
 
-TEST(PerfTool, DiffStillFailsOnGenuineRegression)
+TEST(RunTool, DeeplyNestedInputExitsTwo)
 {
     const auto dir = tmpDir();
-    writeText(dir / "base.json", "{\"events_per_second\": 100}");
-    writeText(dir / "cur.json", "{\"events_per_second\": 10}");
-    const CmdResult r =
-        run(std::string(MEMPOD_PERF_TOOL_PATH) + " diff " +
-            (dir / "base.json").string() + " " +
-            (dir / "cur.json").string());
-    EXPECT_EQ(r.status, 1);
-    EXPECT_NE(r.out.find("REGRESSION"), std::string::npos);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(PerfTool, DeeplyNestedInputExitsTwo)
-{
-    const auto dir = tmpDir();
-    writeText(dir / "base.json", "{\"events_per_second\": 100}");
+    writeText(dir / "base.json", "{\"events_per_sim_ms\": 100}");
     writeText(dir / "deep.json", std::string(200 * 1024, '['));
-    const CmdResult r =
-        run(std::string(MEMPOD_PERF_TOOL_PATH) + " diff " +
-            (dir / "base.json").string() + " " +
-            (dir / "deep.json").string());
-    // 2 = unreadable input, distinct from 1 = regression found.
-    EXPECT_EQ(r.status, 2);
+    // 2 = unreadable input, distinct from 1 = a finding.
+    EXPECT_EQ(runTool("summary " + (dir / "deep.json").string()).status, 2);
+    EXPECT_EQ(runTool("speedup " + (dir / "base.json").string() + " " +
+                      (dir / "deep.json").string() + " 10")
+                  .status,
+              2);
     std::filesystem::remove_all(dir);
 }
 
-TEST(ExplainTool, AttributionSumsExactlyToMeasuredAmmatDelta)
+TEST(RunTool, SummaryTabulatesEveryNumericLeaf)
 {
     const auto dir = tmpDir();
-    const Trace t = tinyTrace();
+    writeText(dir / "a.json", "{\"x\": {\"y\": 1.5}, \"n\": 3}");
+    const CmdResult r = runTool("summary " + (dir / "a.json").string());
+    EXPECT_EQ(r.status, 0);
+    EXPECT_NE(r.out.find("x.y"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("1.5"), std::string::npos) << r.out;
+    std::filesystem::remove_all(dir);
+}
+
+/** `run_tool speedup` over two BENCH bodies; stderr into `*err`. */
+CmdResult
+speedup(const std::string &base, const std::string &cur,
+        const std::string &factor, std::string *err = nullptr)
+{
+    const auto dir = tmpDir();
+    writeText(dir / "base.json", base);
+    writeText(dir / "cur.json", cur);
+    const CmdResult r = runTool("speedup " + (dir / "base.json").string() +
+                                    " " + (dir / "cur.json").string() +
+                                    " " + factor,
+                                err);
+    std::filesystem::remove_all(dir);
+    return r;
+}
+
+TEST(RunTool, SpeedupGatesOnTheFactor)
+{
+    const std::string base = "{\"events_per_sim_ms\": 1000}";
+    const std::string cur = "{\"events_per_sim_ms\": 100}";
+    const CmdResult ok = speedup(base, cur, "10");
+    EXPECT_EQ(ok.status, 0);
+    EXPECT_NE(ok.out.find("10.00x fewer events, need 10.0x: OK"),
+              std::string::npos)
+        << ok.out;
+    const CmdResult slow = speedup(base, cur, "10.5");
+    EXPECT_EQ(slow.status, 1);
+    EXPECT_NE(slow.out.find("FAIL"), std::string::npos) << slow.out;
+    for (const char *factor : {"0", "-3", "ten", "inf"})
+        EXPECT_EQ(speedup(base, cur, factor).status, 2) << factor;
+}
+
+TEST(RunTool, SpeedupFailsOnAMissingLeaf)
+{
+    const std::string good = "{\"events_per_sim_ms\": 1000}";
+    const std::string none = "{\"events_executed\": 5}";
+    for (const auto &[b, c] : {std::pair{none, good}, std::pair{good, none}}) {
+        std::string err;
+        EXPECT_EQ(speedup(b, c, "10", &err).status, 1);
+        EXPECT_NE(err.find("has no events_per_sim_ms leaf"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(RunTool, SpeedupFailsOnAZeroLeaf)
+{
+    // A zero current cost once made the speedup infinite and passed.
+    const std::string good = "{\"events_per_sim_ms\": 1000}";
+    const std::string zero = "{\"events_per_sim_ms\": 0}";
+    for (const auto &[b, c] : {std::pair{good, zero}, std::pair{zero, good}}) {
+        std::string err;
+        EXPECT_EQ(speedup(b, c, "10", &err).status, 1);
+        EXPECT_NE(err.find("has events_per_sim_ms 0: an empty run"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(RunTool, SpeedupFailsOnANonFiniteLeaf)
+{
+    // The BENCH writer renders a non-finite double as null.
+    const std::string good = "{\"events_per_sim_ms\": 1000}";
+    const std::string nan = "{\"events_per_sim_ms\": null}";
+    for (const auto &[b, c] : {std::pair{good, nan}, std::pair{nan, good}}) {
+        std::string err;
+        EXPECT_EQ(speedup(b, c, "10", &err).status, 1);
+        EXPECT_NE(err.find("has a non-finite events_per_sim_ms"),
+                  std::string::npos)
+            << err;
+    }
+    std::string err;
+    EXPECT_EQ(speedup(good, "{\"events_per_sim_ms\": -1}", "10", &err)
+                  .status,
+              1);
+    EXPECT_NE(err.find("negative"), std::string::npos) << err;
+}
+
+/** Two real runs' stats and ledgers: no-migration, then MemPod. */
+struct RunPair
+{
     std::filesystem::path stats[2], decisions[2];
+};
+
+RunPair
+writeRunPair(const std::filesystem::path &dir, std::uint64_t requests)
+{
+    const Trace t = tinyTrace(requests);
+    RunPair p;
     int i = 0;
     for (Mechanism m : {Mechanism::kNoMigration, Mechanism::kMemPod}) {
         Simulation sim(tinyConfig(m));
         const RunResult r = sim.run(t, "xalanc");
-        stats[i] = dir / (std::string(mechanismName(m)) + ".json");
-        writeText(stats[i], StatsWriter::toJson(sim.registry(),
-                                                sim.finalSnapshot(), r));
-        decisions[i] =
-            dir / (std::string(mechanismName(m)) + ".decisions.jsonl");
-        writeText(decisions[i],
+        const std::string name = mechanismName(m);
+        p.stats[i] = dir / (name + ".json");
+        writeText(p.stats[i], StatsWriter::toJson(sim.registry(),
+                                                  sim.finalSnapshot(), r));
+        p.decisions[i] = dir / (name + ".decisions.jsonl");
+        writeText(p.decisions[i],
                   StatsWriter::decisionsToJsonl(*sim.decisionLog(),
                                                 "xalanc", r.mechanism));
         ++i;
     }
-    const CmdResult r = run(std::string(MEMPOD_EXPLAIN_TOOL_PATH) + " " +
-                            stats[0].string() + " " + stats[1].string() +
-                            " --decisions " + decisions[0].string() +
-                            " " + decisions[1].string());
+    return p;
+}
+
+TEST(RunTool, ExplainAttributionSumsExactlyToMeasuredAmmatDelta)
+{
+    const auto dir = tmpDir();
+    const RunPair p = writeRunPair(dir, 30000);
+    const CmdResult r =
+        runTool("explain " + p.stats[0].string() + " " +
+                p.stats[1].string() + " --decisions " +
+                p.decisions[0].string() + " " + p.decisions[1].string());
     // Exit 0 is the tool's own exactness guarantee: it verifies the
     // five component deltas sum to the measured AMMAT delta.
     EXPECT_EQ(r.status, 0) << r.out;
-    EXPECT_NE(r.out.find("attribution_delta_check: OK"),
-              std::string::npos)
+    EXPECT_NE(r.out.find("attribution_delta_check: OK"), std::string::npos)
         << r.out;
     EXPECT_NE(r.out.find("first diverging decision"), std::string::npos);
     EXPECT_NE(r.out.find("decisions: base 0"), std::string::npos);
     std::filesystem::remove_all(dir);
 }
 
-TEST(ExplainTool, IdenticalRunsReportIdenticalLedgers)
+TEST(RunTool, ExplainIdenticalRunsReportIdenticalLedgers)
 {
     const auto dir = tmpDir();
-    const Trace t = tinyTrace(15000);
-    Simulation sim(tinyConfig(Mechanism::kMemPod));
-    const RunResult r = sim.run(t, "xalanc");
-    const auto stats = dir / "run.json";
-    const auto dec = dir / "run.decisions.jsonl";
-    writeText(stats, StatsWriter::toJson(sim.registry(),
-                                         sim.finalSnapshot(), r));
-    writeText(dec, StatsWriter::decisionsToJsonl(*sim.decisionLog(),
-                                                 "xalanc", r.mechanism));
-    const CmdResult out = run(std::string(MEMPOD_EXPLAIN_TOOL_PATH) +
-                              " " + stats.string() + " " +
-                              stats.string() + " --decisions " +
-                              dec.string() + " " + dec.string());
+    const RunPair p = writeRunPair(dir, 15000);
+    const std::string s = p.stats[1].string(), d = p.decisions[1].string();
+    const CmdResult out = runTool("explain " + s + " " + s +
+                                  " --decisions " + d + " " + d);
     EXPECT_EQ(out.status, 0);
     EXPECT_NE(out.out.find("decision ledgers are identical"),
               std::string::npos)
         << out.out;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunTool, ExplainRejectsLedgersThatBreakTheirSchema)
+{
+    const auto dir = tmpDir();
+    const RunPair p = writeRunPair(dir, 15000);
+    const std::string header =
+        "{\"schema\":\"mempod-decisions-v1\",\"workload\":\"w\","
+        "\"mechanism\":\"MemPod\",\"epoch_ps\":1,"
+        "\"benefit_per_touch_ns\":1,\"decisions\":3,\"committed\":3,"
+        "\"aborted\":0,\"ping_pongs\":0}\n";
+    // A header whose totals no body backs once read as "identical
+    // (0 decisions)"; a header without totals once read them as 0.
+    const std::pair<std::string, std::string> cases[] = {
+        {header, "header decisions 3 but the body has 0"},
+        {"{\"schema\":\"mempod-decisions-v1\",\"decisions\":3}\n",
+         "line 1: missing key 'workload'"},
+        {"", "empty ledger"},
+    };
+    const auto bad = dir / "bad.decisions.jsonl";
+    for (const auto &[text, want] : cases) {
+        writeText(bad, text);
+        std::string err;
+        const CmdResult r =
+            runTool("explain " + p.stats[1].string() + " " +
+                        p.stats[1].string() + " --decisions " +
+                        p.decisions[1].string() + " " + bad.string(),
+                    &err);
+        EXPECT_EQ(r.status, 2) << want;
+        EXPECT_NE(err.find(bad.string() + ": "), std::string::npos) << err;
+        EXPECT_NE(err.find(want), std::string::npos) << err;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+// A minimal run directory that passes every check: one MemPod job
+// that migrated (stats, time series, ledger, trace, perf) plus a
+// BENCH file. Each mutation below breaks exactly one assertion.
+const std::map<std::string, std::string> kGoodRun = {
+    {"stats/job000_MemPod_w.json",
+     R"({"schema":"mempod-stats-v1","workload":"w","mechanism":"MemPod",)"
+     R"("sim_time_ps":1000,"summary":{"ammat_ns":10,"demand_requests":5,)"
+     R"("migrations":2,"attribution_ns":{"mshr_wait":1,"metadata":1,)"
+     R"("blocked":2,"queue_wait":3,"service":3},)"
+     R"("latency_ns":{"p50":1,"p95":2,"p99":3}},)"
+     R"("metrics":{"frontend.ammat_ps":{"value":1},)"
+     R"("pod0.migration.migrations":{"value":2}}})"},
+    {"stats/job000_MemPod_w.jsonl",
+     "{\"interval\":0,\"counters\":{\"core0.issued\":3}}\n"
+     "{\"interval\":1,\"counters\":{\"pod0.migration.migrations\":1}}\n"
+     "{\"interval\":2,\"counters\":{\"pod0.migration.migrations\":1}}\n"},
+    {"decisions/job000_MemPod_w.decisions.jsonl",
+     R"({"schema":"mempod-decisions-v1","workload":"w","mechanism":"MemPod",)"
+     R"("epoch_ps":1,"benefit_per_touch_ns":1,"decisions":2,"committed":1,)"
+     R"("aborted":1,"ping_pongs":1})"
+     "\n"
+     R"({"seq":0,"time_ps":1,"epoch":1,"pod":0,"page":1,"victim":2,)"
+     R"("tracker_count":3,"predicted_benefit_ns":4,"outcome":"completed",)"
+     R"("commit_ps":5,"ping_pong":true,"realized_near_hits":6})"
+     "\n"
+     R"({"seq":1,"time_ps":1,"epoch":1,"pod":0,"page":1,"victim":2,)"
+     R"("tracker_count":3,"predicted_benefit_ns":4,"outcome":"aborted",)"
+     R"("commit_ps":5,"ping_pong":false,"realized_near_hits":6})"
+     "\n"},
+    {"traces/job000_MemPod_w.trace.json",
+     R"({"displayTimeUnit":"ns","traceEvents":[)"
+     R"({"name":"process_name","ph":"M","pid":0,"tid":0},)"
+     R"({"name":"demand","ph":"b","ts":1,"pid":0,"tid":0,)"
+     R"("cat":"req","id":"1"},)"
+     R"({"name":"demand","ph":"e","ts":2,"pid":0,"tid":0,)"
+     R"("cat":"req","id":"1"},)"
+     R"({"name":"mea_victory","ph":"i","ts":3,"pid":0,"tid":1},)"
+     R"({"name":"migration","ph":"s","ts":3,"pid":0,"tid":1,)"
+     R"("cat":"mig","id":"2"},)"
+     R"({"name":"read_phase","ph":"X","ts":4,"pid":0,"tid":1},)"
+     R"({"name":"write_phase","ph":"X","ts":5,"pid":0,"tid":1},)"
+     R"({"name":"migration","ph":"f","ts":6,"pid":0,"tid":1,)"
+     R"("cat":"mig","id":"2"},)"
+     R"({"name":"remap_commit","ph":"i","ts":6,"pid":0,"tid":1}]})"},
+    {"perf/job000_MemPod_w.perf.json",
+     R"({"schema":"mempod-perf-v1","wall_seconds":0.1,"events_executed":5,)"
+     R"("phases_ns":{},"counters":{}})"},
+    {"BENCH_w.json",
+     R"({"schema":"mempod-bench-v2","name":"w","jobs":1,)"
+     R"("events_executed":5,"events_per_sim_ms":2.5})"},
+};
+
+/** Replace one file's first `from` with `to`; an empty `from` replaces
+ *  the whole text, and a null `to` deletes the file. */
+struct Mutation
+{
+    const char *file;
+    const char *from;
+    const char *to;
+    const char *want; //!< expected "<where>: <violation>" substring
+};
+
+/** kGoodRun under `dir`, with `m` applied. */
+void
+writeRun(const std::filesystem::path &dir, const Mutation *m = nullptr)
+{
+    std::filesystem::remove_all(dir);
+    for (const auto &dsub : {"stats", "decisions", "traces", "perf"})
+        std::filesystem::create_directories(dir / dsub);
+    for (auto [name, text] : kGoodRun) {
+        if (m && name == m->file) {
+            if (!m->to)
+                continue;
+            const std::size_t at = *m->from ? text.find(m->from) : 0;
+            ASSERT_NE(at, std::string::npos) << m->from;
+            text.replace(at, *m->from ? std::strlen(m->from) : text.size(),
+                         m->to);
+        }
+        writeText(dir / name, text);
+    }
+}
+
+TEST(RunToolCheck, MinimalRunPasses)
+{
+    const auto dir = tmpDir() / "run";
+    writeRun(dir);
+    std::string err;
+    const CmdResult r = runTool("check " + dir.string(), &err);
+    EXPECT_EQ(r.status, 0) << err;
+    EXPECT_NE(r.out.find("6 file(s) in 1 path(s), 0 violation(s)"),
+              std::string::npos)
+        << r.out;
+    std::filesystem::remove_all(dir.parent_path());
+}
+
+/** Each mutation must fail check with its own violation message. */
+void
+expectViolations(const std::vector<Mutation> &cases)
+{
+    const auto dir = tmpDir() / "run";
+    for (const Mutation &m : cases) {
+        writeRun(dir, &m);
+        std::string err;
+        const CmdResult r = runTool("check " + dir.string(), &err);
+        EXPECT_EQ(r.status, 1) << m.file << ": " << m.want;
+        EXPECT_NE(err.find(m.want), std::string::npos)
+            << "want: " << m.want << "\ngot: " << err;
+    }
+    std::filesystem::remove_all(dir.parent_path());
+}
+
+const char kStats[] = "stats/job000_MemPod_w.json";
+const char kSeries[] = "stats/job000_MemPod_w.jsonl";
+const char kLedger[] = "decisions/job000_MemPod_w.decisions.jsonl";
+const char kTrace[] = "traces/job000_MemPod_w.trace.json";
+const char kPerf[] = "perf/job000_MemPod_w.perf.json";
+const char kBench[] = "BENCH_w.json";
+
+TEST(RunToolCheck, StatsAssertions)
+{
+    expectViolations({
+        {kStats, "stats-v1", "stats-v0", "w.json: schema is"},
+        {kStats, "\"workload\"", "\"x\"", "w.json: missing key 'workload'"},
+        {kStats, "\"mechanism\"", "\"x\"", "w.json: missing key 'mechanism'"},
+        {kStats, "\"sim_time_ps\"", "\"x\"",
+         "w.json: missing key 'sim_time_ps'"},
+        {kStats, "\"summary\"", "\"x\"", "w.json: missing key 'summary'"},
+        {kStats, "\"metrics\"", "\"x\"", "w.json: missing key 'metrics'"},
+        {kStats, "\"demand_requests\":5", "\"demand_requests\":0",
+         "w.json: demand_requests is not > 0"},
+        {kStats, "\"ammat_ns\":10", "\"ammat_ns\":0",
+         "w.json: ammat_ns is not > 0"},
+        {kStats, "frontend.ammat_ps", "frontend.x",
+         "w.json: metrics lack frontend.ammat_ps"},
+        {kStats, "\"service\":3", "\"service\":3.0001",
+         "w.json: attribution sums to 10.0001, not AMMAT 10"},
+        {kStats, "\"p95\":2", "\"p95\":4",
+         "w.json: latency percentiles are not ordered"},
+        {kStats, "\"p99\":3", "\"p99\":1",
+         "w.json: latency percentiles are not ordered"},
+        {kStats, "pod0.migration", "pod1.migration",
+         "w.json: MemPod metrics have no pod0.* key"},
+        {kSeries, "\"counters\":{\"core0", "\"c\":{\"core0",
+         "w.jsonl: line 1: missing key 'counters'"},
+        {kSeries, "{\"interval\":2", "{\"interval\":2,",
+         "w.jsonl: line 3: not valid JSON"},
+    });
+}
+
+TEST(RunToolCheck, LedgerAssertions)
+{
+    std::vector<Mutation> cases = {
+        {kLedger, "decisions-v1", "decisions-v2",
+         "decisions.jsonl: line 1: schema is 'mempod-decisions-v2'"},
+        {kLedger, "\"decisions\":2", "\"decisions\":3",
+         "decisions.jsonl: header decisions 3 but the body has 2"},
+        {kLedger, "\"seq\":1", "\"seq\":2",
+         "decisions.jsonl: line 3: seq 2, expected 1"},
+        {kLedger, "\"outcome\":\"completed\"", "\"outcome\":\"done\"",
+         "decisions.jsonl: line 2: outcome 'done' is not pending"},
+        {kLedger, "\"committed\":1", "\"committed\":2",
+         "decisions.jsonl: header committed 2 but the body has 1"},
+        {kLedger, "\"aborted\":1", "\"aborted\":0",
+         "decisions.jsonl: header aborted 0 but the body has 1"},
+        {kLedger, "\"ping_pongs\":1", "\"ping_pongs\":0",
+         "decisions.jsonl: header ping_pongs 0 but the body has 1"},
+        {kLedger, "\"ping_pong\":true", "\"ping_pong\":1",
+         "decisions.jsonl: line 2: 'ping_pong' is not a boolean"},
+        {kLedger, "", "", "decisions.jsonl: empty ledger"},
+    };
+    // Every required key, header and body alike.
+    std::vector<std::string> keys, wants;
+    for (const char *key :
+         {"workload", "mechanism", "epoch_ps", "benefit_per_touch_ns",
+          "decisions", "committed", "aborted", "ping_pongs"}) {
+        keys.push_back(std::string("\"") + key + "\":");
+        wants.push_back(std::string("line 1: missing key '") + key + "'");
+    }
+    for (const char *key :
+         {"seq", "time_ps", "epoch", "pod", "page", "victim",
+          "tracker_count", "predicted_benefit_ns", "outcome", "commit_ps",
+          "ping_pong", "realized_near_hits"}) {
+        keys.push_back(std::string("\"") + key + "\":");
+        wants.push_back(std::string("line 2: missing key '") + key + "'");
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        cases.push_back({kLedger, keys[i].c_str(), "\"x\":", wants[i].c_str()});
+    expectViolations(cases);
+}
+
+TEST(RunToolCheck, TraceAssertions)
+{
+    expectViolations({
+        {kTrace, "\"ns\"", "\"ms\"", "trace.json: displayTimeUnit is not ns"},
+        {kTrace, "", R"({"displayTimeUnit":"ns","traceEvents":[]})",
+         "trace.json: traceEvents is empty"},
+        // The old CI test was a substring test: "" and "Bb" passed.
+        {kTrace, "\"ph\":\"i\"", "\"ph\":\"\"",
+         "trace.json: traceEvents[3]: ph '' is not one of"},
+        {kTrace, "\"ph\":\"i\"", "\"ph\":\"Bb\"",
+         "trace.json: traceEvents[3]: ph 'Bb' is not one of"},
+        {kTrace, "\"ph\":\"i\"", "\"ph\":\"Z\"",
+         "trace.json: traceEvents[3]: ph 'Z' is not one of"},
+        {kTrace, "\"ph\":\"i\"", "\"x\":\"i\"",
+         "trace.json: traceEvents[3]: missing key 'ph'"},
+        {kTrace, "\"pid\":0,\"tid\":1}", "\"tid\":1}",
+         "trace.json: traceEvents[3]: missing key 'pid'"},
+        {kTrace, "\"pid\":0,\"tid\":1}", "\"pid\":0}",
+         "trace.json: traceEvents[3]: missing key 'tid'"},
+        {kTrace, "\"ts\":3,", "",
+         "trace.json: traceEvents[3]: missing key 'ts'"},
+        {kTrace, "\"name\":\"mea_victory\",", "",
+         "trace.json: traceEvents[3]: missing key 'name'"},
+        {kTrace, R"("id":"1")", R"("id":"9")",
+         "trace.json: traceEvents[2]: async end without a begin: demand"},
+        {kTrace, "\"ph\":\"e\"", "\"ph\":\"i\"",
+         "trace.json: unbalanced async span: demand"},
+    });
+}
+
+TEST(RunToolCheck, PerfAndBenchAssertions)
+{
+    expectViolations({
+        {kPerf, "perf-v1", "perf-v0", "perf.json: schema is"},
+        {kPerf, "\"wall_seconds\"", "\"x\"",
+         "perf.json: missing key 'wall_seconds'"},
+        {kPerf, "\"phases_ns\"", "\"x\"", "perf.json: missing key 'phases_ns'"},
+        {kPerf, "\"counters\"", "\"x\"", "perf.json: missing key 'counters'"},
+        {kPerf, "\"events_executed\":5", "\"events_executed\":0",
+         "perf.json: events_executed is not > 0"},
+        {kBench, "bench-v2", "bench-v1", "BENCH_w.json: schema is"},
+        {kBench, "\"name\"", "\"x\"", "BENCH_w.json: missing key 'name'"},
+        {kBench, "\"jobs\":1", "\"jobs\":-1",
+         "BENCH_w.json: 'jobs' is not an unsigned integer"},
+        {kBench, "\"events_executed\"", "\"x\"",
+         "BENCH_w.json: missing key 'events_executed'"},
+        {kBench, "2.5", "null",
+         "BENCH_w.json: 'events_per_sim_ms' is not a number"},
+        {kBench, "2.5", "-2.5", "BENCH_w.json: events_per_sim_ms is negative"},
+        // The wall-clock half is gone for good: it would break the
+        // file's byte-identity across runs.
+        {kBench, "\"jobs\":1", "\"jobs\":1,\"wall_seconds\":3",
+         "BENCH_w.json: has keys beyond schema"},
+    });
+}
+
+TEST(RunToolCheck, RunLevelAssertions)
+{
+    const std::string empty_ledger =
+        R"({"schema":"mempod-decisions-v1","workload":"w",)"
+        R"("mechanism":"HMA","epoch_ps":1,"benefit_per_touch_ns":1,)"
+        R"("decisions":0,"committed":0,"aborted":0,"ping_pongs":0})"
+        "\n";
+    const std::string one_interval =
+        "{\"interval\":0,\"counters\":{}}\n"
+        "{\"interval\":1,\"counters\":{\"pod0.migration.migrations\":2}}\n";
+    expectViolations({
+        {kLedger, "", empty_ledger.c_str(),
+         "run: no decision ledger records a decision"},
+        {kTrace, "remap_commit", "remap",
+         "run: MemPod migrated, but no trace shows a full mea_victory"},
+        {kTrace, "\"ph\":\"f\"", "\"ph\":\"t\"",
+         "run: MemPod migrated, but no trace shows a full mea_victory"},
+        {kSeries, "", one_interval.c_str(),
+         "run: MemPod migrated, but no MemPod .jsonl shows per-pod"},
+        {kSeries, nullptr, nullptr,
+         "run: MemPod migrated, but no MemPod .jsonl shows per-pod"},
+        {kStats, nullptr, nullptr, "job000_MemPod_w.jsonl has no"},
+        {kTrace, nullptr, nullptr, "run: traces/ holds no trace files"},
+        {kPerf, nullptr, nullptr, "run: perf/ holds no perf files"},
+        {kBench, "", "", "BENCH_w.json: not valid JSON"},
+    });
+}
+
+TEST(RunToolCheck, ForeignFilesEmptyRunsAndMissingPaths)
+{
+    const auto dir = tmpDir() / "run";
+    writeRun(dir);
+    writeText(dir / "stats" / "notes.txt", "x");
+    std::string err;
+    EXPECT_EQ(runTool("check " + dir.string(), &err).status, 1);
+    EXPECT_NE(err.find("notes.txt: not a run artifact or BENCH file"),
+              std::string::npos)
+        << err;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    EXPECT_EQ(runTool("check " + dir.string(), &err).status, 1);
+    EXPECT_NE(err.find("run: no run artifacts found"), std::string::npos)
+        << err;
+    EXPECT_EQ(runTool("check " + (dir / "absent").string()).status, 2);
+    std::filesystem::remove_all(dir.parent_path());
+}
+
+TEST(RunToolCheck, RealFig8RunDirectoryPasses)
+{
+    // Too short for MemPod to reach an epoch, so the MemPod-keyed run
+    // rules stay quiet; CAMEO's line swaps still fill its ledger.
+    const auto dir = tmpDir();
+    const CmdResult fig8 =
+        run(std::string(MEMPOD_FIG8_PATH) + " --requests 2000 --jobs 2 "
+            "--out " + (dir / "run").string() +
+            " --emit stats,traces,decisions,perf --bench-out " +
+            dir.string());
+    ASSERT_EQ(fig8.status, 0);
+    std::string err;
+    const CmdResult r =
+        runTool("check " + (dir / "run").string() + " " +
+                    (dir / "BENCH_fig8_comparison.json").string(),
+                &err);
+    EXPECT_EQ(r.status, 0) << err;
+    EXPECT_NE(r.out.find("211 file(s) in 2 path(s), 0 violation(s)"),
+              std::string::npos)
+        << r.out;
     std::filesystem::remove_all(dir);
 }
 
@@ -376,18 +795,27 @@ TEST(MempodSim, HmaBaselineMatchesInProcessRuns)
 TEST(MempodSim, RunDirectoryIdenticalAcrossJobsAndShards)
 {
     const auto dir = tmpDir();
+    const auto a_dir = dir / "a", b_dir = dir / "b";
     const std::string args = "--workloads xalanc --requests 20000 "
                              "--baseline --emit stats,traces,decisions";
     const CmdResult a = run(mempodSim(
-        dir, args + " --jobs 1 --shards 0 --out " + (dir / "a").string()));
+        a_dir, args + " --jobs 1 --shards 0 --out " + a_dir.string()));
     const CmdResult b = run(mempodSim(
-        dir, args + " --jobs 2 --shards 4 --out " + (dir / "b").string()));
+        b_dir, args + " --jobs 2 --shards 4 --out " + b_dir.string()));
     ASSERT_EQ(a.status, 0);
     ASSERT_EQ(b.status, 0);
     EXPECT_EQ(a.out, b.out);
-    const auto files = tree(dir / "a");
-    EXPECT_EQ(files.size(), 8u); // 2 jobs x (json, jsonl, trace, ledger)
-    EXPECT_TRUE(files == tree(dir / "b"));
+    // 2 jobs x (json, jsonl, trace, ledger), plus BENCH_mempod_sim.json,
+    // which holds deterministic fields only.
+    const auto files = tree(a_dir);
+    EXPECT_EQ(files.size(), 9u);
+    EXPECT_TRUE(files == tree(b_dir));
+    std::string err;
+    EXPECT_EQ(runTool("check " + a_dir.string() + " " + b_dir.string(),
+                      &err)
+                  .status,
+              0)
+        << err;
     std::filesystem::remove_all(dir);
 }
 
