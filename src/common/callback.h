@@ -109,18 +109,6 @@ class MoveFunction<R(Args...), Cap>
         static void destroy(void *s) { delete *static_cast<F **>(s); }
     };
 
-    /**
-     * Relocation for trivially-copyable inline targets: one shared
-     * memcpy of the whole buffer instead of a per-type move+destroy.
-     * Hot containers (event heap, controller queues) move these
-     * constantly, so the shared, branch-predictable target matters.
-     */
-    static void
-    trivialRelocate(void *dst, void *src) noexcept
-    {
-        std::memcpy(dst, src, Cap);
-    }
-
     template <typename F, typename G>
     void
     emplace(G &&g)
@@ -128,9 +116,15 @@ class MoveFunction<R(Args...), Cap>
         if constexpr (sizeof(F) <= Cap &&
                       alignof(F) <= alignof(std::max_align_t) &&
                       std::is_trivially_copyable_v<F>) {
+            // No relocate_: moveFrom copies the whole buffer inline
+            // (zeroed first, so every byte it copies is initialized).
+            // Request and event containers move these several times
+            // per record, where an indirect call costs more than the
+            // copy.
+            std::memset(&storage_, 0, Cap);
             ::new (static_cast<void *>(&storage_)) F(std::forward<G>(g));
             invoke_ = &Inline<F>::invoke;
-            relocate_ = &trivialRelocate;
+            relocate_ = nullptr;
             destroy_ = nullptr; // trivially destructible
         } else if constexpr (sizeof(F) <= Cap &&
                              alignof(F) <=
@@ -156,7 +150,10 @@ class MoveFunction<R(Args...), Cap>
         relocate_ = other.relocate_;
         destroy_ = other.destroy_;
         if (invoke_) {
-            relocate_(&storage_, &other.storage_);
+            if (relocate_)
+                relocate_(&storage_, &other.storage_);
+            else
+                std::memcpy(&storage_, &other.storage_, Cap);
             other.invoke_ = nullptr;
             other.relocate_ = nullptr;
             other.destroy_ = nullptr;

@@ -2,7 +2,8 @@
  * @file
  * DecisionLog implementation: append-only record list plus two small
  * hash maps — the open realized-hits watch windows and the
- * migrated-in index used for ping-pong detection.
+ * migrated-in index used for ping-pong detection — each retired by a
+ * deadline-ordered expiry queue.
  */
 #include "common/decision_log.h"
 
@@ -41,19 +42,26 @@ DecisionLog::commit(std::uint64_t id, TimePs now)
     MEMPOD_ASSERT(id < records_.size(),
                   "DecisionLog::commit: bad id %llu",
                   static_cast<unsigned long long>(id));
+    MEMPOD_ASSERT(now >= lastCommitPs_,
+                  "DecisionLog::commit: time went backwards (%llu < %llu)",
+                  static_cast<unsigned long long>(now),
+                  static_cast<unsigned long long>(lastCommitPs_));
+    lastCommitPs_ = now;
+    expire(now);
     Record &r = records_[id];
     r.outcome = Outcome::kCompleted;
     r.commitPs = now;
     ++committed_;
 
     // Ping-pong: the page we just evicted was itself migrated in
-    // recently. Mark the *earlier* decision — its benefit window was
-    // cut short — and retire its migrated-in entry.
+    // within two epochs (expire() retired every older entry). Mark the
+    // *earlier* decision — its benefit window was cut short — and
+    // retire its migrated-in entry.
     const Key victimKey{r.pod, r.victim};
     if (const auto it = migratedIn_.find(victimKey);
         it != migratedIn_.end()) {
         Record &earlier = records_[it->second];
-        if (now - earlier.commitPs <= 2 * epochPs_ && !earlier.pingPong) {
+        if (!earlier.pingPong) {
             earlier.pingPong = true;
             ++pingPongs_;
         }
@@ -62,7 +70,33 @@ DecisionLog::commit(std::uint64_t id, TimePs now)
 
     const Key key{r.pod, r.page};
     migratedIn_[key] = r.seq;
-    watch_[key] = Watch{r.seq, now + epochPs_};
+    migratedInExpiry_.push_back(
+        Expiry{now + 2 * epochPs_ + 1, key, r.seq});
+    watch_[key] = r.seq;
+    watchExpiry_.push_back(Expiry{now + epochPs_, key, r.seq});
+}
+
+namespace {
+
+template <typename Queue, typename Map>
+void
+retire(Queue &q, Map &m, TimePs now)
+{
+    while (!q.empty() && q.front().closesAt <= now) {
+        if (const auto it = m.find(q.front().key);
+            it != m.end() && it->second == q.front().seq)
+            m.erase(it);
+        q.pop_front();
+    }
+}
+
+} // namespace
+
+void
+DecisionLog::expire(TimePs now)
+{
+    retire(watchExpiry_, watch_, now);
+    retire(migratedInExpiry_, migratedIn_, now);
 }
 
 void
@@ -81,15 +115,11 @@ void
 DecisionLog::noteAccess(std::uint32_t pod, std::uint64_t page,
                         bool nearTier, TimePs now)
 {
-    const auto it = watch_.find(Key{pod, page});
-    if (it == watch_.end())
+    expire(now);
+    if (!nearTier || watch_.empty())
         return;
-    if (now >= it->second.deadline) {
-        watch_.erase(it); // lazy expiry: window closed
-        return;
-    }
-    if (nearTier)
-        ++records_[it->second.seq].realizedNearHits;
+    if (const auto it = watch_.find(Key{pod, page}); it != watch_.end())
+        ++records_[it->second].realizedNearHits;
 }
 
 const char *

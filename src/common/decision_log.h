@@ -8,7 +8,9 @@
  * engine resolves the swap, and a one-epoch watch window after each
  * commit accumulates the *realized* near-tier hits the migrated page
  * actually received, so predicted and delivered benefit can be
- * compared per decision.
+ * compared per decision. Both windows are bounded: a deadline-ordered
+ * queue retires each one when it closes, so the ledger's lookup state
+ * holds only the commits of the last two epochs.
  *
  * Determinism contract: all mutations happen from manager callbacks,
  * which the PDES kernel executes in the coordinator domain in
@@ -19,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -78,7 +81,10 @@ class DecisionLog
                          std::uint64_t victim,
                          std::uint32_t trackerCount, TimePs now);
 
-    /** The engine committed decision `id`'s swap at `now`. */
+    /**
+     * The engine committed decision `id`'s swap at `now`. Commit times
+     * never decrease (the window queues rely on it).
+     */
     void commit(std::uint64_t id, TimePs now);
 
     /** Decision `id`'s swap was dropped before starting. */
@@ -87,7 +93,8 @@ class DecisionLog
     /**
      * A demand touched (`pod`, `page`); credits realized near-tier
      * hits to the decision that migrated the page in, while its
-     * one-epoch watch window is open. One hash probe per demand.
+     * one-epoch watch window is open. One hash probe per near-tier
+     * demand while any window is open, none otherwise.
      */
     void noteAccess(std::uint32_t pod, std::uint64_t page,
                     bool nearTier, TimePs now);
@@ -98,6 +105,10 @@ class DecisionLog
     std::uint64_t abortedCount() const { return aborted_; }
     std::uint64_t pingPongCount() const { return pingPongs_; }
     TimePs epochPs() const { return epochPs_; }
+    /** Realized-hits windows still open (bounded by expiry). */
+    std::size_t openWatches() const { return watch_.size(); }
+    /** Migrated-in pages still able to flag a ping-pong. */
+    std::size_t openPingPongWindows() const { return migratedIn_.size(); }
     double benefitPerTouchNs() const { return benefitPerTouchNs_; }
 
     /** Stable name for an outcome, as exported in the JSONL. */
@@ -117,20 +128,35 @@ class DecisionLog
         }
     };
 
-    /** Realized-benefit watch window opened by a commit. */
-    struct Watch
+    using SeqMap = std::unordered_map<Key, std::uint64_t, KeyHash>;
+
+    /** The first instant at which the window `seq` opened is closed. */
+    struct Expiry
     {
+        TimePs closesAt = 0;
+        Key key;
         std::uint64_t seq = 0;
-        TimePs deadline = 0;
     };
+
+    /** Retire every window closed at `now` from both maps. */
+    void expire(TimePs now);
 
     TimePs epochPs_;
     double benefitPerTouchNs_;
     std::vector<Record> records_;
-    /** (pod, page) -> open realized-hits window. */
-    std::unordered_map<Key, Watch, KeyHash> watch_;
+    /** (pod, page) -> seq of the commit whose watch window is open. */
+    SeqMap watch_;
     /** (pod, page) -> seq of the commit that migrated it in. */
-    std::unordered_map<Key, std::uint64_t, KeyHash> migratedIn_;
+    SeqMap migratedIn_;
+    /**
+     * Expiry queues, in closing order because commit times never
+     * decrease: a watch closes one epoch after its commit, ping-pong
+     * eligibility just after two. An entry erases its map slot only if
+     * that slot still holds its commit's seq.
+     */
+    std::deque<Expiry> watchExpiry_;
+    std::deque<Expiry> migratedInExpiry_;
+    TimePs lastCommitPs_ = 0;
     std::uint64_t committed_ = 0;
     std::uint64_t aborted_ = 0;
     std::uint64_t pingPongs_ = 0;

@@ -201,12 +201,20 @@ EventQueue::place(Event ev)
         // Compare in level units, not raw ticks: a raw-delta check
         // would lap slots when the cursor sits mid-region.
         if ((tick >> shift) - (cursorTick_ >> shift) < kSlots) {
+            // A level-0 event is found without a cascade; a higher
+            // region starting before the memo would be cascaded first.
+            if (level == 0)
+                nextWhen_ = std::min(nextWhen_, ev.when);
+            else if (((tick >> shift) << shift) < (nextWhen_ >> kTickShift))
+                nextWhenValid_ = false;
             ++host_.placedAtLevel[level];
             appendToSlot(level, (tick >> shift) & (kSlots - 1),
                          std::move(ev));
             return;
         }
     }
+    if (tick < (nextWhen_ >> kTickShift))
+        nextWhenValid_ = false;
     ladder_.push_back(std::move(ev));
     std::push_heap(
         ladder_.begin(), ladder_.end(),
@@ -249,6 +257,7 @@ EventQueue::findNextSlot(std::uint64_t &out_tick)
         {
             const unsigned idx0 =
                 static_cast<unsigned>(cursorTick_ & (kSlots - 1));
+            ++host_.slotScans;
             const int d = circularFindSet(wheels_[0].occupied, idx0);
             if (d >= 0) {
                 best = cursorTick_ + static_cast<unsigned>(d);
@@ -259,7 +268,12 @@ EventQueue::findNextSlot(std::uint64_t &out_tick)
         for (unsigned level = 1; level < kWheels; ++level) {
             const unsigned shift = level * kSlotBits;
             const std::uint64_t cur = cursorTick_ >> shift;
+            // Slots at this level and above start at the cursor's next
+            // region or later, so none can beat `best` from here on.
+            if (best <= (cur + 1) << shift)
+                break;
             const unsigned idx = static_cast<unsigned>(cur & (kSlots - 1));
+            ++host_.slotScans;
             const int d = circularFindSet(wheels_[level].occupied,
                                           (idx + 1) & (kSlots - 1));
             if (d < 0)
@@ -333,6 +347,7 @@ EventQueue::claimSlot(std::uint64_t tick)
 bool
 EventQueue::popNext(Event &out)
 {
+    nextWhenValid_ = false;
     if (!front_.empty()) {
         MEMPOD_ASSERT(drain_ == nullptr, "front spill during slot drain");
         out = std::move(front_.front());
@@ -362,12 +377,17 @@ EventQueue::peekNextTime()
         return front_.front().when;
     if (drain_ != nullptr)
         return (*drain_)[drainPos_].when;
+    if (nextWhenValid_) {
+        ++host_.nextTimeMemoHits;
+        return nextWhen_;
+    }
     std::uint64_t tick;
-    if (!findNextSlot(tick))
-        return kTimeNever;
     TimePs min_when = kTimeNever;
-    for (const Event &ev : *wheels_[0].slots[tick & (kSlots - 1)])
-        min_when = std::min(min_when, ev.when);
+    if (findNextSlot(tick))
+        for (const Event &ev : *wheels_[0].slots[tick & (kSlots - 1)])
+            min_when = std::min(min_when, ev.when);
+    nextWhen_ = min_when;
+    nextWhenValid_ = true;
     return min_when;
 }
 

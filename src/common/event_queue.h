@@ -219,6 +219,10 @@ class EventQueue
         std::uint64_t listReuses = 0;
         /** High-water mark of pending events. */
         std::uint64_t peakPending = 0;
+        /** Occupancy-bitmap scans made looking for the next slot. */
+        std::uint64_t slotScans = 0;
+        /** nextTime() answers served by the memo without a scan. */
+        std::uint64_t nextTimeMemoHits = 0;
     };
 
     const HostStats &hostStats() const { return host_; }
@@ -379,6 +383,17 @@ class EventQueue
     std::size_t drainPos_ = 0;
     std::uint64_t drainTick_ = 0;
     std::uint64_t cursorTick_ = 0;
+    /**
+     * peekNextTime()'s last wheel answer, kept while valid. Valid means
+     * findNextSlot() would return that `when`'s tick at level 0 without
+     * cascading, so serving the memo skips only scans, never a cascade
+     * or a placement. place() lowers it and invalidates it when an
+     * event lands in a higher-level region starting before it;
+     * popNext() invalidates it. (peekNextTime() answers from front_
+     * and a draining slot before it reads the memo.)
+     */
+    TimePs nextWhen_ = 0;
+    bool nextWhenValid_ = false;
 
     Probes probes_;
     TimePs now_ = 0;

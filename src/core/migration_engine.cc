@@ -1,6 +1,6 @@
 #include "core/migration_engine.h"
 
-#include <memory>
+#include <algorithm>
 
 #include "common/log.h"
 #include "common/tracer.h"
@@ -93,79 +93,81 @@ MigrationEngine::run(SwapOp op)
     }
     // Phase 1: read both candidates into the swap buffer; phase 2:
     // write both back to their exchanged locations; then commit.
-    struct OpState
-    {
-        SwapOp op;
-        std::uint32_t readsLeft;
-        std::uint32_t writesLeft;
-    };
-    auto st = std::make_shared<OpState>(
-        OpState{std::move(op), 0, 0});
-    st->readsLeft = st->op.lines * 2;
-    st->writesLeft = st->op.lines * 2;
+    const std::uint32_t lines = op.lines;
+    inFlight_.push_back(
+        std::make_unique<OpState>(OpState{std::move(op), 2 * lines}));
+    issuePhase(*inFlight_.back());
+}
 
-    auto finishOp = [this, st] {
-        stats_.linesMoved += 2ull * st->op.lines;
-        stats_.bytesMoved += 2ull * st->op.lines * kLineBytes;
-        ++stats_.opsCommitted;
-        if (st->op.traceId != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = tr->track(traceTrack_);
-                tr->asyncEnd(tid, eq_.now(), "mig", st->op.traceId,
-                             "write_phase");
-                tr->asyncEnd(tid, eq_.now(), "mig", st->op.traceId,
-                             "swap");
-            }
-        }
-        if (st->op.onCommit)
-            st->op.onCommit();
-        MEMPOD_ASSERT(active_ > 0, "engine slot underflow");
-        --active_;
-        tryStart();
-    };
-
-    auto startWrites = [this, st, finishOp] {
-        if (st->op.traceId != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = tr->track(traceTrack_);
-                tr->asyncEnd(tid, eq_.now(), "mig", st->op.traceId,
-                             "read_phase");
-                tr->asyncBegin(tid, eq_.now(), "mig", st->op.traceId,
-                               "write_phase");
-            }
-        }
-        for (std::uint32_t i = 0; i < st->op.lines; ++i) {
-            for (const Addr base : {st->op.locA, st->op.locB}) {
-                Request w;
-                w.addr = base + i * kLineBytes;
-                w.type = AccessType::kWrite;
-                w.kind = Request::Kind::kMigration;
-                w.arrival = eq_.now();
-                w.onComplete = [st, finishOp](TimePs) {
-                    MEMPOD_ASSERT(st->writesLeft > 0, "write underflow");
-                    if (--st->writesLeft == 0)
-                        finishOp();
-                };
-                mem_.access(std::move(w));
-            }
-        }
-    };
-
-    for (std::uint32_t i = 0; i < st->op.lines; ++i) {
-        for (const Addr base : {st->op.locA, st->op.locB}) {
+void
+MigrationEngine::issuePhase(OpState &st)
+{
+    // Copy what the loop reads: over a synchronous memory model the
+    // last line completes inside access() and may finish (and free)
+    // the op before the loop exits.
+    const Addr bases[2] = {st.op.locA, st.op.locB};
+    const std::uint32_t lines = st.op.lines;
+    const AccessType type =
+        st.writing ? AccessType::kWrite : AccessType::kRead;
+    for (std::uint32_t i = 0; i < lines; ++i) {
+        for (const Addr base : bases) {
             Request r;
             r.addr = base + i * kLineBytes;
-            r.type = AccessType::kRead;
+            r.type = type;
             r.kind = Request::Kind::kMigration;
             r.arrival = eq_.now();
-            r.onComplete = [st, startWrites](TimePs) {
-                MEMPOD_ASSERT(st->readsLeft > 0, "read underflow");
-                if (--st->readsLeft == 0)
-                    startWrites();
-            };
+            r.onComplete = [this, op = &st](TimePs) { lineDone(*op); };
             mem_.access(std::move(r));
         }
     }
+}
+
+void
+MigrationEngine::lineDone(OpState &st)
+{
+    MEMPOD_ASSERT(st.linesLeft > 0, "migration line underflow");
+    if (--st.linesLeft != 0)
+        return;
+    if (st.writing) {
+        finish(st);
+        return;
+    }
+    if (st.op.traceId != 0) {
+        if (Tracer *tr = eq_.tracer()) {
+            const std::uint32_t tid = tr->track(traceTrack_);
+            tr->asyncEnd(tid, eq_.now(), "mig", st.op.traceId,
+                         "read_phase");
+            tr->asyncBegin(tid, eq_.now(), "mig", st.op.traceId,
+                           "write_phase");
+        }
+    }
+    st.writing = true;
+    st.linesLeft = 2 * st.op.lines;
+    issuePhase(st);
+}
+
+void
+MigrationEngine::finish(OpState &st)
+{
+    stats_.linesMoved += 2ull * st.op.lines;
+    stats_.bytesMoved += 2ull * st.op.lines * kLineBytes;
+    ++stats_.opsCommitted;
+    if (st.op.traceId != 0) {
+        if (Tracer *tr = eq_.tracer()) {
+            const std::uint32_t tid = tr->track(traceTrack_);
+            tr->asyncEnd(tid, eq_.now(), "mig", st.op.traceId,
+                         "write_phase");
+            tr->asyncEnd(tid, eq_.now(), "mig", st.op.traceId, "swap");
+        }
+    }
+    if (st.op.onCommit)
+        st.op.onCommit();
+    inFlight_.erase(std::find_if(
+        inFlight_.begin(), inFlight_.end(),
+        [&st](const std::unique_ptr<OpState> &p) { return p.get() == &st; }));
+    MEMPOD_ASSERT(active_ > 0, "engine slot underflow");
+    --active_;
+    tryStart();
 }
 
 } // namespace mempod

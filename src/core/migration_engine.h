@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "common/event_queue.h"
 #include "common/metrics.h"
@@ -77,8 +79,24 @@ class MigrationEngine
                          const std::string &prefix) const;
 
   private:
+    /**
+     * A started swap. The engine owns it; each line request's
+     * completion carries only {engine, op}, which fits the callback's
+     * inline buffer, so a line costs no allocation.
+     */
+    struct OpState
+    {
+        SwapOp op;
+        std::uint32_t linesLeft = 0; //!< of the current phase
+        bool writing = false;
+    };
+
     void tryStart();
     void run(SwapOp op);
+    /** Issue one phase: every line of both sides, reads or writes. */
+    void issuePhase(OpState &st);
+    void lineDone(OpState &st);
+    void finish(OpState &st);
 
     EventQueue &eq_;
     MemorySystem &mem_;
@@ -86,6 +104,7 @@ class MigrationEngine
     std::string traceTrack_;
     std::uint32_t active_ = 0;
     std::deque<SwapOp> queue_;
+    std::vector<std::unique_ptr<OpState>> inFlight_;
     Stats stats_;
 };
 

@@ -18,8 +18,9 @@ namespace mempod {
  * accounting closure (32 bytes) here directly — no wrapper layers, so
  * issuing a demand performs no heap allocation. The buffer is kept
  * deliberately tight because channels park these in a slab while the
- * data transfer completes; rare larger captures (migration-engine
- * barriers) take the boxed fallback.
+ * data transfer completes, and the migration engine's line closures
+ * ({engine, op}, 16 bytes) fit it too. Anything larger takes the
+ * boxed fallback.
  */
 using CompletionCallback = MoveFunction<void(TimePs), 40>;
 

@@ -169,7 +169,7 @@ struct RunnerOptions
      *               *not* byte-deterministic, so determinism checks
      *               diff the other subdirectories and skip this one.
      */
-    ArtifactSink artifacts;
+    ArtifactSink artifacts = {};
 };
 
 /**

@@ -386,6 +386,8 @@ Simulation::collectPerf(const RunResult &r)
         pm.counterMax("eq.peak_pending", h.peakPending);
         pm.counterAdd("eq.cascades", q.cascades());
         pm.counterAdd("eq.ladder_deferred", q.ladderDeferred());
+        pm.counterAdd("eq.slot_scans", h.slotScans);
+        pm.counterAdd("eq.next_time_memo_hits", h.nextTimeMemoHits);
     };
     add_eq(eq_);
     if (exec_) {

@@ -102,6 +102,81 @@ TEST(DecisionLog, SlowEvictionIsNotAPingPong)
     EXPECT_EQ(log.pingPongCount(), 0u);
 }
 
+TEST(DecisionLog, WindowsCloseAfterTwoIdleEpochs)
+{
+    DecisionLog log(kEpoch, 1.0);
+    log.commit(log.record(0, 5, 1, 4, 0), 1000);
+    log.commit(log.record(0, 6, 2, 4, 0), 1200);
+    EXPECT_EQ(log.openWatches(), 2u);
+    EXPECT_EQ(log.openPingPongWindows(), 2u);
+    // Any demand retires what has closed: watches at commit + 1 epoch,
+    // ping-pong eligibility after commit + 2 epochs.
+    log.noteAccess(3, 99, true, 2000);
+    EXPECT_EQ(log.openWatches(), 1u);
+    EXPECT_EQ(log.openPingPongWindows(), 2u);
+    log.noteAccess(3, 99, true, 3000);
+    EXPECT_EQ(log.openWatches(), 0u);
+    EXPECT_EQ(log.openPingPongWindows(), 2u);
+    log.noteAccess(3, 99, true, 3001);
+    EXPECT_EQ(log.openPingPongWindows(), 1u);
+    log.noteAccess(3, 99, true, 3201);
+    EXPECT_EQ(log.openWatches(), 0u);
+    EXPECT_EQ(log.openPingPongWindows(), 0u);
+}
+
+TEST(DecisionLog, TouchAtTheDeadlineEarnsNoCredit)
+{
+    DecisionLog log(kEpoch, 1.0);
+    const auto id = log.record(0, 9, 1, 2, 0);
+    log.commit(id, 1000); // window [1000, 2000)
+    log.noteAccess(0, 9, true, 1999);
+    log.noteAccess(0, 9, true, 2000);
+    EXPECT_EQ(log.records()[id].realizedNearHits, 1u);
+    EXPECT_EQ(log.openWatches(), 0u);
+}
+
+TEST(DecisionLog, PingPongWindowIsTwoEpochsInclusive)
+{
+    for (const TimePs gap : {2 * kEpoch, 2 * kEpoch + 1}) {
+        DecisionLog log(kEpoch, 1.0);
+        const auto first = log.record(0, 5, 1, 4, 0);
+        log.commit(first, 1000);
+        log.noteAccess(0, 5, true, 1000 + gap); // drains like a demand
+        log.commit(log.record(0, 8, /*victim=*/5, 4, 1000), 1000 + gap);
+        EXPECT_EQ(log.records()[first].pingPong, gap == 2 * kEpoch)
+            << "gap " << gap;
+        EXPECT_EQ(log.pingPongCount(), gap == 2 * kEpoch ? 1u : 0u);
+    }
+}
+
+TEST(DecisionLog, RecommittedPageKeepsItsNewWindow)
+{
+    // Page 5 migrates in, out (as a victim) and in again while its
+    // first window is open. Closing the first window must leave the
+    // second one — keyed by the same page — in place.
+    DecisionLog log(kEpoch, 1.0);
+    const auto first = log.record(0, 5, 1, 4, 0);
+    log.commit(first, 1000);
+    log.commit(log.record(0, 1, /*victim=*/5, 4, 1100), 1200);
+    const auto second = log.record(0, 5, 1, 4, 1300);
+    log.commit(second, 1500); // new windows: watch to 2500, ping-pong 3500
+    log.noteAccess(0, 5, true, 2100); // first watch closed at 2000
+    EXPECT_EQ(log.records()[first].realizedNearHits, 0u);
+    EXPECT_EQ(log.records()[second].realizedNearHits, 1u);
+    // After the first commit's ping-pong window (3000) closes, page 5
+    // can still flag the second decision.
+    log.commit(log.record(0, 7, /*victim=*/5, 4, 3000), 3100);
+    EXPECT_TRUE(log.records()[second].pingPong);
+}
+
+TEST(DecisionLogDeathTest, CommitTimesNeverDecrease)
+{
+    DecisionLog log(kEpoch, 1.0);
+    log.commit(log.record(0, 5, 1, 4, 0), 1000);
+    const auto late = log.record(0, 6, 2, 4, 0);
+    EXPECT_DEATH(log.commit(late, 999), "backwards");
+}
+
 SimConfig
 tinyConfig(Mechanism m, std::uint32_t shards)
 {
@@ -163,8 +238,9 @@ TEST(DecisionLog, EveryMechanismFeedsTheSharedLedger)
         EXPECT_EQ(sim.decisionLog()->committedCount(),
                   r.migration.migrations)
             << mechanismName(m);
-        if (r.migration.migrations > 0)
+        if (r.migration.migrations > 0) {
             EXPECT_GT(sim.decisionLog()->size(), 0u) << mechanismName(m);
+        }
     }
 }
 

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "common/event_queue.h"
+#include "common/rng.h"
 
 namespace mempod {
 namespace {
@@ -215,56 +218,122 @@ TEST(EventQueueWheel, NextTimePeeksAcrossAllLevels)
     EXPECT_EQ(ran, (std::vector<TimePs>{42, mid, far}));
 }
 
-TEST(EventQueueWheel, StressMatchesStableSortReference)
+/** Wheel work counts of one stress schedule. */
+struct StressCounts
 {
-    // Deterministic pseudo-random schedule spanning every level
-    // (wheel 0 through the ladder), with re-scheduling from inside
-    // callbacks. Execution order must equal a stable sort by time of
-    // scheduling order — the heap semantics the wheel replaced.
+    std::uint64_t executed = 0;
+    std::uint64_t cascades = 0;
+    std::uint64_t placedAtLevel[EventQueue::kWheels] = {};
+};
+
+/**
+ * Differential stress run of the wheel against a reference ordered
+ * set. A seeded schedule spans every level (wheel 0 through the
+ * ladder); callbacks schedule more events from inside the slot being
+ * drained; runOne() and runUntil() at random horizons interleave with
+ * the schedule. Every event must run exactly when the reference says
+ * it is the earliest pending (when, scheduling order) pair — the heap
+ * semantics the wheel replaced — and nextTime() must equal the
+ * reference minimum after every schedule and every pop.
+ */
+StressCounts
+runStress(std::uint64_t seed)
+{
     EventQueue eq;
-    std::uint64_t lcg = 12345;
-    auto rnd = [&lcg] {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return lcg >> 33;
-    };
-    std::vector<std::pair<TimePs, int>> expected; // (when, seq)
-    std::vector<int> ran;
+    Rng rng(seed);
+    std::set<std::pair<TimePs, int>> pending; // (when, scheduling order)
     int seq = 0;
-    auto scheduleOne = [&](TimePs when) {
-        const int id = seq++;
-        expected.emplace_back(when, id);
-        eq.schedule(when, [&ran, id] { ran.push_back(id); });
-    };
-    for (int i = 0; i < 400; ++i) {
+    int callbackBudget = 600;
+
+    const auto delta = [&rng]() -> TimePs {
         // Mix of deltas: same-tick, slot-distance, cross-wheel, ladder.
-        const std::uint64_t pick = rnd() % 5;
-        const TimePs base = eq.now();
-        TimePs delta;
-        switch (pick) {
-          case 0: delta = rnd() % 4; break;
-          case 1: delta = rnd() % (EventQueue::kTickPs * 4); break;
-          case 2: delta = rnd() % (EventQueue::kTickPs *
-                                   EventQueue::kSlots * 4); break;
-          case 3: delta = rnd() % (EventQueue::kWheelSpanPs / 16); break;
-          default: delta = EventQueue::kWheelSpanPs + rnd(); break;
+        switch (rng.nextBelow(5)) {
+          case 0: return rng.nextBelow(4);
+          case 1: return rng.nextBelow(EventQueue::kTickPs * 4);
+          case 2:
+            return rng.nextBelow(EventQueue::kTickPs * EventQueue::kSlots *
+                                 4);
+          case 3: return rng.nextBelow(EventQueue::kWheelSpanPs / 16);
+          default:
+            return EventQueue::kWheelSpanPs +
+                   rng.nextBelow(EventQueue::kWheelSpanPs);
         }
-        scheduleOne(base + delta);
-        // Occasionally drain a few events so scheduling happens from
-        // many different cursor positions.
-        if (i % 7 == 0)
-            eq.runAll(3);
+    };
+    const auto checkNextTime = [&] {
+        EXPECT_EQ(eq.nextTime(),
+                  pending.empty() ? kTimeNever : pending.begin()->first);
+    };
+    std::function<void(TimePs)> scheduleOne = [&](TimePs when) {
+        const int id = seq++;
+        pending.emplace(when, id);
+        eq.schedule(when, [&, when, id] {
+            ASSERT_FALSE(pending.empty());
+            EXPECT_EQ(*pending.begin(), std::make_pair(when, id));
+            EXPECT_EQ(eq.now(), when);
+            pending.erase({when, id});
+            checkNextTime();
+            for (auto n = rng.nextBelow(3); n > 0 && callbackBudget > 0;
+                 --n, --callbackBudget) {
+                scheduleOne(eq.now() + delta());
+                checkNextTime();
+            }
+        });
+    };
+
+    for (int i = 0; i < 400; ++i) {
+        scheduleOne(eq.now() + delta());
+        checkNextTime();
+        switch (rng.nextBelow(8)) {
+          case 0:
+            eq.runOne();
+            checkNextTime();
+            break;
+          case 1: {
+            const TimePs horizon = eq.now() + delta();
+            eq.runUntil(horizon);
+            EXPECT_EQ(eq.now(), horizon);
+            EXPECT_TRUE(pending.empty() || pending.begin()->first > horizon);
+            checkNextTime();
+            break;
+          }
+          default:
+            break;
+        }
     }
     eq.runAll();
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    ASSERT_EQ(ran.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(ran[i], expected[i].second) << "at position " << i;
+    EXPECT_TRUE(pending.empty());
+    EXPECT_EQ(eq.executed(), static_cast<std::uint64_t>(seq));
+
+    StressCounts c;
+    c.executed = eq.executed();
+    c.cascades = eq.cascades();
+    for (unsigned l = 0; l < EventQueue::kWheels; ++l)
+        c.placedAtLevel[l] = eq.hostStats().placedAtLevel[l];
+    return c;
 }
 
-// ---- host-profiler counters: deterministic, pinned per schedule ----
+TEST(EventQueueWheel, StressMatchesStableSortReference)
+{
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 42ull, 0xdecafull}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        runStress(seed);
+    }
+}
+
+TEST(EventQueueWheel, StressWheelMechanicsPinned)
+{
+    // Where events land and how often slots cascade are functions of
+    // the schedule alone. Skipping rescans (the nextTime() memo and
+    // the early stop) must not move them: these are the values of the
+    // kernel that rescanned every level on every peek.
+    const StressCounts c = runStress(42);
+    EXPECT_EQ(c.executed, 1000u);
+    EXPECT_EQ(c.cascades, 907u);
+    EXPECT_EQ(c.placedAtLevel[0], 367u);
+    EXPECT_EQ(c.placedAtLevel[1], 348u);
+    EXPECT_EQ(c.placedAtLevel[2], 345u);
+    EXPECT_EQ(c.placedAtLevel[3], 335u);
+}
 
 TEST(EventQueueHostStats, PlacementLevelsPinned)
 {
@@ -341,6 +410,63 @@ TEST(EventQueueHostStats, SlotListsRecycled)
     EXPECT_EQ(eq.hostStats().listReuses, 1u);
     eq.runAll();
     EXPECT_EQ(eq.executed(), 2u);
+}
+
+TEST(EventQueueHostStats, NextTimeScansAndMemoHitsPinned)
+{
+    // A peek scans wheel 0 and stops there when its hit precedes the
+    // next wheel-1 region; repeat peeks are served by the memo, which
+    // a wheel-0 schedule lowers and a pop clears.
+    EventQueue eq;
+    const EventQueue::HostStats &hs = eq.hostStats();
+    eq.schedule(1'000, [] {}); // tick 3, wheel 0
+    EXPECT_EQ(eq.nextTime(), 1'000u);
+    EXPECT_EQ(hs.slotScans, 1u);
+    EXPECT_EQ(eq.nextTime(), 1'000u);
+    eq.schedule(500, [] {}); // tick 1: lowers the memo
+    EXPECT_EQ(eq.nextTime(), 500u);
+    eq.schedule(100'000, [] {}); // wheel-1 region starting at tick 256
+    EXPECT_EQ(eq.nextTime(), 500u);
+    EXPECT_EQ(hs.slotScans, 1u);
+    EXPECT_EQ(hs.nextTimeMemoHits, 3u);
+    eq.runOne(); // pops 500 after one wheel-0 scan
+    EXPECT_EQ(hs.slotScans, 2u);
+    EXPECT_EQ(eq.nextTime(), 1'000u); // the pop cleared the memo
+    EXPECT_EQ(hs.slotScans, 3u);
+    EXPECT_EQ(hs.nextTimeMemoHits, 3u);
+    eq.runAll();
+    EXPECT_EQ(eq.executed(), 3u);
+    // Popping 1'000 scans once; 100'000 needs a wheel-1 scan, its
+    // cascade and a wheel-0 rescan; the empty queue scans all four.
+    EXPECT_EQ(hs.slotScans, 11u);
+    EXPECT_EQ(eq.cascades(), 1u);
+}
+
+TEST(EventQueueHostStats, MemoYieldsToAnEarlierHigherRegion)
+{
+    // After a ladder cascade the cursor sits mid-region, so a wheel-1
+    // region can start before the memoized wheel-0 tick. Such a
+    // schedule must drop the memo: the next peek rescans and cascades
+    // that region exactly as a fresh scan would.
+    EventQueue eq;
+    const TimePs far = EventQueue::kWheelSpanPs + 100 * EventQueue::kTickPs;
+    eq.schedule(far, [] {});
+    eq.runOne(); // cursor = far's tick, 100 ticks into its region
+    const std::uint64_t cascadesBefore = eq.cascades();
+    eq.schedule(far + 200 * EventQueue::kTickPs, [] {}); // wheel 0
+    EXPECT_EQ(eq.nextTime(), far + 200 * EventQueue::kTickPs);
+    // 300 ticks ahead: wheel 1, region starting 156 ticks ahead.
+    eq.schedule(far + 300 * EventQueue::kTickPs, [] {});
+    EXPECT_EQ(eq.hostStats().placedAtLevel[1], 1u);
+    const std::uint64_t hits = eq.hostStats().nextTimeMemoHits;
+    EXPECT_EQ(eq.nextTime(), far + 200 * EventQueue::kTickPs);
+    EXPECT_EQ(eq.hostStats().nextTimeMemoHits, hits);
+    EXPECT_EQ(eq.cascades(), cascadesBefore + 1);
+    std::vector<TimePs> ran;
+    while (eq.runOne())
+        ran.push_back(eq.now());
+    EXPECT_EQ(ran, (std::vector<TimePs>{far + 200 * EventQueue::kTickPs,
+                                        far + 300 * EventQueue::kTickPs}));
 }
 
 // ---------------------------------------------------------------------
