@@ -5,7 +5,6 @@
 
 #include "common/decision_log.h"
 #include "common/log.h"
-#include "common/tracer.h"
 #include "mem/manager_factory.h"
 #include "sim/validate.h"
 
@@ -18,7 +17,9 @@ CameoManager::CameoManager(EventQueue &eq, MemorySystem &mem,
       params_(params),
       fastLines_(mem.geom().fastBytes / kLineBytes),
       ratio_(mem.geom().slowBytes / mem.geom().fastBytes),
-      engine_(eq, mem, params.engineParallelism, "cameo.engine")
+      engine_(eq, mem, params.engineParallelism, "cameo.engine"),
+      guard_(eq, engine_, mstats_, "cameo", "group", DecisionLog::kNoPod,
+             [this](std::uint64_t, Demand d) { proceed(std::move(d)); })
 {
     MEMPOD_ASSERT(mem.geom().slowBytes % mem.geom().fastBytes == 0,
                   "CAMEO needs an integer slow:fast capacity ratio");
@@ -86,20 +87,8 @@ CameoManager::proceed(Demand d)
 {
     const LineId line = d.homeAddr / kLineBytes;
     const auto [group, member] = groupOf(line);
-    if (locks_.isLocked(group)) {
-        ++mstats_.blockedRequests;
-        d.parkedAt = eq_.now();
-        if (d.traceId != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                TraceArgs a;
-                a.add("group", group);
-                tr->asyncBegin(tr->track("cameo"), eq_.now(), "req",
-                               d.traceId, "blocked", a.str());
-            }
-        }
-        locks_.park(group, std::move(d));
+    if (guard_.park(group, d))
         return;
-    }
 
     std::uint64_t &st = groupState(group);
     const std::uint32_t slot = unpackSlot(st, member);
@@ -107,16 +96,9 @@ CameoManager::proceed(Demand d)
         log->noteAccess(DecisionLog::kNoPod, line, slot == 0,
                                eq_.now());
 
-    Request req;
-    req.addr =
+    const Addr addr =
         lineAt(group, slot) * kLineBytes + d.homeAddr % kLineBytes;
-    req.type = d.type;
-    req.kind = Request::Kind::kDemand;
-    req.arrival = d.arrival;
-    req.core = d.core;
-    req.traceId = d.traceId;
-    req.onComplete = std::move(d.done);
-    mem_.access(std::move(req));
+    mem_.access(Request::demand(addr, std::move(d)));
 
     if (slot == 0) {
         st |= kUsedFlag; // the fast-resident line produced a hit
@@ -124,7 +106,7 @@ CameoManager::proceed(Demand d)
     }
 
     // Event trigger: every slow access swaps the line into fast.
-    if (busyGroups_.contains(group))
+    if (guard_.reserved(group))
         return; // this group already has a swap in flight
     if (engine_.queuedOps() >= params_.maxQueuedSwaps) {
         ++swapsSkipped_;
@@ -136,7 +118,7 @@ CameoManager::proceed(Demand d)
 void
 CameoManager::scheduleSwap(std::uint64_t group, std::uint32_t member)
 {
-    std::uint64_t &st = groupState(group);
+    const std::uint64_t st = groupState(group);
     // Find the current fast occupant.
     std::uint32_t occupant = 0;
     for (std::uint32_t m = 0; m <= ratio_; ++m) {
@@ -146,87 +128,32 @@ CameoManager::scheduleSwap(std::uint64_t group, std::uint32_t member)
         }
     }
     MEMPOD_ASSERT(occupant != member, "swap of fast-resident line");
-    busyGroups_.insert(group);
     // CAMEO is event-triggered: a single slow access is the whole
     // activity evidence, so the tracked count is 1.
-    DecisionLog *log = eq_.decisions();
-    const std::uint64_t decision =
-        log ? log->record(DecisionLog::kNoPod, lineAt(group, member),
-                          lineAt(group, occupant),
-                          /*trackerCount=*/1, eq_.now())
-            : DecisionLog::kNoId;
-
-    std::uint64_t flow = 0;
-    if (Tracer *tr = eq_.tracer()) {
-        flow = tr->newFlowId();
-        const std::uint32_t tid = tr->track("cameo");
-        TraceArgs a;
-        a.add("group", group).add("member", member);
-        tr->instant(tid, eq_.now(), "swap_trigger", a.str());
-        tr->asyncBegin(tid, eq_.now(), "mig", flow, "migration",
-                       a.str());
-        tr->flowStart(tid, eq_.now(), "mig", flow, "migration");
-    }
-
-    MigrationEngine::SwapOp op;
-    op.locA = lineAt(group, unpackSlot(st, member)) * kLineBytes;
-    op.locB = lineAt(group, 0) * kLineBytes;
-    op.lines = 1;
-    op.traceId = flow;
-    op.onStart = [this, group] { locks_.lock(group); };
-    auto release = [this, group] {
-        busyGroups_.erase(group);
-        const TimePs now = eq_.now();
-        for (auto &d : locks_.unlock(group)) {
-            mstats_.blockedPs += now - d.parkedAt;
-            d.parkedAt = 0;
-            if (d.traceId != 0) {
-                if (Tracer *tr = eq_.tracer())
-                    tr->asyncEnd(tr->track("cameo"), now, "req",
-                                 d.traceId, "blocked");
-            }
-            proceed(std::move(d));
-        }
-    };
-    op.onCommit = [this, group, member, occupant, release, flow,
-                   decision] {
-        std::uint64_t &s = groupState(group);
-        if ((s & kMigratedFlag) && !(s & kUsedFlag))
-            ++mstats_.wastedMigrations; // evicted before ever touched
-        const std::uint32_t slot_m = unpackSlot(s, member);
-        const std::uint32_t slot_o = unpackSlot(s, occupant);
-        packSlot(s, member, slot_o);
-        packSlot(s, occupant, slot_m);
-        s |= kMigratedFlag;
-        s &= ~kUsedFlag;
-        ++mstats_.migrations;
-        mstats_.bytesMoved += 2 * kLineBytes;
-        if (decision != DecisionLog::kNoId)
-            eq_.decisions()->commit(decision, eq_.now());
-        if (flow != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = tr->track("cameo");
-                tr->instant(tid, eq_.now(), "remap_commit");
-                tr->flowEnd(tid, eq_.now(), "mig", flow, "migration");
-                tr->asyncEnd(tid, eq_.now(), "mig", flow, "migration");
-            }
-        }
-        release();
-    };
-    op.onAbort = [this, release, flow, decision] {
-        if (decision != DecisionLog::kNoId)
-            eq_.decisions()->abort(decision, eq_.now());
-        if (flow != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = tr->track("cameo");
-                tr->instant(tid, eq_.now(), "swap_aborted");
-                tr->flowEnd(tid, eq_.now(), "mig", flow, "migration");
-                tr->asyncEnd(tid, eq_.now(), "mig", flow, "migration");
-            }
-        }
-        release();
-    };
-    engine_.submit(std::move(op));
+    guard_.schedule(
+        {.keyA = group,
+         .page = lineAt(group, member),
+         .victim = lineAt(group, occupant),
+         .count = 1,
+         .trigger = "swap_trigger",
+         .argA = "group",
+         .valA = group,
+         .argB = "member",
+         .valB = member,
+         .locA = lineAt(group, unpackSlot(st, member)) * kLineBytes,
+         .locB = lineAt(group, 0) * kLineBytes,
+         .lines = 1,
+         .apply = [this, group, member, occupant] {
+             std::uint64_t &s = groupState(group);
+             if ((s & kMigratedFlag) && !(s & kUsedFlag))
+                 ++mstats_.wastedMigrations; // evicted before ever touched
+             const std::uint32_t slot_m = unpackSlot(s, member);
+             const std::uint32_t slot_o = unpackSlot(s, occupant);
+             packSlot(s, member, slot_o);
+             packSlot(s, occupant, slot_m);
+             s |= kMigratedFlag;
+             s &= ~kUsedFlag;
+         }});
 }
 
 void
@@ -254,7 +181,7 @@ CameoManager::validateInvariants(bool paranoid) const
 std::uint64_t
 CameoManager::pendingWork() const
 {
-    return locks_.parkedCount() + engine_.queuedOps() +
+    return guard_.parkedCount() + engine_.queuedOps() +
            engine_.activeOps();
 }
 

@@ -14,9 +14,9 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "baselines/lock_table.h"
 #include "common/event_queue.h"
 #include "core/migration_engine.h"
+#include "core/swap_guard.h"
 #include "mem/manager.h"
 #include "mem/memory_system.h"
 #include "sim/mechanism_params.h"
@@ -114,9 +114,7 @@ class CameoManager : public MemoryManager
     std::uint64_t ratio_;
     std::unordered_map<std::uint64_t, std::uint64_t> groups_;
     MigrationEngine engine_;
-    LockTable locks_; //!< groups whose swap started (demand block)
-    /** Groups with a scheduled-or-active swap. */
-    std::unordered_set<std::uint64_t> busyGroups_;
+    SwapGuard guard_; //!< line groups under a scheduled swap
     std::uint64_t swapsSkipped_ = 0;
 };
 

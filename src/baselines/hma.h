@@ -14,10 +14,10 @@
 #include <cstdint>
 #include <functional>
 
-#include "baselines/lock_table.h"
 #include "common/event_queue.h"
 #include "core/migration_engine.h"
 #include "core/remap_table.h"
+#include "core/swap_guard.h"
 #include "mem/manager.h"
 #include "mem/memory_system.h"
 #include "sim/mechanism_params.h"
@@ -81,6 +81,7 @@ class HmaManager : public MemoryManager
     const FullCounters &counters() const { return counters_; }
     const RemapTable &placement() const { return placement_; }
     const MigrationEngine &engine() const { return engine_; }
+    const SwapGuard &guard() const { return guard_; }
     const HmaParams &params() const { return params_; }
 
     /** Modeled tracking storage (Table 1): 16 bits per page. */
@@ -92,8 +93,6 @@ class HmaManager : public MemoryManager
   private:
     void onInterval();
     void issueToCurrentLocation(Demand d);
-    std::uint64_t findVictimSlot(
-        const std::unordered_set<std::uint64_t> &hot_set);
 
     /** Count/park/issue; stage after any counter-cache fill. */
     void proceed(Demand d);
@@ -104,13 +103,10 @@ class HmaManager : public MemoryManager
     FullCounters counters_;
     RemapTable placement_; //!< models the OS page-table view
     MigrationEngine engine_;
-    LockTable locks_; //!< pages whose swap has started (demand block)
-    /** Pages with a scheduled-or-active swap (candidate exclusion). */
-    std::unordered_set<std::uint64_t> busy_;
+    SwapGuard guard_; //!< pages under a scheduled swap
     std::optional<MetadataPath> metaPath_;
     std::function<void(TimePs)> stallHook_;
     PeriodicTimer epochTimer_;
-    std::uint64_t victimScan_ = 0;
 };
 
 } // namespace mempod

@@ -10,15 +10,7 @@ namespace mempod {
 void
 NoMigrationManager::handleDemand(Demand d)
 {
-    Request req;
-    req.addr = d.homeAddr;
-    req.type = d.type;
-    req.kind = Request::Kind::kDemand;
-    req.arrival = d.arrival;
-    req.core = d.core;
-    req.traceId = d.traceId;
-    req.onComplete = std::move(d.done);
-    mem_.access(std::move(req));
+    mem_.access(Request::demand(d.homeAddr, std::move(d)));
 }
 
 void

@@ -5,7 +5,6 @@
 
 #include "common/decision_log.h"
 #include "common/log.h"
-#include "common/tracer.h"
 #include "mem/manager_factory.h"
 #include "sim/validate.h"
 
@@ -18,7 +17,9 @@ ThmManager::ThmManager(EventQueue &eq, MemorySystem &mem,
       params_(params),
       ratio_(mem.geom().slowPages() / mem.geom().fastPages()),
       numSegments_(mem.geom().fastPages()),
-      engine_(eq, mem, /*max_in_flight_ops=*/1, "thm.engine")
+      engine_(eq, mem, /*max_in_flight_ops=*/1, "thm.engine"),
+      guard_(eq, engine_, mstats_, "thm", "segment", DecisionLog::kNoPod,
+             [this](std::uint64_t, Demand d) { proceed(std::move(d)); })
 {
     MEMPOD_ASSERT(mem.geom().slowPages() % mem.geom().fastPages() == 0,
                   "THM needs an integer slow:fast capacity ratio");
@@ -28,8 +29,9 @@ ThmManager::ThmManager(EventQueue &eq, MemorySystem &mem,
     if (params_.metaCacheEnabled) {
         const std::uint64_t fast_bytes = mem.geom().fastBytes;
         metaPath_.emplace(
-            eq, mem, params_.metaCacheBytes, params_.metaCacheAssoc,
-            params_.segEntryBytes, [fast_bytes](std::uint64_t block) {
+            eq, mem, mstats_, params_.metaCacheBytes,
+            params_.metaCacheAssoc, params_.segEntryBytes,
+            [fast_bytes](std::uint64_t block) {
                 return (block * MetadataCache::kBlockBytes) % fast_bytes;
             });
     }
@@ -90,38 +92,19 @@ ThmManager::handleDemand(Demand d)
         proceed(std::move(d));
         return;
     }
-    const auto [seg, member] = segmentOf(AddressMap::pageOf(d.homeAddr));
-    (void)member;
-    const std::uint64_t misses_before = metaPath_->misses();
-    const TimePs t0 = eq_.now();
-    metaPath_->access(seg, [this, t0, d = std::move(d)]() mutable {
-        mstats_.metadataPs += eq_.now() - t0;
+    const std::uint64_t seg =
+        segmentOf(AddressMap::pageOf(d.homeAddr)).first;
+    metaPath_->access(seg, [this, d = std::move(d)]() mutable {
         proceed(std::move(d));
     });
-    if (metaPath_->misses() > misses_before)
-        ++mstats_.metaCacheMisses;
-    else
-        ++mstats_.metaCacheHits;
 }
 
 void
 ThmManager::proceed(Demand d)
 {
     const auto [seg, member] = segmentOf(AddressMap::pageOf(d.homeAddr));
-    if (locks_.isLocked(seg)) {
-        ++mstats_.blockedRequests;
-        d.parkedAt = eq_.now();
-        if (d.traceId != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                TraceArgs a;
-                a.add("segment", seg);
-                tr->asyncBegin(tr->track("thm"), eq_.now(), "req",
-                               d.traceId, "blocked", a.str());
-            }
-        }
-        locks_.park(seg, std::move(d));
+    if (guard_.park(seg, d))
         return;
-    }
 
     SegState &st = segState(seg);
     const std::uint32_t slot = st.slotOf[member];
@@ -147,101 +130,39 @@ void
 ThmManager::issueAt(std::uint64_t seg, std::uint32_t slot,
                     Demand d)
 {
-    Request req;
-    req.addr = AddressMap::addrOfPage(pageAt(seg, slot)) +
-               d.homeAddr % kPageBytes;
-    req.type = d.type;
-    req.kind = Request::Kind::kDemand;
-    req.arrival = d.arrival;
-    req.core = d.core;
-    req.traceId = d.traceId;
-    req.onComplete = std::move(d.done);
-    mem_.access(std::move(req));
+    const Addr addr = AddressMap::addrOfPage(pageAt(seg, slot)) +
+                      d.homeAddr % kPageBytes;
+    mem_.access(Request::demand(addr, std::move(d)));
 }
 
 void
 ThmManager::scheduleSwap(std::uint64_t seg, std::uint32_t member)
 {
-    SegState &st = segState(seg);
+    const SegState &st = segState(seg);
     const std::uint32_t occupant = fastResidentMember(seg);
     if (occupant == member)
         return; // already resident
-    if (busySegs_.contains(seg))
+    if (guard_.reserved(seg))
         return; // a swap for this segment is already scheduled
-    busySegs_.insert(seg);
     // The competing counter clears on trigger, so the decision-time
     // count is the threshold it just reached.
-    DecisionLog *log = eq_.decisions();
-    const std::uint64_t decision =
-        log ? log->record(DecisionLog::kNoPod, pageAt(seg, member),
-                          pageAt(seg, occupant), params_.threshold,
-                          eq_.now())
-            : DecisionLog::kNoId;
-
-    std::uint64_t flow = 0;
-    if (Tracer *tr = eq_.tracer()) {
-        flow = tr->newFlowId();
-        const std::uint32_t tid = tr->track("thm");
-        TraceArgs a;
-        a.add("segment", seg).add("member", member);
-        tr->instant(tid, eq_.now(), "counter_victory", a.str());
-        tr->asyncBegin(tid, eq_.now(), "mig", flow, "migration",
-                       a.str());
-        tr->flowStart(tid, eq_.now(), "mig", flow, "migration");
-    }
-
-    MigrationEngine::SwapOp op;
-    op.locA = AddressMap::addrOfPage(pageAt(seg, st.slotOf[member]));
-    op.locB = AddressMap::addrOfPage(pageAt(seg, 0));
-    op.lines = static_cast<std::uint32_t>(kLinesPerPage);
-    op.traceId = flow;
-    op.onStart = [this, seg] { locks_.lock(seg); };
-    auto release = [this, seg] {
-        busySegs_.erase(seg);
-        const TimePs now = eq_.now();
-        for (auto &d : locks_.unlock(seg)) {
-            mstats_.blockedPs += now - d.parkedAt;
-            d.parkedAt = 0;
-            if (d.traceId != 0) {
-                if (Tracer *tr = eq_.tracer())
-                    tr->asyncEnd(tr->track("thm"), now, "req",
-                                 d.traceId, "blocked");
-            }
-            proceed(std::move(d));
-        }
-    };
-    op.onCommit = [this, seg, member, occupant, release, flow,
-                   decision] {
-        SegState &s = segState(seg);
-        std::swap(s.slotOf[member], s.slotOf[occupant]);
-        ++mstats_.migrations;
-        mstats_.bytesMoved += 2 * kPageBytes;
-        if (decision != DecisionLog::kNoId)
-            eq_.decisions()->commit(decision, eq_.now());
-        if (flow != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = tr->track("thm");
-                tr->instant(tid, eq_.now(), "remap_commit");
-                tr->flowEnd(tid, eq_.now(), "mig", flow, "migration");
-                tr->asyncEnd(tid, eq_.now(), "mig", flow, "migration");
-            }
-        }
-        release();
-    };
-    op.onAbort = [this, release, flow, decision] {
-        if (decision != DecisionLog::kNoId)
-            eq_.decisions()->abort(decision, eq_.now());
-        if (flow != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = tr->track("thm");
-                tr->instant(tid, eq_.now(), "swap_aborted");
-                tr->flowEnd(tid, eq_.now(), "mig", flow, "migration");
-                tr->asyncEnd(tid, eq_.now(), "mig", flow, "migration");
-            }
-        }
-        release();
-    };
-    engine_.submit(std::move(op));
+    guard_.schedule(
+        {.keyA = seg,
+         .page = pageAt(seg, member),
+         .victim = pageAt(seg, occupant),
+         .count = params_.threshold,
+         .trigger = "counter_victory",
+         .argA = "segment",
+         .valA = seg,
+         .argB = "member",
+         .valB = member,
+         .locA = AddressMap::addrOfPage(pageAt(seg, st.slotOf[member])),
+         .locB = AddressMap::addrOfPage(pageAt(seg, 0)),
+         .lines = static_cast<std::uint32_t>(kLinesPerPage),
+         .apply = [this, seg, member, occupant] {
+             SegState &s = segState(seg);
+             std::swap(s.slotOf[member], s.slotOf[occupant]);
+         }});
 }
 
 void
@@ -269,7 +190,7 @@ ThmManager::validateInvariants(bool paranoid) const
 std::uint64_t
 ThmManager::pendingWork() const
 {
-    return locks_.parkedCount() + engine_.queuedOps() +
+    return guard_.parkedCount() + engine_.queuedOps() +
            engine_.activeOps() +
            (metaPath_ ? metaPath_->outstandingFills() : 0);
 }

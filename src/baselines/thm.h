@@ -16,9 +16,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/lock_table.h"
 #include "common/event_queue.h"
 #include "core/migration_engine.h"
+#include "core/swap_guard.h"
 #include "mem/manager.h"
 #include "mem/memory_system.h"
 #include "sim/mechanism_params.h"
@@ -104,9 +104,7 @@ class ThmManager : public MemoryManager
     std::uint64_t numSegments_;
     std::unordered_map<std::uint64_t, SegState> segs_;
     MigrationEngine engine_;
-    LockTable locks_; //!< segments whose swap started (demand block)
-    /** Segments with a scheduled-or-active swap. */
-    std::unordered_set<std::uint64_t> busySegs_;
+    SwapGuard guard_; //!< segments under a scheduled swap
     std::optional<MetadataPath> metaPath_;
 };
 

@@ -26,10 +26,9 @@ MemPodManager::MemPodManager(EventQueue &eq, MemorySystem &mem,
 void
 MemPodManager::handleDemand(Demand d)
 {
-    const PageId page = AddressMap::pageOf(d.homeAddr);
-    const std::uint32_t pod = mem_.map().podOfPage(page);
-    const std::uint64_t offset = d.homeAddr % kPageBytes;
-    pods_[pod]->handleDemand(page, offset, std::move(d));
+    const std::uint32_t pod =
+        mem_.map().podOfPage(AddressMap::pageOf(d.homeAddr));
+    pods_[pod]->handleDemand(std::move(d));
 }
 
 void

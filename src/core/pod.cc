@@ -1,10 +1,9 @@
 #include "core/pod.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/decision_log.h"
-#include "common/log.h"
-#include "common/tracer.h"
 #include "sim/validate.h"
 
 namespace mempod {
@@ -39,10 +38,14 @@ Pod::Pod(std::uint32_t id, EventQueue &eq, MemorySystem &mem,
            podIdBits(mem.geom().pagesPerPod())),
       remap_(mem.geom().pagesPerPod(), mem.geom().fastPagesPerPod()),
       engine_(eq, mem, /*max_in_flight_ops=*/1,
-              "pod" + std::to_string(id) + ".engine")
+              "pod" + std::to_string(id) + ".engine"),
+      guard_(eq, engine_, stats_, "pod" + std::to_string(id), "page", id,
+             [this](std::uint64_t local, Demand d) {
+                 issueToCurrentLocation(local, std::move(d));
+             })
 {
     if (params_.metaCacheEnabled) {
-        metaPath_.emplace(eq, mem, params_.metaCacheBytes,
+        metaPath_.emplace(eq, mem, stats_, params_.metaCacheBytes,
                           params_.metaCacheAssoc, params_.remapEntryBytes,
                           [this](std::uint64_t block) {
                               return backingAddrOfBlock(block);
@@ -69,185 +72,58 @@ Pod::backingAddrOfBlock(std::uint64_t block) const
 }
 
 void
-Pod::handleDemand(PageId home_page, std::uint64_t offset_in_page,
-                  Demand d)
+Pod::handleDemand(Demand d)
 {
-    const std::uint64_t local = mem_.map().podLocalOfPage(home_page);
+    const std::uint64_t local =
+        mem_.map().podLocalOfPage(AddressMap::pageOf(d.homeAddr));
     mea_.touch(local);
     if (DecisionLog *log = eq_.decisions())
-        log->noteAccess(id_, local, remap_.inFast(local),
-                               eq_.now());
-    BlockedReq r{offset_in_page, d.type,    d.arrival,
-                 d.core,         d.traceId, /*parkedAt=*/0,
-                 std::move(d.done)};
+        log->noteAccess(id_, local, remap_.inFast(local), eq_.now());
     if (!metaPath_) {
-        proceed(local, std::move(r));
+        proceed(local, std::move(d));
         return;
     }
-    const std::uint64_t misses_before = metaPath_->misses();
-    const TimePs t0 = eq_.now();
-    metaPath_->access(local,
-                      [this, local, t0, r = std::move(r)]() mutable {
-                          // Hits continue synchronously (zero delay);
-                          // misses charge the fill wait to metadata.
-                          stats_.metadataPs += eq_.now() - t0;
-                          proceed(local, std::move(r));
-                      });
-    if (metaPath_->misses() > misses_before)
-        ++stats_.metaCacheMisses;
-    else
-        ++stats_.metaCacheHits;
+    metaPath_->access(local, [this, local, d = std::move(d)]() mutable {
+        proceed(local, std::move(d));
+    });
 }
 
 void
-Pod::proceed(std::uint64_t local, BlockedReq r)
+Pod::proceed(std::uint64_t local, Demand d)
 {
-    if (locked_.contains(local)) {
-        ++stats_.blockedRequests;
-        ++blockedCount_;
-        r.parkedAt = eq_.now();
-        if (r.traceId != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                TraceArgs a;
-                a.add("page", local);
-                tr->asyncBegin(podTrack(*tr), eq_.now(), "req",
-                               r.traceId, "blocked", a.str());
-            }
-        }
-        blocked_[local].push_back(std::move(r));
-        return;
-    }
-    issueToCurrentLocation(local, std::move(r));
+    if (!guard_.park(local, d))
+        issueToCurrentLocation(local, std::move(d));
 }
 
 void
-Pod::issueToCurrentLocation(std::uint64_t local, BlockedReq r)
+Pod::issueToCurrentLocation(std::uint64_t local, Demand d)
 {
-    const std::uint64_t slot = remap_.locationOf(local);
-    Request req;
-    req.addr = addrOfSlot(slot) + r.offset;
-    req.type = r.type;
-    req.kind = Request::Kind::kDemand;
-    req.arrival = r.arrival;
-    req.core = r.core;
-    req.traceId = r.traceId;
-    req.onComplete = std::move(r.done);
-    mem_.access(std::move(req));
-}
-
-std::uint64_t
-Pod::findVictimSlot(const std::unordered_set<std::uint64_t> &hot_set)
-{
-    const std::uint64_t fast_slots = remap_.fastSlots();
-    for (std::uint64_t n = 0; n < fast_slots; ++n) {
-        const std::uint64_t slot = victimScan_;
-        victimScan_ = (victimScan_ + 1) % fast_slots;
-        const std::uint64_t resident = remap_.residentOf(slot);
-        if (hot_set.contains(resident) || migrating_.contains(resident))
-            continue;
-        return slot;
-    }
-    return kNoSlot;
-}
-
-std::uint32_t
-Pod::podTrack(Tracer &tr) const
-{
-    return tr.track("pod" + std::to_string(id_));
+    const Addr addr =
+        addrOfSlot(remap_.locationOf(local)) + d.homeAddr % kPageBytes;
+    mem_.access(Request::demand(addr, std::move(d)));
 }
 
 void
 Pod::scheduleSwap(std::uint64_t hot_local, std::uint64_t victim_resident,
                   std::uint32_t tracker_count)
 {
-    migrating_.insert(hot_local);
-    migrating_.insert(victim_resident);
-    DecisionLog *log = eq_.decisions();
-    const std::uint64_t decision =
-        log ? log->record(id_, hot_local, victim_resident, tracker_count,
-                          eq_.now())
-            : DecisionLog::kNoId;
-
-    // Migration lifecycle: the MEA victory selects the candidate here;
-    // the flow continues through the engine's swap and ends at the
-    // remap commit below.
-    std::uint64_t flow = 0;
-    if (Tracer *tr = eq_.tracer()) {
-        flow = tr->newFlowId();
-        const std::uint32_t tid = podTrack(*tr);
-        TraceArgs a;
-        a.add("hot_page", hot_local).add("victim_page", victim_resident);
-        tr->instant(tid, eq_.now(), "mea_victory", a.str());
-        tr->asyncBegin(tid, eq_.now(), "mig", flow, "migration",
-                       a.str());
-        tr->flowStart(tid, eq_.now(), "mig", flow, "migration");
-    }
-
-    MigrationEngine::SwapOp op;
-    op.locA = addrOfSlot(remap_.locationOf(hot_local));
-    op.locB = addrOfSlot(remap_.locationOf(victim_resident));
-    op.lines = static_cast<std::uint32_t>(kLinesPerPage);
-    op.traceId = flow;
-    op.onStart = [this, hot_local, victim_resident] {
-        locked_.insert(hot_local);
-        locked_.insert(victim_resident);
-    };
-    op.onCommit = [this, hot_local, victim_resident, flow, decision] {
-        remap_.swap(hot_local, victim_resident);
-        ++stats_.migrations;
-        stats_.bytesMoved += 2 * kPageBytes;
-        if (decision != DecisionLog::kNoId)
-            eq_.decisions()->commit(decision, eq_.now());
-        if (flow != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = podTrack(*tr);
-                tr->instant(tid, eq_.now(), "remap_commit");
-                tr->flowEnd(tid, eq_.now(), "mig", flow, "migration");
-                tr->asyncEnd(tid, eq_.now(), "mig", flow, "migration");
-            }
-        }
-        unlockAndDrain(hot_local);
-        unlockAndDrain(victim_resident);
-    };
-    op.onAbort = [this, hot_local, victim_resident, flow, decision] {
-        if (decision != DecisionLog::kNoId)
-            eq_.decisions()->abort(decision, eq_.now());
-        if (flow != 0) {
-            if (Tracer *tr = eq_.tracer()) {
-                const std::uint32_t tid = podTrack(*tr);
-                tr->instant(tid, eq_.now(), "swap_aborted");
-                tr->flowEnd(tid, eq_.now(), "mig", flow, "migration");
-                tr->asyncEnd(tid, eq_.now(), "mig", flow, "migration");
-            }
-        }
-        unlockAndDrain(hot_local);
-        unlockAndDrain(victim_resident);
-    };
-    engine_.submit(std::move(op));
-}
-
-void
-Pod::unlockAndDrain(std::uint64_t local)
-{
-    migrating_.erase(local);
-    locked_.erase(local);
-    auto it = blocked_.find(local);
-    if (it == blocked_.end())
-        return;
-    std::vector<BlockedReq> reqs = std::move(it->second);
-    blocked_.erase(it);
-    MEMPOD_ASSERT(blockedCount_ >= reqs.size(), "blocked accounting");
-    blockedCount_ -= reqs.size();
-    const TimePs now = eq_.now();
-    for (auto &r : reqs) {
-        stats_.blockedPs += now - r.parkedAt;
-        if (r.traceId != 0) {
-            if (Tracer *tr = eq_.tracer())
-                tr->asyncEnd(podTrack(*tr), now, "req", r.traceId,
-                             "blocked");
-        }
-        issueToCurrentLocation(local, std::move(r));
-    }
+    guard_.schedule(
+        {.keyA = hot_local,
+         .keyB = victim_resident,
+         .page = hot_local,
+         .victim = victim_resident,
+         .count = tracker_count,
+         .trigger = "mea_victory",
+         .argA = "hot_page",
+         .valA = hot_local,
+         .argB = "victim_page",
+         .valB = victim_resident,
+         .locA = addrOfSlot(remap_.locationOf(hot_local)),
+         .locB = addrOfSlot(remap_.locationOf(victim_resident)),
+         .lines = static_cast<std::uint32_t>(kLinesPerPage),
+         .apply = [this, hot_local, victim_resident] {
+             remap_.swap(hot_local, victim_resident);
+         }});
 }
 
 void
@@ -275,14 +151,18 @@ Pod::onInterval()
         if (e.count < min_hot)
             break; // hot list is sorted by count
         const std::uint64_t h = e.id;
-        if (migrating_.contains(h))
+        if (guard_.reserved(h))
             continue;
         if (remap_.inFast(h)) {
             ++stats_.candidatesSkipped; // already resident in fast
             continue;
         }
-        const std::uint64_t victim = findVictimSlot(hot_set);
-        if (victim == kNoSlot)
+        const std::uint64_t victim =
+            remap_.nextVictimSlot([&](std::uint64_t resident) {
+                return hot_set.contains(resident) ||
+                       guard_.reserved(resident);
+            });
+        if (victim == RemapTable::kNoSlot)
             break; // every fast slot is hot or busy
         scheduleSwap(h, remap_.residentOf(victim), e.count);
         ++scheduled;
@@ -303,7 +183,8 @@ Pod::validateInvariants(bool paranoid) const
 std::uint64_t
 Pod::pendingWork() const
 {
-    return blockedCount_ + engine_.queuedOps() + engine_.activeOps() +
+    return guard_.parkedCount() + engine_.queuedOps() +
+           engine_.activeOps() +
            (metaPath_ ? metaPath_->outstandingFills() : 0);
 }
 
@@ -334,7 +215,9 @@ Pod::registerMetrics(MetricRegistry &reg) const
                       &stats_.metadataPs);
     reg.addGauge(p + ".blocked_demands",
                  "demand requests currently held by a swap lock",
-                 [this] { return static_cast<double>(blockedCount_); });
+                 [this] {
+                     return static_cast<double>(guard_.parkedCount());
+                 });
 
     reg.addCounterFn(p + ".mea.sweeps",
                      "MEA decrement-all sweeps (operation (c))",

@@ -45,6 +45,27 @@ class RemapTable
         return locationOf(orig) < fastSlots_;
     }
 
+    /** nextVictimSlot() result when every fast slot is rejected. */
+    static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
+
+    /**
+     * Rotating victim scan (MemPod and HMA): starting after the last
+     * slot returned, the first fast slot whose resident page `skip`
+     * does not reject (hot or already migrating), else kNoSlot.
+     */
+    template <typename Skip>
+    std::uint64_t
+    nextVictimSlot(Skip &&skip)
+    {
+        for (std::uint64_t n = 0; n < fastSlots_; ++n) {
+            const std::uint64_t slot = victimScan_;
+            victimScan_ = (victimScan_ + 1) % fastSlots_;
+            if (!skip(residentOf(slot)))
+                return slot;
+        }
+        return kNoSlot;
+    }
+
     /** True when no page has migrated. */
     bool isIdentity() const;
 
@@ -72,6 +93,7 @@ class RemapTable
   private:
     std::uint64_t fastSlots_;
     std::uint64_t occupiedFast_ = 0; //!< fast slots holding a guest page
+    std::uint64_t victimScan_ = 0;   //!< rotating victim-scan pointer
     std::vector<std::uint32_t> location_; //!< orig -> slot
     std::vector<std::uint32_t> resident_; //!< slot -> orig
 };

@@ -44,8 +44,6 @@ struct MigrationStats
 class MemoryManager
 {
   public:
-    using CompletionFn = CompletionCallback;
-
     virtual ~MemoryManager() = default;
 
     /**

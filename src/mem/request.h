@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "common/callback.h"
 #include "common/types.h"
@@ -70,6 +71,20 @@ struct Request
 
     /** Invoked exactly once when the line transfer finishes. */
     CompletionCallback onComplete;
+
+    /** The request serving demand `d` at physical address `addr`. */
+    static Request
+    demand(Addr addr, Demand &&d)
+    {
+        Request r;
+        r.addr = addr;
+        r.type = d.type;
+        r.arrival = d.arrival;
+        r.core = d.core;
+        r.traceId = d.traceId;
+        r.onComplete = std::move(d.done);
+        return r;
+    }
 };
 
 } // namespace mempod

@@ -5,11 +5,13 @@
 namespace mempod {
 
 MetadataPath::MetadataPath(EventQueue &eq, MemorySystem &mem,
+                           MigrationStats &stats,
                            std::uint64_t capacity_bytes,
                            std::uint32_t assoc, std::uint32_t entry_bytes,
                            BlockAddrFn block_addr)
     : eq_(eq),
       mem_(mem),
+      stats_(stats),
       cache_(capacity_bytes, assoc, entry_bytes),
       blockAddr_(std::move(block_addr))
 {
@@ -20,12 +22,14 @@ void
 MetadataPath::access(std::uint64_t entry_idx, ReadyFn ready)
 {
     if (cache_.lookup(entry_idx)) {
+        ++stats_.metaCacheHits;
         ready();
         return;
     }
+    ++stats_.metaCacheMisses;
     const std::uint64_t block = cache_.blockOf(entry_idx);
     auto [it, first] = pending_.try_emplace(block);
-    it->second.push_back(std::move(ready));
+    it->second.push_back({eq_.now(), std::move(ready)});
     if (!first)
         return; // piggyback on the outstanding fill
 
@@ -38,8 +42,10 @@ MetadataPath::access(std::uint64_t entry_idx, ReadyFn ready)
     fill.onComplete = [this, block](TimePs) {
         cache_.fill(block * cache_.entriesPerBlock());
         auto node = pending_.extract(block);
-        for (auto &cont : node.mapped())
-            cont();
+        for (Waiter &w : node.mapped()) {
+            stats_.metadataPs += eq_.now() - w.since;
+            w.ready();
+        }
     };
     mem_.access(std::move(fill));
 }

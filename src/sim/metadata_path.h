@@ -4,7 +4,9 @@
  * THM (Section 6.3.3): a MetadataCache probe whose misses inject a
  * blocking read into the memory stream (no priority over demand
  * traffic) and wake every access waiting on the same metadata block
- * when the fill returns.
+ * when the fill returns. The path charges its own outcome to the
+ * owning mechanism's MigrationStats: one hit or miss per access, and
+ * each miss's wait (fill time - access time) to metadataPs.
  */
 #pragma once
 
@@ -16,6 +18,7 @@
 #include "common/callback.h"
 #include "common/event_queue.h"
 #include "common/metrics.h"
+#include "mem/manager.h"
 #include "mem/memory_system.h"
 #include "sim/metadata_cache.h"
 
@@ -35,7 +38,8 @@ class MetadataPath
      */
     using ReadyFn = MoveFunction<void(), 176>;
 
-    MetadataPath(EventQueue &eq, MemorySystem &mem,
+    /** @param stats The owner's statistics (hits, misses, metadataPs). */
+    MetadataPath(EventQueue &eq, MemorySystem &mem, MigrationStats &stats,
                  std::uint64_t capacity_bytes, std::uint32_t assoc,
                  std::uint32_t entry_bytes, BlockAddrFn block_addr);
 
@@ -57,12 +61,20 @@ class MetadataPath
                          const std::string &prefix) const;
 
   private:
+    /** A miss waiting on its block's fill, and when it arrived. */
+    struct Waiter
+    {
+        TimePs since;
+        ReadyFn ready;
+    };
+
     EventQueue &eq_;
     MemorySystem &mem_;
+    MigrationStats &stats_;
     MetadataCache cache_;
     BlockAddrFn blockAddr_;
     std::uint64_t fills_ = 0; //!< injected backing-store reads
-    std::unordered_map<std::uint64_t, std::vector<ReadyFn>> pending_;
+    std::unordered_map<std::uint64_t, std::vector<Waiter>> pending_;
 };
 
 } // namespace mempod

@@ -3,6 +3,7 @@
 
 #include "baselines/cameo.h"
 #include "baselines/thm.h"
+#include "common/decision_log.h"
 #include "common/rng.h"
 
 namespace mempod {
@@ -146,6 +147,36 @@ TEST_F(CameoFixture, RemapStorageMuchLargerThanThm)
     EXPECT_GT(mgr.remapStorageBits(), 50ull * 8 * 1024 * 1024);
     ThmManager thm(eq2, paper_mem, ThmParams{});
     EXPECT_GT(mgr.remapStorageBits(), 100 * thm.remapStorageBits());
+}
+
+TEST_F(CameoFixture, DemandToSwappingGroupParksUntilCommit)
+{
+    DecisionLog log(50_us, 1.0);
+    eq.attach({.decisions = &log});
+    CameoManager mgr(eq, mem, CameoParams{});
+    // A slow access starts its group's swap at once.
+    mgr.handleDemand({.homeAddr = lineAddr(4, 2), .arrival = eq.now()});
+    ASSERT_EQ(mgr.engine().activeOps(), 1u);
+    eq.runUntil(eq.now() + 10_ns);
+    const TimePs parked_at = eq.now();
+    int done = 0;
+    TimePs done_at = 0;
+    mgr.handleDemand({.homeAddr = lineAddr(4, 0),
+                      .arrival = eq.now(),
+                      .done = [&](TimePs) {
+                          ++done;
+                          done_at = eq.now();
+                      }});
+    EXPECT_EQ(mgr.migrationStats().blockedRequests, 1u);
+    EXPECT_EQ(done, 0);
+    eq.runAll();
+    EXPECT_EQ(done, 1);
+    ASSERT_GE(log.size(), 1u);
+    const DecisionLog::Record &rec = log.records()[0];
+    ASSERT_EQ(rec.outcome, DecisionLog::Outcome::kCompleted);
+    EXPECT_GE(done_at, rec.commitPs);
+    EXPECT_EQ(mgr.migrationStats().blockedPs, rec.commitPs - parked_at);
+    EXPECT_EQ(mgr.pendingWork(), 0u);
 }
 
 } // namespace

@@ -10,7 +10,8 @@
  * To regenerate after an *intentional* behaviour change:
  *   MEMPOD_PRINT_GOLDEN=1 ./build/tests/mempod_tests \
  *       --gtest_filter='Golden*' 2>/dev/null
- * and paste the printed table over kGolden / kTraceGolden below.
+ * and paste the printed tables over kGolden / kMetaGolden /
+ * kTraceGolden below.
  */
 #include <gtest/gtest.h>
 
@@ -38,21 +39,51 @@ struct GoldenRow
     std::uint64_t bytesMoved;
     std::uint64_t simulatedPs;
     std::uint64_t eventsExecuted;
+    std::uint64_t blockedRequests;
+    std::uint64_t blockedPs;
+    std::uint64_t metadataPs;
+    double ammatNs;
+};
+
+/**
+ * The same run with the mechanism's bookkeeping cache enabled: pins
+ * the metadata path (hit/miss split and the wait it charges) of the
+ * three mechanisms that model one.
+ */
+struct MetaGoldenRow
+{
+    const char *label;
+    Mechanism mechanism;
+    std::uint64_t metaCacheHits;
+    std::uint64_t metaCacheMisses;
+    std::uint64_t migrations;
+    std::uint64_t blockedRequests;
+    std::uint64_t blockedPs;
+    std::uint64_t metadataPs;
     double ammatNs;
 };
 
 // --- golden values (regenerate with MEMPOD_PRINT_GOLDEN=1) ---
 constexpr GoldenRow kGolden[] = {
     {"NoMigration", Mechanism::kNoMigration, 5313u, 44687u, 0u, 0u,
-     501132500u, 314047u, 57.780567900000001},
+     501132500u, 314047u, 0u, 0u, 0u, 57.780567900000001},
     {"HMA", Mechanism::kHma, 8753u, 41247u, 580u, 2375680u, 529132500u,
-     543406u, 63.132227899999997},
+     543406u, 4u, 658691u, 0u, 63.132227899999997},
     {"THM", Mechanism::kThm, 17342u, 32658u, 811u, 3321856u, 501132500u,
-     622361u, 61.994082900000002},
+     622361u, 357u, 80004104u, 0u, 61.994082900000002},
     {"CAMEO", Mechanism::kCameo, 8846u, 41154u, 36484u, 4669952u,
-     501186250u, 989558u, 61.847012900000003},
+     501186250u, 989558u, 1080u, 96135360u, 0u, 61.847012900000003},
     {"MemPod", Mechanism::kMemPod, 11901u, 38099u, 456u, 1867776u,
-     505947500u, 482753u, 59.017767899999996},
+     505947500u, 482753u, 85u, 18195141u, 0u, 59.017767899999996},
+};
+
+constexpr MetaGoldenRow kMetaGolden[] = {
+    {"HMA+cache", Mechanism::kHma, 38859u, 11141u, 580u, 1u, 342000u,
+     572059518u, 69.930727899999994},
+    {"THM+cache", Mechanism::kThm, 38960u, 11040u, 811u, 357u, 78045911u,
+     498311878u, 69.247937900000011},
+    {"MemPod+cache", Mechanism::kMemPod, 40704u, 9296u, 456u, 86u,
+     19262709u, 458583383u, 64.560037899999998},
 };
 
 struct TraceGolden
@@ -67,7 +98,7 @@ constexpr TraceGolden kTraceGolden = {50000, 36614, 13386, 7844,
                                       501102994};
 
 SimConfig
-goldenConfig(Mechanism m)
+goldenConfig(Mechanism m, bool meta_cache = false)
 {
     SimConfig cfg = SimConfig::paper(m);
     // 4x MemPod's interval (200 us) instead of the harnesses' 40x: the
@@ -75,6 +106,11 @@ goldenConfig(Mechanism m)
     // HMA epochs fire rather than pinning HMA == NoMigration.
     if (m == Mechanism::kHma)
         cfg.scaleHmaEpoch(4.0);
+    if (meta_cache) {
+        cfg.mempod.pod.metaCacheEnabled = true;
+        cfg.hma.metaCacheEnabled = true;
+        cfg.thm.metaCacheEnabled = true;
+    }
     return cfg;
 }
 
@@ -123,15 +159,17 @@ TEST(GoldenTrace, GeneratorIsPinned)
               kTraceGolden.duration);
 }
 
+/** Run one golden job per row; `meta_cache` selects the cache rows. */
+template <typename Row, std::size_t N>
 std::vector<JobResult>
-runAllMechanisms(std::uint32_t shards)
+runRows(const Row (&rows)[N], bool meta_cache, std::uint32_t shards)
 {
     // Run through the BatchRunner so the tier-1 suite exercises the
     // parallel path; determinism makes the worker count irrelevant.
     BatchRunner runner({.jobs = 2});
-    for (const GoldenRow &g : kGolden) {
+    for (const Row &g : rows) {
         BatchJob job;
-        job.config = goldenConfig(g.mechanism);
+        job.config = goldenConfig(g.mechanism, meta_cache);
         job.config.shards = shards;
         job.workload = kWorkload;
         job.gen.totalRequests = kRequests;
@@ -139,50 +177,62 @@ runAllMechanisms(std::uint32_t shards)
         job.label = g.label;
         runner.add(std::move(job));
     }
-    return runner.runAll();
+    std::vector<JobResult> results = runner.runAll();
+    EXPECT_EQ(results.size(), N);
+    return results;
+}
+
+unsigned long long
+ull(std::uint64_t v)
+{
+    return static_cast<unsigned long long>(v);
+}
+
+void
+printRow(const GoldenRow &g, const RunResult &r)
+{
+    std::printf("    {\"%s\", Mechanism::%s, %lluu, %lluu, %lluu, "
+                "%lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %.17g},\n",
+                g.label, mechanismEnumName(g.mechanism),
+                ull(r.memStats.demandFast), ull(r.memStats.demandSlow),
+                ull(r.migration.migrations), ull(r.migration.bytesMoved),
+                ull(static_cast<std::uint64_t>(r.simulatedPs)),
+                ull(r.eventsExecuted), ull(r.migration.blockedRequests),
+                ull(r.migration.blockedPs), ull(r.migration.metadataPs),
+                r.ammatNs);
+}
+
+void
+expectRow(const GoldenRow &g, const RunResult &r)
+{
+    EXPECT_EQ(r.completed, kRequests) << g.label;
+    EXPECT_EQ(r.memStats.demandFast, g.demandFast) << g.label;
+    EXPECT_EQ(r.memStats.demandSlow, g.demandSlow) << g.label;
+    EXPECT_EQ(r.migration.migrations, g.migrations) << g.label;
+    EXPECT_EQ(r.migration.bytesMoved, g.bytesMoved) << g.label;
+    EXPECT_EQ(static_cast<std::uint64_t>(r.simulatedPs), g.simulatedPs)
+        << g.label;
+    EXPECT_EQ(r.eventsExecuted, g.eventsExecuted) << g.label;
+    EXPECT_EQ(r.migration.blockedRequests, g.blockedRequests) << g.label;
+    EXPECT_EQ(r.migration.blockedPs, g.blockedPs) << g.label;
+    EXPECT_EQ(r.migration.metadataPs, g.metadataPs) << g.label;
+    // Deterministic, but allow for FP library variation across
+    // toolchains; the integer pins above carry the regression burden.
+    EXPECT_NEAR(r.ammatNs, g.ammatNs, g.ammatNs * 1e-9) << g.label;
 }
 
 TEST(GoldenResults, EveryMechanismIsPinned)
 {
-    const std::vector<JobResult> results = runAllMechanisms(0);
+    const std::vector<JobResult> results = runRows(kGolden, false, 0);
     ASSERT_EQ(results.size(), std::size(kGolden));
-
     for (std::size_t i = 0; i < results.size(); ++i) {
         const GoldenRow &g = kGolden[i];
         ASSERT_TRUE(results[i].ok) << g.label << ": "
                                    << results[i].error;
-        const RunResult &r = results[i].result;
-        if (printGolden()) {
-            std::printf("    {\"%s\", Mechanism::%s, %lluu, %lluu, "
-                        "%lluu, %lluu, %lluu, %lluu, %.17g},\n",
-                        g.label, mechanismEnumName(g.mechanism),
-                        static_cast<unsigned long long>(
-                            r.memStats.demandFast),
-                        static_cast<unsigned long long>(
-                            r.memStats.demandSlow),
-                        static_cast<unsigned long long>(
-                            r.migration.migrations),
-                        static_cast<unsigned long long>(
-                            r.migration.bytesMoved),
-                        static_cast<unsigned long long>(r.simulatedPs),
-                        static_cast<unsigned long long>(
-                            r.eventsExecuted),
-                        r.ammatNs);
-            continue;
-        }
-        EXPECT_EQ(r.completed, kRequests) << g.label;
-        EXPECT_EQ(r.memStats.demandFast, g.demandFast) << g.label;
-        EXPECT_EQ(r.memStats.demandSlow, g.demandSlow) << g.label;
-        EXPECT_EQ(r.migration.migrations, g.migrations) << g.label;
-        EXPECT_EQ(r.migration.bytesMoved, g.bytesMoved) << g.label;
-        EXPECT_EQ(static_cast<std::uint64_t>(r.simulatedPs),
-                  g.simulatedPs)
-            << g.label;
-        EXPECT_EQ(r.eventsExecuted, g.eventsExecuted) << g.label;
-        // Deterministic, but allow for FP library variation across
-        // toolchains; the integer pins above carry the regression
-        // burden.
-        EXPECT_NEAR(r.ammatNs, g.ammatNs, g.ammatNs * 1e-9) << g.label;
+        if (printGolden())
+            printRow(g, results[i].result);
+        else
+            expectRow(g, results[i].result);
     }
 }
 
@@ -194,22 +244,43 @@ TEST(GoldenResults, EveryMechanismIsPinnedAtTwoShards)
     // order leaked a partition dependence.
     if (printGolden())
         GTEST_SKIP() << "goldens are regenerated from the serial run";
-    const std::vector<JobResult> results = runAllMechanisms(2);
+    const std::vector<JobResult> results = runRows(kGolden, false, 2);
     ASSERT_EQ(results.size(), std::size(kGolden));
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const GoldenRow &g = kGolden[i];
+        ASSERT_TRUE(results[i].ok) << kGolden[i].label << ": "
+                                   << results[i].error;
+        expectRow(kGolden[i], results[i].result);
+    }
+}
+
+TEST(GoldenResults, MetadataCacheRowsArePinned)
+{
+    const std::vector<JobResult> results = runRows(kMetaGolden, true, 0);
+    ASSERT_EQ(results.size(), std::size(kMetaGolden));
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const MetaGoldenRow &g = kMetaGolden[i];
         ASSERT_TRUE(results[i].ok) << g.label << ": "
                                    << results[i].error;
         const RunResult &r = results[i].result;
+        const MigrationStats &m = r.migration;
+        if (printGolden()) {
+            std::printf("    {\"%s\", Mechanism::%s, %lluu, %lluu, "
+                        "%lluu, %lluu, %lluu, %lluu, %.17g},\n",
+                        g.label, mechanismEnumName(g.mechanism),
+                        ull(m.metaCacheHits), ull(m.metaCacheMisses),
+                        ull(m.migrations), ull(m.blockedRequests),
+                        ull(m.blockedPs), ull(m.metadataPs), r.ammatNs);
+            continue;
+        }
         EXPECT_EQ(r.completed, kRequests) << g.label;
-        EXPECT_EQ(r.memStats.demandFast, g.demandFast) << g.label;
-        EXPECT_EQ(r.memStats.demandSlow, g.demandSlow) << g.label;
-        EXPECT_EQ(r.migration.migrations, g.migrations) << g.label;
-        EXPECT_EQ(r.migration.bytesMoved, g.bytesMoved) << g.label;
-        EXPECT_EQ(static_cast<std::uint64_t>(r.simulatedPs),
-                  g.simulatedPs)
+        EXPECT_EQ(m.metaCacheHits, g.metaCacheHits) << g.label;
+        EXPECT_EQ(m.metaCacheMisses, g.metaCacheMisses) << g.label;
+        EXPECT_EQ(m.metaCacheHits + m.metaCacheMisses, kRequests)
             << g.label;
-        EXPECT_EQ(r.eventsExecuted, g.eventsExecuted) << g.label;
+        EXPECT_EQ(m.migrations, g.migrations) << g.label;
+        EXPECT_EQ(m.blockedRequests, g.blockedRequests) << g.label;
+        EXPECT_EQ(m.blockedPs, g.blockedPs) << g.label;
+        EXPECT_EQ(m.metadataPs, g.metadataPs) << g.label;
         EXPECT_NEAR(r.ammatNs, g.ammatNs, g.ammatNs * 1e-9) << g.label;
     }
 }

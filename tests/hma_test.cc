@@ -2,9 +2,21 @@
 #include <gtest/gtest.h>
 
 #include "baselines/hma.h"
+#include "common/decision_log.h"
+#include "common/tracer.h"
 
 namespace mempod {
 namespace {
+
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
 
 struct HmaFixture : ::testing::Test
 {
@@ -151,6 +163,85 @@ TEST_F(HmaFixture, StorageCostIsLinear)
     HmaManager mgr(eq2, paper_mem, HmaParams{});
     // Table 1: 16 bits per page = 9 MB.
     EXPECT_EQ(mgr.trackingStorageBits() / 8 / (1 << 20), 9u);
+}
+
+TEST_F(HmaFixture, DemandToSwappingPageParksUntilCommit)
+{
+    DecisionLog log(100_us, 1.0);
+    eq.attach({.decisions = &log});
+    HmaManager mgr(eq, mem, params());
+    const PageId hot = mem.geom().fastPages() + 12;
+    touch(mgr, hot, 10);
+    mgr.start();
+    while (mgr.engine().activeOps() == 0)
+        ASSERT_TRUE(eq.runOne()); // the epoch starts the swap
+    const TimePs parked_at = eq.now();
+    int done = 0;
+    TimePs done_at = 0;
+    mgr.handleDemand({.homeAddr = AddressMap::addrOfPage(hot) + 64,
+                      .arrival = eq.now(),
+                      .done = [&](TimePs) {
+                          ++done;
+                          done_at = eq.now();
+                      }});
+    EXPECT_EQ(mgr.migrationStats().blockedRequests, 1u);
+    EXPECT_EQ(mgr.pendingWork(), 2u); // the parked demand + the swap
+    EXPECT_EQ(done, 0);
+    eq.runUntil(eq.now() + 50_us);
+    EXPECT_EQ(done, 1);
+    ASSERT_EQ(log.size(), 1u);
+    const DecisionLog::Record &rec = log.records()[0];
+    ASSERT_EQ(rec.outcome, DecisionLog::Outcome::kCompleted);
+    EXPECT_GE(done_at, rec.commitPs);
+    EXPECT_EQ(mgr.migrationStats().blockedPs, rec.commitPs - parked_at);
+    EXPECT_EQ(mgr.pendingWork(), 0u);
+}
+
+TEST_F(HmaFixture, SwapStillQueuedAtNextEpochIsAborted)
+{
+    DecisionLog log(100_us, 1.0);
+    Tracer tracer(TracerConfig{.enabled = true, .sampleEvery = 1});
+    eq.attach({.tracer = &tracer, .decisions = &log});
+    HmaParams p = params();
+    p.interval = 200_ns; // shorter than one page swap
+    HmaManager mgr(eq, mem, p);
+    const PageId a = mem.geom().fastPages() + 20;
+    const PageId b = mem.geom().fastPages() + 21;
+    touch(mgr, a, 6);
+    touch(mgr, b, 5);
+    mgr.start();
+    // First epoch: a's swap starts, b's waits behind it.
+    while (log.size() < 2)
+        ASSERT_TRUE(eq.runOne());
+    ASSERT_EQ(mgr.engine().queuedOps(), 1u);
+    const DecisionLog::Record queued = log.records()[1];
+    EXPECT_TRUE(mgr.guard().reserved(queued.page));
+    EXPECT_TRUE(mgr.guard().reserved(queued.victim));
+
+    // The next epoch drops the stale candidate.
+    const std::uint64_t epochs = mgr.migrationStats().intervals;
+    while (mgr.migrationStats().intervals == epochs)
+        ASSERT_TRUE(eq.runOne());
+    EXPECT_EQ(log.records()[1].outcome, DecisionLog::Outcome::kAborted);
+    EXPECT_EQ(log.abortedCount(), 1u);
+    EXPECT_TRUE(mgr.guard().reserved(log.records()[0].page));
+    EXPECT_FALSE(mgr.guard().reserved(queued.page));
+    EXPECT_FALSE(mgr.guard().reserved(queued.victim));
+    const std::string mid = tracer.toJson();
+    EXPECT_NE(mid.find("\"swap_aborted\""), std::string::npos);
+    EXPECT_EQ(occurrences(mid, "\"ph\":\"s\""), 2u);
+    EXPECT_EQ(occurrences(mid, "\"ph\":\"f\""), 1u); // aborted flow ends
+
+    // A later epoch may choose the freed page again.
+    eq.runUntil(eq.now() + 10_us);
+    touch(mgr, b, 5);
+    EXPECT_EQ(log.records().back().page, b);
+    EXPECT_EQ(log.records().back().outcome,
+              DecisionLog::Outcome::kCompleted);
+    EXPECT_TRUE(mgr.placement().inFast(b));
+    const std::string end = tracer.toJson();
+    EXPECT_EQ(occurrences(end, "\"ph\":\"s\""),
+              occurrences(end, "\"ph\":\"f\""));
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 /** @file Unit tests for the bookkeeping cache and its miss path. */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/event_queue.h"
 #include "sim/metadata_path.h"
 
@@ -62,11 +64,12 @@ struct PathFixture : ::testing::Test
     EventQueue eq;
     MemorySystem mem{eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
                      DramSpec::ddr4_1600()};
+    MigrationStats stats;
 };
 
 TEST_F(PathFixture, MissInjectsExactlyOneBlockingRead)
 {
-    MetadataPath path(eq, mem, 1024, 4, 4,
+    MetadataPath path(eq, mem, stats, 1024, 4, 4,
                       [](std::uint64_t block) { return block * 64; });
     int ready = 0;
     path.access(7, [&] { ++ready; });
@@ -79,7 +82,7 @@ TEST_F(PathFixture, MissInjectsExactlyOneBlockingRead)
 
 TEST_F(PathFixture, HitRunsSynchronously)
 {
-    MetadataPath path(eq, mem, 1024, 4, 4,
+    MetadataPath path(eq, mem, stats, 1024, 4, 4,
                       [](std::uint64_t block) { return block * 64; });
     path.access(7, [] {});
     eq.runAll();
@@ -91,7 +94,7 @@ TEST_F(PathFixture, HitRunsSynchronously)
 
 TEST_F(PathFixture, ConcurrentMissesToOneBlockPiggyback)
 {
-    MetadataPath path(eq, mem, 1024, 4, 4,
+    MetadataPath path(eq, mem, stats, 1024, 4, 4,
                       [](std::uint64_t block) { return block * 64; });
     int ready = 0;
     path.access(8, [&] { ++ready; });
@@ -105,13 +108,52 @@ TEST_F(PathFixture, ConcurrentMissesToOneBlockPiggyback)
 TEST_F(PathFixture, BackingAddressMappingUsed)
 {
     Addr asked = 0;
-    MetadataPath path(eq, mem, 1024, 4, 4, [&](std::uint64_t block) {
-        asked = 4096 + block * 64;
-        return asked;
-    });
+    MetadataPath path(eq, mem, stats, 1024, 4, 4,
+                      [&](std::uint64_t block) {
+                          asked = 4096 + block * 64;
+                          return asked;
+                      });
     path.access(40, [] {}); // block 2
     eq.runAll();
     EXPECT_EQ(asked, 4096u + 2 * 64);
+}
+
+TEST_F(PathFixture, PiggybackedMissesAreEachChargedTheirOwnWait)
+{
+    MetadataPath path(eq, mem, stats, 1024, 4, 4,
+                      [](std::uint64_t block) { return block * 64; });
+    std::vector<TimePs> ready_at;
+    path.access(8, [&] { ready_at.push_back(eq.now()); }); // at t = 0
+    const TimePs second = 3_ns;
+    eq.schedule(second, [&] {
+        path.access(9, [&] { ready_at.push_back(eq.now()); });
+    });
+    eq.runAll();
+    ASSERT_EQ(ready_at.size(), 2u);
+    EXPECT_EQ(mem.stats().bookkeepingLines(), 1u); // one shared fill
+    EXPECT_GT(ready_at[1], second);
+    EXPECT_EQ(stats.metaCacheMisses, 2u);
+    EXPECT_EQ(stats.metaCacheHits, 0u);
+    EXPECT_EQ(stats.metadataPs, ready_at[0] + (ready_at[1] - second));
+}
+
+TEST_F(PathFixture, HitAndMissCountsMatchTheCache)
+{
+    MetadataPath path(eq, mem, stats, 1024, 4, 4,
+                      [](std::uint64_t block) { return block * 64; });
+    for (std::uint64_t entry : {7, 7, 100, 8, 100, 7, 300, 301})
+        path.access(entry, [] {});
+    eq.runAll();
+    for (std::uint64_t entry : {7, 100, 300, 5000})
+        path.access(entry, [] {});
+    eq.runAll();
+    EXPECT_GT(stats.metaCacheHits, 0u);
+    EXPECT_GT(stats.metaCacheMisses, 0u);
+    EXPECT_EQ(stats.metaCacheHits + stats.metaCacheMisses, 12u);
+    EXPECT_EQ(stats.metaCacheHits + stats.metaCacheMisses,
+              path.cache().hits() + path.cache().misses());
+    EXPECT_EQ(stats.metaCacheHits, path.hits());
+    EXPECT_EQ(stats.metaCacheMisses, path.misses());
 }
 
 } // namespace

@@ -1,11 +1,23 @@
 /** @file Unit tests for one memory Pod. */
 #include <gtest/gtest.h>
 
+#include "common/decision_log.h"
 #include "common/rng.h"
+#include "common/tracer.h"
 #include "core/pod.h"
 
 namespace mempod {
 namespace {
+
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
 
 struct PodFixture : ::testing::Test
 {
@@ -33,9 +45,10 @@ struct PodFixture : ::testing::Test
     demand(Pod &pod, PageId page, std::uint64_t offset = 0)
     {
         int completions = 0;
-        pod.handleDemand(page, offset,
-                         {.arrival = eq.now(),
-                          .done = [&](TimePs) { ++completions; }});
+        pod.handleDemand(
+            {.homeAddr = AddressMap::addrOfPage(page) + offset,
+             .arrival = eq.now(),
+             .done = [&](TimePs) { ++completions; }});
         eq.runAll();
         return completions;
     }
@@ -137,8 +150,8 @@ TEST_F(PodFixture, RequestsBlockedDuringMigrationDrainAfterCommit)
     // Without draining the event queue, issue a demand to the
     // migrating page: it must be blocked, then complete after commit.
     int completions = 0;
-    pod.handleDemand(hot, 64,
-                     {.arrival = eq.now(),
+    pod.handleDemand({.homeAddr = AddressMap::addrOfPage(hot) + 64,
+                      .arrival = eq.now(),
                       .done = [&](TimePs) { ++completions; }});
     EXPECT_EQ(pod.stats().blockedRequests, 1u);
     EXPECT_EQ(completions, 0);
@@ -198,6 +211,53 @@ TEST_F(PodFixture, TrackingStorageMatchesPaper)
     PodParams p; // paper defaults: 64 entries x 2 bits
     Pod pod(0, eq2, paper_mem, p);
     EXPECT_EQ(pod.trackingStorageBits() / 8, 184u); // 184 B per Pod
+}
+
+TEST_F(PodFixture, SwapStillQueuedAtNextIntervalIsAborted)
+{
+    DecisionLog log(50_us, 1.0);
+    Tracer tracer(TracerConfig{.enabled = true, .sampleEvery = 1});
+    eq.attach({.tracer = &tracer, .decisions = &log});
+    Pod pod(0, eq, mem, defaults());
+    const PageId a = slowPageOfPod0(1);
+    const PageId b = slowPageOfPod0(2);
+    for (int i = 0; i < 4; ++i) {
+        demand(pod, a);
+        demand(pod, b);
+    }
+    pod.onInterval(); // one swap starts, the other waits for the engine
+    ASSERT_EQ(log.size(), 2u);
+    ASSERT_EQ(pod.engine().queuedOps(), 1u);
+    const DecisionLog::Record queued = log.records()[1];
+    EXPECT_TRUE(pod.guard().reserved(queued.page));
+    EXPECT_TRUE(pod.guard().reserved(queued.victim));
+
+    pod.onInterval(); // the next interval drops the stale candidate
+    EXPECT_EQ(log.records()[1].outcome, DecisionLog::Outcome::kAborted);
+    EXPECT_EQ(log.abortedCount(), 1u);
+    EXPECT_TRUE(pod.guard().reserved(log.records()[0].page));
+    EXPECT_FALSE(pod.guard().reserved(queued.page));
+    EXPECT_FALSE(pod.guard().reserved(queued.victim));
+    const std::string mid = tracer.toJson();
+    EXPECT_NE(mid.find("\"swap_aborted\""), std::string::npos);
+    EXPECT_EQ(occurrences(mid, "\"ph\":\"s\""), 2u);
+    EXPECT_EQ(occurrences(mid, "\"ph\":\"f\""), 1u); // aborted flow ends
+    eq.runAll();
+
+    // A later interval may choose the freed page again.
+    const PageId again = queued.page == mem.map().podLocalOfPage(a) ? a : b;
+    for (int i = 0; i < 4; ++i)
+        demand(pod, again);
+    pod.onInterval();
+    eq.runAll();
+    EXPECT_EQ(log.records().back().page, queued.page);
+    EXPECT_EQ(log.records().back().outcome,
+              DecisionLog::Outcome::kCompleted);
+    EXPECT_TRUE(pod.remap().inFast(queued.page));
+    const std::string end = tracer.toJson();
+    EXPECT_EQ(occurrences(end, "\"ph\":\"s\""),
+              occurrences(end, "\"ph\":\"f\""));
+    EXPECT_EQ(pod.pendingWork(), 0u);
 }
 
 } // namespace

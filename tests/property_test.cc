@@ -124,10 +124,11 @@ TEST_P(PodSweep, InvariantsUnderRandomTraffic)
             const AccessType type = rng.nextBool(0.3)
                                         ? AccessType::kWrite
                                         : AccessType::kRead;
-            pod.handleDemand(page, offset,
-                             {.type = type,
-                              .arrival = eq.now(),
-                              .done = [&](TimePs) { ++completed; }});
+            pod.handleDemand(
+                {.homeAddr = AddressMap::addrOfPage(page) + offset,
+                 .type = type,
+                 .arrival = eq.now(),
+                 .done = [&](TimePs) { ++completed; }});
         }
         pod.onInterval();
         eq.runAll();

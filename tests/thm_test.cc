@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/thm.h"
+#include "common/decision_log.h"
 
 namespace mempod {
 namespace {
@@ -156,6 +157,40 @@ TEST_F(ThmFixture, StorageCostsMatchTable1Shape)
     ThmManager mgr(eq2, paper_mem, ThmParams{});
     // Table 1: 8 bits per fast page = 512 KB of competing counters.
     EXPECT_EQ(mgr.trackingStorageBits() / 8 / 1024, 512u);
+}
+
+TEST_F(ThmFixture, DemandToSwappingSegmentParksUntilCommit)
+{
+    DecisionLog log(50_us, 1.0);
+    eq.attach({.decisions = &log});
+    ThmManager mgr(eq, mem, params());
+    // The third access wins the competing counter; the engine is idle,
+    // so the swap starts at once and locks the whole segment.
+    for (int i = 0; i < 3; ++i)
+        mgr.handleDemand(
+            {.homeAddr = AddressMap::addrOfPage(pageOf(9, 3)),
+             .arrival = eq.now()});
+    ASSERT_EQ(mgr.engine().activeOps(), 1u);
+    eq.runUntil(eq.now() + 10_ns);
+    const TimePs parked_at = eq.now();
+    int done = 0;
+    TimePs done_at = 0;
+    mgr.handleDemand({.homeAddr = AddressMap::addrOfPage(pageOf(9, 5)),
+                      .arrival = eq.now(),
+                      .done = [&](TimePs) {
+                          ++done;
+                          done_at = eq.now();
+                      }});
+    EXPECT_EQ(mgr.migrationStats().blockedRequests, 1u);
+    EXPECT_EQ(done, 0);
+    eq.runAll();
+    EXPECT_EQ(done, 1);
+    ASSERT_EQ(log.size(), 1u);
+    const DecisionLog::Record &rec = log.records()[0];
+    ASSERT_EQ(rec.outcome, DecisionLog::Outcome::kCompleted);
+    EXPECT_GE(done_at, rec.commitPs);
+    EXPECT_EQ(mgr.migrationStats().blockedPs, rec.commitPs - parked_at);
+    EXPECT_EQ(mgr.pendingWork(), 0u);
 }
 
 } // namespace
