@@ -1,11 +1,9 @@
 #include "baselines/cameo.h"
 
 #include <bit>
-#include <memory>
 
 #include "common/decision_log.h"
 #include "common/log.h"
-#include "mem/manager_factory.h"
 #include "sim/validate.h"
 
 namespace mempod {
@@ -194,11 +192,5 @@ CameoManager::remapStorageBits() const
     // full LLT needs one entry per line in the group.
     return fastLines_ * (ratio_ + 1) * std::bit_width(ratio_);
 }
-
-MEMPOD_REGISTER_MANAGER(
-    Mechanism::kCameo,
-    [](const SimConfig &cfg, EventQueue &eq, MemorySystem &mem) {
-        return std::make_unique<CameoManager>(eq, mem, cfg.cameo);
-    })
 
 } // namespace mempod

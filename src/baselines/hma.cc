@@ -1,10 +1,8 @@
 #include "baselines/hma.h"
 
-#include <memory>
 #include <unordered_set>
 
 #include "common/decision_log.h"
-#include "mem/manager_factory.h"
 #include "sim/validate.h"
 
 namespace mempod {
@@ -154,11 +152,5 @@ HmaManager::pendingWork() const
            engine_.activeOps() +
            (metaPath_ ? metaPath_->outstandingFills() : 0);
 }
-
-MEMPOD_REGISTER_MANAGER(
-    Mechanism::kHma,
-    [](const SimConfig &cfg, EventQueue &eq, MemorySystem &mem) {
-        return std::make_unique<HmaManager>(eq, mem, cfg.hma);
-    })
 
 } // namespace mempod

@@ -1,9 +1,6 @@
 #include "baselines/no_migration.h"
 
-#include <memory>
-
 #include "common/log.h"
-#include "mem/manager_factory.h"
 
 namespace mempod {
 
@@ -24,11 +21,5 @@ NoMigrationManager::validateInvariants(bool paranoid) const
             static_cast<unsigned long long>(mstats_.migrations),
             static_cast<unsigned long long>(mstats_.bytesMoved));
 }
-
-MEMPOD_REGISTER_MANAGER(
-    Mechanism::kNoMigration,
-    [](const SimConfig &, EventQueue &, MemorySystem &mem) {
-        return std::make_unique<NoMigrationManager>(mem);
-    })
 
 } // namespace mempod

@@ -1,11 +1,9 @@
 #include "baselines/thm.h"
 
 #include <bit>
-#include <memory>
 
 #include "common/decision_log.h"
 #include "common/log.h"
-#include "mem/manager_factory.h"
 #include "sim/validate.h"
 
 namespace mempod {
@@ -201,11 +199,5 @@ ThmManager::remapStorageBits() const
     // One "which member is fast-resident" pointer per segment.
     return numSegments_ * std::bit_width(ratio_);
 }
-
-MEMPOD_REGISTER_MANAGER(
-    Mechanism::kThm,
-    [](const SimConfig &cfg, EventQueue &eq, MemorySystem &mem) {
-        return std::make_unique<ThmManager>(eq, mem, cfg.thm);
-    })
 
 } // namespace mempod

@@ -1,7 +1,5 @@
 #include "common/metrics.h"
 
-#include <cmath>
-
 #include "common/log.h"
 
 namespace mempod {
@@ -14,10 +12,6 @@ metricKindName(MetricKind kind)
         return "counter";
       case MetricKind::kGauge:
         return "gauge";
-      case MetricKind::kScalar:
-        return "scalar";
-      case MetricKind::kRatio:
-        return "ratio";
       case MetricKind::kHistogram:
         return "histogram";
     }
@@ -68,16 +62,9 @@ metricDelta(const MetricSnapshot &earlier, const MetricSnapshot &later)
         MetricValue d = after;
         switch (after.kind) {
           case MetricKind::kCounter:
-          case MetricKind::kRatio:
-            MEMPOD_ASSERT(after.count >= before.count &&
-                              after.hits >= before.hits,
+            MEMPOD_ASSERT(after.count >= before.count,
                           "metric '%s' went backwards", name.c_str());
             d.count = after.count - before.count;
-            d.hits = after.hits - before.hits;
-            break;
-          case MetricKind::kScalar:
-            d.count = after.count - before.count;
-            d.real = after.real - before.real; // sum
             break;
           case MetricKind::kHistogram:
             d.count = after.count - before.count;
@@ -110,14 +97,6 @@ MetricRegistry::emplace(const std::string &name, MetricKind kind,
     return it->second;
 }
 
-Counter &
-MetricRegistry::counter(const std::string &name, const std::string &desc)
-{
-    Instrument &inst = emplace(name, MetricKind::kCounter, desc);
-    inst.owned = std::make_unique<Counter>();
-    return *inst.owned;
-}
-
 void
 MetricRegistry::attachCounter(const std::string &name,
                               const std::string &desc,
@@ -142,24 +121,6 @@ MetricRegistry::addGauge(const std::string &name, const std::string &desc,
 {
     MEMPOD_ASSERT(fn != nullptr, "null fn for '%s'", name.c_str());
     emplace(name, MetricKind::kGauge, desc).gaugeFn = std::move(fn);
-}
-
-void
-MetricRegistry::attachScalar(const std::string &name,
-                             const std::string &desc,
-                             const ScalarStat *source)
-{
-    MEMPOD_ASSERT(source != nullptr, "null source for '%s'", name.c_str());
-    emplace(name, MetricKind::kScalar, desc).scalar = source;
-}
-
-void
-MetricRegistry::attachRatio(const std::string &name,
-                            const std::string &desc,
-                            const RatioStat *source)
-{
-    MEMPOD_ASSERT(source != nullptr, "null source for '%s'", name.c_str());
-    emplace(name, MetricKind::kRatio, desc).ratio = source;
 }
 
 void
@@ -215,28 +176,10 @@ MetricRegistry::snapshot(TimePs now) const
         v.kind = inst.kind;
         switch (inst.kind) {
           case MetricKind::kCounter:
-            if (inst.owned)
-                v.count = inst.owned->value();
-            else if (inst.u64Source)
-                v.count = *inst.u64Source;
-            else
-                v.count = inst.u64Fn();
+            v.count = inst.u64Source ? *inst.u64Source : inst.u64Fn();
             break;
           case MetricKind::kGauge:
             v.real = inst.gaugeFn();
-            break;
-          case MetricKind::kScalar:
-            v.count = inst.scalar->count();
-            v.real = inst.scalar->sum();
-            v.min = inst.scalar->min();
-            v.max = inst.scalar->max();
-            v.mean = inst.scalar->mean();
-            v.stddev = inst.scalar->stddev();
-            break;
-          case MetricKind::kRatio:
-            v.count = inst.ratio->total();
-            v.hits = inst.ratio->hits();
-            v.real = inst.ratio->rate();
             break;
           case MetricKind::kHistogram:
             v.count = inst.histogram->count();

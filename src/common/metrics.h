@@ -1,26 +1,24 @@
 /**
  * @file
  * Unified metrics registry (Ramulator Stat.h / gem5 stats idiom): every
- * component registers its typed instruments — counters, gauges,
- * ScalarStat, RatioStat, Log2Histogram — under a hierarchical
- * dot-separated name ("pod3.migration.bytes_moved",
- * "mem.fast0.row_hits") with a one-line description. The registry can
- * be snapshotted at any simulated time; snapshots support delta
- * arithmetic, which the EventQueue-driven IntervalSampler uses to
- * record a per-run time-series of every monotonic metric.
+ * component registers its typed instruments — counters, gauges and
+ * Log2Histograms — under a hierarchical dot-separated name
+ * ("pod3.migration.bytes_moved", "mem.fast0.row_hits") with a one-line
+ * description. The registry can be snapshotted at any simulated time;
+ * snapshots support delta arithmetic, which the EventQueue-driven
+ * IntervalSampler uses to record a per-run time-series of every
+ * monotonic metric.
  *
- * Instruments either live in the registry (Counter) or stay owned by
- * their component and are *attached* by pointer/callback; attached
- * sources must outlive every snapshot() call. Registration order does
- * not matter: snapshots are name-ordered, so any export derived from
- * them is deterministic.
+ * Instruments stay owned by their component and are *attached* by
+ * pointer/callback; attached sources must outlive every snapshot()
+ * call. Registration order does not matter: snapshots are
+ * name-ordered, so any export derived from them is deterministic.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,25 +28,11 @@
 
 namespace mempod {
 
-/** Monotonic event count owned by the registry. */
-class Counter
-{
-  public:
-    void inc() { ++value_; }
-    void add(std::uint64_t n) { value_ += n; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
 /** Instrument categories a registry entry can hold. */
 enum class MetricKind : std::uint8_t
 {
     kCounter,   //!< monotonic uint64
     kGauge,     //!< point-in-time double (derived / level metric)
-    kScalar,    //!< ScalarStat moments
-    kRatio,     //!< RatioStat hits/total
     kHistogram, //!< Log2Histogram buckets
 };
 
@@ -59,21 +43,9 @@ struct MetricValue
 {
     MetricKind kind = MetricKind::kCounter;
 
-    std::uint64_t count = 0; //!< counter value / sample count / total
-    std::uint64_t hits = 0;  //!< ratio numerator
-    double real = 0.0;       //!< gauge value / scalar sum
-    double min = 0.0;        //!< scalar min
-    double max = 0.0;        //!< scalar max
-    double mean = 0.0;       //!< scalar mean
-    double stddev = 0.0;     //!< scalar population stddev
+    std::uint64_t count = 0; //!< counter value / histogram samples
+    double real = 0.0;       //!< gauge value
     std::vector<std::uint64_t> buckets; //!< histogram buckets
-
-    /** Ratio hits/total, 0 when empty. */
-    double
-    rate() const
-    {
-        return count ? static_cast<double>(hits) / count : 0.0;
-    }
 };
 
 /** Name-ordered capture of every registered metric at one time. */
@@ -95,8 +67,7 @@ struct MetricSnapshot
 
 /**
  * Difference `later - earlier` for the monotonic fields (counter
- * values, ratio hits/totals, scalar counts/sums, histogram counts and
- * buckets); gauges and scalar min/max/mean/stddev keep their `later`
+ * values, histogram counts and buckets); gauges keep their `later`
  * value. Both snapshots must cover the same metric set.
  */
 MetricSnapshot metricDelta(const MetricSnapshot &earlier,
@@ -110,10 +81,10 @@ class MetricRegistry
     MetricRegistry(const MetricRegistry &) = delete;
     MetricRegistry &operator=(const MetricRegistry &) = delete;
 
-    /** Create (and own) a counter. Panics on a duplicate name. */
-    Counter &counter(const std::string &name, const std::string &desc);
-
-    /** Attach an external monotonic uint64 (e.g. a stats field). */
+    /**
+     * Attach an external monotonic uint64 (e.g. a stats field). Every
+     * attach panics on a duplicate name.
+     */
     void attachCounter(const std::string &name, const std::string &desc,
                        const std::uint64_t *source);
 
@@ -124,12 +95,6 @@ class MetricRegistry
     /** Attach a point-in-time derived value. */
     void addGauge(const std::string &name, const std::string &desc,
                   std::function<double()> fn);
-
-    void attachScalar(const std::string &name, const std::string &desc,
-                      const ScalarStat *source);
-
-    void attachRatio(const std::string &name, const std::string &desc,
-                     const RatioStat *source);
 
     void attachHistogram(const std::string &name, const std::string &desc,
                          const Log2Histogram *source);
@@ -153,12 +118,9 @@ class MetricRegistry
     {
         MetricKind kind;
         std::string desc;
-        std::unique_ptr<Counter> owned;          //!< kCounter (owned)
         const std::uint64_t *u64Source = nullptr; //!< kCounter (attached)
         std::function<std::uint64_t()> u64Fn;     //!< kCounter (computed)
         std::function<double()> gaugeFn;          //!< kGauge
-        const ScalarStat *scalar = nullptr;
-        const RatioStat *ratio = nullptr;
         const Log2Histogram *histogram = nullptr;
     };
 

@@ -1,28 +1,9 @@
 #include "common/stats.h"
 
 #include <bit>
-#include <cmath>
 #include <cstdio>
 
 namespace mempod {
-
-double
-ScalarStat::variance() const
-{
-    return count_ >= 2 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-ScalarStat::sampleVariance() const
-{
-    return count_ >= 2 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double
-ScalarStat::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 void
 Log2Histogram::sample(std::uint64_t v)

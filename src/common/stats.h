@@ -1,8 +1,7 @@
 /**
  * @file
- * Lightweight statistics accumulators used throughout the simulator:
- * scalar counters with mean/min/max and Welford variance, and a
- * log2-bucketed histogram for latency distributions.
+ * The log2-bucketed histogram behind every latency distribution the
+ * simulator reports.
  */
 #pragma once
 
@@ -11,51 +10,6 @@
 #include <vector>
 
 namespace mempod {
-
-/** Running scalar statistic (count / sum / min / max / mean / var). */
-class ScalarStat
-{
-  public:
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        if (v < min_ || count_ == 1)
-            min_ = v;
-        if (v > max_ || count_ == 1)
-            max_ = v;
-        // Welford's online algorithm: numerically stable second moment.
-        const double delta = v - runningMean_;
-        runningMean_ += delta / static_cast<double>(count_);
-        m2_ += delta * (v - runningMean_);
-    }
-
-    void reset() { *this = ScalarStat{}; }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Population variance (M2 / n); 0 with fewer than two samples. */
-    double variance() const;
-
-    /** Unbiased sample variance (M2 / (n-1)). */
-    double sampleVariance() const;
-
-    /** Population standard deviation. */
-    double stddev() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double runningMean_ = 0.0; //!< Welford state (mean() uses sum_)
-    double m2_ = 0.0;          //!< sum of squared deviations
-};
 
 /** Histogram with power-of-two buckets: [0,1), [1,2), [2,4), ... */
 class Log2Histogram
@@ -80,25 +34,6 @@ class Log2Histogram
   private:
     std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
-};
-
-/** Ratio helper for hit-rate style statistics. */
-class RatioStat
-{
-  public:
-    void hit() { ++hits_; ++total_; }
-    void miss() { ++total_; }
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t total() const { return total_; }
-    double rate() const
-    {
-        return total_ ? static_cast<double>(hits_) / total_ : 0.0;
-    }
-
-  private:
-    std::uint64_t hits_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace mempod

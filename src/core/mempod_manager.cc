@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "common/log.h"
-#include "mem/manager_factory.h"
 
 namespace mempod {
 
@@ -100,11 +99,5 @@ MemPodManager::remapStorageBits() const
         total += pod->remapStorageBits();
     return total;
 }
-
-MEMPOD_REGISTER_MANAGER(
-    Mechanism::kMemPod,
-    [](const SimConfig &cfg, EventQueue &eq, MemorySystem &mem) {
-        return std::make_unique<MemPodManager>(eq, mem, cfg.mempod);
-    })
 
 } // namespace mempod

@@ -60,13 +60,6 @@ TraceFrontend::suspendCores(TimePs duration)
     stallUntil(eq_.now() + duration);
 }
 
-void
-TraceFrontend::setFastForward(bool on, bool batch_admit)
-{
-    fastForward_ = on;
-    batchAdmit_ = on && batch_admit;
-}
-
 bool
 TraceFrontend::done() const
 {
@@ -213,7 +206,7 @@ TraceFrontend::pump()
             // never past the next scheduled event (window boundary,
             // migration timer), which must observe the record stream
             // at its own instant.
-            if (!batchAdmit_ || due >= eq_.nextTime()) {
+            if (!fastForward_ || due >= eq_.nextTime()) {
                 schedulePump(due);
                 inPump_ = false;
                 return;

@@ -60,14 +60,15 @@ class TraceFrontend
      * warm, and completed_/per-core issue counters still advance — but
      * stall-time, MSHR-wait and latency-histogram accounting is
      * suppressed, so measurement-window deltas are untouched by
-     * warm-up traffic. With `batch_admit` (functional warm model only)
-     * the pump also admits future-timestamped records early, bounded
-     * by the next scheduled event, collapsing per-record pump events
-     * into one sweep per window/timer boundary. Record-index tracer
-     * sampling is fidelity-independent, so the set of traced demand
-     * ids matches a detailed replay either way.
+     * warm-up traffic. Because the functional warm model completes
+     * instantly, the pump also admits future-timestamped records
+     * early, bounded by the next scheduled event, collapsing
+     * per-record pump events into one sweep per window/timer
+     * boundary. Record-index tracer sampling is fidelity-independent,
+     * so the set of traced demand ids matches a detailed replay
+     * either way.
      */
-    void setFastForward(bool on, bool batch_admit);
+    void setFastForward(bool on) { fastForward_ = on; }
 
     /** True while in a fast-forward window. */
     bool fastForward() const { return fastForward_; }
@@ -146,7 +147,6 @@ class TraceFrontend
 
     std::uint32_t maxOutstanding_;
     bool fastForward_ = false;
-    bool batchAdmit_ = false;
     bool inPump_ = false; //!< guards against pump reentry on instant completion
     std::uint32_t outstanding_ = 0;
     std::uint64_t issued_ = 0;

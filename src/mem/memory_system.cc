@@ -90,10 +90,10 @@ MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
         slot->add(models.primary,
                   makeModel(models.primary, queue_for(i), spec, base,
                             extra_latency_ps, policy, domain));
-        if (models.wantsWarm())
-            slot->add(models.warm,
-                      makeModel(models.warm, queue_for(i), spec,
-                                base + ".warm", extra_latency_ps,
+        if (models.warm)
+            slot->add(DramModel::kFunctional,
+                      makeModel(DramModel::kFunctional, queue_for(i),
+                                spec, base + ".warm", extra_latency_ps,
                                 policy, domain));
         slots_.push_back(std::move(slot));
     };
@@ -114,16 +114,16 @@ MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
     for (auto &slot : slots_)
         slot->setCompletionHook([this](TimePs) { --inFlight_; });
 
-    views_.reserve(slots_.size() * (models.wantsWarm() ? 2 : 1));
+    views_.reserve(slots_.size() * (models.warm ? 2 : 1));
     for (std::size_t c = 0; c < slots_.size(); ++c) {
         const MemTier tier =
             c < geom.fastChannels ? MemTier::kFast : MemTier::kSlow;
         ChannelTelemetry v = slots_[c]->telemetry();
         v.tier = tier;
         views_.push_back(std::move(v));
-        if (models.wantsWarm()) {
+        if (models.warm) {
             ChannelTelemetry w =
-                slots_[c]->find(models.warm)->telemetry();
+                slots_[c]->find(DramModel::kFunctional)->telemetry();
             w.tier = tier;
             views_.push_back(std::move(w));
         }

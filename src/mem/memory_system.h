@@ -39,24 +39,16 @@ struct ShardPlan
 /**
  * Which memory models each channel hosts and which one starts active.
  * The primary model is the run's measurement fidelity (dram.model); it
- * owns the channel's base telemetry name. Sampled simulation adds a
- * second, warm-up model per channel (named "<base>.warm") that the
- * FidelityController swaps in during fast-forward windows. The
- * default plan — detailed only — builds exactly the pre-sampling
+ * owns the channel's base telemetry name. Sampled simulation (`warm`)
+ * adds a functional warm-up model per channel (named "<base>.warm")
+ * that the FidelityController swaps in during fast-forward windows.
+ * The default plan — detailed only — builds exactly the pre-sampling
  * system: one Channel per physical channel, no extra telemetry.
  */
 struct ModelPlan
 {
     DramModel primary = DramModel::kDetailed;
-    bool warmEnabled = false;
-    DramModel warm = DramModel::kFunctional;
-
-    /** True when a distinct warm-up backend must be built. */
-    bool
-    wantsWarm() const
-    {
-        return warmEnabled && warm != primary;
-    }
+    bool warm = false;
 };
 
 /** All channels of the two-level memory plus shared statistics. */

@@ -91,8 +91,8 @@ struct SimConfig
     /**
      * SMARTS-style sampled simulation (`sim.sampling.*` dotted keys).
      * When enabled, the FidelityController (sim/fidelity.h) alternates
-     * fast-forward warm-up windows — run under `fastfwdModel`, with
-     * MEA trackers, remap tables and the decision ledger still live —
+     * fast-forward warm-up windows — run under the functional model,
+     * with MEA trackers, remap tables and the decision ledger live —
      * with detailed measurement windows run under `dram.model`. Each
      * period is `fastfwdPs + measurePs` of simulated time; the first
      * `warmupPct` percent of every measurement window re-warms queue
@@ -119,9 +119,6 @@ struct SimConfig
         std::uint32_t warmupPct = 30;
         /** Minimum completed measurement windows; fewer is an error. */
         std::uint32_t minWindows = 3;
-        /** Model for fast-forward windows; functional (instant
-         *  completion) or fast (latency/bandwidth queue). */
-        DramModel fastfwdModel = DramModel::kFunctional;
     };
     SamplingParams sampling;
 

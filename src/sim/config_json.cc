@@ -264,8 +264,6 @@ fieldTable()
                             sampling.warmupPct),
         MEMPOD_CONFIG_FIELD("sim.sampling.min_windows",
                             sampling.minWindows),
-        MEMPOD_CONFIG_FIELD("sim.sampling.fastfwd_model",
-                            sampling.fastfwdModel),
         MEMPOD_CONFIG_FIELD("tracer.enabled", tracer.enabled),
         MEMPOD_CONFIG_FIELD("tracer.sampleEvery", tracer.sampleEvery),
         MEMPOD_CONFIG_FIELD("tracer.seed", tracer.seed),

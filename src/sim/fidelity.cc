@@ -78,11 +78,6 @@ FidelityController::FidelityController(
                      static_cast<unsigned long long>(warmupPs_),
                      static_cast<unsigned long long>(params_.measurePs));
     }
-    // Batch admission collapses per-record pump events into one sweep
-    // per window/timer boundary, but it is only honest when the warm
-    // model completes instantly; a latency/bandwidth warm model keeps
-    // per-record pacing so its queues see real arrival spacing.
-    batchAdmit_ = params_.fastfwdModel == DramModel::kFunctional;
 }
 
 void
@@ -96,15 +91,15 @@ FidelityController::begin()
 void
 FidelityController::enterFastForward()
 {
-    mem_.setModel(params_.fastfwdModel);
-    frontend_.setFastForward(true, batchAdmit_);
+    mem_.setModel(DramModel::kFunctional);
+    frontend_.setFastForward(true);
 }
 
 void
 FidelityController::onDetailedStart()
 {
     mem_.setModel(measured_);
-    frontend_.setFastForward(false, false);
+    frontend_.setFastForward(false);
     eq_.schedule(eq_.now() + warmupPs_, [this] { onWarmupEnd(); });
 }
 

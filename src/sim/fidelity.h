@@ -1,11 +1,12 @@
 /**
  * @file
  * SMARTS-style sampled simulation: the FidelityController alternates
- * fast-forward warm-up windows (run under the cheap warm model while
- * MEA trackers, remap tables and the decision ledger stay live) with
- * detailed measurement windows (run under the configured measurement
- * model), and reduces the per-window AMMAT samples to a mean with a
- * Student-t confidence interval.
+ * fast-forward warm-up windows (run under the functional model, which
+ * completes every access instantly, while MEA trackers, remap tables
+ * and the decision ledger stay live) with detailed measurement windows
+ * (run under the configured measurement model), and reduces the
+ * per-window AMMAT samples to a mean with a Student-t confidence
+ * interval.
  *
  * ## Window schedule
  *
@@ -117,7 +118,6 @@ class FidelityController
     SimConfig::SamplingParams params_;
     DramModel measured_;
     TimePs warmupPs_ = 0;
-    bool batchAdmit_ = false; //!< functional warm model: batch records
 
     WindowStats stats_;
     double stallAtWarmupEnd_ = 0.0;

@@ -4,8 +4,8 @@
  * header. SimConfig embeds these by value, and pulling them out of the
  * mechanism headers is what lets sim/config.h stay free of mechanism
  * code: the mechanisms include this header (not the other way
- * around), and only the ManagerFactory ties a Mechanism tag to a
- * concrete manager class.
+ * around), and only buildManager (sim/simulation.h) ties a Mechanism
+ * tag to a concrete manager class.
  */
 #pragma once
 

@@ -2,10 +2,32 @@
 
 #include <algorithm>
 
+#include "baselines/cameo.h"
+#include "baselines/hma.h"
+#include "baselines/no_migration.h"
+#include "baselines/thm.h"
 #include "common/log.h"
-#include "mem/manager_factory.h"
+#include "core/mempod_manager.h"
 
 namespace mempod {
+
+std::unique_ptr<MemoryManager>
+buildManager(const SimConfig &cfg, EventQueue &eq, MemorySystem &mem)
+{
+    switch (cfg.mechanism) {
+      case Mechanism::kNoMigration:
+        return std::make_unique<NoMigrationManager>(mem);
+      case Mechanism::kMemPod:
+        return std::make_unique<MemPodManager>(eq, mem, cfg.mempod);
+      case Mechanism::kHma:
+        return std::make_unique<HmaManager>(eq, mem, cfg.hma);
+      case Mechanism::kThm:
+        return std::make_unique<ThmManager>(eq, mem, cfg.thm);
+      case Mechanism::kCameo:
+        return std::make_unique<CameoManager>(eq, mem, cfg.cameo);
+    }
+    MEMPOD_PANIC("unknown mechanism %d", static_cast<int>(cfg.mechanism));
+}
 
 TimePs
 Simulation::lookaheadPs(const SimConfig &config)
@@ -38,15 +60,14 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     config_.geom.validate();
     if (config_.dramModel == DramModel::kFunctional) {
         MEMPOD_PANIC("dram.model=functional is not a measurement "
-                     "model; use it as sim.sampling.fastfwd_model");
+                     "model; sampled runs use it for fast-forward");
     }
-    if (config_.sampling.enabled && config_.shards > 0 &&
-        config_.sampling.fastfwdModel == DramModel::kFunctional) {
+    if (config_.sampling.enabled && config_.shards > 0) {
         MEMPOD_PANIC(
-            "sampled simulation with the functional fast-forward "
-            "model requires the serial kernel (sim.shards=0): "
-            "functional completions run frontend and manager code "
-            "synchronously inside the channel lane");
+            "sampled simulation requires the serial kernel "
+            "(sim.shards=0): its functional fast-forward completions "
+            "run frontend and manager code synchronously inside the "
+            "channel lane");
     }
     if (config_.tracer.enabled)
         tracer_ = std::make_unique<Tracer>(config_.tracer);
@@ -77,23 +98,18 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
             ex->dispatch(ch, std::move(req), where);
         };
     }
-    ModelPlan models;
-    models.primary = config_.dramModel;
-    models.warmEnabled = config_.sampling.enabled;
-    models.warm = config_.sampling.fastfwdModel;
-    mem_ = std::make_unique<MemorySystem>(eq_, config_.geom, config_.near,
-                                          config_.far,
-                                          config_.extraLatencyPs,
-                                          config_.controller,
-                                          exec_ ? &plan : nullptr,
-                                          models);
+    mem_ = std::make_unique<MemorySystem>(
+        eq_, config_.geom, config_.near, config_.far,
+        config_.extraLatencyPs, config_.controller,
+        exec_ ? &plan : nullptr,
+        ModelPlan{config_.dramModel, config_.sampling.enabled});
     if (exec_)
         exec_->bindChannels(*mem_);
     placement_ = std::make_unique<LogicalToPhysical>(
         config_.geom.totalPages(), config_.numCores,
         config_.placementSeed);
 
-    manager_ = ManagerFactory::build(config_, eq_, *mem_);
+    manager_ = buildManager(config_, eq_, *mem_);
 
     frontend_ = std::make_unique<TraceFrontend>(
         eq_, *manager_, *placement_, config_.maxOutstanding);

@@ -29,6 +29,14 @@
 
 namespace mempod {
 
+/**
+ * Build the manager `cfg.mechanism` selects, wired to `eq` and `mem`.
+ * Panics on a value outside the Mechanism enum.
+ */
+std::unique_ptr<MemoryManager> buildManager(const SimConfig &cfg,
+                                            EventQueue &eq,
+                                            MemorySystem &mem);
+
 /** One configured system instance; run one trace through it. */
 class Simulation
 {

@@ -76,28 +76,6 @@ appendMetricValue(std::string &out, const MetricValue &v)
         out += ',';
         appendKeyDouble(out, "value", v.real);
         break;
-      case MetricKind::kScalar:
-        out += ',';
-        appendKeyU64(out, "count", v.count);
-        out += ',';
-        appendKeyDouble(out, "sum", v.real);
-        out += ',';
-        appendKeyDouble(out, "min", v.min);
-        out += ',';
-        appendKeyDouble(out, "max", v.max);
-        out += ',';
-        appendKeyDouble(out, "mean", v.mean);
-        out += ',';
-        appendKeyDouble(out, "stddev", v.stddev);
-        break;
-      case MetricKind::kRatio:
-        out += ',';
-        appendKeyU64(out, "hits", v.hits);
-        out += ',';
-        appendKeyU64(out, "total", v.count);
-        out += ',';
-        appendKeyDouble(out, "rate", v.rate());
-        break;
       case MetricKind::kHistogram:
         out += ',';
         appendKeyU64(out, "count", v.count);

@@ -96,7 +96,7 @@ class NativeTraceSource final : public TraceSource
     TimePs prevTime_ = 0;
 };
 
-/** One-shot write of a materialized trace (saveTrace's backend). */
+/** One-shot write of a materialized trace. */
 void writeNativeTrace(const Trace &trace, const std::string &path);
 
 } // namespace mempod

@@ -2,23 +2,7 @@
 
 #include <unordered_set>
 
-#include "trace/native.h"
-#include "trace/source.h"
-
 namespace mempod {
-
-void
-saveTrace(const Trace &trace, const std::string &path)
-{
-    writeNativeTrace(trace, path);
-}
-
-Trace
-loadTrace(const std::string &path)
-{
-    NativeTraceSource source(path);
-    return materialize(source);
-}
 
 TraceSummary
 summarize(const Trace &trace)

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -26,19 +25,6 @@ struct TraceRecord
 };
 
 using Trace = std::vector<TraceRecord>;
-
-/**
- * Serialize a trace to the native on-disk format (versioned header;
- * see trace/native.h).
- */
-void saveTrace(const Trace &trace, const std::string &path);
-
-/**
- * Materialize a trace written by saveTrace. Fatal, with an actionable
- * message, on foreign/truncated/version- or endian-mismatched files.
- * Streaming replay should use NativeTraceSource directly.
- */
-Trace loadTrace(const std::string &path);
 
 /** Summary statistics of a trace (for tests and reports). */
 struct TraceSummary

@@ -16,7 +16,7 @@
 namespace mempod {
 
 /** Dense per-page counters with touched-set tracking for cheap topN. */
-class FullCounters : public ActivityTracker
+class FullCounters
 {
   public:
     /**
@@ -26,11 +26,14 @@ class FullCounters : public ActivityTracker
     explicit FullCounters(std::uint64_t num_ids,
                           std::uint32_t counter_bits = 16);
 
-    void touch(std::uint64_t id) override;
-    void reset() override;
+    /** Record one access to `id`. */
+    void touch(std::uint64_t id);
+
+    /** Clear interval state. */
+    void reset();
 
     /** All touched pages, count desc (exact ranking). */
-    std::vector<TrackedEntry> snapshot() const override;
+    std::vector<TrackedEntry> snapshot() const;
 
     /** The n most-accessed pages of the interval. */
     std::vector<TrackedEntry> topN(std::size_t n) const;
@@ -38,12 +41,11 @@ class FullCounters : public ActivityTracker
     std::uint64_t count(std::uint64_t id) const;
     std::uint64_t touchedCount() const { return touched_.size(); }
 
-    std::uint64_t storageBits() const override
+    /** Modeled hardware cost in bits: one counter per page. */
+    std::uint64_t storageBits() const
     {
         return numIds_ * counterBits_;
     }
-
-    std::string name() const override { return "FullCounters"; }
 
   private:
     std::uint64_t numIds_;

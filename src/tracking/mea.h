@@ -26,7 +26,7 @@
 namespace mempod {
 
 /** MEA frequent-elements tracker with saturating counters. */
-class MeaTracker : public ActivityTracker
+class MeaTracker
 {
   public:
     /**
@@ -38,11 +38,14 @@ class MeaTracker : public ActivityTracker
     MeaTracker(std::uint32_t entries, std::uint32_t counter_bits = 2,
                std::uint32_t id_bits = 21);
 
-    void touch(std::uint64_t id) override;
-    void reset() override;
+    /** Record one access to `id`. */
+    void touch(std::uint64_t id);
+
+    /** Clear interval state. */
+    void reset();
 
     /** Entries currently tracked (count desc, id asc). */
-    std::vector<TrackedEntry> snapshot() const override;
+    std::vector<TrackedEntry> snapshot() const;
 
     /** Ids currently tracked (unsorted membership test set). */
     std::vector<std::uint64_t> trackedIds() const;
@@ -66,7 +69,7 @@ class MeaTracker : public ActivityTracker
     std::size_t size() const { return map_.size(); }
 
     /** Modeled hardware cost in bits: K * (id + counter). */
-    std::uint64_t storageBits() const override;
+    std::uint64_t storageBits() const;
 
     /** Number of decrement-all sweeps performed (operation (c)). */
     std::uint64_t sweeps() const { return sweeps_; }
@@ -76,8 +79,6 @@ class MeaTracker : public ActivityTracker
 
     /** Full tracker clears (interval boundaries). */
     std::uint64_t resets() const { return resets_; }
-
-    std::string name() const override { return "MEA"; }
 
   private:
     std::uint32_t entries_;

@@ -1,14 +1,12 @@
 /**
  * @file
- * Common interface for activity-tracking schemes (Section 4.2 of the
- * paper): MEA and the Full Counters baseline both observe a stream of
- * page ids and report the pages they consider hot.
+ * The (id, count) pair that activity trackers (Section 4.2 of the
+ * paper) report: MEA and the Full Counters baseline both observe a
+ * stream of page ids and rank the pages they consider hot.
  */
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace mempod {
 
@@ -23,27 +21,6 @@ struct TrackedEntry
     {
         return id == o.id && count == o.count;
     }
-};
-
-/** Observes page accesses and identifies hot pages per interval. */
-class ActivityTracker
-{
-  public:
-    virtual ~ActivityTracker() = default;
-
-    /** Record one access to `id`. */
-    virtual void touch(std::uint64_t id) = 0;
-
-    /** Clear interval state. */
-    virtual void reset() = 0;
-
-    /** Current hot candidates, hottest first (count desc, id asc). */
-    virtual std::vector<TrackedEntry> snapshot() const = 0;
-
-    /** Modeled hardware storage cost in bits. */
-    virtual std::uint64_t storageBits() const = 0;
-
-    virtual std::string name() const = 0;
 };
 
 } // namespace mempod

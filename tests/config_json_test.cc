@@ -127,6 +127,9 @@ TEST(ConfigJsonDeathTest, UnknownKeyPanics)
     EXPECT_DEATH(c.set("mempod.bogus", "1"), "unknown config key");
     EXPECT_DEATH(c.set("dram.near.tXYZ_ps", "1"), "unknown config key");
     EXPECT_DEATH(c.set("fast.timing.tCL", "7"), "unknown config key");
+    // Fast-forward always runs the functional model: no key picks it.
+    EXPECT_DEATH(c.set("sim.sampling.fastfwd_model", "functional"),
+                 "unknown config key");
     EXPECT_DEATH(
         (void)SimConfig::fromJson(R"({"nonsense": 1})"),
         "unknown config key");

@@ -305,14 +305,12 @@ TEST(SamplingConfig, DottedKeysSetAndRoundTrip)
     c.set("sim.sampling.fastfwd_ps", "4560000");
     c.set("sim.sampling.warmup_pct", "25");
     c.set("sim.sampling.min_windows", "7");
-    c.set("sim.sampling.fastfwd_model", "functional");
     EXPECT_EQ(c.dramModel, DramModel::kFast);
     EXPECT_TRUE(c.sampling.enabled);
     EXPECT_EQ(c.sampling.measurePs, 1'230'000u);
     EXPECT_EQ(c.sampling.fastfwdPs, 4'560'000u);
     EXPECT_EQ(c.sampling.warmupPct, 25u);
     EXPECT_EQ(c.sampling.minWindows, 7u);
-    EXPECT_EQ(c.sampling.fastfwdModel, DramModel::kFunctional);
 
     const SimConfig rt = SimConfig::fromJson(c.toJson());
     EXPECT_EQ(rt.toJson(), c.toJson());

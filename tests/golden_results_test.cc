@@ -11,7 +11,7 @@
  *   MEMPOD_PRINT_GOLDEN=1 ./build/tests/mempod_tests \
  *       --gtest_filter='Golden*' 2>/dev/null
  * and paste the printed tables over kGolden / kMetaGolden /
- * kTraceGolden below.
+ * kSampledGolden / kTraceGolden below.
  */
 #include <gtest/gtest.h>
 
@@ -84,6 +84,39 @@ constexpr MetaGoldenRow kMetaGolden[] = {
      498311878u, 69.247937900000011},
     {"MemPod+cache", Mechanism::kMemPod, 40704u, 9296u, 456u, 86u,
      19262709u, 458583383u, 64.560037899999998},
+};
+
+/**
+ * The same run in sampled mode (sim.sampling.enabled): pins the
+ * fast-forward warm path and the window estimator. The trace spans
+ * ~0.5 ms, so the period is shortened to 63 + 20 us; 83 us does not
+ * divide MemPod's 50 us interval, so the windows stride its epochs.
+ */
+struct SampledGoldenRow
+{
+    const char *label;
+    Mechanism mechanism;
+    std::uint64_t sampleWindows;
+    std::uint64_t eventsExecuted;
+    std::uint64_t migrations;
+    std::uint64_t demandFast;
+    std::uint64_t demandSlow;
+    std::uint64_t simulatedPs;
+    double sampledAmmatNs;
+    double sampledCiNs;
+};
+
+constexpr SampledGoldenRow kSampledGolden[] = {
+    {"NoMigration", Mechanism::kNoMigration, 6u, 71965u, 0u, 5313u,
+     44687u, 498279866u, 58.999596509718138, 3.5218683481068855},
+    {"HMA", Mechanism::kHma, 6u, 75507u, 580u, 9384u, 40616u, 498050825u,
+     66.386362017457344, 31.769025794902671},
+    {"THM", Mechanism::kThm, 6u, 135354u, 811u, 17674u, 32326u,
+     499205249u, 61.034441780236698, 4.564353101084909},
+    {"CAMEO", Mechanism::kCameo, 6u, 226053u, 40359u, 9011u, 40989u,
+     499205249u, 62.003554093463585, 3.5560721751483393},
+    {"MemPod", Mechanism::kMemPod, 6u, 99595u, 456u, 12434u, 37566u,
+     500007452u, 57.025823344264857, 7.5290949904103215},
 };
 
 struct TraceGolden
@@ -159,10 +192,12 @@ TEST(GoldenTrace, GeneratorIsPinned)
               kTraceGolden.duration);
 }
 
-/** Run one golden job per row; `meta_cache` selects the cache rows. */
+/** Run one golden job per row; `meta_cache` selects the cache rows,
+ *  `sampled` the shortened sampled-mode schedule. */
 template <typename Row, std::size_t N>
 std::vector<JobResult>
-runRows(const Row (&rows)[N], bool meta_cache, std::uint32_t shards)
+runRows(const Row (&rows)[N], bool meta_cache, std::uint32_t shards,
+        bool sampled = false)
 {
     // Run through the BatchRunner so the tier-1 suite exercises the
     // parallel path; determinism makes the worker count irrelevant.
@@ -171,6 +206,10 @@ runRows(const Row (&rows)[N], bool meta_cache, std::uint32_t shards)
         BatchJob job;
         job.config = goldenConfig(g.mechanism, meta_cache);
         job.config.shards = shards;
+        if (sampled) {
+            job.config.sampling.enabled = true;
+            job.config.sampling.fastfwdPs = 63_us;
+        }
         job.workload = kWorkload;
         job.gen.totalRequests = kRequests;
         job.gen.seed = kSeed;
@@ -282,6 +321,46 @@ TEST(GoldenResults, MetadataCacheRowsArePinned)
         EXPECT_EQ(m.blockedPs, g.blockedPs) << g.label;
         EXPECT_EQ(m.metadataPs, g.metadataPs) << g.label;
         EXPECT_NEAR(r.ammatNs, g.ammatNs, g.ammatNs * 1e-9) << g.label;
+    }
+}
+
+TEST(GoldenResults, SampledRowsArePinned)
+{
+    const std::vector<JobResult> results =
+        runRows(kSampledGolden, false, 0, true);
+    ASSERT_EQ(results.size(), std::size(kSampledGolden));
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SampledGoldenRow &g = kSampledGolden[i];
+        ASSERT_TRUE(results[i].ok) << g.label << ": "
+                                   << results[i].error;
+        const RunResult &r = results[i].result;
+        if (printGolden()) {
+            std::printf("    {\"%s\", Mechanism::%s, %lluu, %lluu, "
+                        "%lluu, %lluu, %lluu, %lluu, %.17g, %.17g},\n",
+                        g.label, mechanismEnumName(g.mechanism),
+                        ull(r.sampleWindows), ull(r.eventsExecuted),
+                        ull(r.migration.migrations),
+                        ull(r.memStats.demandFast),
+                        ull(r.memStats.demandSlow),
+                        ull(static_cast<std::uint64_t>(r.simulatedPs)),
+                        r.sampledAmmatNs, r.sampledCiNs);
+            continue;
+        }
+        EXPECT_TRUE(r.sampled) << g.label;
+        EXPECT_GE(r.sampleWindows, 5u) << g.label;
+        EXPECT_EQ(r.completed, kRequests) << g.label;
+        EXPECT_EQ(r.sampleWindows, g.sampleWindows) << g.label;
+        EXPECT_EQ(r.eventsExecuted, g.eventsExecuted) << g.label;
+        EXPECT_EQ(r.migration.migrations, g.migrations) << g.label;
+        EXPECT_EQ(r.memStats.demandFast, g.demandFast) << g.label;
+        EXPECT_EQ(r.memStats.demandSlow, g.demandSlow) << g.label;
+        EXPECT_EQ(static_cast<std::uint64_t>(r.simulatedPs), g.simulatedPs)
+            << g.label;
+        EXPECT_NEAR(r.sampledAmmatNs, g.sampledAmmatNs,
+                    g.sampledAmmatNs * 1e-9)
+            << g.label;
+        EXPECT_NEAR(r.sampledCiNs, g.sampledCiNs, g.sampledCiNs * 1e-9)
+            << g.label;
     }
 }
 

@@ -1,83 +1,10 @@
-/** @file Unit tests for statistics accumulators. */
+/** @file Unit tests for the log2 histogram. */
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
 
 namespace mempod {
 namespace {
-
-TEST(ScalarStat, EmptyIsZero)
-{
-    ScalarStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(ScalarStat, TracksMoments)
-{
-    ScalarStat s;
-    for (double v : {4.0, 2.0, 6.0})
-        s.sample(v);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.sum(), 12.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 6.0);
-}
-
-TEST(ScalarStat, SingleSample)
-{
-    ScalarStat s;
-    s.sample(-3.5);
-    EXPECT_DOUBLE_EQ(s.min(), -3.5);
-    EXPECT_DOUBLE_EQ(s.max(), -3.5);
-    EXPECT_DOUBLE_EQ(s.mean(), -3.5);
-}
-
-TEST(ScalarStat, ResetClears)
-{
-    ScalarStat s;
-    s.sample(1.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.sum(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(ScalarStat, WelfordVariance)
-{
-    ScalarStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.sample(v);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 4.0);       // population: M2 / n
-    EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-    EXPECT_DOUBLE_EQ(s.sampleVariance(), 32.0 / 7.0);
-}
-
-TEST(ScalarStat, VarianceNeedsTwoSamples)
-{
-    ScalarStat s;
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    s.sample(42.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-    s.sample(42.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0); // identical samples
-}
-
-TEST(ScalarStat, WelfordMatchesNaiveOnShiftedData)
-{
-    // A large constant offset defeats the naive sum-of-squares
-    // formula; Welford must still recover the small true variance.
-    ScalarStat s;
-    const double base = 1e9;
-    for (double v : {base + 1.0, base + 2.0, base + 3.0})
-        s.sample(v);
-    EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-6);
-}
 
 TEST(Log2Histogram, CountsSamples)
 {
@@ -161,24 +88,6 @@ TEST(Log2Histogram, ToStringMentionsBuckets)
     Log2Histogram h;
     h.sample(5);
     EXPECT_NE(h.toString().find(':'), std::string::npos);
-}
-
-TEST(RatioStat, ComputesRate)
-{
-    RatioStat r;
-    r.hit();
-    r.hit();
-    r.miss();
-    r.miss();
-    EXPECT_EQ(r.hits(), 2u);
-    EXPECT_EQ(r.total(), 4u);
-    EXPECT_DOUBLE_EQ(r.rate(), 0.5);
-}
-
-TEST(RatioStat, EmptyRateIsZero)
-{
-    RatioStat r;
-    EXPECT_DOUBLE_EQ(r.rate(), 0.0);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * End-to-end tests of the CLI tools, invoking the real binaries
  * (paths injected by CMake as MEMPOD_*_TOOL_PATH):
  *   - trace_tool summary --json emits the pinned
- *     mempod-trace-summary-v1 schema
+ *     mempod-trace-summary-v1 schema, and every trace_tool numeric
+ *     argument rejects a malformed token with exit 2
  *   - run_tool (MEMPOD_RUN_TOOL_PATH): summary, the speedup gate
  *     (which fails on a missing, zero or non-finite leaf), explain
  *     (its per-component attribution sums exactly to the measured AMMAT
@@ -33,6 +34,7 @@
 #include "sim/simulation.h"
 #include "sim/stats_writer.h"
 #include "trace/catalog.h"
+#include "trace/native.h"
 
 namespace mempod {
 namespace {
@@ -137,6 +139,38 @@ TEST(TraceTool, SummaryJsonMatchesPinnedSchema)
           "\"markers\":", "\"demands\":", "\"migrations\":",
           "\"blocked\":", "\"complete\":", "\"total_us\":", "\"top\":"})
         EXPECT_NE(r.out.find(key), std::string::npos) << key;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceTool, MalformedNumbersExitTwoWithUsage)
+{
+    const auto dir = tmpDir();
+    const std::string trc = (dir / "in.trc").string();
+    writeNativeTrace(tinyTrace(200), trc);
+    const std::string summary = (dir / "empty.trace.json").string();
+    writeText(summary, "{\"traceEvents\":[\n]}\n");
+    const std::string out = (dir / "out.trc").string();
+    const std::string stem = (dir / "conv").string();
+    // One fixture per numeric argument. A prefix parse (strtoull)
+    // reads "abc" as 0, "20000x" as 20000, "4x2" as 4 and "-5" as
+    // 2^64 - 5, so each must be rejected as a whole token.
+    for (const std::string &args :
+         {"record xalanc " + out + " abc",
+          "record xalanc " + out + " 20000x",
+          "record xalanc " + out + " -5",
+          "record xalanc " + out + " 20000 4x2",
+          "convert " + trc + " " + stem + " sift --period-ps 1e3",
+          "convert " + trc + " " + stem + " champsim --addr-bias abc",
+          "summary " + summary + " abc"}) {
+        std::string err;
+        const CmdResult r =
+            run(std::string(MEMPOD_TRACE_TOOL_PATH) + " " + args, &err);
+        EXPECT_EQ(r.status, 2) << args;
+        EXPECT_NE(err.find("usage: trace_tool"), std::string::npos)
+            << args << ": " << err;
+        EXPECT_TRUE(r.out.empty()) << args << ": " << r.out;
+    }
+    EXPECT_FALSE(std::filesystem::exists(out));
     std::filesystem::remove_all(dir);
 }
 

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "trace/generator.h"
+#include "trace/native.h"
 #include "trace/profiles.h"
 #include "trace/record.h"
 
@@ -181,8 +182,9 @@ TEST(TraceIo, SaveLoadRoundTrip)
 {
     const Trace t = generateTrace(eightCores("sphinx"), smallConfig());
     const std::string path = ::testing::TempDir() + "/trace.bin";
-    saveTrace(t, path);
-    const Trace loaded = loadTrace(path);
+    writeNativeTrace(t, path);
+    NativeTraceSource source(path);
+    const Trace loaded = materialize(source);
     ASSERT_EQ(loaded.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
         EXPECT_EQ(loaded[i].time, t[i].time);
@@ -199,7 +201,7 @@ TEST(TraceIoDeathTest, LoadRejectsGarbage)
     std::FILE *f = std::fopen(path.c_str(), "wb");
     std::fputs("not a trace", f);
     std::fclose(f);
-    EXPECT_DEATH(loadTrace(path), "not a mempod trace");
+    EXPECT_DEATH(NativeTraceSource source(path), "not a mempod trace");
     std::remove(path.c_str());
 }
 

@@ -1,18 +1,20 @@
 /**
  * @file
- * Trace utility: generate workload traces to disk, inspect saved
+ * Trace utility: record workload traces to disk, inspect saved
  * traces, and print per-core composition — so experiments can be run
  * repeatedly against identical frozen inputs.
  *
  * Usage:
- *   trace_tool gen     <workload> <file.bin> [requests] [seed]
  *   trace_tool record  <workload> <file.trc> [requests] [seed]
  *                      [--manifest traces.json]...
  *   trace_tool convert <in.trc> <out-stem> champsim|sift
  *                      [--timing ip|period] [--period-ps N]
  *                      [--addr-bias N]
- *   trace_tool info    <file.bin>
+ *   trace_tool info    <file.trc>
  *   trace_tool summary <file.trace.json> [topk] [--json]
+ *
+ * Every numeric argument must be a whole unsigned decimal token; a
+ * malformed one prints the subcommand's usage and exits 2.
  *
  * `record` streams any catalog workload (synthetic, or external after
  * --manifest) into the versioned native trace format; `convert` splits
@@ -23,8 +25,8 @@
  * trace without scraping table output.
  */
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -44,27 +46,35 @@ namespace {
 
 using namespace mempod;
 
+constexpr const char *kRecordUsage =
+    "record <workload> <file.trc> [requests] [seed] "
+    "[--manifest traces.json]...";
+constexpr const char *kConvertUsage =
+    "convert <in.trc> <out-stem> champsim|sift [--timing ip|period] "
+    "[--period-ps N] [--addr-bias N]";
+constexpr const char *kInfoUsage = "info <file.trc>";
+constexpr const char *kSummaryUsage =
+    "summary <file.trace.json> [topk] [--json]";
+
 int
-cmdGen(int argc, char **argv)
+usage(const char *text)
 {
-    if (argc < 4) {
-        std::fprintf(stderr,
-                     "usage: trace_tool gen <workload> <file.bin> "
-                     "[requests] [seed]\n");
-        return 2;
-    }
-    GeneratorConfig gc;
-    gc.totalRequests =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1'000'000;
-    gc.seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 42;
-    const Trace trace = WorkloadCatalog::global().build(argv[2], gc);
-    saveTrace(trace, argv[3]);
-    const TraceSummary s = summarize(trace);
-    std::printf("wrote %llu records (%.1f req/us, %.2f ms) to %s\n",
-                static_cast<unsigned long long>(s.records),
-                s.requestsPerUs,
-                static_cast<double>(s.duration) / 1e9, argv[3]);
-    return 0;
+    std::fprintf(stderr, "usage: trace_tool %s\n", text);
+    return 2;
+}
+
+/** Parse all of `text` as an unsigned decimal; false on any junk. */
+template <typename Unsigned>
+bool
+parseUnsigned(const char *text, Unsigned &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    if (ec == std::errc() && ptr == end)
+        return true;
+    std::fprintf(stderr, "trace_tool: '%s' is not an unsigned integer\n",
+                 text);
+    return false;
 }
 
 int
@@ -77,16 +87,13 @@ cmdRecord(int argc, char **argv)
         else
             pos.push_back(argv[i]);
     }
-    if (pos.size() < 2) {
-        std::fprintf(stderr,
-                     "usage: trace_tool record <workload> <file.trc> "
-                     "[requests] [seed] [--manifest traces.json]...\n");
-        return 2;
-    }
     GeneratorConfig gc;
-    gc.totalRequests =
-        pos.size() > 2 ? std::strtoull(pos[2], nullptr, 10) : 1'000'000;
-    gc.seed = pos.size() > 3 ? std::strtoull(pos[3], nullptr, 10) : 42;
+    gc.totalRequests = 1'000'000;
+    gc.seed = 42;
+    if (pos.size() < 2 ||
+        (pos.size() > 2 && !parseUnsigned(pos[2], gc.totalRequests)) ||
+        (pos.size() > 3 && !parseUnsigned(pos[3], gc.seed)))
+        return usage(kRecordUsage);
 
     const auto source = WorkloadCatalog::global().open(pos[0], gc);
     source->reset();
@@ -143,21 +150,18 @@ cmdConvert(int argc, char **argv)
             }
         } else if (!std::strcmp(argv[i], "--period-ps") &&
                    i + 1 < argc) {
-            period_ps = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseUnsigned(argv[++i], period_ps))
+                return usage(kConvertUsage);
         } else if (!std::strcmp(argv[i], "--addr-bias") &&
                    i + 1 < argc) {
-            addr_bias = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseUnsigned(argv[++i], addr_bias))
+                return usage(kConvertUsage);
         } else {
             pos.push_back(argv[i]);
         }
     }
-    if (pos.size() < 3) {
-        std::fprintf(stderr,
-                     "usage: trace_tool convert <in.trc> <out-stem> "
-                     "champsim|sift [--timing ip|period] "
-                     "[--period-ps N] [--addr-bias N]\n");
-        return 2;
-    }
+    if (pos.size() < 3)
+        return usage(kConvertUsage);
 
     NativeTraceSource source(pos[0]);
     const std::string fmt = pos[2];
@@ -205,11 +209,10 @@ cmdConvert(int argc, char **argv)
 int
 cmdInfo(int argc, char **argv)
 {
-    if (argc < 3) {
-        std::fprintf(stderr, "usage: trace_tool info <file.bin>\n");
-        return 2;
-    }
-    const Trace trace = loadTrace(argv[2]);
+    if (argc < 3)
+        return usage(kInfoUsage);
+    NativeTraceSource source(argv[2]);
+    const Trace trace = materialize(source);
     const TraceSummary s = summarize(trace);
     std::printf("records:      %llu\n",
                 static_cast<unsigned long long>(s.records));
@@ -265,13 +268,9 @@ cmdSummary(int argc, char **argv)
         else
             pos.push_back(argv[i]);
     }
-    if (pos.empty()) {
-        std::fprintf(stderr, "usage: trace_tool summary "
-                             "<file.trace.json> [topk] [--json]\n");
-        return 2;
-    }
-    const std::size_t topk =
-        pos.size() > 1 ? std::strtoull(pos[1], nullptr, 10) : 10;
+    std::size_t topk = 10;
+    if (pos.empty() || (pos.size() > 1 && !parseUnsigned(pos[1], topk)))
+        return usage(kSummaryUsage);
     std::ifstream in(pos[0]);
     if (!in) {
         std::fprintf(stderr, "cannot open '%s'\n", pos[0]);
@@ -462,11 +461,9 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr, "usage: trace_tool "
-                             "gen|record|convert|info|summary ...\n");
+                             "record|convert|info|summary ...\n");
         return 2;
     }
-    if (!std::strcmp(argv[1], "gen"))
-        return cmdGen(argc, argv);
     if (!std::strcmp(argv[1], "record"))
         return cmdRecord(argc, argv);
     if (!std::strcmp(argv[1], "convert"))
