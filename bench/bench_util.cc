@@ -1,6 +1,5 @@
 #include "bench_util.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +11,7 @@
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/number.h"
 #include "sim/stats_writer.h"
 #include "trace/generator.h"
 
@@ -71,18 +71,15 @@ listWorkloads()
 }
 
 /**
- * Strict decimal parse of `text` into `out`, within [lo, hi]; returns
+ * Read `text` as an unsigned integer in [lo, hi] into `out`; returns
  * the error text ("" on success).
  */
 std::string
-parseUint(const std::string &text, std::uint64_t &out,
-          std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX)
+uintInRange(const std::string &text, std::uint64_t &out,
+            std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE)
+    std::uint64_t v = 0;
+    if (parseDecimal(text, v) != std::errc())
         return "expects an unsigned integer, got '" + text + "'";
     if (v < lo || v > hi) {
         return "must be " +
@@ -101,7 +98,7 @@ storeUint(T &out, std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX)
 {
     return [&out, lo, hi](const std::string &v) {
         std::uint64_t n = 0;
-        const std::string err = parseUint(v, n, lo, hi);
+        const std::string err = uintInRange(v, n, lo, hi);
         out = static_cast<T>(n);
         return err;
     };
@@ -159,7 +156,7 @@ parseOptions(int argc, char **argv, const char *what,
          "sim.shards=N: PDES shards in [0, 1024]; 0 = serial kernel",
          [&](const std::string &v) {
              std::uint64_t n = 0;
-             const std::string err = parseUint(v, n, 0, 1024);
+             const std::string err = uintInRange(v, n, 0, 1024);
              opt.sets.emplace_back("sim.shards", std::to_string(n));
              return err;
          }},

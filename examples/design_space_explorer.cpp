@@ -8,15 +8,20 @@
  *          [--epochs us,us,...] [--counters k,k,...] [--bits b,b,...]
  *          [--jobs N]
  *
+ * Every number must be a whole positive integer (--jobs: 0 = all
+ * cores, at most 1024; --bits at most 32); anything else prints the
+ * usage line and exits 2.
+ *
  * The grid runs on the BatchRunner worker pool; results are identical
  * at any --jobs value.
  */
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/number.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/simulation.h"
@@ -24,20 +29,26 @@
 
 namespace {
 
-std::vector<std::uint64_t>
-parseList(const char *s)
+/**
+ * Parse "a,b,..." into `out`: each item a whole integer in [1, max].
+ * False on an empty, malformed or out-of-range item.
+ */
+bool
+parseList(std::string_view s, std::uint64_t max,
+          std::vector<std::uint64_t> &out)
 {
-    std::vector<std::uint64_t> out;
-    const std::string str(s);
-    std::size_t pos = 0;
-    while (pos < str.size()) {
-        out.push_back(std::strtoull(str.c_str() + pos, nullptr, 10));
-        const std::size_t comma = str.find(',', pos);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
+    out.clear();
+    while (true) {
+        const std::size_t comma = s.find(',');
+        std::uint64_t v = 0;
+        if (mempod::parseDecimal(s.substr(0, comma), v) != std::errc() ||
+            v == 0 || v > max)
+            return false;
+        out.push_back(v);
+        if (comma == std::string_view::npos)
+            return true;
+        s.remove_prefix(comma + 1);
     }
-    return out;
 }
 
 } // namespace
@@ -55,20 +66,32 @@ main(int argc, char **argv)
     std::vector<std::uint64_t> bits{2};
 
     int positional = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--epochs") && i + 1 < argc)
-            epochs_us = parseList(argv[++i]);
-        else if (!std::strcmp(argv[i], "--counters") && i + 1 < argc)
-            counters = parseList(argv[++i]);
-        else if (!std::strcmp(argv[i], "--bits") && i + 1 < argc)
-            bits = parseList(argv[++i]);
-        else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (positional == 0)
-            workload = argv[i], ++positional;
+    bool ok = true;
+    for (int i = 1; ok && i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const bool has_value = i + 1 < argc;
+        if (arg == "--epochs" && has_value)
+            ok = parseList(argv[++i], UINT64_MAX / 1_us, epochs_us);
+        else if (arg == "--counters" && has_value)
+            ok = parseList(argv[++i], UINT32_MAX, counters);
+        else if (arg == "--bits" && has_value)
+            ok = parseList(argv[++i], 32, bits);
+        else if (arg == "--jobs" && has_value)
+            ok = parseDecimal(argv[++i], jobs) == std::errc() &&
+                 jobs <= 1024;
+        else if (arg.starts_with('-') || positional > 1)
+            ok = false;
+        else if (positional++ == 0)
+            workload = arg;
         else
-            requests = std::strtoull(argv[i], nullptr, 10);
+            ok = parseDecimal(arg, requests) == std::errc() && requests > 0;
+    }
+    if (!ok) {
+        std::fprintf(stderr,
+                     "usage: design_space_explorer [workload] [requests] "
+                     "[--epochs us,...] [--counters k,...] [--bits b,...] "
+                     "[--jobs N]\n");
+        return 2;
     }
 
     GeneratorConfig gen;

@@ -8,8 +8,8 @@
  * Usage: mea_playground [mea_entries] [counter_bits]
  */
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/number.h"
 #include "common/rng.h"
 #include "tracking/full_counters.h"
 #include "tracking/mea.h"
@@ -19,10 +19,17 @@ main(int argc, char **argv)
 {
     using namespace mempod;
 
-    const std::uint32_t entries =
-        argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 8;
-    const std::uint32_t bits =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4;
+    // MEA needs at least one entry and a counter width in [1, 32].
+    std::uint32_t entries = 8, bits = 4;
+    if (argc > 3 ||
+        (argc > 1 &&
+         (parseDecimal(argv[1], entries) != std::errc() || entries == 0)) ||
+        (argc > 2 && (parseDecimal(argv[2], bits) != std::errc() ||
+                      bits == 0 || bits > 32))) {
+        std::fprintf(stderr,
+                     "usage: mea_playground [mea_entries] [counter_bits]\n");
+        return 2;
+    }
 
     std::printf("MEA with %u entries, %u-bit counters "
                 "(storage: %llu bits vs %llu bits for full counters "

@@ -9,9 +9,9 @@
  * Usage: mixed_workload_tour [mixN] [requests]
  */
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/number.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 #include "trace/catalog.h"
@@ -22,8 +22,14 @@ main(int argc, char **argv)
     using namespace mempod;
 
     const std::string name = argc > 1 ? argv[1] : "mix5";
-    const std::uint64_t requests =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 400'000;
+    std::uint64_t requests = 400'000;
+    if (argc > 3 || (argc > 2 && (parseDecimal(argv[2], requests) !=
+                                      std::errc() ||
+                                  requests == 0))) {
+        std::fprintf(stderr,
+                     "usage: mixed_workload_tour [mixN] [requests]\n");
+        return 2;
+    }
 
     const CatalogEntry &entry = WorkloadCatalog::global().find(name);
     std::printf("workload %s:", entry.name.c_str());

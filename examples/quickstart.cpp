@@ -8,9 +8,9 @@
  * Usage: quickstart [workload] [requests]
  */
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/number.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 #include "trace/catalog.h"
@@ -21,8 +21,13 @@ main(int argc, char **argv)
     using namespace mempod;
 
     const std::string workload_name = argc > 1 ? argv[1] : "xalanc";
-    const std::uint64_t requests =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 400'000;
+    std::uint64_t requests = 400'000;
+    if (argc > 3 || (argc > 2 && (parseDecimal(argv[2], requests) !=
+                                      std::errc() ||
+                                  requests == 0))) {
+        std::fprintf(stderr, "usage: quickstart [workload] [requests]\n");
+        return 2;
+    }
 
     // 1. Generate a deterministic multi-programmed trace.
     GeneratorConfig gen;

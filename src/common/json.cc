@@ -8,6 +8,8 @@
 #include <iterator>
 #include <system_error>
 
+#include "common/number.h"
+
 namespace mempod::json {
 
 namespace {
@@ -343,9 +345,7 @@ Value::asU64() const
     if (kind != Kind::kNumber)
         return std::nullopt;
     std::uint64_t u = 0;
-    const char *end = text.data() + text.size();
-    const auto [p, ec] = std::from_chars(text.data(), end, u);
-    if (ec != std::errc() || p != end)
+    if (parseDecimal(text, u) != std::errc())
         return std::nullopt;
     return u;
 }

@@ -7,11 +7,8 @@
  */
 #include "sim/config.h"
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -19,30 +16,26 @@
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/number.h"
 
 namespace mempod {
 
 namespace {
 
-/** Parse a non-negative integer, rejecting trailing junk/overflow. */
+/** An unsigned knob; panics telling a malformed value from overflow. */
 template <typename T>
 void
 parseValue(T &dst, const std::string &v, const char *key)
 {
-    static_assert(std::is_unsigned_v<T>);
-    if (v.empty() ||
-        v.find_first_not_of("0123456789") != std::string::npos) {
+    const std::errc ec = parseDecimal(v, dst);
+    if (ec == std::errc::result_out_of_range) {
+        MEMPOD_PANIC("config key '%s': value %s out of range", key,
+                     v.c_str());
+    } else if (ec != std::errc()) {
         MEMPOD_PANIC("config key '%s': '%s' is not a non-negative "
                      "integer",
                      key, v.c_str());
     }
-    errno = 0;
-    const unsigned long long raw = std::strtoull(v.c_str(), nullptr, 10);
-    if (errno != 0 || raw > std::numeric_limits<T>::max()) {
-        MEMPOD_PANIC("config key '%s': value %s out of range", key,
-                     v.c_str());
-    }
-    dst = static_cast<T>(raw);
 }
 
 void

@@ -2,10 +2,12 @@
  * @file
  * End-to-end tests of the CLI tools, invoking the real binaries
  * (paths injected by CMake as MEMPOD_*_TOOL_PATH):
- *   - trace_tool summary --json emits the pinned
- *     mempod-trace-summary-v1 schema, and every trace_tool numeric
- *     argument rejects a malformed token with exit 2
- *   - run_tool (MEMPOD_RUN_TOOL_PATH): summary, the speedup gate
+ *   - every trace_tool numeric argument rejects a malformed token
+ *     with exit 2
+ *   - run_tool (MEMPOD_RUN_TOOL_PATH): summary, trace (its --json
+ *     digest keeps the pinned mempod-trace-summary-v1 schema, it
+ *     counts unmatched async ends instead of failing on them, and a
+ *     malformed document exits 2), the speedup gate
  *     (which fails on a missing, zero or non-finite leaf), explain
  *     (its per-component attribution sums exactly to the measured AMMAT
  *     delta between two real runs; it rejects malformed ledgers), and
@@ -115,40 +117,11 @@ tinyTrace(std::uint64_t requests = 30000)
     return WorkloadCatalog::global().build("xalanc", gc);
 }
 
-TEST(TraceTool, SummaryJsonMatchesPinnedSchema)
-{
-    const auto dir = tmpDir();
-    SimConfig c = tinyConfig(Mechanism::kMemPod);
-    c.tracer.enabled = true;
-    c.tracer.sampleEvery = 8;
-    Simulation sim(c);
-    sim.run(tinyTrace(), "xalanc");
-    ASSERT_NE(sim.tracer(), nullptr);
-    const auto trace_file = dir / "run.trace.json";
-    writeText(trace_file, sim.tracer()->toJson());
-
-    const CmdResult r = run(std::string(MEMPOD_TRACE_TOOL_PATH) +
-                            " summary " + trace_file.string() +
-                            " --json");
-    EXPECT_EQ(r.status, 0);
-    // Golden schema keys: removing or renaming any of these breaks
-    // downstream consumers and must be a deliberate schema bump.
-    for (const char *key :
-         {"\"schema\":\"mempod-trace-summary-v1\"", "\"events\":",
-          "\"unmatched_ends\":", "\"open_spans\":", "\"counts\":",
-          "\"markers\":", "\"demands\":", "\"migrations\":",
-          "\"blocked\":", "\"complete\":", "\"total_us\":", "\"top\":"})
-        EXPECT_NE(r.out.find(key), std::string::npos) << key;
-    std::filesystem::remove_all(dir);
-}
-
 TEST(TraceTool, MalformedNumbersExitTwoWithUsage)
 {
     const auto dir = tmpDir();
     const std::string trc = (dir / "in.trc").string();
     writeNativeTrace(tinyTrace(200), trc);
-    const std::string summary = (dir / "empty.trace.json").string();
-    writeText(summary, "{\"traceEvents\":[\n]}\n");
     const std::string out = (dir / "out.trc").string();
     const std::string stem = (dir / "conv").string();
     // One fixture per numeric argument. A prefix parse (strtoull)
@@ -160,8 +133,7 @@ TEST(TraceTool, MalformedNumbersExitTwoWithUsage)
           "record xalanc " + out + " -5",
           "record xalanc " + out + " 20000 4x2",
           "convert " + trc + " " + stem + " sift --period-ps 1e3",
-          "convert " + trc + " " + stem + " champsim --addr-bias abc",
-          "summary " + summary + " abc"}) {
+          "convert " + trc + " " + stem + " champsim --addr-bias abc"}) {
         std::string err;
         const CmdResult r =
             run(std::string(MEMPOD_TRACE_TOOL_PATH) + " " + args, &err);
@@ -192,6 +164,119 @@ TEST(RunTool, DeeplyNestedInputExitsTwo)
                       (dir / "deep.json").string() + " 10")
                   .status,
               2);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunTool, TraceJsonMatchesPinnedSchema)
+{
+    const auto dir = tmpDir();
+    SimConfig c = tinyConfig(Mechanism::kMemPod);
+    c.tracer.enabled = true;
+    c.tracer.sampleEvery = 8;
+    Simulation sim(c);
+    sim.run(tinyTrace(), "xalanc");
+    ASSERT_NE(sim.tracer(), nullptr);
+    const auto trace_file = dir / "run.trace.json";
+    writeText(trace_file, sim.tracer()->toJson());
+
+    const CmdResult r = runTool("trace " + trace_file.string() + " --json");
+    EXPECT_EQ(r.status, 0);
+    // Golden schema keys: removing or renaming any of these breaks
+    // downstream consumers and must be a deliberate schema bump.
+    for (const char *key :
+         {"\"schema\":\"mempod-trace-summary-v1\"", "\"events\":",
+          "\"unmatched_ends\":", "\"open_spans\":", "\"counts\":",
+          "\"markers\":", "\"demands\":", "\"migrations\":",
+          "\"blocked\":", "\"complete\":", "\"total_us\":", "\"top\":"})
+        EXPECT_NE(r.out.find(key), std::string::npos) << key;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunTool, TraceBadCommandLinesExitTwoWithUsage)
+{
+    const auto dir = tmpDir();
+    const std::string file = (dir / "empty.trace.json").string();
+    writeText(file, "{\"traceEvents\":[\n]}\n");
+    // TOPK must be a whole unsigned token; a prefix parse would read
+    // "abc" as 0 and "3x" as 3.
+    for (const std::string &args :
+         {std::string("trace"), "trace " + file + " abc",
+          "trace " + file + " 3x", "trace " + file + " -1",
+          "trace " + file + " 3 4"}) {
+        std::string err;
+        const CmdResult r = runTool(args, &err);
+        EXPECT_EQ(r.status, 2) << args;
+        EXPECT_NE(err.find("usage: run_tool trace"), std::string::npos)
+            << args << ": " << err;
+        EXPECT_TRUE(r.out.empty()) << args << ": " << r.out;
+    }
+    EXPECT_EQ(runTool("trace " + file + " 3 --json").status, 0);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunTool, TraceRejectsMalformedDocument)
+{
+    // One broken event line must not be skipped: the digest reads the
+    // file as one JSON document, as `check` does.
+    const auto dir = tmpDir();
+    const std::string file = (dir / "bad.trace.json").string();
+    writeText(file, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+                    R"({"ph":"i","name":"x","ts":1,"pid":0,"tid":0},)"
+                    "\n{garbage\n]}\n");
+    std::string err;
+    for (const char *flags : {"", " --json"}) {
+        const CmdResult r = runTool("trace " + file + flags, &err);
+        EXPECT_EQ(r.status, 2) << flags;
+        EXPECT_NE(err.find("not valid JSON"), std::string::npos) << err;
+        EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+        EXPECT_TRUE(r.out.empty()) << r.out;
+    }
+    EXPECT_EQ(runTool("trace " + (dir / "absent.json").string()).status, 2);
+    writeText(file, "{\"displayTimeUnit\":\"ns\"}\n");
+    EXPECT_EQ(runTool("trace " + file, &err).status, 2);
+    EXPECT_NE(err.find("missing key 'traceEvents'"), std::string::npos)
+        << err;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunTool, TraceCountsAnUnmatchedEndWithoutFailing)
+{
+    const auto dir = tmpDir();
+    const std::string file = (dir / "e.trace.json").string();
+    writeText(file,
+              "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+              R"({"ph":"b","cat":"mem","id":"1","name":"demand","ts":1,)"
+              R"("pid":0,"tid":0},)"
+              "\n"
+              R"({"ph":"e","cat":"mem","id":"1","name":"demand","ts":3,)"
+              R"("pid":0,"tid":0},)"
+              "\n"
+              R"({"ph":"e","cat":"mem","id":"2","name":"demand","ts":4,)"
+              R"("pid":0,"tid":0})"
+              "\n]}\n");
+    const CmdResult json = runTool("trace " + file + " --json");
+    EXPECT_EQ(json.status, 0);
+    EXPECT_NE(json.out.find("\"events\":3,\"unmatched_ends\":1,"
+                            "\"open_spans\":0,"),
+              std::string::npos)
+        << json.out;
+    EXPECT_NE(json.out.find("\"demands\":{\"complete\":1,\"total_us\":"
+                            "2.000,"),
+              std::string::npos)
+        << json.out;
+    const CmdResult text = runTool("trace " + file);
+    EXPECT_EQ(text.status, 0);
+    EXPECT_NE(text.out.find("events: 3  (unmatched async ends: 1, "
+                            "still-open spans: 0)"),
+              std::string::npos)
+        << text.out;
+    // The same file is a finding for `check`, which holds traces to
+    // balanced spans.
+    std::string err;
+    EXPECT_EQ(runTool("check " + file, &err).status, 1);
+    EXPECT_NE(err.find("async end without a begin: demand"),
+              std::string::npos)
+        << err;
     std::filesystem::remove_all(dir);
 }
 

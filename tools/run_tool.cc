@@ -7,6 +7,14 @@
  *       Flatten every numeric leaf of each JSON file to a dotted path
  *       and print one aligned table, one column per file.
  *
+ *   run_tool trace FILE [TOPK] [--json]
+ *       Digest one Chrome trace-event export: event counts by phase and
+ *       name, the TOPK (default 10) longest sampled demand and
+ *       migration spans, blocked windows and markers. Async ends with
+ *       no open begin and spans still open at the end are counted, not
+ *       rejected. --json prints the digest as one
+ *       "mempod-trace-summary-v1" object.
+ *
  *   run_tool explain BASE_STATS CUR_STATS [--decisions BASE CUR]
  *       Attribute an AMMAT difference between two "mempod-stats-v1"
  *       exports: the delta of each of the five AMMAT components (they
@@ -42,6 +50,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -49,6 +58,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/number.h"
 
 namespace {
 
@@ -286,6 +296,216 @@ cmdSummary(const std::vector<std::string> &files)
             std::printf("  %18s",
                         it == d.end() ? "-" : num(it->second).c_str());
         }
+        std::printf("\n");
+    }
+    return 0;
+}
+
+// ---------------------------------------------------------------------
+// trace
+
+/**
+ * A trace's open async spans ("b"/"e" events) by spanKey(). Spans
+ * under one key nest, as Perfetto draws them: an "e" closes the latest
+ * "b" still open under its key.
+ */
+using OpenSpans = std::multimap<std::string, const json::Value *>;
+
+std::string
+spanKey(const std::string &cat, const std::string &id,
+        const std::string &name)
+{
+    return cat + '\0' + id + '\0' + name;
+}
+
+/** Close the latest span open under `key`: its begin event, or nullptr. */
+const json::Value *
+closeSpan(OpenSpans &open, const std::string &key)
+{
+    const auto hi = open.upper_bound(key);
+    if (hi == open.begin() || std::prev(hi)->first != key)
+        return nullptr;
+    const json::Value *begin = std::prev(hi)->second;
+    open.erase(std::prev(hi));
+    return begin;
+}
+
+int
+cmdTrace(const std::vector<std::string> &args)
+{
+    bool as_json = false;
+    std::vector<std::string> pos;
+    for (const std::string &a : args) {
+        if (a == "--json")
+            as_json = true;
+        else
+            pos.push_back(a);
+    }
+    std::size_t topk = 10;
+    if (pos.empty() || pos.size() > 2 ||
+        (pos.size() == 2 && parseDecimal(pos[1], topk) != std::errc())) {
+        std::fprintf(stderr,
+                     "usage: run_tool trace FILE [TOPK] [--json]\n");
+        return 2;
+    }
+    const json::Value doc = orExit(pos[0], loadJson);
+    const json::Value *events_value = doc.find("traceEvents");
+    if (!events_value) {
+        std::fprintf(stderr, "run_tool: %s: missing key 'traceEvents'\n",
+                     pos[0].c_str());
+        return 2;
+    }
+
+    // Members the digest reads; "" when absent or not a string.
+    const auto str = [](const json::Value &e, const char *key) {
+        const json::Value *v = e.find(key);
+        return v && v->kind == json::Value::Kind::kString ? v->text
+                                                          : std::string();
+    };
+    const auto ts = [](const json::Value &e) {
+        const json::Value *v = e.find("ts");
+        return v ? v->asDouble().value_or(-1.0) : -1.0;
+    };
+    struct Span
+    {
+        std::string id;
+        double beginUs = 0, endUs = 0;
+        double durUs() const { return endUs - beginUs; }
+    };
+    OpenSpans open;
+    std::map<std::string, std::uint64_t> counts; // per (ph,name)
+    std::map<std::string, std::uint64_t> instants;
+    std::vector<Span> demands, migrations, blocked;
+    std::uint64_t events = 0, unmatched = 0;
+    for (const json::Value &e : events_value->items) {
+        const std::string ph = str(e, "ph");
+        if (ph.empty() || ph == "M")
+            continue;
+        ++events;
+        const std::string name = str(e, "name");
+        ++counts[ph + " " + name];
+        if (ph == "i")
+            ++instants[name];
+        if (ph != "b" && ph != "e")
+            continue;
+        const std::string id = str(e, "id");
+        const std::string key = spanKey(str(e, "cat"), id, name);
+        if (ph == "b") {
+            open.emplace(key, &e);
+            continue;
+        }
+        const json::Value *b = closeSpan(open, key);
+        if (!b) {
+            ++unmatched;
+            continue;
+        }
+        const Span s{id, ts(*b), ts(e)};
+        if (name == "demand")
+            demands.push_back(s);
+        else if (name == "migration")
+            migrations.push_back(s);
+        else if (name == "blocked")
+            blocked.push_back(s);
+    }
+
+    const auto byDur = [](const Span &a, const Span &b) {
+        return a.durUs() > b.durUs();
+    };
+    std::sort(demands.begin(), demands.end(), byDur);
+    std::sort(migrations.begin(), migrations.end(), byDur);
+    const auto totalUs = [](const std::vector<Span> &v) {
+        double t = 0;
+        for (const Span &s : v)
+            t += s.durUs();
+        return t;
+    };
+
+    if (as_json) {
+        const auto spanArray = [topk](const std::vector<Span> &v) {
+            std::string out = "[";
+            for (std::size_t i = 0; i < std::min(topk, v.size()); ++i) {
+                char buf[160];
+                std::snprintf(buf, sizeof buf,
+                              "%s{\"id\":\"%s\",\"begin_us\":%.3f,"
+                              "\"dur_us\":%.3f}",
+                              i ? "," : "", v[i].id.c_str(),
+                              v[i].beginUs, v[i].durUs());
+                out += buf;
+            }
+            return out + "]";
+        };
+        const auto object = [](const std::map<std::string, std::uint64_t>
+                                   &m) {
+            std::string out = "{";
+            for (const auto &[k, n] : m)
+                out += (out.size() > 1 ? ",\"" : "\"") + k +
+                       "\":" + std::to_string(n);
+            return out + "}";
+        };
+        std::printf("{\"schema\":\"mempod-trace-summary-v1\",");
+        std::printf("\"events\":%llu,\"unmatched_ends\":%llu,"
+                    "\"open_spans\":%zu,",
+                    static_cast<unsigned long long>(events),
+                    static_cast<unsigned long long>(unmatched),
+                    open.size());
+        std::printf("\"counts\":%s,\"markers\":%s,", object(counts).c_str(),
+                    object(instants).c_str());
+        std::printf("\"demands\":{\"complete\":%zu,\"total_us\":%.3f,"
+                    "\"top\":%s},",
+                    demands.size(), totalUs(demands),
+                    spanArray(demands).c_str());
+        std::printf("\"migrations\":{\"complete\":%zu,"
+                    "\"total_us\":%.3f,\"top\":%s},",
+                    migrations.size(), totalUs(migrations),
+                    spanArray(migrations).c_str());
+        std::printf("\"blocked\":{\"complete\":%zu,\"total_us\":%.3f}",
+                    blocked.size(), totalUs(blocked));
+        std::printf("}\n");
+        return 0;
+    }
+
+    std::printf("events: %llu  (unmatched async ends: %llu, "
+                "still-open spans: %zu)\n",
+                static_cast<unsigned long long>(events),
+                static_cast<unsigned long long>(unmatched),
+                open.size());
+    std::printf("\nevent counts by phase+name:\n");
+    for (const auto &[k, n] : counts)
+        std::printf("  %-24s %llu\n", k.c_str(),
+                    static_cast<unsigned long long>(n));
+
+    std::printf("\ntop %zu longest sampled demand requests:\n",
+                std::min(topk, demands.size()));
+    for (std::size_t i = 0; i < std::min(topk, demands.size()); ++i)
+        std::printf("  id=%-10s start=%12.3f us  latency=%9.3f us\n",
+                    demands[i].id.c_str(), demands[i].beginUs,
+                    demands[i].durUs());
+
+    // Interference windows: for each migration, how many sampled
+    // demand spans overlap it in time (they contended for the same
+    // banks or were parked behind its page locks).
+    std::printf("\nmigrations: %zu complete, total span %.3f us\n",
+                migrations.size(), totalUs(migrations));
+    for (std::size_t i = 0; i < std::min(topk, migrations.size());
+         ++i) {
+        const Span &m = migrations[i];
+        std::uint64_t overlap = 0;
+        for (const Span &d : demands)
+            if (d.beginUs < m.endUs && m.beginUs < d.endUs)
+                ++overlap;
+        std::printf("  flow=%-12s start=%12.3f us  dur=%9.3f us  "
+                    "overlapping sampled demands=%llu\n",
+                    m.id.c_str(), m.beginUs, m.durUs(),
+                    static_cast<unsigned long long>(overlap));
+    }
+    std::printf("\nblocked windows: %zu sampled demands parked behind "
+                "migrations, total %.3f us\n",
+                blocked.size(), totalUs(blocked));
+    if (!instants.empty()) {
+        std::printf("\nmarkers:");
+        for (const auto &[k, n] : instants)
+            std::printf(" %s=%llu", k.c_str(),
+                        static_cast<unsigned long long>(n));
         std::printf("\n");
     }
     return 0;
@@ -632,7 +852,7 @@ checkTrace(const fs::path &p, RunFacts &run)
     expect(text(d, "displayTimeUnit") == "ns", "displayTimeUnit is not ns");
     const json::Value &events = member(d, "traceEvents");
     expect(!events.items.empty(), "traceEvents is empty");
-    std::map<std::string, long> open; // async spans by cat/id/name
+    OpenSpans open;
     std::set<std::string> names, flows;
     for (std::size_t i = 0; i < events.items.size(); ++i) {
         const json::Value &e = events.items[i];
@@ -649,11 +869,13 @@ checkTrace(const fs::path &p, RunFacts &run)
             const std::string &name = text(e, "name");
             names.insert(name);
             if (ph == "b" || ph == "e") {
-                long &depth =
-                    open[text(e, "cat") + '\0' + text(e, "id") + '\0' + name];
-                expect(ph == "b" || depth > 0,
-                       "async end without a begin: " + name);
-                depth += ph == "b" ? 1 : -1;
+                const std::string key =
+                    spanKey(text(e, "cat"), text(e, "id"), name);
+                if (ph == "b")
+                    open.emplace(key, &e);
+                else
+                    expect(closeSpan(open, key),
+                           "async end without a begin: " + name);
             } else if (ph == "s" || ph == "t" || ph == "f") {
                 flows.insert(ph);
             }
@@ -661,9 +883,10 @@ checkTrace(const fs::path &p, RunFacts &run)
             bad("traceEvents[" + std::to_string(i) + "]: " + e.what());
         }
     }
-    for (const auto &[key, depth] : open)
-        expect(depth == 0, "unbalanced async span: " +
-                               key.substr(key.rfind('\0') + 1));
+    if (!open.empty()) {
+        const std::string &key = open.begin()->first;
+        bad("unbalanced async span: " + key.substr(key.rfind('\0') + 1));
+    }
     const bool full = names.count("mea_victory") &&
                       names.count("read_phase") &&
                       names.count("write_phase") &&
@@ -840,6 +1063,8 @@ main(int argc, char **argv)
                                         argv + argc);
     if (cmd == "summary")
         return cmdSummary(args);
+    if (cmd == "trace")
+        return cmdTrace(args);
     if (cmd == "explain")
         return cmdExplain(args);
     if (cmd == "speedup")
@@ -848,6 +1073,7 @@ main(int argc, char **argv)
         return cmdCheck(args);
     std::fprintf(stderr,
                  "usage: run_tool summary FILE...\n"
+                 "       run_tool trace FILE [TOPK] [--json]\n"
                  "       run_tool explain BASE_STATS CUR_STATS "
                  "[--decisions BASE_JSONL CUR_JSONL]\n"
                  "       run_tool speedup BASE_BENCH CUR_BENCH N\n"

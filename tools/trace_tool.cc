@@ -11,7 +11,6 @@
  *                      [--timing ip|period] [--period-ps N]
  *                      [--addr-bias N]
  *   trace_tool info    <file.trc>
- *   trace_tool summary <file.trace.json> [topk] [--json]
  *
  * Every numeric argument must be a whole unsigned decimal token; a
  * malformed one prints the subcommand's usage and exits 2.
@@ -19,24 +18,18 @@
  * `record` streams any catalog workload (synthetic, or external after
  * --manifest) into the versioned native trace format; `convert` splits
  * a native trace into per-core ChampSim or SIFT files and prints the
- * manifest entry that replays them. `summary --json` replaces the
- * human tables with one machine-readable JSON object (event counts,
- * span totals, top-k longest spans) so scripts and CI can digest a
- * trace without scraping table output.
+ * manifest entry that replays them. The Chrome traces a run writes
+ * (--emit traces) are read by `run_tool trace`.
  */
-#include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/footprint.h"
-#include "common/json.h"
+#include "common/number.h"
 #include "trace/catalog.h"
 #include "trace/champsim.h"
 #include "trace/native.h"
@@ -53,8 +46,6 @@ constexpr const char *kConvertUsage =
     "convert <in.trc> <out-stem> champsim|sift [--timing ip|period] "
     "[--period-ps N] [--addr-bias N]";
 constexpr const char *kInfoUsage = "info <file.trc>";
-constexpr const char *kSummaryUsage =
-    "summary <file.trace.json> [topk] [--json]";
 
 int
 usage(const char *text)
@@ -63,14 +54,12 @@ usage(const char *text)
     return 2;
 }
 
-/** Parse all of `text` as an unsigned decimal; false on any junk. */
+/** True when all of `text` is an unsigned decimal; else says why. */
 template <typename Unsigned>
 bool
-parseUnsigned(const char *text, Unsigned &out)
+readNumber(const char *text, Unsigned &out)
 {
-    const char *end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, out);
-    if (ec == std::errc() && ptr == end)
+    if (parseDecimal(text, out) == std::errc())
         return true;
     std::fprintf(stderr, "trace_tool: '%s' is not an unsigned integer\n",
                  text);
@@ -91,8 +80,8 @@ cmdRecord(int argc, char **argv)
     gc.totalRequests = 1'000'000;
     gc.seed = 42;
     if (pos.size() < 2 ||
-        (pos.size() > 2 && !parseUnsigned(pos[2], gc.totalRequests)) ||
-        (pos.size() > 3 && !parseUnsigned(pos[3], gc.seed)))
+        (pos.size() > 2 && !readNumber(pos[2], gc.totalRequests)) ||
+        (pos.size() > 3 && !readNumber(pos[3], gc.seed)))
         return usage(kRecordUsage);
 
     const auto source = WorkloadCatalog::global().open(pos[0], gc);
@@ -150,11 +139,11 @@ cmdConvert(int argc, char **argv)
             }
         } else if (!std::strcmp(argv[i], "--period-ps") &&
                    i + 1 < argc) {
-            if (!parseUnsigned(argv[++i], period_ps))
+            if (!readNumber(argv[++i], period_ps))
                 return usage(kConvertUsage);
         } else if (!std::strcmp(argv[i], "--addr-bias") &&
                    i + 1 < argc) {
-            if (!parseUnsigned(argv[++i], addr_bias))
+            if (!readNumber(argv[++i], addr_bias))
                 return usage(kConvertUsage);
         } else {
             pos.push_back(argv[i]);
@@ -249,211 +238,6 @@ cmdInfo(int argc, char **argv)
     return 0;
 }
 
-/** String member `key` of a trace event; "" when absent. */
-std::string
-field(const json::Value &event, const char *key)
-{
-    const json::Value *v = event.find(key);
-    return v && v->kind == json::Value::Kind::kString ? v->text : "";
-}
-
-int
-cmdSummary(int argc, char **argv)
-{
-    bool as_json = false;
-    std::vector<const char *> pos;
-    for (int i = 2; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            as_json = true;
-        else
-            pos.push_back(argv[i]);
-    }
-    std::size_t topk = 10;
-    if (pos.empty() || (pos.size() > 1 && !parseUnsigned(pos[1], topk)))
-        return usage(kSummaryUsage);
-    std::ifstream in(pos[0]);
-    if (!in) {
-        std::fprintf(stderr, "cannot open '%s'\n", pos[0]);
-        return 2;
-    }
-
-    struct Span
-    {
-        std::string id;
-        double beginUs = 0, endUs = 0;
-        double durUs() const { return endUs - beginUs; }
-    };
-    // Open async spans keyed by cat/id/name until their 'e' arrives.
-    std::unordered_map<std::string, Span> open;
-    std::map<std::string, std::uint64_t> counts; // per (ph,name)
-    std::vector<Span> demands, migrations, blocked;
-    std::uint64_t events = 0, unmatched = 0;
-    std::map<std::string, std::uint64_t> instants;
-
-    std::string line;
-    while (std::getline(in, line)) {
-        // The tracer writes one event object per line, comma-separated
-        // inside the traceEvents array; the envelope lines around it
-        // are not complete documents and are skipped.
-        if (!line.empty() && line.back() == ',')
-            line.pop_back();
-        const json::Parsed event = json::parse(line);
-        if (event.error)
-            continue;
-        const std::string ph = field(event.value, "ph");
-        if (ph.empty() || ph == "M")
-            continue;
-        ++events;
-        const std::string name = field(event.value, "name");
-        ++counts[ph + " " + name];
-        if (ph == "i")
-            ++instants[name];
-        if (ph != "b" && ph != "e")
-            continue;
-        const std::string id = field(event.value, "id");
-        const std::string key =
-            field(event.value, "cat") + "/" + id + "/" + name;
-        const json::Value *ts_value = event.value.find("ts");
-        const double ts =
-            ts_value ? ts_value->asDouble().value_or(-1.0) : -1.0;
-        if (ph == "b") {
-            open[key] = Span{id, ts, ts};
-        } else {
-            auto it = open.find(key);
-            if (it == open.end()) {
-                ++unmatched;
-                continue;
-            }
-            Span s = it->second;
-            s.endUs = ts;
-            open.erase(it);
-            if (name == "demand")
-                demands.push_back(s);
-            else if (name == "migration")
-                migrations.push_back(s);
-            else if (name == "blocked")
-                blocked.push_back(s);
-        }
-    }
-
-    if (as_json) {
-        auto byDur = [](const Span &a, const Span &b) {
-            return a.durUs() > b.durUs();
-        };
-        std::sort(demands.begin(), demands.end(), byDur);
-        std::sort(migrations.begin(), migrations.end(), byDur);
-        auto totalUs = [](const std::vector<Span> &v) {
-            double t = 0;
-            for (const Span &s : v)
-                t += s.durUs();
-            return t;
-        };
-        auto spanArray = [topk](const std::vector<Span> &v) {
-            std::string out = "[";
-            for (std::size_t i = 0; i < std::min(topk, v.size()); ++i) {
-                char buf[160];
-                std::snprintf(buf, sizeof buf,
-                              "%s{\"id\":\"%s\",\"begin_us\":%.3f,"
-                              "\"dur_us\":%.3f}",
-                              i ? "," : "", v[i].id.c_str(),
-                              v[i].beginUs, v[i].durUs());
-                out += buf;
-            }
-            return out + "]";
-        };
-        std::printf("{\"schema\":\"mempod-trace-summary-v1\",");
-        std::printf("\"events\":%llu,\"unmatched_ends\":%llu,"
-                    "\"open_spans\":%zu,",
-                    static_cast<unsigned long long>(events),
-                    static_cast<unsigned long long>(unmatched),
-                    open.size());
-        std::printf("\"counts\":{");
-        bool first = true;
-        for (const auto &[k, n] : counts) {
-            std::printf("%s\"%s\":%llu", first ? "" : ",", k.c_str(),
-                        static_cast<unsigned long long>(n));
-            first = false;
-        }
-        std::printf("},\"markers\":{");
-        first = true;
-        for (const auto &[k, n] : instants) {
-            std::printf("%s\"%s\":%llu", first ? "" : ",", k.c_str(),
-                        static_cast<unsigned long long>(n));
-            first = false;
-        }
-        std::printf("},");
-        std::printf("\"demands\":{\"complete\":%zu,\"total_us\":%.3f,"
-                    "\"top\":%s},",
-                    demands.size(), totalUs(demands),
-                    spanArray(demands).c_str());
-        std::printf("\"migrations\":{\"complete\":%zu,"
-                    "\"total_us\":%.3f,\"top\":%s},",
-                    migrations.size(), totalUs(migrations),
-                    spanArray(migrations).c_str());
-        std::printf("\"blocked\":{\"complete\":%zu,\"total_us\":%.3f}",
-                    blocked.size(), totalUs(blocked));
-        std::printf("}\n");
-        return 0;
-    }
-
-    std::printf("events: %llu  (unmatched async ends: %llu, "
-                "still-open spans: %zu)\n",
-                static_cast<unsigned long long>(events),
-                static_cast<unsigned long long>(unmatched),
-                open.size());
-    std::printf("\nevent counts by phase+name:\n");
-    for (const auto &[k, n] : counts)
-        std::printf("  %-24s %llu\n", k.c_str(),
-                    static_cast<unsigned long long>(n));
-
-    auto byDur = [](const Span &a, const Span &b) {
-        return a.durUs() > b.durUs();
-    };
-    std::sort(demands.begin(), demands.end(), byDur);
-    std::printf("\ntop %zu longest sampled demand requests:\n",
-                std::min(topk, demands.size()));
-    for (std::size_t i = 0; i < std::min(topk, demands.size()); ++i)
-        std::printf("  id=%-10s start=%12.3f us  latency=%9.3f us\n",
-                    demands[i].id.c_str(), demands[i].beginUs,
-                    demands[i].durUs());
-
-    // Interference windows: for each migration, how many sampled
-    // demand spans overlap it in time (they contended for the same
-    // banks or were parked behind its page locks).
-    std::sort(migrations.begin(), migrations.end(), byDur);
-    double migUs = 0;
-    for (const Span &m : migrations)
-        migUs += m.durUs();
-    std::printf("\nmigrations: %zu complete, total span %.3f us\n",
-                migrations.size(), migUs);
-    for (std::size_t i = 0; i < std::min(topk, migrations.size());
-         ++i) {
-        const Span &m = migrations[i];
-        std::uint64_t overlap = 0;
-        for (const Span &d : demands)
-            if (d.beginUs < m.endUs && m.beginUs < d.endUs)
-                ++overlap;
-        std::printf("  flow=%-12s start=%12.3f us  dur=%9.3f us  "
-                    "overlapping sampled demands=%llu\n",
-                    m.id.c_str(), m.beginUs, m.durUs(),
-                    static_cast<unsigned long long>(overlap));
-    }
-    double blockedUs = 0;
-    for (const Span &b : blocked)
-        blockedUs += b.durUs();
-    std::printf("\nblocked windows: %zu sampled demands parked behind "
-                "migrations, total %.3f us\n",
-                blocked.size(), blockedUs);
-    if (!instants.empty()) {
-        std::printf("\nmarkers:");
-        for (const auto &[k, n] : instants)
-            std::printf(" %s=%llu", k.c_str(),
-                        static_cast<unsigned long long>(n));
-        std::printf("\n");
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -461,7 +245,7 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr, "usage: trace_tool "
-                             "record|convert|info|summary ...\n");
+                             "record|convert|info ...\n");
         return 2;
     }
     if (!std::strcmp(argv[1], "record"))
@@ -470,8 +254,6 @@ main(int argc, char **argv)
         return cmdConvert(argc, argv);
     if (!std::strcmp(argv[1], "info"))
         return cmdInfo(argc, argv);
-    if (!std::strcmp(argv[1], "summary"))
-        return cmdSummary(argc, argv);
     std::fprintf(stderr, "unknown subcommand '%s'\n", argv[1]);
     return 2;
 }
