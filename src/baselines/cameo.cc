@@ -17,7 +17,7 @@ CameoManager::CameoManager(EventQueue &eq, MemorySystem &mem,
       ratio_(mem.geom().slowBytes / mem.geom().fastBytes),
       engine_(eq, mem, params.engineParallelism, "cameo.engine"),
       guard_(eq, engine_, mstats_, "cameo", "group", DecisionLog::kNoPod,
-             [this](std::uint64_t, Demand d) { proceed(std::move(d)); })
+             [this](std::uint64_t, Demand d) { proceed(d); })
 {
     MEMPOD_ASSERT(mem.geom().slowBytes % mem.geom().fastBytes == 0,
                   "CAMEO needs an integer slow:fast capacity ratio");
@@ -77,7 +77,7 @@ CameoManager::slotOfMember(std::uint64_t group, std::uint32_t member) const
 void
 CameoManager::handleDemand(Demand d)
 {
-    proceed(std::move(d));
+    proceed(d);
 }
 
 void
@@ -96,7 +96,7 @@ CameoManager::proceed(Demand d)
 
     const Addr addr =
         lineAt(group, slot) * kLineBytes + d.homeAddr % kLineBytes;
-    mem_.access(Request::demand(addr, std::move(d)));
+    mem_.access(Request::demand(addr, d));
 
     if (slot == 0) {
         st |= kUsedFlag; // the fast-resident line produced a hit

@@ -17,7 +17,7 @@ HmaManager::HmaManager(EventQueue &eq, MemorySystem &mem,
       engine_(eq, mem, /*max_in_flight_ops=*/1, "hma.engine"),
       guard_(eq, engine_, mstats_, "hma", "page", DecisionLog::kNoPod,
              [this](std::uint64_t, Demand d) {
-                 issueToCurrentLocation(std::move(d));
+                 issueToCurrentLocation(d);
              }),
       epochTimer_(eq, params.interval, [this] { onInterval(); })
 {
@@ -38,15 +38,13 @@ void
 HmaManager::handleDemand(Demand d)
 {
     if (!metaPath_) {
-        proceed(std::move(d));
+        proceed(d);
         return;
     }
     // The per-page counter must be fetched to be updated; a miss
     // blocks the request just like the paper's model.
     const PageId page = AddressMap::pageOf(d.homeAddr);
-    metaPath_->access(page, [this, d = std::move(d)]() mutable {
-        proceed(std::move(d));
-    });
+    metaPath_->access(page, [this, d] { proceed(d); });
 }
 
 void
@@ -58,7 +56,7 @@ HmaManager::proceed(Demand d)
         log->noteAccess(DecisionLog::kNoPod, page,
                         placement_.inFast(page), eq_.now());
     if (!guard_.park(page, d))
-        issueToCurrentLocation(std::move(d));
+        issueToCurrentLocation(d);
 }
 
 void
@@ -67,7 +65,7 @@ HmaManager::issueToCurrentLocation(Demand d)
     const PageId page = AddressMap::pageOf(d.homeAddr);
     const Addr addr = AddressMap::addrOfPage(placement_.locationOf(page)) +
                       d.homeAddr % kPageBytes;
-    mem_.access(Request::demand(addr, std::move(d)));
+    mem_.access(Request::demand(addr, d));
 }
 
 void

@@ -7,7 +7,7 @@ namespace mempod {
 void
 NoMigrationManager::handleDemand(Demand d)
 {
-    mem_.access(Request::demand(d.homeAddr, std::move(d)));
+    mem_.access(Request::demand(d.homeAddr, d));
 }
 
 void

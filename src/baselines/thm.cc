@@ -17,7 +17,7 @@ ThmManager::ThmManager(EventQueue &eq, MemorySystem &mem,
       numSegments_(mem.geom().fastPages()),
       engine_(eq, mem, /*max_in_flight_ops=*/1, "thm.engine"),
       guard_(eq, engine_, mstats_, "thm", "segment", DecisionLog::kNoPod,
-             [this](std::uint64_t, Demand d) { proceed(std::move(d)); })
+             [this](std::uint64_t, Demand d) { proceed(d); })
 {
     MEMPOD_ASSERT(mem.geom().slowPages() % mem.geom().fastPages() == 0,
                   "THM needs an integer slow:fast capacity ratio");
@@ -87,14 +87,12 @@ void
 ThmManager::handleDemand(Demand d)
 {
     if (!metaPath_) {
-        proceed(std::move(d));
+        proceed(d);
         return;
     }
     const std::uint64_t seg =
         segmentOf(AddressMap::pageOf(d.homeAddr)).first;
-    metaPath_->access(seg, [this, d = std::move(d)]() mutable {
-        proceed(std::move(d));
-    });
+    metaPath_->access(seg, [this, d] { proceed(d); });
 }
 
 void
@@ -112,7 +110,7 @@ ThmManager::proceed(Demand d)
                                slot == 0, eq_.now());
 
     // Service the access from the page's current location first.
-    issueAt(seg, slot, std::move(d));
+    issueAt(seg, slot, d);
 
     // Then update the competing counter and maybe trigger a swap.
     if (slot == 0) {
@@ -130,7 +128,7 @@ ThmManager::issueAt(std::uint64_t seg, std::uint32_t slot,
 {
     const Addr addr = AddressMap::addrOfPage(pageAt(seg, slot)) +
                       d.homeAddr % kPageBytes;
-    mem_.access(Request::demand(addr, std::move(d)));
+    mem_.access(Request::demand(addr, d));
 }
 
 void

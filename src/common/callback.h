@@ -1,13 +1,13 @@
 /**
  * @file
- * A move-only callable wrapper with small-buffer storage, replacing
- * std::function on the per-request hot path. std::function requires a
- * copyable target and heap-allocates once captures outgrow its tiny
- * internal buffer; every demand request used to pay one allocation for
- * its completion chain. MoveFunction stores any nothrow-movable
- * callable up to Cap bytes inline (larger or throwing-move targets
- * fall back to the heap) and never requires copyability, so move-only
- * captures compose without wrapper layers.
+ * A move-only callable wrapper with fixed inline storage, replacing
+ * std::function on hot paths (event callbacks, swap hooks, metadata
+ * continuations). std::function heap-allocates once captures outgrow
+ * its tiny internal buffer; MoveFunction stores its target inline in
+ * Cap bytes, and a target must be trivially copyable and fit the
+ * buffer — both checked at compile time — so constructing, moving and
+ * destroying one is a byte copy that never allocates. An oversize
+ * capture is a compile error, not a silent heap fallback.
  */
 #pragma once
 
@@ -22,7 +22,7 @@ namespace mempod {
 template <typename Sig, std::size_t Cap = 64>
 class MoveFunction;
 
-/** Move-only callable; inline up to Cap bytes, heap beyond. */
+/** Move-only callable over a trivially copyable target of <= Cap bytes. */
 template <typename R, typename... Args, std::size_t Cap>
 class MoveFunction<R(Args...), Cap>
 {
@@ -37,7 +37,16 @@ class MoveFunction<R(Args...), Cap>
                   std::is_invocable_r_v<R, D &, Args...>>>
     MoveFunction(F &&f)
     {
-        emplace<D>(std::forward<F>(f));
+        static_assert(sizeof(D) <= Cap,
+                      "MoveFunction target exceeds its inline buffer");
+        static_assert(alignof(D) <= alignof(std::max_align_t),
+                      "MoveFunction target is over-aligned");
+        static_assert(std::is_trivially_copyable_v<D>,
+                      "MoveFunction target must be trivially copyable");
+        // Zeroed first, so every byte a move copies is initialized.
+        std::memset(&storage_, 0, Cap);
+        ::new (static_cast<void *>(&storage_)) D(std::forward<F>(f));
+        invoke_ = &invoke<D>;
     }
 
     MoveFunction(MoveFunction &&other) noexcept { moveFrom(other); }
@@ -45,24 +54,20 @@ class MoveFunction<R(Args...), Cap>
     MoveFunction &
     operator=(MoveFunction &&other) noexcept
     {
-        if (this != &other) {
-            reset();
+        if (this != &other)
             moveFrom(other);
-        }
         return *this;
     }
 
     MoveFunction &
     operator=(std::nullptr_t)
     {
-        reset();
+        invoke_ = nullptr;
         return *this;
     }
 
     MoveFunction(const MoveFunction &) = delete;
     MoveFunction &operator=(const MoveFunction &) = delete;
-
-    ~MoveFunction() { reset(); }
 
     explicit operator bool() const { return invoke_ != nullptr; }
 
@@ -74,106 +79,26 @@ class MoveFunction<R(Args...), Cap>
     }
 
   private:
-    /** Target stored directly in the inline buffer. */
     template <typename F>
-    struct Inline
+    static R
+    invoke(void *s, Args... a)
     {
-        static R
-        invoke(void *s, Args... a)
-        {
-            return (*static_cast<F *>(s))(std::forward<Args>(a)...);
-        }
-        static void
-        relocate(void *dst, void *src) noexcept
-        {
-            ::new (dst) F(std::move(*static_cast<F *>(src)));
-            static_cast<F *>(src)->~F();
-        }
-        static void destroy(void *s) { static_cast<F *>(s)->~F(); }
-    };
-
-    /** Oversized target: the buffer holds an owning pointer. */
-    template <typename F>
-    struct Boxed
-    {
-        static R
-        invoke(void *s, Args... a)
-        {
-            return (**static_cast<F **>(s))(std::forward<Args>(a)...);
-        }
-        static void
-        relocate(void *dst, void *src) noexcept
-        {
-            ::new (dst) (F *)(*static_cast<F **>(src));
-        }
-        static void destroy(void *s) { delete *static_cast<F **>(s); }
-    };
-
-    template <typename F, typename G>
-    void
-    emplace(G &&g)
-    {
-        if constexpr (sizeof(F) <= Cap &&
-                      alignof(F) <= alignof(std::max_align_t) &&
-                      std::is_trivially_copyable_v<F>) {
-            // No relocate_: moveFrom copies the whole buffer inline
-            // (zeroed first, so every byte it copies is initialized).
-            // Request and event containers move these several times
-            // per record, where an indirect call costs more than the
-            // copy.
-            std::memset(&storage_, 0, Cap);
-            ::new (static_cast<void *>(&storage_)) F(std::forward<G>(g));
-            invoke_ = &Inline<F>::invoke;
-            relocate_ = nullptr;
-            destroy_ = nullptr; // trivially destructible
-        } else if constexpr (sizeof(F) <= Cap &&
-                             alignof(F) <=
-                                 alignof(std::max_align_t) &&
-                             std::is_nothrow_move_constructible_v<F>) {
-            ::new (static_cast<void *>(&storage_)) F(std::forward<G>(g));
-            invoke_ = &Inline<F>::invoke;
-            relocate_ = &Inline<F>::relocate;
-            destroy_ = &Inline<F>::destroy;
-        } else {
-            ::new (static_cast<void *>(&storage_)) (F *)(
-                new F(std::forward<G>(g)));
-            invoke_ = &Boxed<F>::invoke;
-            relocate_ = &Boxed<F>::relocate;
-            destroy_ = &Boxed<F>::destroy;
-        }
+        return (*static_cast<F *>(s))(std::forward<Args>(a)...);
     }
 
+    /** Take `other`'s target (a byte copy) and leave it empty. */
     void
     moveFrom(MoveFunction &other) noexcept
     {
         invoke_ = other.invoke_;
-        relocate_ = other.relocate_;
-        destroy_ = other.destroy_;
         if (invoke_) {
-            if (relocate_)
-                relocate_(&storage_, &other.storage_);
-            else
-                std::memcpy(&storage_, &other.storage_, Cap);
+            std::memcpy(&storage_, &other.storage_, Cap);
             other.invoke_ = nullptr;
-            other.relocate_ = nullptr;
-            other.destroy_ = nullptr;
         }
-    }
-
-    void
-    reset()
-    {
-        if (destroy_)
-            destroy_(&storage_);
-        invoke_ = nullptr;
-        relocate_ = nullptr;
-        destroy_ = nullptr;
     }
 
     alignas(std::max_align_t) unsigned char storage_[Cap];
     R (*invoke_)(void *, Args...) = nullptr;
-    void (*relocate_)(void *, void *) noexcept = nullptr;
-    void (*destroy_)(void *) = nullptr;
 };
 
 } // namespace mempod

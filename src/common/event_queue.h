@@ -115,9 +115,10 @@ class EventQueue
     /**
      * Move-only with a buffer sized for the largest hot-path capture
      * (a channel completion: this + slab slot + timestamp = 24 bytes);
-     * anything bigger falls back to the heap. Kept tight on purpose:
-     * slot drains and cascades move whole Events, so with the three
-     * 8-byte key fields the Event is exactly one cache line.
+     * a bigger or non-trivially-copyable capture does not compile.
+     * Kept tight on purpose: slot drains and cascades move whole
+     * Events, so with the three 8-byte key fields the Event is exactly
+     * one cache line.
      */
     using Callback = MoveFunction<void(), 24>;
 

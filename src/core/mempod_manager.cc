@@ -27,7 +27,7 @@ MemPodManager::handleDemand(Demand d)
 {
     const std::uint32_t pod =
         mem_.map().podOfPage(AddressMap::pageOf(d.homeAddr));
-    pods_[pod]->handleDemand(std::move(d));
+    pods_[pod]->handleDemand(d);
 }
 
 void

@@ -1,7 +1,5 @@
 #include "core/migration_engine.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "common/tracer.h"
 
@@ -94,17 +92,16 @@ MigrationEngine::run(SwapOp op)
     // Phase 1: read both candidates into the swap buffer; phase 2:
     // write both back to their exchanged locations; then commit.
     const std::uint32_t lines = op.lines;
-    inFlight_.push_back(
-        std::make_unique<OpState>(OpState{std::move(op), 2 * lines}));
-    issuePhase(*inFlight_.back());
+    issuePhase(ops_.acquire(OpState{std::move(op), 2 * lines}));
 }
 
 void
-MigrationEngine::issuePhase(OpState &st)
+MigrationEngine::issuePhase(std::uint32_t ref)
 {
     // Copy what the loop reads: over a synchronous memory model the
-    // last line completes inside access() and may finish (and free)
-    // the op before the loop exits.
+    // last line completes inside access() and may finish the op (and
+    // start another that grows ops_) before the loop exits.
+    const OpState &st = ops_[ref];
     const Addr bases[2] = {st.op.locA, st.op.locB};
     const std::uint32_t lines = st.op.lines;
     const AccessType type =
@@ -116,20 +113,21 @@ MigrationEngine::issuePhase(OpState &st)
             r.type = type;
             r.kind = Request::Kind::kMigration;
             r.arrival = eq_.now();
-            r.onComplete = [this, op = &st](TimePs) { lineDone(*op); };
-            mem_.access(std::move(r));
+            r.done = {this, ref};
+            mem_.access(r);
         }
     }
 }
 
 void
-MigrationEngine::lineDone(OpState &st)
+MigrationEngine::complete(std::uint32_t ref, TimePs)
 {
+    OpState &st = ops_[ref];
     MEMPOD_ASSERT(st.linesLeft > 0, "migration line underflow");
     if (--st.linesLeft != 0)
         return;
     if (st.writing) {
-        finish(st);
+        finish(ref);
         return;
     }
     if (st.op.traceId != 0) {
@@ -143,12 +141,13 @@ MigrationEngine::lineDone(OpState &st)
     }
     st.writing = true;
     st.linesLeft = 2 * st.op.lines;
-    issuePhase(st);
+    issuePhase(ref);
 }
 
 void
-MigrationEngine::finish(OpState &st)
+MigrationEngine::finish(std::uint32_t ref)
 {
+    OpState &st = ops_[ref];
     stats_.linesMoved += 2ull * st.op.lines;
     stats_.bytesMoved += 2ull * st.op.lines * kLineBytes;
     ++stats_.opsCommitted;
@@ -160,11 +159,13 @@ MigrationEngine::finish(OpState &st)
             tr->asyncEnd(tid, eq_.now(), "mig", st.op.traceId, "swap");
         }
     }
-    if (st.op.onCommit)
-        st.op.onCommit();
-    inFlight_.erase(std::find_if(
-        inFlight_.begin(), inFlight_.end(),
-        [&st](const std::unique_ptr<OpState> &p) { return p.get() == &st; }));
+    // Free the slot before committing: the commit may start new ops,
+    // which can reuse it or grow ops_ under `st`.
+    const std::function<void()> on_commit = std::move(st.op.onCommit);
+    st = OpState{};
+    ops_.release(ref);
+    if (on_commit)
+        on_commit();
     MEMPOD_ASSERT(active_ > 0, "engine slot underflow");
     --active_;
     tryStart();

@@ -13,18 +13,18 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/event_queue.h"
 #include "common/metrics.h"
+#include "common/slab.h"
 #include "common/types.h"
 #include "mem/memory_system.h"
+#include "mem/request.h"
 
 namespace mempod {
 
 /** Executes queued page/line swaps through the memory system. */
-class MigrationEngine
+class MigrationEngine final : private Completer
 {
   public:
     /** One swap between the data at two physical locations. */
@@ -80,9 +80,8 @@ class MigrationEngine
 
   private:
     /**
-     * A started swap. The engine owns it; each line request's
-     * completion carries only {engine, op}, which fits the callback's
-     * inline buffer, so a line costs no allocation.
+     * A started swap, held in the ops_ slab; each line request's
+     * completion handle names it by slab index.
      */
     struct OpState
     {
@@ -94,9 +93,10 @@ class MigrationEngine
     void tryStart();
     void run(SwapOp op);
     /** Issue one phase: every line of both sides, reads or writes. */
-    void issuePhase(OpState &st);
-    void lineDone(OpState &st);
-    void finish(OpState &st);
+    void issuePhase(std::uint32_t ref);
+    /** One line of op `ref` finished. */
+    void complete(std::uint32_t ref, TimePs finish) override;
+    void finish(std::uint32_t ref);
 
     EventQueue &eq_;
     MemorySystem &mem_;
@@ -104,7 +104,7 @@ class MigrationEngine
     std::string traceTrack_;
     std::uint32_t active_ = 0;
     std::deque<SwapOp> queue_;
-    std::vector<std::unique_ptr<OpState>> inFlight_;
+    Slab<OpState> ops_; //!< started ops; indices are completion refs
     Stats stats_;
 };
 

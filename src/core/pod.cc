@@ -41,7 +41,7 @@ Pod::Pod(std::uint32_t id, EventQueue &eq, MemorySystem &mem,
               "pod" + std::to_string(id) + ".engine"),
       guard_(eq, engine_, stats_, "pod" + std::to_string(id), "page", id,
              [this](std::uint64_t local, Demand d) {
-                 issueToCurrentLocation(local, std::move(d));
+                 issueToCurrentLocation(local, d);
              })
 {
     if (params_.metaCacheEnabled) {
@@ -80,19 +80,17 @@ Pod::handleDemand(Demand d)
     if (DecisionLog *log = eq_.decisions())
         log->noteAccess(id_, local, remap_.inFast(local), eq_.now());
     if (!metaPath_) {
-        proceed(local, std::move(d));
+        proceed(local, d);
         return;
     }
-    metaPath_->access(local, [this, local, d = std::move(d)]() mutable {
-        proceed(local, std::move(d));
-    });
+    metaPath_->access(local, [this, local, d] { proceed(local, d); });
 }
 
 void
 Pod::proceed(std::uint64_t local, Demand d)
 {
     if (!guard_.park(local, d))
-        issueToCurrentLocation(local, std::move(d));
+        issueToCurrentLocation(local, d);
 }
 
 void
@@ -100,7 +98,7 @@ Pod::issueToCurrentLocation(std::uint64_t local, Demand d)
 {
     const Addr addr =
         addrOfSlot(remap_.locationOf(local)) + d.homeAddr % kPageBytes;
-    mem_.access(Request::demand(addr, std::move(d)));
+    mem_.access(Request::demand(addr, d));
 }
 
 void

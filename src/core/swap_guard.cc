@@ -78,11 +78,12 @@ SwapGuard::start(std::uint64_t key)
 }
 
 void
-SwapGuard::parkOn(Entry &e, std::uint64_t key, Demand &d)
+SwapGuard::parkOn(Entry &e, std::uint64_t key, const Demand &d)
 {
     ++stats_.blockedRequests;
     ++parked_;
-    d.parkedAt = eq_.now();
+    e.parked.push_back(d);
+    e.parked.back().parkedAt = eq_.now();
     if (d.traceId != 0) {
         if (Tracer *tr = eq_.tracer()) {
             TraceArgs a;
@@ -91,7 +92,6 @@ SwapGuard::parkOn(Entry &e, std::uint64_t key, Demand &d)
                            d.traceId, "blocked", a.str());
         }
     }
-    e.parked.push_back(std::move(d));
 }
 
 void
@@ -143,7 +143,7 @@ SwapGuard::release(std::uint64_t key)
                 tr->asyncEnd(tr->track(track_), now, "req", d.traceId,
                              "blocked");
         }
-        resume_(key, std::move(d));
+        resume_(key, d);
     }
 }
 

@@ -93,13 +93,13 @@ class SwapGuard
     bool reserved(std::uint64_t key) const { return keys_.contains(key); }
 
     /**
-     * If `key`'s swap has started, park `d` (moving from it) until
-     * the swap ends and return true; otherwise leave `d` untouched.
+     * If `key`'s swap has started, park a copy of `d` until the swap
+     * ends and return true; otherwise do nothing.
      * A key that is only reserved does not park: a queued swap's data
      * is still serviceable at its old location.
      */
     bool
-    park(std::uint64_t key, Demand &d)
+    park(std::uint64_t key, const Demand &d)
     {
         auto it = keys_.find(key);
         if (it == keys_.end() || !it->second.locked)
@@ -125,7 +125,7 @@ class SwapGuard
     };
 
     Entry &reserve(std::uint64_t key);
-    void parkOn(Entry &e, std::uint64_t key, Demand &d);
+    void parkOn(Entry &e, std::uint64_t key, const Demand &d);
     void start(std::uint64_t key);
     /** Commit (`committed`) or abort the swap whose first key is `key`. */
     void finish(std::uint64_t key, bool committed);

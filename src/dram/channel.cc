@@ -160,32 +160,15 @@ Channel::enqueue(Request req, ChannelAddr where)
                       where.row < static_cast<std::int64_t>(
                                       spec_.org.rowsPerBank),
                   "row out of range");
-    std::uint32_t idx;
-    if (freeEntries_.empty()) {
-        idx = static_cast<std::uint32_t>(entries_.size());
-        entries_.emplace_back();
-    } else {
-        idx = freeEntries_.back();
-        freeEntries_.pop_back();
-        entries_[idx] = Entry{};
-    }
+    const std::uint32_t idx = entries_.acquire(Entry{});
     Entry &e = entries_[idx];
     e.at = where;
     e.enqueuedAt = eq_.now();
     e.seq = nextSeq_++;
     e.traceId = req.traceId;
     e.kind = req.kind;
-    if (req.onComplete) {
-        if (freeCompletionSlots_.empty()) {
-            e.cbSlot =
-                static_cast<std::uint32_t>(completionSlots_.size());
-            completionSlots_.emplace_back();
-        } else {
-            e.cbSlot = freeCompletionSlots_.back();
-            freeCompletionSlots_.pop_back();
-        }
-        completionSlots_[e.cbSlot] = std::move(req.onComplete);
-    }
+    if (req.done)
+        e.cbSlot = completionSlots_.acquire(req.done);
     pushEntry(req.type == AccessType::kWrite ? writeQ_ : readQ_, idx);
     ++stats_.queuedNow;
     stats_.maxQueueDepth =
@@ -529,21 +512,21 @@ Channel::issueCas(Queue &q, std::uint32_t idx, bool is_write_queue)
         // executor's lookahead horizon.
         eq_.scheduleIn(EventQueue::kCoordinatorDomain, finish,
                        [this, slot = e.cbSlot, finish] {
-            CompletionCallback cb;
+            Completion done;
             if (slot != kNil) {
-                cb = std::move(completionSlots_[slot]);
-                // Release before invoking: the callback may enqueue a
+                done = completionSlots_[slot];
+                // Release before completing: the owner may enqueue a
                 // new request that reuses (or grows past) this slot.
-                freeCompletionSlots_.push_back(slot);
+                completionSlots_.release(slot);
             }
             if (completionHook_)
                 completionHook_(finish);
-            if (cb)
-                cb(finish);
+            if (done)
+                done(finish);
         });
     }
 
-    freeEntries_.push_back(idx);
+    entries_.release(idx);
 }
 
 TimePs

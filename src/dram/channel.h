@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/event_queue.h"
+#include "common/slab.h"
 #include "common/types.h"
 #include "dram/bank.h"
 #include "dram/memory_model.h"
@@ -65,7 +66,7 @@ class Channel final : public MemoryModel
      * @param extra_latency_ps Fixed interconnect latency added to every
      *        completion (LLC-to-MC traversal both ways).
      * @param domain Execution domain of this controller's tick events.
-     *        Completion callbacks always target the coordinator domain;
+     *        Completion events always target the coordinator domain;
      *        everything else the controller schedules stays local. The
      *        default keeps standalone (single-queue) use unchanged.
      */
@@ -91,10 +92,9 @@ class Channel final : public MemoryModel
     void resumeAt(TimePs now) override;
 
     /**
-     * Invoked inside every completion event, before the request's own
-     * onComplete. The MemorySystem uses this to track in-flight lines
-     * without wrapping each request's callback in a heap-allocated
-     * closure. Set once at construction time.
+     * Invoked inside every completion event, before the request's
+     * owner is completed. The MemorySystem uses this to track in-flight
+     * lines for every request at once. Set once at construction time.
      */
     void
     setCompletionHook(std::function<void(TimePs)> hook) override
@@ -140,13 +140,13 @@ class Channel final : public MemoryModel
     const HostStats &hostStats() const override { return hostStats_; }
 
   private:
-    /** Sentinel index for intrusive lists and callback slots. */
+    /** Sentinel index for intrusive lists and completion slots. */
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
     /**
      * One queued line transfer. Deliberately NOT the whole Request:
      * only the fields the arbiter reads live here; the completion
-     * callback is parked in the slab under cbSlot. Entries are slab
+     * handle is parked in the slab under cbSlot. Entries are slab
      * slots threaded onto two intrusive lists: the per-queue age list
      * (prevG/nextG, FIFO by seq) and the per-bank FIFO (prevB/nextB).
      * Padded to one cache line so neighbouring slots never share one.
@@ -244,18 +244,15 @@ class Channel final : public MemoryModel
     std::function<void(TimePs)> completionHook_;
 
     /**
-     * Parking slab for completion callbacks from enqueue until the
-     * data burst completes: queue Entries and the scheduled completion
-     * event carry only a slot index, so queue relinking and event
-     * scheduling never move the callable, and freed slots are reused
-     * so a steady-state run performs no per-request allocation.
+     * Parking slab for completion handles from enqueue until the data
+     * burst completes: queue Entries and the scheduled completion
+     * event carry only a slot index, which keeps the Entry in one
+     * cache line and the event capture within the queue's inline
+     * buffer.
      */
-    std::vector<CompletionCallback> completionSlots_;
-    std::vector<std::uint32_t> freeCompletionSlots_;
+    Slab<Completion> completionSlots_;
 
-    /** Entry slab + free list (indices are stable handles). */
-    std::vector<Entry> entries_;
-    std::vector<std::uint32_t> freeEntries_;
+    Slab<Entry> entries_; //!< indices are the intrusive-list links
 
     BankStateArray banks_;
     std::vector<bool> autoPrePending_; //!< closed-page policy state

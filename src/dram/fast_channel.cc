@@ -57,34 +57,21 @@ FastChannel::enqueue(Request req, ChannelAddr)
         }
     }
 
-    std::uint32_t slot = kNil;
-    if (req.onComplete) {
-        if (freeSlots_.empty()) {
-            slot = static_cast<std::uint32_t>(slots_.size());
-            slots_.emplace_back();
-        } else {
-            slot = freeSlots_.back();
-            freeSlots_.pop_back();
-        }
-        slots_[slot] = std::move(req.onComplete);
-    }
+    const std::uint32_t slot = slots_.acquire(req.done);
 
     // Completions cross back to the coordinator domain; the delta is
     // at least servicePs_, which dominates the executor's lookahead.
     eq_.scheduleIn(EventQueue::kCoordinatorDomain, finish,
                    [this, slot, finish] {
-        CompletionCallback cb;
-        if (slot != kNil) {
-            cb = std::move(slots_[slot]);
-            // Release before invoking: the callback may enqueue a new
-            // request that reuses (or grows past) this slot.
-            freeSlots_.push_back(slot);
-        }
+        const Completion done = slots_[slot];
+        // Release before completing: the owner may enqueue a new
+        // request that reuses (or grows past) this slot.
+        slots_.release(slot);
         --stats_.queuedNow;
         if (completionHook_)
             completionHook_(finish);
-        if (cb)
-            cb(finish);
+        if (done)
+            done(finish);
     });
 }
 

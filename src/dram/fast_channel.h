@@ -27,9 +27,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/event_queue.h"
+#include "common/slab.h"
 #include "common/types.h"
 #include "dram/memory_model.h"
 #include "dram/spec.h"
@@ -87,8 +87,6 @@ class FastChannel final : public MemoryModel
     TimePs servicePs() const { return servicePs_; }
 
   private:
-    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-
     EventQueue &eq_;
     DramSpec spec_;
     std::string name_;
@@ -98,9 +96,8 @@ class FastChannel final : public MemoryModel
     TimePs burstPs_ = 0;   //!< data-bus occupancy per request (tBL)
     TimePs busFreeAt_ = 0; //!< bandwidth cap: next issue opportunity
 
-    /** Completion-callback parking slab, as in the detailed model. */
-    std::vector<CompletionCallback> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    /** Each request's completion handle until its completion event. */
+    Slab<Completion> slots_;
 
     ChannelStats stats_;
     ChannelHostStats hostStats_; //!< all zero: no ticks, no arbiter

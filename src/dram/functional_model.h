@@ -2,7 +2,7 @@
  * @file
  * FunctionalModel: the zero-latency, zero-event warming model. Every
  * request completes synchronously inside enqueue() — the completion
- * hook and the request's own callback fire at the current simulated
+ * hook and the request's owner complete at the current simulated
  * time before enqueue() returns, and nothing is ever scheduled.
  *
  * This is what makes SMARTS-style fast-forward windows cheap: the

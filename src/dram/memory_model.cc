@@ -58,13 +58,11 @@ FunctionalModel::enqueue(Request req, ChannelAddr)
     }
 
     // Synchronous completion: hook first (in-flight accounting), then
-    // the request's own callback, both at the current time. The
-    // callback is moved out first because it may enqueue again.
-    CompletionCallback cb = std::move(req.onComplete);
+    // the request's owner, both at the current time.
     if (completionHook_)
         completionHook_(now);
-    if (cb)
-        cb(now);
+    if (req.done)
+        req.done(now);
 }
 
 ChannelTelemetry

@@ -16,11 +16,11 @@
  *                trackers, remap tables and the decision ledger keep
  *                seeing the full demand stream while fast-forwarding.
  *
- * All models share the completion contract: the completion hook and
- * the request's own onComplete fire in the coordinator domain (for
- * event-driven models, via a scheduled completion whose delta is at
- * least the PDES lookahead; the functional model is serial-only and
- * fires them synchronously).
+ * All models share the completion contract: the completion hook runs
+ * and then the request's owner is completed through its Completion
+ * handle, both in the coordinator domain (for event-driven models, via
+ * a scheduled completion whose delta is at least the PDES lookahead;
+ * the functional model is serial-only and completes synchronously).
  */
 #pragma once
 
@@ -82,10 +82,9 @@ class MemoryModel
     virtual void enqueue(Request req, ChannelAddr where) = 0;
 
     /**
-     * Invoked inside every completion, before the request's own
-     * onComplete. The MemorySystem uses this to track in-flight lines
-     * without wrapping each request's callback. Set once at
-     * construction time.
+     * Invoked inside every completion, before the request's owner is
+     * completed. The MemorySystem uses this to track in-flight lines
+     * for every request at once. Set once at construction time.
      */
     virtual void setCompletionHook(std::function<void(TimePs)> hook) = 0;
 

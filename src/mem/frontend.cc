@@ -243,48 +243,51 @@ TraceFrontend::pump()
                 tr->asyncEnd(tid, now, "req", trace_id, "mshr_wait");
             }
         }
-        Demand d;
-        d.homeAddr = phys;
-        d.type = rec.type;
-        d.arrival = arrival;
-        d.core = rec.core;
-        d.traceId = trace_id;
-        d.done = [this, arrival, core, trace_id, ff](TimePs fin) {
-            if (!ff) {
-                MEMPOD_ASSERT(fin >= arrival,
-                              "completion precedes arrival");
-                totalStallPs_ += static_cast<double>(fin - arrival);
-                perCore_[core].stallPs +=
-                    static_cast<double>(fin - arrival);
-                latencyNs_.sample((fin - arrival) / 1000);
-                perCore_[core].latencyNs.sample((fin - arrival) / 1000);
-            }
-            ++perCore_[core].completed;
-            if (trace_id != 0) {
-                if (Tracer *tr = eq_.tracer()) {
-                    TraceArgs a;
-                    if (!ff)
-                        a.add("latency_ns", (fin - arrival) / 1000);
-                    // Batch-admitted records can complete "before"
-                    // their arrival timestamp; clamp so the span
-                    // stays well-formed (zero-length).
-                    tr->asyncEnd(coreTrack(*tr, core),
-                                 std::max(fin, arrival), "req",
-                                 trace_id, "demand", a.str());
-                }
-            }
-            ++completed_;
-            MEMPOD_ASSERT(outstanding_ > 0, "completion underflow");
-            --outstanding_;
-            // Instant (functional) completions land while the pump
-            // loop is still running; it will admit the next record
-            // itself, so re-entering here would recurse unboundedly.
-            if (!inPump_)
-                pump();
-        };
-        manager_.handleDemand(std::move(d));
+        const std::uint32_t ref =
+            inFlight_.acquire({arrival, trace_id, core, ff});
+        manager_.handleDemand({.homeAddr = phys,
+                               .type = rec.type,
+                               .core = core,
+                               .arrival = arrival,
+                               .traceId = trace_id,
+                               .done = {this, ref}});
     }
     inPump_ = false;
+}
+
+void
+TraceFrontend::complete(std::uint32_t ref, TimePs fin)
+{
+    const auto [arrival, trace_id, core, ff] = inFlight_[ref];
+    inFlight_.release(ref);
+    if (!ff) {
+        MEMPOD_ASSERT(fin >= arrival, "completion precedes arrival");
+        totalStallPs_ += static_cast<double>(fin - arrival);
+        perCore_[core].stallPs += static_cast<double>(fin - arrival);
+        latencyNs_.sample((fin - arrival) / 1000);
+        perCore_[core].latencyNs.sample((fin - arrival) / 1000);
+    }
+    ++perCore_[core].completed;
+    if (trace_id != 0) {
+        if (Tracer *tr = eq_.tracer()) {
+            TraceArgs a;
+            if (!ff)
+                a.add("latency_ns", (fin - arrival) / 1000);
+            // Batch-admitted records can complete "before" their
+            // arrival timestamp; clamp so the span stays well-formed
+            // (zero-length).
+            tr->asyncEnd(coreTrack(*tr, core), std::max(fin, arrival),
+                         "req", trace_id, "demand", a.str());
+        }
+    }
+    ++completed_;
+    MEMPOD_ASSERT(outstanding_ > 0, "completion underflow");
+    --outstanding_;
+    // Instant (functional) completions land while the pump loop is
+    // still running; it will admit the next record itself, so
+    // re-entering here would recurse unboundedly.
+    if (!inPump_)
+        pump();
 }
 
 std::uint32_t

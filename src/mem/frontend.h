@@ -14,6 +14,7 @@
 
 #include "common/event_queue.h"
 #include "common/metrics.h"
+#include "common/slab.h"
 #include "common/stats.h"
 #include "common/tracer.h"
 #include "mem/address_map.h"
@@ -24,7 +25,7 @@
 namespace mempod {
 
 /** Replays a trace stream through a MemoryManager. */
-class TraceFrontend
+class TraceFrontend final : private Completer
 {
   public:
     /**
@@ -128,8 +129,19 @@ class TraceFrontend
                          std::uint32_t num_cores) const;
 
   private:
+    /** What a demand's completion needs, parked while it is in flight. */
+    struct InFlight
+    {
+        TimePs arrival = 0;
+        std::uint64_t traceId = 0;
+        std::uint8_t core = 0;
+        bool ff = false; //!< admitted during fast-forward
+    };
+
     void pump();
     void schedulePump(TimePs when);
+    /** Account one demand's completion; `ref` indexes inFlight_. */
+    void complete(std::uint32_t ref, TimePs fin) override;
 
     /** Tracer track for a core's demand spans ("core<i>"). */
     static std::uint32_t coreTrack(Tracer &tr, std::uint8_t core);
@@ -149,6 +161,8 @@ class TraceFrontend
     bool fastForward_ = false;
     bool inPump_ = false; //!< guards against pump reentry on instant completion
     std::uint32_t outstanding_ = 0;
+    /** In-flight demands (at most maxOutstanding_); refs index it. */
+    Slab<InFlight> inFlight_;
     std::uint64_t issued_ = 0;
     std::uint64_t completed_ = 0;
     TimePs stalledUntil_ = 0;

@@ -47,10 +47,9 @@ class MemoryManager
     virtual ~MemoryManager() = default;
 
     /**
-     * Handle one demand line access. `d.done` must be called exactly
+     * Handle one demand line access. The manager must pass `d.done`
+     * on (Request::demand does) so the issuer is completed exactly
      * once when the data transfer finishes; everything else is input.
-     * (Until PR 4 this took six positional parameters — external
-     * callers now brace-initialize a Demand in the same field order.)
      */
     virtual void handleDemand(Demand d) = 0;
 

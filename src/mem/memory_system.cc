@@ -110,7 +110,7 @@ MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
             add_channel(slow_sized, "slow" + std::to_string(c));
     }
     // One shared hook per channel keeps in-flight tracking off the
-    // per-request path: requests carry their own callback unwrapped.
+    // per-request path: requests carry only their completion handle.
     for (auto &slot : slots_)
         slot->setCompletionHook([this](TimePs) { --inFlight_; });
 
@@ -167,11 +167,10 @@ MemorySystem::access(Request req)
     if (dispatch_) {
         // Sharded run: the executor applies the enqueue on the owning
         // channel's queue at this call's canonical key position.
-        dispatch_(d.channel, std::move(req), ChannelAddr{d.bank, d.row});
+        dispatch_(d.channel, req, ChannelAddr{d.bank, d.row});
         return;
     }
-    slots_[d.channel]->enqueue(std::move(req),
-                               ChannelAddr{d.bank, d.row});
+    slots_[d.channel]->enqueue(req, ChannelAddr{d.bank, d.row});
 }
 
 std::uint64_t

@@ -157,7 +157,7 @@ class MemorySystem
         void
         enqueue(Request req, ChannelAddr where) override
         {
-            active_->enqueue(std::move(req), where);
+            active_->enqueue(req, where);
         }
 
         void

@@ -34,20 +34,28 @@ MetadataPath::access(std::uint64_t entry_idx, ReadyFn ready)
         return; // piggyback on the outstanding fill
 
     ++fills_;
+    MEMPOD_ASSERT(block <= ~std::uint32_t{0},
+                  "metadata block %llu overflows a completion ref",
+                  static_cast<unsigned long long>(block));
     Request fill;
     fill.addr = blockAddr_(block);
     fill.type = AccessType::kRead;
     fill.kind = Request::Kind::kBookkeeping;
     fill.arrival = eq_.now();
-    fill.onComplete = [this, block](TimePs) {
-        cache_.fill(block * cache_.entriesPerBlock());
-        auto node = pending_.extract(block);
-        for (Waiter &w : node.mapped()) {
-            stats_.metadataPs += eq_.now() - w.since;
-            w.ready();
-        }
-    };
-    mem_.access(std::move(fill));
+    fill.done = {this, static_cast<std::uint32_t>(block)};
+    mem_.access(fill);
+}
+
+void
+MetadataPath::complete(std::uint32_t ref, TimePs)
+{
+    const std::uint64_t block = ref;
+    cache_.fill(block * cache_.entriesPerBlock());
+    auto node = pending_.extract(block);
+    for (Waiter &w : node.mapped()) {
+        stats_.metadataPs += eq_.now() - w.since;
+        w.ready();
+    }
 }
 
 void

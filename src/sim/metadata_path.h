@@ -25,18 +25,17 @@
 namespace mempod {
 
 /** Cache + miss-fill machinery for migration bookkeeping state. */
-class MetadataPath
+class MetadataPath final : private Completer
 {
   public:
     /** Maps a metadata block number to its backing-store address. */
     using BlockAddrFn = std::function<Addr(std::uint64_t block)>;
 
     /**
-     * Miss/hit continuation. Move-only and sized for a parked demand
-     * request (the manager's continuation carries the request's
-     * move-only completion callback inline).
+     * Miss/hit continuation, sized for the largest manager capture:
+     * a Pod's {this, pod-local page, Demand}.
      */
-    using ReadyFn = MoveFunction<void(), 176>;
+    using ReadyFn = MoveFunction<void(), 72>;
 
     /** @param stats The owner's statistics (hits, misses, metadataPs). */
     MetadataPath(EventQueue &eq, MemorySystem &mem, MigrationStats &stats,
@@ -67,6 +66,9 @@ class MetadataPath
         TimePs since;
         ReadyFn ready;
     };
+
+    /** The fill of metadata block `ref` returned: wake its waiters. */
+    void complete(std::uint32_t ref, TimePs finish) override;
 
     EventQueue &eq_;
     MemorySystem &mem_;

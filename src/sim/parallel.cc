@@ -115,14 +115,14 @@ ParallelExecutor::dispatch(std::size_t ch, Request req, ChannelAddr where)
     // inline scheduleTick would have consumed at this very call.
     Lane &lane = *lanes_[ch];
     lane.inbox.push_back(Delivery{coord_.currentKey(), coord_.reserveKey(),
-                                  std::move(req), where});
+                                  req, where});
 }
 
 void
 ParallelExecutor::applyDelivery(Lane &lane, Delivery &d)
 {
     lane.q.beginApply(d.pos.when, d.reserved);
-    lane.chan->enqueue(std::move(d.req), d.where);
+    lane.chan->enqueue(d.req, d.where);
     lane.q.endApply();
 }
 

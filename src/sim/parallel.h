@@ -8,7 +8,7 @@
  *
  * Execution is split into domains: domain 0 (the coordinator) runs
  * the trace frontend, every migration manager/engine, interval
- * timers and channel completion callbacks; domain 1+i runs DRAM
+ * timers and channel completion events; domain 1+i runs DRAM
  * channel i's controller. Channels are the finest partition the
  * memory system admits — they share no state and talk to the rest of
  * the system only through (a) enqueues from the coordinator and (b)

@@ -95,7 +95,7 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
         plan.channelQueues = exec_->channelQueues();
         plan.dispatch = [ex = exec_.get()](std::size_t ch, Request req,
                                            ChannelAddr where) {
-            ex->dispatch(ch, std::move(req), where);
+            ex->dispatch(ch, req, where);
         };
     }
     mem_ = std::make_unique<MemorySystem>(

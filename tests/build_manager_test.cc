@@ -46,7 +46,7 @@ TEST_F(FactoryFixture, CoreStallHookDefaultsToNoOp)
     // The base-class hook is a no-op: installing one must be safe on
     // mechanisms that never stall the cores.
     mgr->setCoreStallHook([](TimePs) { FAIL() << "unexpected stall"; });
-    mgr->handleDemand({.done = nullptr});
+    mgr->handleDemand({});
     eq.runAll();
 }
 

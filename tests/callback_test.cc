@@ -1,8 +1,6 @@
-/** @file Unit tests for the move-only small-buffer callable. */
+/** @file Unit tests for the move-only inline callable. */
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "common/callback.h"
@@ -30,15 +28,6 @@ TEST(MoveFunction, InlineCaptureInvokes)
     EXPECT_EQ(hits, 7);
 }
 
-TEST(MoveFunction, MoveOnlyCaptureCompiles)
-{
-    // std::function rejects this target; the per-request completion
-    // chain relies on move-only captures composing without wrappers.
-    auto p = std::make_unique<int>(41);
-    MoveFunction<int()> f = [p = std::move(p)] { return *p + 1; };
-    EXPECT_EQ(f(), 42);
-}
-
 TEST(MoveFunction, MoveTransfersTarget)
 {
     MoveFunction<int()> f = [] { return 5; };
@@ -51,57 +40,6 @@ TEST(MoveFunction, MoveTransfersTarget)
     h = std::move(g);
     EXPECT_FALSE(g); // NOLINT(bugprone-use-after-move)
     EXPECT_EQ(h(), 5);
-}
-
-TEST(MoveFunction, HeapFallbackForLargeCapture)
-{
-    struct Big
-    {
-        std::uint64_t pad[32]; // 256 bytes > any inline Cap we use
-    };
-    Big big{};
-    big.pad[31] = 99;
-    MoveFunction<std::uint64_t(), 64> f = [big] {
-        return big.pad[31];
-    };
-    EXPECT_EQ(f(), 99u);
-    MoveFunction<std::uint64_t(), 64> g = std::move(f);
-    EXPECT_EQ(g(), 99u);
-}
-
-TEST(MoveFunction, DestructorRunsCaptureDestructors)
-{
-    auto counter = std::make_shared<int>(0);
-    {
-        MoveFunction<void()> f = [counter] { (void)counter; };
-        EXPECT_EQ(counter.use_count(), 2);
-    }
-    EXPECT_EQ(counter.use_count(), 1);
-
-    // Heap-fallback path too.
-    struct Big
-    {
-        std::shared_ptr<int> sp;
-        std::uint64_t pad[32];
-    };
-    {
-        MoveFunction<void(), 64> f = [b = Big{counter, {}}] {
-            (void)b;
-        };
-        EXPECT_EQ(counter.use_count(), 2);
-    }
-    EXPECT_EQ(counter.use_count(), 1);
-}
-
-TEST(MoveFunction, ReassignmentDestroysOldTarget)
-{
-    auto a = std::make_shared<int>(0);
-    auto b = std::make_shared<int>(0);
-    MoveFunction<void()> f = [a] { (void)a; };
-    EXPECT_EQ(a.use_count(), 2);
-    f = [b] { (void)b; };
-    EXPECT_EQ(a.use_count(), 1);
-    EXPECT_EQ(b.use_count(), 2);
 }
 
 } // namespace

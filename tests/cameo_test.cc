@@ -5,6 +5,7 @@
 #include "baselines/thm.h"
 #include "common/decision_log.h"
 #include "common/rng.h"
+#include "completion_fns.h"
 
 namespace mempod {
 namespace {
@@ -107,12 +108,13 @@ TEST_F(CameoFixture, DemandsServedFromCurrentLocation)
 
 TEST_F(CameoFixture, SwapBackpressureSkipsNotBlocks)
 {
+    CompletionFns fns;
     CameoParams p;
     p.maxQueuedSwaps = 0; // every swap skipped
     CameoManager mgr(eq, mem, p);
     int done = 0;
     mgr.handleDemand({.homeAddr = lineAddr(2, 1),
-                      .done = [&](TimePs) { ++done; }});
+                      .done = fns.add([&](TimePs) { ++done; })});
     eq.runAll();
     EXPECT_EQ(done, 1); // demand still served
     EXPECT_EQ(mgr.migrationStats().migrations, 0u);
@@ -151,6 +153,7 @@ TEST_F(CameoFixture, RemapStorageMuchLargerThanThm)
 
 TEST_F(CameoFixture, DemandToSwappingGroupParksUntilCommit)
 {
+    CompletionFns fns;
     DecisionLog log(50_us, 1.0);
     eq.attach({.decisions = &log});
     CameoManager mgr(eq, mem, CameoParams{});
@@ -163,10 +166,10 @@ TEST_F(CameoFixture, DemandToSwappingGroupParksUntilCommit)
     TimePs done_at = 0;
     mgr.handleDemand({.homeAddr = lineAddr(4, 0),
                       .arrival = eq.now(),
-                      .done = [&](TimePs) {
+                      .done = fns.add([&](TimePs) {
                           ++done;
                           done_at = eq.now();
-                      }});
+                      })});
     EXPECT_EQ(mgr.migrationStats().blockedRequests, 1u);
     EXPECT_EQ(done, 0);
     eq.runAll();

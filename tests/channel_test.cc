@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/event_queue.h"
+#include "completion_fns.h"
 #include "dram/channel.h"
 
 namespace mempod {
@@ -13,6 +14,7 @@ constexpr TimePs kExtra = 5000;
 
 struct ChannelFixture : ::testing::Test
 {
+    CompletionFns fns;
     EventQueue eq;
     DramSpec spec = DramSpec::hbm1GHz().withChannelBytes(2_MiB);
     Channel ch{eq, spec, "test", kExtra};
@@ -25,7 +27,7 @@ struct ChannelFixture : ::testing::Test
         Request req;
         req.addr = tag;
         req.type = type;
-        req.onComplete = [&](TimePs f) { finish = f; };
+        req.done = fns.add([&](TimePs f) { finish = f; });
         ch.enqueue(std::move(req), ChannelAddr{bank, row});
         eq.runAll();
         return finish;
@@ -67,7 +69,7 @@ TEST_F(ChannelFixture, AllQueuedRequestsComplete)
         Request req;
         req.addr = static_cast<Addr>(i) * 64;
         req.type = i % 3 == 0 ? AccessType::kWrite : AccessType::kRead;
-        req.onComplete = [&](TimePs) { ++completed; };
+        req.done = fns.add([&](TimePs) { ++completed; });
         ch.enqueue(std::move(req),
                    ChannelAddr{static_cast<std::uint32_t>(i % 16),
                                i % 4});
@@ -82,8 +84,8 @@ TEST_F(ChannelFixture, SameBankConflictSerializesViaPrecharge)
 {
     TimePs f1 = 0, f2 = 0;
     Request a, b;
-    a.onComplete = [&](TimePs f) { f1 = f; };
-    b.onComplete = [&](TimePs f) { f2 = f; };
+    a.done = fns.add([&](TimePs f) { f1 = f; });
+    b.done = fns.add([&](TimePs f) { f2 = f; });
     ch.enqueue(std::move(a), ChannelAddr{0, 0});
     ch.enqueue(std::move(b), ChannelAddr{0, 7});
     eq.runAll();
@@ -103,7 +105,7 @@ TEST_F(ChannelFixture, BankParallelismBeatsSerialization)
     TimePs last_par = 0;
     for (std::uint32_t b : {0u, 1u}) {
         Request r;
-        r.onComplete = [&](TimePs f) { last_par = std::max(last_par, f); };
+        r.done = fns.add([&](TimePs f) { last_par = std::max(last_par, f); });
         two_banks.enqueue(std::move(r), ChannelAddr{b, 0});
     }
     eq2.runAll();
@@ -113,7 +115,7 @@ TEST_F(ChannelFixture, BankParallelismBeatsSerialization)
     TimePs last_ser = 0;
     for (std::int64_t row : {0, 1}) {
         Request r;
-        r.onComplete = [&](TimePs f) { last_ser = std::max(last_ser, f); };
+        r.done = fns.add([&](TimePs f) { last_ser = std::max(last_ser, f); });
         one_bank.enqueue(std::move(r), ChannelAddr{0, row});
     }
     eq3.runAll();
@@ -129,14 +131,14 @@ TEST_F(ChannelFixture, RefreshOccursUnderSteadyTraffic)
         if (eq.now() > 5 * refi_ps)
             return;
         Request r;
-        r.onComplete = [](TimePs) {};
+        r.done = fns.add([](TimePs) {});
         ch.enqueue(std::move(r),
                    ChannelAddr{static_cast<std::uint32_t>(issued % 16),
                                static_cast<std::int64_t>(issued % 8)});
         ++issued;
-        eq.scheduleAfter(refi_ps / 20, feeder);
+        eq.scheduleAfter(refi_ps / 20, [&feeder] { feeder(); });
     };
-    eq.schedule(0, feeder);
+    eq.schedule(0, [&feeder] { feeder(); });
     eq.runAll();
     EXPECT_GE(ch.stats().refreshes, 4u);
 }
@@ -150,7 +152,7 @@ TEST_F(ChannelFixture, DeterministicAcrossRuns)
         for (int i = 0; i < 32; ++i) {
             Request r;
             r.type = i % 2 ? AccessType::kWrite : AccessType::kRead;
-            r.onComplete = [&](TimePs f) { finishes.push_back(f); };
+            r.done = fns.add([&](TimePs f) { finishes.push_back(f); });
             c.enqueue(std::move(r),
                       ChannelAddr{static_cast<std::uint32_t>(i % 4),
                                   i % 3});
@@ -165,7 +167,7 @@ TEST_F(ChannelFixture, RowHitRateHighForSequentialStream)
 {
     for (int i = 0; i < 128; ++i) {
         Request r;
-        r.onComplete = [](TimePs) {};
+        r.done = fns.add([](TimePs) {});
         // 128 consecutive lines in one row.
         ch.enqueue(std::move(r), ChannelAddr{0, 0});
     }
@@ -177,7 +179,7 @@ TEST_F(ChannelFixture, MaxQueueDepthTracked)
 {
     for (int i = 0; i < 10; ++i) {
         Request r;
-        r.onComplete = [](TimePs) {};
+        r.done = fns.add([](TimePs) {});
         ch.enqueue(std::move(r), ChannelAddr{0, 0});
     }
     EXPECT_GE(ch.stats().maxQueueDepth, 10u);
@@ -189,9 +191,9 @@ TEST_F(ChannelFixture, ReadsHavePriorityOverWrites)
     TimePs wr_done = 0, rd_done = 0;
     Request w, r;
     w.type = AccessType::kWrite;
-    w.onComplete = [&](TimePs f) { wr_done = f; };
+    w.done = fns.add([&](TimePs f) { wr_done = f; });
     r.type = AccessType::kRead;
-    r.onComplete = [&](TimePs f) { rd_done = f; };
+    r.done = fns.add([&](TimePs f) { rd_done = f; });
     // Write enqueued first, but below the drain watermark the read
     // queue is served first.
     ch.enqueue(std::move(w), ChannelAddr{0, 0});
@@ -209,16 +211,16 @@ TEST_F(ChannelFixture, WriteBurstTriggersDrainMode)
     for (int i = 0; i < 24; ++i) {
         Request w;
         w.type = AccessType::kWrite;
-        w.onComplete = [&](TimePs) {
+        w.done = fns.add([&](TimePs) {
             if (!read_done)
                 ++writes_before_read;
-        };
+        });
         ch.enqueue(std::move(w),
                    ChannelAddr{static_cast<std::uint32_t>(i % 8), 0});
     }
     Request r;
     r.type = AccessType::kRead;
-    r.onComplete = [&](TimePs) { read_done = true; };
+    r.done = fns.add([&](TimePs) { read_done = true; });
     ch.enqueue(std::move(r), ChannelAddr{0, 0});
     eq.runAll();
     EXPECT_GT(writes_before_read, 0);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/event_queue.h"
+#include "completion_fns.h"
 #include "dram/channel.h"
 
 namespace mempod {
@@ -17,15 +18,16 @@ TimePs
 runPair(ControllerPolicy pol, std::int64_t row1, std::int64_t row2,
         TimePs gap, Channel::Stats *out = nullptr)
 {
+    CompletionFns fns;
     EventQueue eq;
     Channel ch(eq, spec(), "pol", 0, pol);
     TimePs last = 0;
     Request a;
-    a.onComplete = [&](TimePs f) { last = std::max(last, f); };
+    a.done = fns.add([&](TimePs f) { last = std::max(last, f); });
     ch.enqueue(std::move(a), ChannelAddr{0, row1});
     eq.runUntil(gap);
     Request b;
-    b.onComplete = [&](TimePs f) { last = std::max(last, f); };
+    b.done = fns.add([&](TimePs f) { last = std::max(last, f); });
     ch.enqueue(std::move(b), ChannelAddr{0, row2});
     eq.runAll();
     if (out)
@@ -66,6 +68,7 @@ TEST(ControllerPolicy, ClosedPageSpeedsUpConflicts)
 
 TEST(ControllerPolicy, ClosedPageKeepsRowForPendingHits)
 {
+    CompletionFns fns;
     EventQueue eq;
     Channel ch(eq, spec(), "pol", 0,
                ControllerPolicy{.closedPage = true});
@@ -74,7 +77,7 @@ TEST(ControllerPolicy, ClosedPageKeepsRowForPendingHits)
     int done = 0;
     for (int i = 0; i < 2; ++i) {
         Request r;
-        r.onComplete = [&](TimePs) { ++done; };
+        r.done = fns.add([&](TimePs) { ++done; });
         ch.enqueue(std::move(r), ChannelAddr{0, 7});
     }
     eq.runAll();
@@ -84,6 +87,7 @@ TEST(ControllerPolicy, ClosedPageKeepsRowForPendingHits)
 
 TEST(ControllerPolicy, FcfsServesStrictlyInOrder)
 {
+    CompletionFns fns;
     EventQueue eq;
     Channel ch(eq, spec(), "fcfs", 0, ControllerPolicy{.fcfs = true});
     std::vector<int> order;
@@ -91,7 +95,7 @@ TEST(ControllerPolicy, FcfsServesStrictlyInOrder)
     // row-0 hit FR-FCFS would promote.
     for (int i = 0; i < 3; ++i) {
         Request r;
-        r.onComplete = [&, i](TimePs) { order.push_back(i); };
+        r.done = fns.add([&, i](TimePs) { order.push_back(i); });
         ch.enqueue(std::move(r),
                    ChannelAddr{0, i == 1 ? std::int64_t{9}
                                          : std::int64_t{0}});
@@ -102,13 +106,14 @@ TEST(ControllerPolicy, FcfsServesStrictlyInOrder)
 
 TEST(ControllerPolicy, FrFcfsPromotesRowHits)
 {
+    CompletionFns fns;
     EventQueue eq;
     Channel ch(eq, spec(), "frfcfs", 0, ControllerPolicy{});
     std::vector<int> order;
     Request a, b, c;
-    a.onComplete = [&](TimePs) { order.push_back(0); };
-    b.onComplete = [&](TimePs) { order.push_back(1); };
-    c.onComplete = [&](TimePs) { order.push_back(2); };
+    a.done = fns.add([&](TimePs) { order.push_back(0); });
+    b.done = fns.add([&](TimePs) { order.push_back(1); });
+    c.done = fns.add([&](TimePs) { order.push_back(2); });
     ch.enqueue(std::move(a), ChannelAddr{0, 0});
     ch.enqueue(std::move(b), ChannelAddr{0, 9}); // conflict
     ch.enqueue(std::move(c), ChannelAddr{0, 0}); // hit, jumps queue
@@ -119,13 +124,14 @@ TEST(ControllerPolicy, FrFcfsPromotesRowHits)
 TEST(ControllerPolicy, FcfsNeverSlowerToDrainThanZeroWork)
 {
     // Sanity: FCFS still completes everything.
+    CompletionFns fns;
     EventQueue eq;
     Channel ch(eq, spec(), "fcfs", 0, ControllerPolicy{.fcfs = true});
     int done = 0;
     for (int i = 0; i < 40; ++i) {
         Request r;
         r.type = i % 2 ? AccessType::kWrite : AccessType::kRead;
-        r.onComplete = [&](TimePs) { ++done; };
+        r.done = fns.add([&](TimePs) { ++done; });
         ch.enqueue(std::move(r),
                    ChannelAddr{static_cast<std::uint32_t>(i % 16),
                                i % 5});

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/event_queue.h"
+#include "completion_fns.h"
 #include "dram/bank.h"
 #include "dram/channel.h"
 
@@ -30,8 +31,9 @@ TimePs
 enqueueRead(Channel &ch, std::uint32_t bank, std::int64_t row,
             TimePs *out)
 {
+    static CompletionFns fns; // outlives every channel built here
     Request r;
-    r.onComplete = [out](TimePs f) { *out = f; };
+    r.done = fns.add([out](TimePs f) { *out = f; });
     ch.enqueue(std::move(r), ChannelAddr{bank, row});
     return 0;
 }
@@ -137,6 +139,7 @@ TEST(DramProtocol, WriteThenReadPaysBusTurnaround)
     // Write CAS@tRCD=7000, then the read CAS on the same open row is
     // gated by the channel wr->rd constraint tCWL+tBL+tWTR = 11000
     // past the write: CAS@18000, data end 18000+9000 = 27000.
+    CompletionFns fns;
     EventQueue eq;
     Channel ch(eq, hbm(), "p", 0);
     // Leave the read queue empty until after the write CAS (7000) so
@@ -144,12 +147,12 @@ TEST(DramProtocol, WriteThenReadPaysBusTurnaround)
     TimePs fw = 0, fr = 0;
     Request w;
     w.type = AccessType::kWrite;
-    w.onComplete = [&](TimePs f) { fw = f; };
+    w.done = fns.add([&](TimePs f) { fw = f; });
     ch.enqueue(std::move(w), ChannelAddr{0, 0});
     eq.schedule(8000, [&] {
         Request r;
         r.type = AccessType::kRead;
-        r.onComplete = [&](TimePs f) { fr = f; };
+        r.done = fns.add([&](TimePs f) { fr = f; });
         ch.enqueue(std::move(r), ChannelAddr{0, 0});
     });
     eq.runAll();

@@ -62,9 +62,9 @@ TEST(EventQueue, EventsScheduledDuringExecutionRun)
     int depth = 0;
     std::function<void()> recurse = [&] {
         if (++depth < 5)
-            eq.scheduleAfter(10, recurse);
+            eq.scheduleAfter(10, [&recurse] { recurse(); });
     };
-    eq.schedule(0, recurse);
+    eq.schedule(0, [&recurse] { recurse(); });
     eq.runAll();
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -263,21 +263,23 @@ runStress(std::uint64_t seed)
         EXPECT_EQ(eq.nextTime(),
                   pending.empty() ? kTimeNever : pending.begin()->first);
     };
-    std::function<void(TimePs)> scheduleOne = [&](TimePs when) {
+    std::function<void(TimePs)> scheduleOne;
+    const std::function<void(TimePs, int)> fire = [&](TimePs when, int id) {
+        ASSERT_FALSE(pending.empty());
+        EXPECT_EQ(*pending.begin(), std::make_pair(when, id));
+        EXPECT_EQ(eq.now(), when);
+        pending.erase({when, id});
+        checkNextTime();
+        for (auto n = rng.nextBelow(3); n > 0 && callbackBudget > 0;
+             --n, --callbackBudget) {
+            scheduleOne(eq.now() + delta());
+            checkNextTime();
+        }
+    };
+    scheduleOne = [&](TimePs when) {
         const int id = seq++;
         pending.emplace(when, id);
-        eq.schedule(when, [&, when, id] {
-            ASSERT_FALSE(pending.empty());
-            EXPECT_EQ(*pending.begin(), std::make_pair(when, id));
-            EXPECT_EQ(eq.now(), when);
-            pending.erase({when, id});
-            checkNextTime();
-            for (auto n = rng.nextBelow(3); n > 0 && callbackBudget > 0;
-                 --n, --callbackBudget) {
-                scheduleOne(eq.now() + delta());
-                checkNextTime();
-            }
-        });
+        eq.schedule(when, [&fire, when, id] { fire(when, id); });
     };
 
     for (int i = 0; i < 400; ++i) {

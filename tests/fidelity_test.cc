@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/event_queue.h"
+#include "completion_fns.h"
 #include "dram/channel.h"
 #include "dram/fast_channel.h"
 #include "sim/fidelity.h"
@@ -260,6 +261,7 @@ TEST(ResumeAt, SkipsMissedRefreshesButStillCountsThem)
 
 TEST(FastChannelModel, ServiceLatencyAndBandwidthCap)
 {
+    CompletionFns fns;
     EventQueue eq;
     const DramSpec spec = DramSpec::hbm1GHz();
     constexpr TimePs kExtra = 5000;
@@ -271,10 +273,10 @@ TEST(FastChannelModel, ServiceLatencyAndBandwidthCap)
     TimePs f1 = 0, f2 = 0;
     Request r1;
     r1.type = AccessType::kRead;
-    r1.onComplete = [&](TimePs f) { f1 = f; };
+    r1.done = fns.add([&](TimePs f) { f1 = f; });
     Request r2;
     r2.type = AccessType::kWrite;
-    r2.onComplete = [&](TimePs f) { f2 = f; };
+    r2.done = fns.add([&](TimePs f) { f2 = f; });
     fc.enqueue(std::move(r1), ChannelAddr{0, 0});
     fc.enqueue(std::move(r2), ChannelAddr{1, 7});
     EXPECT_EQ(fc.queued(), 2u);

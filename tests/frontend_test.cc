@@ -24,11 +24,10 @@ class FixedLatencyManager : public MemoryManager
         ++received;
         addrs.push_back(d.homeAddr);
         ++inFlight_;
-        eq_.scheduleAfter(latency_,
-                          [this, done = std::move(d.done)]() mutable {
-                              --inFlight_;
-                              done(eq_.now());
-                          });
+        eq_.scheduleAfter(latency_, [this, done = d.done] {
+            --inFlight_;
+            done(eq_.now());
+        });
     }
 
     std::string name() const override { return "fixed"; }

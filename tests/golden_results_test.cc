@@ -11,7 +11,7 @@
  *   MEMPOD_PRINT_GOLDEN=1 ./build/tests/mempod_tests \
  *       --gtest_filter='Golden*' 2>/dev/null
  * and paste the printed tables over kGolden / kMetaGolden /
- * kSampledGolden / kTraceGolden below.
+ * kSampledGolden / kFastGolden / kTraceGolden below.
  */
 #include <gtest/gtest.h>
 
@@ -119,6 +119,24 @@ constexpr SampledGoldenRow kSampledGolden[] = {
      500007452u, 57.025823344264857, 7.5290949904103215},
 };
 
+/**
+ * The plain run under the fixed-latency fast model (dram.model=fast):
+ * pins FastChannel's queueing and completion path, which no other
+ * golden exercises.
+ */
+constexpr GoldenRow kFastGolden[] = {
+    {"NoMigration", Mechanism::kNoMigration, 5313u, 44687u, 0u, 0u,
+     501146151u, 99998u, 0u, 0u, 0u, 36.044258399999997},
+    {"HMA", Mechanism::kHma, 8862u, 41138u, 580u, 2375680u, 529146151u,
+     174244u, 3u, 930142u, 0u, 40.700624640000001},
+    {"THM", Mechanism::kThm, 17448u, 32552u, 811u, 3321856u, 501146151u,
+     203806u, 352u, 70385316u, 0u, 41.206705900000003},
+    {"CAMEO", Mechanism::kCameo, 9019u, 40981u, 40778u, 5219584u,
+     501188651u, 263110u, 1157u, 47511626u, 0u, 36.735645480000002},
+    {"MemPod", Mechanism::kMemPod, 11960u, 38040u, 456u, 1867776u,
+     505390000u, 158376u, 85u, 16001623u, 0u, 38.468922120000002},
+};
+
 struct TraceGolden
 {
     std::uint64_t records;
@@ -130,8 +148,17 @@ struct TraceGolden
 constexpr TraceGolden kTraceGolden = {50000, 36614, 13386, 7844,
                                       501102994};
 
+/** What a golden run changes on top of the plain paper system. */
+enum class Variant
+{
+    kPlain,
+    kMetaCache, //!< bookkeeping caches on (kMetaGolden)
+    kSampled,   //!< shortened sampled-mode schedule (kSampledGolden)
+    kFast,      //!< fixed-latency fast memory model (kFastGolden)
+};
+
 SimConfig
-goldenConfig(Mechanism m, bool meta_cache = false)
+goldenConfig(Mechanism m, Variant v)
 {
     SimConfig cfg = SimConfig::paper(m);
     // 4x MemPod's interval (200 us) instead of the harnesses' 40x: the
@@ -139,10 +166,21 @@ goldenConfig(Mechanism m, bool meta_cache = false)
     // HMA epochs fire rather than pinning HMA == NoMigration.
     if (m == Mechanism::kHma)
         cfg.scaleHmaEpoch(4.0);
-    if (meta_cache) {
+    switch (v) {
+      case Variant::kPlain:
+        break;
+      case Variant::kMetaCache:
         cfg.mempod.pod.metaCacheEnabled = true;
         cfg.hma.metaCacheEnabled = true;
         cfg.thm.metaCacheEnabled = true;
+        break;
+      case Variant::kSampled:
+        cfg.sampling.enabled = true;
+        cfg.sampling.fastfwdPs = 63_us;
+        break;
+      case Variant::kFast:
+        cfg.dramModel = DramModel::kFast;
+        break;
     }
     return cfg;
 }
@@ -192,24 +230,18 @@ TEST(GoldenTrace, GeneratorIsPinned)
               kTraceGolden.duration);
 }
 
-/** Run one golden job per row; `meta_cache` selects the cache rows,
- *  `sampled` the shortened sampled-mode schedule. */
+/** Run one golden job per row of `variant`. */
 template <typename Row, std::size_t N>
 std::vector<JobResult>
-runRows(const Row (&rows)[N], bool meta_cache, std::uint32_t shards,
-        bool sampled = false)
+runRows(const Row (&rows)[N], Variant variant, std::uint32_t shards = 0)
 {
     // Run through the BatchRunner so the tier-1 suite exercises the
     // parallel path; determinism makes the worker count irrelevant.
     BatchRunner runner({.jobs = 2});
     for (const Row &g : rows) {
         BatchJob job;
-        job.config = goldenConfig(g.mechanism, meta_cache);
+        job.config = goldenConfig(g.mechanism, variant);
         job.config.shards = shards;
-        if (sampled) {
-            job.config.sampling.enabled = true;
-            job.config.sampling.fastfwdPs = 63_us;
-        }
         job.workload = kWorkload;
         job.gen.totalRequests = kRequests;
         job.gen.seed = kSeed;
@@ -260,12 +292,15 @@ expectRow(const GoldenRow &g, const RunResult &r)
     EXPECT_NEAR(r.ammatNs, g.ammatNs, g.ammatNs * 1e-9) << g.label;
 }
 
-TEST(GoldenResults, EveryMechanismIsPinned)
+/** Run `rows` under `variant` and check (or print) each GoldenRow. */
+template <std::size_t N>
+void
+pinRows(const GoldenRow (&rows)[N], Variant variant)
 {
-    const std::vector<JobResult> results = runRows(kGolden, false, 0);
-    ASSERT_EQ(results.size(), std::size(kGolden));
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const GoldenRow &g = kGolden[i];
+    const std::vector<JobResult> results = runRows(rows, variant);
+    ASSERT_EQ(results.size(), N);
+    for (std::size_t i = 0; i < N; ++i) {
+        const GoldenRow &g = rows[i];
         ASSERT_TRUE(results[i].ok) << g.label << ": "
                                    << results[i].error;
         if (printGolden())
@@ -273,6 +308,11 @@ TEST(GoldenResults, EveryMechanismIsPinned)
         else
             expectRow(g, results[i].result);
     }
+}
+
+TEST(GoldenResults, EveryMechanismIsPinned)
+{
+    pinRows(kGolden, Variant::kPlain);
 }
 
 TEST(GoldenResults, EveryMechanismIsPinnedAtTwoShards)
@@ -283,7 +323,8 @@ TEST(GoldenResults, EveryMechanismIsPinnedAtTwoShards)
     // order leaked a partition dependence.
     if (printGolden())
         GTEST_SKIP() << "goldens are regenerated from the serial run";
-    const std::vector<JobResult> results = runRows(kGolden, false, 2);
+    const std::vector<JobResult> results =
+        runRows(kGolden, Variant::kPlain, 2);
     ASSERT_EQ(results.size(), std::size(kGolden));
     for (std::size_t i = 0; i < results.size(); ++i) {
         ASSERT_TRUE(results[i].ok) << kGolden[i].label << ": "
@@ -292,9 +333,15 @@ TEST(GoldenResults, EveryMechanismIsPinnedAtTwoShards)
     }
 }
 
+TEST(GoldenResults, FastModelRowsArePinned)
+{
+    pinRows(kFastGolden, Variant::kFast);
+}
+
 TEST(GoldenResults, MetadataCacheRowsArePinned)
 {
-    const std::vector<JobResult> results = runRows(kMetaGolden, true, 0);
+    const std::vector<JobResult> results =
+        runRows(kMetaGolden, Variant::kMetaCache);
     ASSERT_EQ(results.size(), std::size(kMetaGolden));
     for (std::size_t i = 0; i < results.size(); ++i) {
         const MetaGoldenRow &g = kMetaGolden[i];
@@ -327,7 +374,7 @@ TEST(GoldenResults, MetadataCacheRowsArePinned)
 TEST(GoldenResults, SampledRowsArePinned)
 {
     const std::vector<JobResult> results =
-        runRows(kSampledGolden, false, 0, true);
+        runRows(kSampledGolden, Variant::kSampled);
     ASSERT_EQ(results.size(), std::size(kSampledGolden));
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SampledGoldenRow &g = kSampledGolden[i];

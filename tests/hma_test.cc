@@ -4,6 +4,7 @@
 #include "baselines/hma.h"
 #include "common/decision_log.h"
 #include "common/tracer.h"
+#include "completion_fns.h"
 
 namespace mempod {
 namespace {
@@ -167,6 +168,7 @@ TEST_F(HmaFixture, StorageCostIsLinear)
 
 TEST_F(HmaFixture, DemandToSwappingPageParksUntilCommit)
 {
+    CompletionFns fns;
     DecisionLog log(100_us, 1.0);
     eq.attach({.decisions = &log});
     HmaManager mgr(eq, mem, params());
@@ -180,10 +182,10 @@ TEST_F(HmaFixture, DemandToSwappingPageParksUntilCommit)
     TimePs done_at = 0;
     mgr.handleDemand({.homeAddr = AddressMap::addrOfPage(hot) + 64,
                       .arrival = eq.now(),
-                      .done = [&](TimePs) {
+                      .done = fns.add([&](TimePs) {
                           ++done;
                           done_at = eq.now();
-                      }});
+                      })});
     EXPECT_EQ(mgr.migrationStats().blockedRequests, 1u);
     EXPECT_EQ(mgr.pendingWork(), 2u); // the parked demand + the swap
     EXPECT_EQ(done, 0);

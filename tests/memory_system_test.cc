@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/event_queue.h"
+#include "completion_fns.h"
 #include "mem/memory_system.h"
 
 namespace mempod {
@@ -9,6 +10,7 @@ namespace {
 
 struct MemFixture : ::testing::Test
 {
+    CompletionFns fns;
     EventQueue eq;
     MemorySystem mem{eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
                      DramSpec::ddr4_1600()};
@@ -22,7 +24,7 @@ struct MemFixture : ::testing::Test
         r.addr = a;
         r.type = t;
         r.kind = k;
-        r.onComplete = [&](TimePs f) { finish = f; };
+        r.done = fns.add([&](TimePs f) { finish = f; });
         mem.access(std::move(r));
         eq.runAll();
         return finish;
@@ -78,7 +80,7 @@ TEST_F(MemFixture, InFlightTracksOutstanding)
 {
     Request r;
     r.addr = 0;
-    r.onComplete = [](TimePs) {};
+    r.done = fns.add([](TimePs) {});
     mem.access(std::move(r));
     EXPECT_EQ(mem.inFlight(), 1u);
     eq.runAll();
@@ -99,6 +101,7 @@ TEST_F(MemFixture, RowHitRatePerTier)
 
 TEST(MemorySystem, SingleTierGeometryWorks)
 {
+    CompletionFns fns;
     EventQueue eq;
     MemorySystem mem(eq, SystemGeometry::singleTier(64_MiB, 8),
                      DramSpec::hbm1GHz(), DramSpec::ddr4_1600());
@@ -106,7 +109,7 @@ TEST(MemorySystem, SingleTierGeometryWorks)
     TimePs finish = 0;
     Request r;
     r.addr = 64_MiB - 64;
-    r.onComplete = [&](TimePs f) { finish = f; };
+    r.done = fns.add([&](TimePs f) { finish = f; });
     mem.access(std::move(r));
     eq.runAll();
     EXPECT_GT(finish, 0u);

@@ -1,6 +1,7 @@
 /** @file Unit tests for the top-level MemPod manager. */
 #include <gtest/gtest.h>
 
+#include "completion_fns.h"
 #include "core/mempod_manager.h"
 
 namespace mempod {
@@ -31,13 +32,14 @@ TEST_F(ManagerFixture, BuildsOnePodPerGeometryPod)
 
 TEST_F(ManagerFixture, RoutesDemandToOwningPod)
 {
+    CompletionFns fns;
     MemPodManager mgr(eq, mem, params());
     // Slow page with global slow index 2 belongs to pod 2.
     const PageId page = mem.geom().fastPages() + 2;
     int done = 0;
     mgr.handleDemand({.homeAddr = AddressMap::addrOfPage(page) + 128,
                       .arrival = eq.now(),
-                      .done = [&](TimePs) { ++done; }});
+                      .done = fns.add([&](TimePs) { ++done; })});
     eq.runAll();
     EXPECT_EQ(done, 1);
     EXPECT_EQ(mgr.pod(2).mea().size(), 1u);

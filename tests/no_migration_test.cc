@@ -3,21 +3,23 @@
 
 #include "baselines/no_migration.h"
 #include "common/event_queue.h"
+#include "completion_fns.h"
 
 namespace mempod {
 namespace {
 
 TEST(NoMigration, ServesAtHomeAddress)
 {
+    CompletionFns fns;
     EventQueue eq;
     MemorySystem mem(eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
                      DramSpec::ddr4_1600());
     NoMigrationManager mgr(mem);
     int done = 0;
-    mgr.handleDemand({.done = [&](TimePs) { ++done; }});
+    mgr.handleDemand({.done = fns.add([&](TimePs) { ++done; })});
     mgr.handleDemand({.homeAddr = 16_MiB,
                       .type = AccessType::kWrite,
-                      .done = [&](TimePs) { ++done; }});
+                      .done = fns.add([&](TimePs) { ++done; })});
     eq.runAll();
     EXPECT_EQ(done, 2);
     EXPECT_EQ(mem.stats().demandFast, 1u);

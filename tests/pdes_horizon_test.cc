@@ -27,7 +27,7 @@ namespace mempod {
 namespace {
 
 /** A coordinator issuing pseudorandom line accesses, PDES-sharded. */
-class Harness
+class Harness final : private Completer
 {
   public:
     Harness(TimePs lookahead_ps, unsigned shards,
@@ -87,13 +87,15 @@ class Harness
             req.type = (rng_ & 1) ? AccessType::kWrite
                                   : AccessType::kRead;
             req.arrival = coord_.now();
-            req.onComplete = [this](TimePs) { ++completed_; };
+            req.done = {this, 0};
             ++issued_;
-            mem_->access(std::move(req));
+            mem_->access(req);
         }
         if (issued_ < target_)
             coord_.scheduleAfter(2500, [this] { issueSome(); });
     }
+
+    void complete(std::uint32_t, TimePs) override { ++completed_; }
 
     SimConfig cfg_;
     EventQueue coord_;

@@ -4,6 +4,7 @@
 #include "common/decision_log.h"
 #include "common/rng.h"
 #include "common/tracer.h"
+#include "completion_fns.h"
 #include "core/pod.h"
 
 namespace mempod {
@@ -21,6 +22,7 @@ occurrences(const std::string &text, const std::string &needle)
 
 struct PodFixture : ::testing::Test
 {
+    CompletionFns fns;
     EventQueue eq;
     MemorySystem mem{eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
                      DramSpec::ddr4_1600()};
@@ -48,7 +50,7 @@ struct PodFixture : ::testing::Test
         pod.handleDemand(
             {.homeAddr = AddressMap::addrOfPage(page) + offset,
              .arrival = eq.now(),
-             .done = [&](TimePs) { ++completions; }});
+             .done = fns.add([&](TimePs) { ++completions; })});
         eq.runAll();
         return completions;
     }
@@ -152,7 +154,7 @@ TEST_F(PodFixture, RequestsBlockedDuringMigrationDrainAfterCommit)
     int completions = 0;
     pod.handleDemand({.homeAddr = AddressMap::addrOfPage(hot) + 64,
                       .arrival = eq.now(),
-                      .done = [&](TimePs) { ++completions; }});
+                      .done = fns.add([&](TimePs) { ++completions; })});
     EXPECT_EQ(pod.stats().blockedRequests, 1u);
     EXPECT_EQ(completions, 0);
     eq.runAll();

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "completion_fns.h"
 #include "core/pod.h"
 #include "dram/channel.h"
 #include "sim/simulation.h"
@@ -41,12 +42,13 @@ class SpecSweep : public ::testing::TestWithParam<int>
 
 TEST_P(SpecSweep, ZeroLoadLatencyIsIdeal)
 {
+    CompletionFns fns;
     const DramSpec s = spec(GetParam()).withChannelBytes(4_MiB);
     EventQueue eq;
     Channel ch(eq, s, "p", 0);
     TimePs finish = 0;
     Request r;
-    r.onComplete = [&](TimePs f) { finish = f; };
+    r.done = fns.add([&](TimePs f) { finish = f; });
     ch.enqueue(std::move(r), ChannelAddr{0, 0});
     eq.runAll();
     EXPECT_EQ(finish, s.idealReadLatencyPs());
@@ -54,6 +56,7 @@ TEST_P(SpecSweep, ZeroLoadLatencyIsIdeal)
 
 TEST_P(SpecSweep, RowLocalityNeverHurts)
 {
+    CompletionFns fns;
     const DramSpec s = spec(GetParam()).withChannelBytes(4_MiB);
     auto run = [&](std::int64_t second_row) {
         EventQueue eq;
@@ -61,7 +64,7 @@ TEST_P(SpecSweep, RowLocalityNeverHurts)
         TimePs last = 0;
         for (std::int64_t row : {std::int64_t{0}, second_row}) {
             Request r;
-            r.onComplete = [&](TimePs f) { last = f; };
+            r.done = fns.add([&](TimePs f) { last = f; });
             ch.enqueue(std::move(r), ChannelAddr{0, row});
         }
         eq.runAll();
@@ -73,13 +76,14 @@ TEST_P(SpecSweep, RowLocalityNeverHurts)
 TEST_P(SpecSweep, ThroughputBoundedByBus)
 {
     // 64 row hits cannot finish faster than 64 back-to-back bursts.
+    CompletionFns fns;
     const DramSpec s = spec(GetParam()).withChannelBytes(4_MiB);
     EventQueue eq;
     Channel ch(eq, s, "p", 0);
     TimePs last = 0;
     for (int i = 0; i < 64; ++i) {
         Request r;
-        r.onComplete = [&](TimePs f) { last = std::max(last, f); };
+        r.done = fns.add([&](TimePs f) { last = std::max(last, f); });
         ch.enqueue(std::move(r), ChannelAddr{0, 0});
     }
     eq.runAll();
@@ -100,6 +104,7 @@ class PodSweep
 
 TEST_P(PodSweep, InvariantsUnderRandomTraffic)
 {
+    CompletionFns fns;
     const auto [entries, bits] = GetParam();
     EventQueue eq;
     MemorySystem mem(eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
@@ -128,7 +133,7 @@ TEST_P(PodSweep, InvariantsUnderRandomTraffic)
                 {.homeAddr = AddressMap::addrOfPage(page) + offset,
                  .type = type,
                  .arrival = eq.now(),
-                 .done = [&](TimePs) { ++completed; }});
+                 .done = fns.add([&](TimePs) { ++completed; })});
         }
         pod.onInterval();
         eq.runAll();

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/decision_log.h"
+#include "completion_fns.h"
 #include "core/swap_guard.h"
 
 namespace mempod {
@@ -73,12 +74,13 @@ TEST_F(GuardFixture, ParkedDemandsResumeInArrivalOrderAfterCommit)
 
 TEST_F(GuardFixture, ReservedKeyDoesNotParkUntilItsSwapStarts)
 {
+    CompletionFns fns;
     guard.schedule(swapOn(1));
     guard.schedule(swapOn(2));
     guard.schedule(swapOn(3)); // both engine slots busy: queued
     ASSERT_EQ(engine.queuedOps(), 1u);
     EXPECT_TRUE(guard.reserved(3));
-    Demand d{.core = 9, .done = [](TimePs) {}};
+    Demand d{.core = 9, .done = fns.add([](TimePs) {})};
     EXPECT_FALSE(guard.park(3, d));
     EXPECT_EQ(d.core, 9);
     EXPECT_TRUE(static_cast<bool>(d.done)); // left untouched

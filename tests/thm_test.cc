@@ -3,6 +3,7 @@
 
 #include "baselines/thm.h"
 #include "common/decision_log.h"
+#include "completion_fns.h"
 
 namespace mempod {
 namespace {
@@ -50,10 +51,11 @@ TEST_F(ThmFixture, SegmentGeometryMatchesCapacityRatio)
 
 TEST_F(ThmFixture, DemandsComplete)
 {
+    CompletionFns fns;
     ThmManager mgr(eq, mem, params());
     int done = 0;
     mgr.handleDemand({.homeAddr = AddressMap::addrOfPage(pageOf(5, 2)) + 64,
-                      .done = [&](TimePs) { ++done; }});
+                      .done = fns.add([&](TimePs) { ++done; })});
     eq.runAll();
     EXPECT_EQ(done, 1);
     EXPECT_EQ(mem.stats().demandSlow, 1u);
@@ -161,6 +163,7 @@ TEST_F(ThmFixture, StorageCostsMatchTable1Shape)
 
 TEST_F(ThmFixture, DemandToSwappingSegmentParksUntilCommit)
 {
+    CompletionFns fns;
     DecisionLog log(50_us, 1.0);
     eq.attach({.decisions = &log});
     ThmManager mgr(eq, mem, params());
@@ -177,10 +180,10 @@ TEST_F(ThmFixture, DemandToSwappingSegmentParksUntilCommit)
     TimePs done_at = 0;
     mgr.handleDemand({.homeAddr = AddressMap::addrOfPage(pageOf(9, 5)),
                       .arrival = eq.now(),
-                      .done = [&](TimePs) {
+                      .done = fns.add([&](TimePs) {
                           ++done;
                           done_at = eq.now();
-                      }});
+                      })});
     EXPECT_EQ(mgr.migrationStats().blockedRequests, 1u);
     EXPECT_EQ(done, 0);
     eq.runAll();
