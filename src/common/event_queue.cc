@@ -84,8 +84,7 @@ EventQueue::scheduleIn(DomainId target, TimePs when, Callback cb)
         return;
     }
     ++size_;
-    if (size_ > host_.peakPending)
-        host_.peakPending = size_;
+    peakPending_ = std::max(peakPending_, size_);
     place(Event{when, sched_time, packOrd(target, masked),
                 std::move(cb)});
 }
@@ -99,8 +98,7 @@ EventQueue::admitForeign(DomainId exec, EventKey key, Callback cb)
                   static_cast<unsigned long long>(key.when),
                   static_cast<unsigned long long>(now_));
     ++size_;
-    if (size_ > host_.peakPending)
-        host_.peakPending = size_;
+    peakPending_ = std::max(peakPending_, size_);
     place(Event{key.when, key.schedTime, packOrd(exec, key.ord),
                 std::move(cb)});
 }
@@ -133,46 +131,24 @@ EventQueue::endApply()
     ctxDomain_ = homeDomain_;
 }
 
-EventQueue::EventList *
-EventQueue::acquireList()
-{
-    if (freeLists_.empty()) {
-        ++host_.listAllocs;
-        pool_.push_back(std::make_unique<EventList>());
-        return pool_.back().get();
-    }
-    ++host_.listReuses;
-    EventList *list = freeLists_.back();
-    freeLists_.pop_back();
-    return list;
-}
-
 void
-EventQueue::releaseList(EventList *list)
+EventQueue::appendToSlot(Event ev)
 {
-    list->clear(); // keeps capacity for reuse
-    freeLists_.push_back(list);
-}
-
-void
-EventQueue::appendToSlot(unsigned level, std::size_t idx, Event ev)
-{
-    Wheel &w = wheels_[level];
-    if (w.slots[idx] == nullptr) {
-        w.slots[idx] = acquireList();
-        w.occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    }
-    w.slots[idx]->push_back(std::move(ev));
+    const std::size_t idx = (ev.when >> kTickShift) & (kSlots - 1);
+    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    slots_[idx].push_back(std::move(ev));
 }
 
 void
 EventQueue::place(Event ev)
 {
+    // Never behind the cursor: when >= now_, and the cursor is never
+    // past now_'s tick.
     const std::uint64_t tick = ev.when >> kTickShift;
-    if (drain_ != nullptr && tick == drainTick_) {
+    if (drain_ != nullptr && tick == cursorTick_) {
         // Joins the slot currently executing: splice into the
         // undrained tail at its canonical key position. The tail is
-        // key-sorted (claimSlot sorted it and insertions keep it so),
+        // key-sorted (claim() sorted it and insertions keep it so),
         // so upper_bound by the full key preserves the total order —
         // a when-only probe would misplace events that tie on `when`
         // but differ in (schedTime, domain).
@@ -181,189 +157,84 @@ EventQueue::place(Event ev)
             drain_->end(), ev,
             [](const Event &a, const Event &b) { return earlier(a, b); });
         drain_->insert(pos, std::move(ev));
-        ++host_.drainInserts;
         return;
     }
-    if (tick < cursorTick_) {
-        // A nextTime()/runUntil() scan cascaded the cursor ahead of
-        // now_ and this event landed in the gap. Such events precede
-        // everything in the wheels, so keep them in a small sorted
-        // spill drained before any slot.
-        auto pos = std::upper_bound(
-            front_.begin(), front_.end(), ev,
-            [](const Event &a, const Event &b) { return earlier(a, b); });
-        front_.insert(pos, std::move(ev));
-        ++host_.frontSpills;
+    if (tick - cursorTick_ < kSlots) {
+        appendToSlot(std::move(ev));
         return;
     }
-    for (unsigned level = 0; level < kWheels; ++level) {
-        const unsigned shift = level * kSlotBits;
-        // Compare in level units, not raw ticks: a raw-delta check
-        // would lap slots when the cursor sits mid-region.
-        if ((tick >> shift) - (cursorTick_ >> shift) < kSlots) {
-            // A level-0 event is found without a cascade; a higher
-            // region starting before the memo would be cascaded first.
-            if (level == 0)
-                nextWhen_ = std::min(nextWhen_, ev.when);
-            else if (((tick >> shift) << shift) < (nextWhen_ >> kTickShift))
-                nextWhenValid_ = false;
-            ++host_.placedAtLevel[level];
-            appendToSlot(level, (tick >> shift) & (kSlots - 1),
-                         std::move(ev));
-            return;
-        }
-    }
-    if (tick < (nextWhen_ >> kTickShift))
-        nextWhenValid_ = false;
-    ladder_.push_back(std::move(ev));
+    far_.push_back(std::move(ev));
     std::push_heap(
-        ladder_.begin(), ladder_.end(),
+        far_.begin(), far_.end(),
         [](const Event &a, const Event &b) { return earlier(b, a); });
-    ++ladderDeferred_;
 }
 
-void
-EventQueue::fixupStranded()
+const EventQueue::Event *
+EventQueue::peek() const
 {
-    // After the cursor jumps, any higher-level slot whose region now
-    // *starts* at the cursor sits at circular distance 0 and would be
-    // invisible to the scan; cascade each one down immediately. The
-    // re-placed events always land at a strictly lower level, so the
-    // high-to-low sweep never refills a slot it already drained.
-    for (unsigned level = kWheels - 1; level >= 1; --level) {
-        const unsigned shift = level * kSlotBits;
-        const std::size_t idx = (cursorTick_ >> shift) & (kSlots - 1);
-        Wheel &w = wheels_[level];
-        if (!(w.occupied[idx >> 6] & (std::uint64_t{1} << (idx & 63))))
-            continue;
-        EventList *list = w.slots[idx];
-        w.slots[idx] = nullptr;
-        w.occupied[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-        ++cascades_;
-        for (Event &ev : *list)
-            place(std::move(ev));
-        releaseList(list);
-    }
+    // The draining slot, then any occupied slot, precede the far heap.
+    if (drain_ != nullptr)
+        return &(*drain_)[drainPos_];
+    const int d = circularFindSet(
+        occupied_, static_cast<unsigned>(cursorTick_ & (kSlots - 1)));
+    if (d < 0)
+        return far_.empty() ? nullptr : &far_.front();
+    const Event *best = nullptr;
+    for (const Event &ev : slots_[(cursorTick_ + d) & (kSlots - 1)])
+        if (best == nullptr || earlier(ev, *best))
+            best = &ev;
+    return best;
 }
 
 bool
-EventQueue::findNextSlot(std::uint64_t &out_tick)
+EventQueue::nextTick(std::uint64_t &out_tick) const
 {
-    for (;;) {
-        std::uint64_t best = ~std::uint64_t{0};
-        int best_level = -1; // kWheels == ladder
-
-        // Wheel-0 candidate: the exact tick of the earliest slot.
-        {
-            const unsigned idx0 =
-                static_cast<unsigned>(cursorTick_ & (kSlots - 1));
-            ++host_.slotScans;
-            const int d = circularFindSet(wheels_[0].occupied, idx0);
-            if (d >= 0) {
-                best = cursorTick_ + static_cast<unsigned>(d);
-                best_level = 0;
-            }
-        }
-        // Higher wheels: region start of the earliest occupied slot.
-        for (unsigned level = 1; level < kWheels; ++level) {
-            const unsigned shift = level * kSlotBits;
-            const std::uint64_t cur = cursorTick_ >> shift;
-            // Slots at this level and above start at the cursor's next
-            // region or later, so none can beat `best` from here on.
-            if (best <= (cur + 1) << shift)
-                break;
-            const unsigned idx = static_cast<unsigned>(cur & (kSlots - 1));
-            ++host_.slotScans;
-            const int d = circularFindSet(wheels_[level].occupied,
-                                          (idx + 1) & (kSlots - 1));
-            if (d < 0)
-                continue;
-            // fixupStranded keeps distance-0 slots empty, so the hit
-            // can never be the cursor's own slot (distance kSlots).
-            MEMPOD_ASSERT(d < static_cast<int>(kSlots) - 1 ||
-                              ((idx + 1 + d) & (kSlots - 1)) != idx,
-                          "stranded wheel slot at level %u", level);
-            const std::uint64_t cand = (cur + 1 + static_cast<unsigned>(d))
-                                       << shift;
-            if (cand < best) {
-                best = cand;
-                best_level = static_cast<int>(level);
-            }
-        }
-        if (!ladder_.empty()) {
-            const std::uint64_t cand = ladder_.front().when >> kTickShift;
-            if (cand < best) {
-                best = cand;
-                best_level = static_cast<int>(kWheels);
-            }
-        }
-
-        if (best_level < 0)
-            return false;
-        if (best_level == 0) {
-            out_tick = best;
-            return true;
-        }
-
-        // Cascade: advance the cursor to the earliest region start —
-        // provably <= every pending tick — and redistribute.
-        // fixupStranded drains the chosen slot, now at distance 0.
-        cursorTick_ = best;
-        fixupStranded();
-        if (best_level == static_cast<int>(kWheels)) {
-            // Pull every ladder event now inside the wheel horizon.
-            const auto later = [](const Event &a, const Event &b) {
-                return earlier(b, a);
-            };
-            const unsigned top_shift = (kWheels - 1) * kSlotBits;
-            while (!ladder_.empty() &&
-                   ((ladder_.front().when >> kTickShift) >> top_shift) -
-                           (cursorTick_ >> top_shift) <
-                       kSlots) {
-                std::pop_heap(ladder_.begin(), ladder_.end(), later);
-                Event ev = std::move(ladder_.back());
-                ladder_.pop_back();
-                place(std::move(ev));
-            }
-        }
-    }
+    const int d = circularFindSet(
+        occupied_, static_cast<unsigned>(cursorTick_ & (kSlots - 1)));
+    if (d >= 0)
+        out_tick = cursorTick_ + static_cast<unsigned>(d);
+    else if (!far_.empty())
+        out_tick = far_.front().when >> kTickShift;
+    else
+        return false;
+    return true;
 }
 
 void
-EventQueue::claimSlot(std::uint64_t tick)
+EventQueue::claim(std::uint64_t tick)
 {
-    Wheel &w = wheels_[0];
+    // Advancing the cursor brings far events inside the horizon; move
+    // them to their slots first so the invariant holds again.
+    cursorTick_ = tick;
+    const auto later = [](const Event &a, const Event &b) {
+        return earlier(b, a);
+    };
+    while (!far_.empty() &&
+           (far_.front().when >> kTickShift) - cursorTick_ < kSlots) {
+        std::pop_heap(far_.begin(), far_.end(), later);
+        appendToSlot(std::move(far_.back()));
+        far_.pop_back();
+    }
     const std::size_t idx = tick & (kSlots - 1);
-    MEMPOD_ASSERT(w.slots[idx] != nullptr, "claiming an empty slot");
-    drain_ = w.slots[idx];
-    w.slots[idx] = nullptr;
-    w.occupied[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    drain_ = &slots_[idx];
+    drainPos_ = 0;
     std::sort(drain_->begin(), drain_->end(),
               [](const Event &a, const Event &b) { return earlier(a, b); });
-    drainTick_ = tick;
-    drainPos_ = 0;
 }
 
 bool
 EventQueue::popNext(Event &out)
 {
-    nextWhenValid_ = false;
-    if (!front_.empty()) {
-        MEMPOD_ASSERT(drain_ == nullptr, "front spill during slot drain");
-        out = std::move(front_.front());
-        front_.erase(front_.begin());
-        --size_;
-        return true;
-    }
     if (drain_ == nullptr) {
         std::uint64_t tick;
-        if (!findNextSlot(tick))
+        if (!nextTick(tick))
             return false;
-        claimSlot(tick);
+        claim(tick);
     }
     out = std::move((*drain_)[drainPos_++]);
     if (drainPos_ == drain_->size()) {
-        releaseList(drain_);
+        drain_->clear(); // keeps capacity for reuse
         drain_ = nullptr;
     }
     --size_;
@@ -371,53 +242,20 @@ EventQueue::popNext(Event &out)
 }
 
 TimePs
-EventQueue::peekNextTime()
+EventQueue::nextTime() const
 {
-    if (!front_.empty())
-        return front_.front().when;
-    if (drain_ != nullptr)
-        return (*drain_)[drainPos_].when;
-    if (nextWhenValid_) {
-        ++host_.nextTimeMemoHits;
-        return nextWhen_;
-    }
-    std::uint64_t tick;
-    TimePs min_when = kTimeNever;
-    if (findNextSlot(tick))
-        for (const Event &ev : *wheels_[0].slots[tick & (kSlots - 1)])
-            min_when = std::min(min_when, ev.when);
-    nextWhen_ = min_when;
-    nextWhenValid_ = true;
-    return min_when;
+    const Event *ev = peek();
+    return ev == nullptr ? kTimeNever : ev->when;
 }
 
 bool
-EventQueue::peekNextKey(EventKey &out)
+EventQueue::peekNextKey(EventKey &out) const
 {
-    const Event *best = nullptr;
-    if (!front_.empty()) {
-        best = &front_.front();
-    } else if (drain_ != nullptr) {
-        best = &(*drain_)[drainPos_];
-    } else {
-        std::uint64_t tick;
-        if (!findNextSlot(tick))
-            return false;
-        for (const Event &ev : *wheels_[0].slots[tick & (kSlots - 1)])
-            if (best == nullptr || earlier(ev, *best))
-                best = &ev;
-    }
-    out = EventKey{best->when, best->schedTime, best->ord & kOrderMask};
+    const Event *ev = peek();
+    if (ev == nullptr)
+        return false;
+    out = EventKey{ev->when, ev->schedTime, ev->ord & kOrderMask};
     return true;
-}
-
-TimePs
-EventQueue::nextTime() const
-{
-    // The scan may cascade slots down the hierarchy, but cascading
-    // only relocates pending events — it cannot change execution
-    // order — so this is logically const.
-    return const_cast<EventQueue *>(this)->peekNextTime();
 }
 
 void
@@ -456,21 +294,14 @@ void
 EventQueue::runUntil(TimePs until)
 {
     for (;;) {
-        if (!front_.empty()) {
-            if (front_.front().when > until)
-                break;
-        } else {
-            if (drain_ == nullptr) {
-                std::uint64_t tick;
-                if (!findNextSlot(tick))
-                    break;
-                if (tick > (until >> kTickShift))
-                    break; // whole slot beyond the horizon
-                claimSlot(tick);
-            }
-            if ((*drain_)[drainPos_].when > until)
-                break; // claimed slot straddles `until`; resume later
+        if (drain_ == nullptr) {
+            std::uint64_t tick;
+            if (!nextTick(tick) || tick > (until >> kTickShift))
+                break; // whole slot beyond the horizon
+            claim(tick);
         }
+        if ((*drain_)[drainPos_].when > until)
+            break; // claimed slot straddles `until`; resume later
         Event ev;
         popNext(ev);
         dispatch(ev);

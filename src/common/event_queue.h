@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/callback.h"
@@ -91,18 +90,20 @@ struct EventKey
 };
 
 /**
- * Hierarchical timing-wheel discrete-event queue.
+ * Timing-wheel discrete-event queue: one wheel plus a far-event heap.
  *
  * Events are bucketed by arrival tick (kTickPs = 256 ps, finer than
- * any DRAM clock in the model) into kWheels wheels of kSlots slots
- * each. Wheel 0 resolves single ticks (~65 ns horizon); each higher
- * wheel covers a kSlots-times larger region and cascades whole slots
- * down as the cursor reaches them; deltas beyond the outermost wheel
- * (~1.1 s — interval timers, HMA epochs) wait in a small overflow
- * ladder. Scheduling and dispatch are O(1) amortized versus the
- * O(log n) sift of the binary heap this replaces, and slot storage is
- * recycled through a free list, so steady-state scheduling performs
- * no allocation.
+ * any DRAM clock in the model) into a wheel of kSlots slots that spans
+ * kSlots ticks (~65 ns) from the cursor. Almost every event the model
+ * schedules is due inside that horizon; the rest (interval timers,
+ * HMA epochs, long migrations) wait in one min-heap ordered by the
+ * canonical key. One invariant ties the two together: every far event
+ * is due at least kSlots ticks past the cursor, so any occupied slot
+ * precedes the whole heap. Peeks (nextTime(), peekNextKey()) never
+ * move the cursor; only claiming the next slot does, and a claim first
+ * pulls every far event that is now inside the horizon into its slot.
+ * Slot vectors keep their capacity, so steady-state scheduling
+ * performs no allocation.
  *
  * Ordering guarantee: events execute in ascending EventKey order (see
  * above). For a single scheduling domain this is exactly the legacy
@@ -116,21 +117,16 @@ class EventQueue
      * Move-only with a buffer sized for the largest hot-path capture
      * (a channel completion: this + slab slot + timestamp = 24 bytes);
      * a bigger or non-trivially-copyable capture does not compile.
-     * Kept tight on purpose: slot drains and cascades move whole
-     * Events, so with the three 8-byte key fields the Event is exactly
-     * one cache line.
+     * Kept tight on purpose: slot sorts, drains and far-heap moves
+     * move whole Events, so with the three 8-byte key fields the Event
+     * is exactly one cache line.
      */
     using Callback = MoveFunction<void(), 24>;
 
-    /** Wheel geometry. One tick = 256 ps. */
+    /** Wheel geometry: kSlots (a power of two) ticks of 256 ps. */
     static constexpr unsigned kTickShift = 8;
     static constexpr TimePs kTickPs = TimePs{1} << kTickShift;
-    static constexpr unsigned kSlotBits = 8;
-    static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-    static constexpr unsigned kWheels = 4;
-    /** Deltas at/beyond roughly this defer to the overflow ladder. */
-    static constexpr TimePs kWheelSpanPs =
-        TimePs{1} << (kTickShift + kWheels * kSlotBits);
+    static constexpr std::size_t kSlots = 256;
 
     /** Key packing: 40-bit per-domain counter, 12-bit domain ids. */
     static constexpr unsigned kCounterBits = 40;
@@ -195,38 +191,12 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Slots cascaded down the hierarchy (introspection/benchmarks). */
-    std::uint64_t cascades() const { return cascades_; }
-
-    /** Events that entered the far-future overflow ladder. */
-    std::uint64_t ladderDeferred() const { return ladderDeferred_; }
-
     /**
-     * Wheel-mechanics counters for the host profiler. Like cascades()
-     * these are unconditional and *deterministic* — pure functions of
-     * the simulated schedule, never of wall time — so tests pin them
-     * for known schedules and enabling perf cannot change them.
+     * High-water mark of pending events, for the host profiler. A pure
+     * function of the simulated schedule, so enabling perf cannot
+     * change it.
      */
-    struct HostStats
-    {
-        /** place() landings per wheel level (incl. cascade re-places). */
-        std::uint64_t placedAtLevel[kWheels] = {};
-        /** Events spilled to the sorted front list (cursor overshoot). */
-        std::uint64_t frontSpills = 0;
-        /** Events spliced into the slot currently being drained. */
-        std::uint64_t drainInserts = 0;
-        /** Slot vectors newly heap-allocated vs recycled from the pool. */
-        std::uint64_t listAllocs = 0;
-        std::uint64_t listReuses = 0;
-        /** High-water mark of pending events. */
-        std::uint64_t peakPending = 0;
-        /** Occupancy-bitmap scans made looking for the next slot. */
-        std::uint64_t slotScans = 0;
-        /** nextTime() answers served by the memo without a scan. */
-        std::uint64_t nextTimeMemoHits = 0;
-    };
-
-    const HostStats &hostStats() const { return host_; }
+    std::size_t peakPending() const { return peakPending_; }
 
     /** Attach the run's probes; see Probes for who calls this. */
     void attach(const Probes &probes) { probes_ = probes; }
@@ -320,9 +290,9 @@ class EventQueue
 
     /**
      * Canonical key of the earliest pending event. Returns false when
-     * empty. Like nextTime(), may cascade slots (logically const).
+     * empty.
      */
-    bool peekNextKey(EventKey &out);
+    bool peekNextKey(EventKey &out) const;
 
   private:
     struct Event
@@ -334,13 +304,6 @@ class EventQueue
         Callback cb;
     };
     using EventList = std::vector<Event>;
-
-    struct Wheel
-    {
-        EventList *slots[kSlots] = {};
-        /** One bit per slot; scanned circularly from the cursor. */
-        std::uint64_t occupied[kSlots / 64] = {};
-    };
 
     static bool
     earlier(const Event &a, const Event &b)
@@ -364,37 +327,30 @@ class EventQueue
     std::uint64_t nextOrd();
     void dispatch(Event &ev);
 
-    EventList *acquireList();
-    void releaseList(EventList *list);
-    void appendToSlot(unsigned level, std::size_t idx, Event ev);
     void place(Event ev);
-    void fixupStranded();
-    bool findNextSlot(std::uint64_t &out_tick);
-    void claimSlot(std::uint64_t tick);
+    void appendToSlot(Event ev);
+    const Event *peek() const;
+    bool nextTick(std::uint64_t &out_tick) const;
+    void claim(std::uint64_t tick);
     bool popNext(Event &out);
-    TimePs peekNextTime();
 
-    Wheel wheels_[kWheels];
-    /** Owns every slot vector ever created; capacity is recycled. */
-    std::vector<std::unique_ptr<EventList>> pool_;
-    std::vector<EventList *> freeLists_;
-    EventList ladder_; //!< min-heap by canonical key, beyond the wheels
-    EventList front_;  //!< sorted; peek-cascade overshoot spill
-    EventList *drain_ = nullptr; //!< slot currently being executed
-    std::size_t drainPos_ = 0;
-    std::uint64_t drainTick_ = 0;
-    std::uint64_t cursorTick_ = 0;
     /**
-     * peekNextTime()'s last wheel answer, kept while valid. Valid means
-     * findNextSlot() would return that `when`'s tick at level 0 without
-     * cascading, so serving the memo skips only scans, never a cascade
-     * or a placement. place() lowers it and invalidates it when an
-     * event lands in a higher-level region starting before it;
-     * popNext() invalidates it. (peekNextTime() answers from front_
-     * and a draining slot before it reads the memo.)
+     * Slot (tick mod kSlots) holds the events due in that tick; every
+     * slot event is due within kSlots ticks of the cursor.
      */
-    TimePs nextWhen_ = 0;
-    bool nextWhenValid_ = false;
+    EventList slots_[kSlots];
+    /** One bit per slot; scanned circularly from the cursor. */
+    std::uint64_t occupied_[kSlots / 64] = {};
+    /** Min-heap by canonical key; due >= kSlots ticks past the cursor. */
+    EventList far_;
+    /**
+     * The claimed slot being executed, key-sorted from drainPos_ on;
+     * its tick is the cursor. Null between claims.
+     */
+    EventList *drain_ = nullptr;
+    std::size_t drainPos_ = 0;
+    /** Tick of the last claimed slot; never past now_'s tick. */
+    std::uint64_t cursorTick_ = 0;
 
     Probes probes_;
     TimePs now_ = 0;
@@ -409,9 +365,7 @@ class EventQueue
     std::vector<CrossEvent> outbox_;
     std::uint64_t executed_ = 0;
     std::size_t size_ = 0;
-    std::uint64_t cascades_ = 0;
-    std::uint64_t ladderDeferred_ = 0;
-    HostStats host_;
+    std::size_t peakPending_ = 0;
 };
 
 /**

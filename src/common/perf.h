@@ -49,7 +49,7 @@ PerfHostInfo perfHostInfo();
 
 /**
  * Snapshot of one run's host profile, assembled by
- * Simulation::collect after the run drains. Plain data so it can be
+ * Simulation::collectPerf after the run drains. Plain data so it can be
  * copied into JobResult and serialized by StatsWriter::perfToJson.
  */
 struct PerfReport

@@ -388,27 +388,13 @@ Simulation::collectPerf(const RunResult &r)
         return;
     PerfMonitor &pm = *perf_;
 
-    // Timing-wheel mechanics, summed over the coordinator and (when
-    // sharded) every lane wheel. All deterministic sim-side counts.
-    const auto add_eq = [&pm](const EventQueue &q) {
-        const EventQueue::HostStats &h = q.hostStats();
-        for (unsigned l = 0; l < EventQueue::kWheels; ++l)
-            pm.counterAdd("eq.placed_level" + std::to_string(l),
-                          h.placedAtLevel[l]);
-        pm.counterAdd("eq.front_spills", h.frontSpills);
-        pm.counterAdd("eq.drain_inserts", h.drainInserts);
-        pm.counterAdd("eq.list_allocs", h.listAllocs);
-        pm.counterAdd("eq.list_reuses", h.listReuses);
-        pm.counterMax("eq.peak_pending", h.peakPending);
-        pm.counterAdd("eq.cascades", q.cascades());
-        pm.counterAdd("eq.ladder_deferred", q.ladderDeferred());
-        pm.counterAdd("eq.slot_scans", h.slotScans);
-        pm.counterAdd("eq.next_time_memo_hits", h.nextTimeMemoHits);
-    };
-    add_eq(eq_);
+    // Event-kernel occupancy over the coordinator and (when sharded)
+    // every lane queue: a deterministic sim-side count.
+    pm.counterMax("eq.peak_pending", eq_.peakPending());
     if (exec_) {
         for (std::size_t i = 0; i < exec_->numLanes(); ++i)
-            add_eq(exec_->channelQueue(i));
+            pm.counterMax("eq.peak_pending",
+                          exec_->channelQueue(i).peakPending());
         const std::vector<std::uint64_t> dom = exec_->perDomainExecuted();
         for (std::size_t d = 0; d < dom.size(); ++d)
             pm.counterAdd("eq.domain" + std::to_string(d) + ".executed",

@@ -134,7 +134,7 @@ openExternalScaled(const ExternalTraceSpec &spec,
     const double scale = spec.timeScale / gen.rateScale;
     if (scale != 1.0) {
         src = std::make_unique<ScaledTraceSource>(std::move(src),
-                                                  scale);
+                                                  scale, spec.name);
     }
     return src;
 }
@@ -149,8 +149,8 @@ TraceStore::open() const
     std::unique_ptr<TraceSource> src =
         openExternal(spec_, maxRecords_);
     if (timeScale_ != 1.0) {
-        src = std::make_unique<ScaledTraceSource>(std::move(src),
-                                                  timeScale_);
+        src = std::make_unique<ScaledTraceSource>(
+            std::move(src), timeScale_, spec_.name);
     }
     return src;
 }

@@ -84,10 +84,17 @@ ChampSimTraceSource::advance(PerFile &pf)
         }
         const std::uint8_t *instr =
             pf.file->at(pf.instrIdx * kInstrBytes, kInstrBytes);
-        const TimePs time =
-            timing_ == ChampSimTiming::kIp
-                ? readU64(instr + kIpOff)
-                : pf.instrIdx * periodPs_;
+        TimePs time;
+        if (timing_ == ChampSimTiming::kIp) {
+            time = readU64(instr + kIpOff);
+        } else if (__builtin_mul_overflow(pf.instrIdx, periodPs_,
+                                          &time)) {
+            MEMPOD_FATAL("'%s': instruction %llu times period_ps %llu "
+                         "overflows the 64-bit picosecond clock",
+                         pf.file->path().c_str(),
+                         static_cast<unsigned long long>(pf.instrIdx),
+                         static_cast<unsigned long long>(periodPs_));
+        }
         pf.pendingN = 0;
         pf.pendingI = 0;
         // Loads first, then stores — all at the instruction's time.

@@ -121,7 +121,15 @@ SiftTraceSource::advance(PerFile &pf)
     }
     const std::uint8_t *p = pf.file->at(pf.offset, kMemAccessBytes);
     const std::uint64_t icount = readU64(p + 1);
-    pf.head.time = icount * periodPs_;
+    if (__builtin_mul_overflow(icount, periodPs_, &pf.head.time)) {
+        MEMPOD_FATAL("'%s': record at offset %llu: icount %llu times "
+                     "period_ps %llu overflows the 64-bit picosecond "
+                     "clock",
+                     pf.file->path().c_str(),
+                     static_cast<unsigned long long>(pf.offset),
+                     static_cast<unsigned long long>(icount),
+                     static_cast<unsigned long long>(periodPs_));
+    }
     pf.head.coreLocal = readU64(p + 9);
     pf.head.core = pf.core;
     pf.head.type = p[17] ? AccessType::kWrite : AccessType::kRead;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/log.h"
+
 namespace mempod {
 
 bool
@@ -10,8 +12,17 @@ ScaledTraceSource::next(TraceRecord &out)
 {
     if (!inner_->next(out))
         return false;
-    out.time = static_cast<TimePs>(
-        std::llround(static_cast<double>(out.time) * scale_));
+    const double scaled = static_cast<double>(out.time) * scale_;
+    // llround's range ends at 2^63; the negated test also catches NaN.
+    if (!(scaled < 0x1p63)) {
+        MEMPOD_FATAL("trace '%s': record %llu at %llu ps times time "
+                     "scale %g overflows the 64-bit picosecond clock",
+                     name_.c_str(),
+                     static_cast<unsigned long long>(index_),
+                     static_cast<unsigned long long>(out.time), scale_);
+    }
+    out.time = static_cast<TimePs>(std::llround(scaled));
+    ++index_;
     return true;
 }
 

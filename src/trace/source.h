@@ -87,18 +87,25 @@ class VectorTraceSource final : public TraceSource
  * Scales every timestamp of an inner source by a constant (manifest
  * time_scale and the generator's rateScale applied to external
  * traces). Rounding is llround — fixed and platform-independent, so
- * scaled replays stay deterministic.
+ * scaled replays stay deterministic. A scaled time past the 64-bit
+ * clock is fatal, naming the trace `name`, the record and the scale.
  */
 class ScaledTraceSource final : public TraceSource
 {
   public:
-    ScaledTraceSource(std::unique_ptr<TraceSource> inner, double scale)
-        : inner_(std::move(inner)), scale_(scale)
+    ScaledTraceSource(std::unique_ptr<TraceSource> inner, double scale,
+                      std::string name)
+        : inner_(std::move(inner)), scale_(scale), name_(std::move(name))
     {
     }
 
     bool next(TraceRecord &out) override;
-    void reset() override { inner_->reset(); }
+    void
+    reset() override
+    {
+        inner_->reset();
+        index_ = 0;
+    }
     std::uint64_t size() const override { return inner_->size(); }
     std::uint64_t maxResidentBytes() const override
     {
@@ -108,6 +115,8 @@ class ScaledTraceSource final : public TraceSource
   private:
     std::unique_ptr<TraceSource> inner_;
     double scale_;
+    std::string name_;
+    std::uint64_t index_ = 0; //!< records yielded since reset()
 };
 
 /** Drain a source into a materialized vector (offline analyses). */

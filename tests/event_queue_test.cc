@@ -126,21 +126,124 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     EXPECT_DEATH(eq.schedule(50, [] {}), "past");
 }
 
-// ---- timing-wheel specifics: cross-level ordering and slot edges ----
+// ---- near/far ordering: the wheel, its horizon and the far heap ----
+
+/** From a tick-0 cursor, events due this late or later wait far. */
+constexpr TimePs kHorizonPs = EventQueue::kTickPs * EventQueue::kSlots;
+
+TEST(EventQueue, ScheduleIntoDrainingSlotKeepsKeyOrder)
+{
+    // Two events share slot tick 3 (1000 and 1010 ps); the first
+    // schedules a third at its own timestamp while the slot drains,
+    // which must splice in ahead of the 1010 ps event.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(1'000, [&] {
+        order.push_back(1);
+        eq.schedule(eq.now(), [&] { order.push_back(2); });
+    });
+    eq.schedule(1'010, [&] { order.push_back(3); });
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, ScheduleAfterPeekStillRunsFirst)
+{
+    // Peeking at a far-only queue must not move the cursor past an
+    // earlier event scheduled after the peek.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(100'000, [&] { order.push_back(2); });
+    EXPECT_EQ(eq.nextTime(), 100'000u);
+    eq.schedule(2'000, [&] { order.push_back(1); });
+    EXPECT_EQ(eq.nextTime(), 2'000u);
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, NextTimeFollowsSchedulesAndPops)
+{
+    EventQueue eq;
+    eq.schedule(1'000, [] {});
+    EXPECT_EQ(eq.nextTime(), 1'000u);
+    eq.schedule(500, [] {});
+    EXPECT_EQ(eq.nextTime(), 500u);
+    eq.schedule(100'000, [] {}); // far
+    EXPECT_EQ(eq.nextTime(), 500u);
+    eq.runOne();
+    EXPECT_EQ(eq.nextTime(), 1'000u);
+    eq.runOne();
+    EXPECT_EQ(eq.nextTime(), 100'000u);
+    eq.runOne();
+    EXPECT_EQ(eq.nextTime(), kTimeNever);
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
+TEST(EventQueue, FarAndLaterNearEventAtOneTimeKeepFifoOrder)
+{
+    // The first event waits in the far heap; the second is scheduled
+    // for the same instant from inside the horizon. Pulling the first
+    // into the slot must keep scheduling order.
+    EventQueue eq;
+    const TimePs when = 300 * EventQueue::kTickPs + 5;
+    std::vector<int> order;
+    eq.schedule(when, [&] { order.push_back(1); });
+    eq.schedule(when - 100 * EventQueue::kTickPs, [&] {
+        eq.schedule(when, [&] { order.push_back(2); });
+    });
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(eq.now(), when);
+}
+
+TEST(EventQueue, FarEventFiresAtExactTime)
+{
+    // After a far event runs, the cursor sits at its tick: a slot
+    // event 200 ticks on and a far one 300 ticks on still run in time
+    // order.
+    EventQueue eq;
+    const TimePs far = 1000 * kHorizonPs + 777;
+    eq.schedule(far, [] {});
+    EXPECT_EQ(eq.nextTime(), far);
+    eq.runOne();
+    EXPECT_EQ(eq.now(), far);
+    eq.schedule(far + 300 * EventQueue::kTickPs, [] {});
+    eq.schedule(far + 200 * EventQueue::kTickPs, [] {});
+    EXPECT_EQ(eq.nextTime(), far + 200 * EventQueue::kTickPs);
+    std::vector<TimePs> ran;
+    while (eq.runOne())
+        ran.push_back(eq.now());
+    EXPECT_EQ(ran, (std::vector<TimePs>{far + 200 * EventQueue::kTickPs,
+                                        far + 300 * EventQueue::kTickPs}));
+}
+
+TEST(EventQueue, PeakPendingIsHighWaterMark)
+{
+    EventQueue eq;
+    for (const TimePs when :
+         {TimePs{1'000}, TimePs{50'000}, TimePs{100'000},
+          TimePs{1} << 25, TimePs{1} << 33, TimePs{1} << 41})
+        eq.schedule(when, [] {});
+    EXPECT_EQ(eq.peakPending(), 6u);
+    eq.runAll();
+    EXPECT_EQ(eq.executed(), 6u);
+    eq.schedule(eq.now() + 1, [] {});
+    EXPECT_EQ(eq.peakPending(), 6u); // high-water, not size
+}
 
 TEST(EventQueueWheel, FifoTieBreakAcrossWheelLevels)
 {
     // Two events with the same timestamp, scheduled from different
-    // distances: the first lands in an outer wheel (delta >> wheel-0
+    // distances: the first waits in the far heap (delta >> the wheel's
     // horizon), the second is scheduled 100 ps beforehand and lands in
-    // wheel 0. The cascade must not lose the FIFO tie-break.
+    // a slot. Pulling the first into the wheel must not lose the FIFO
+    // tie-break.
     EventQueue eq;
-    const TimePs when = 3 * EventQueue::kTickPs * EventQueue::kSlots *
-                        EventQueue::kSlots; // wheel-2 territory
+    const TimePs when = 3 * kHorizonPs * EventQueue::kSlots;
     std::vector<int> order;
-    eq.schedule(when, [&] { order.push_back(1); }); // seq 0, outer wheel
+    eq.schedule(when, [&] { order.push_back(1); }); // seq 0, far
     eq.schedule(when - 100, [&] {
-        eq.scheduleAfter(100, [&] { order.push_back(2); }); // wheel 0
+        eq.scheduleAfter(100, [&] { order.push_back(2); }); // slot
     });
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -149,13 +252,12 @@ TEST(EventQueueWheel, FifoTieBreakAcrossWheelLevels)
 
 TEST(EventQueueWheel, FifoTieBreakAcrossLadderBoundary)
 {
-    // Same timestamp, one event deferred to the overflow ladder (delta
-    // beyond the outermost wheel), one scheduled later from close by.
+    // Same timestamp, one event scheduled ~2 s ahead into the far
+    // heap, one scheduled later from one tick before.
     EventQueue eq;
-    const TimePs when = 2 * EventQueue::kWheelSpanPs + 12345;
+    const TimePs when = (TimePs{1} << 41) + 12345;
     std::vector<int> order;
     eq.schedule(when, [&] { order.push_back(1); });
-    EXPECT_EQ(eq.ladderDeferred(), 1u);
     eq.schedule(when - EventQueue::kTickPs, [&] {
         eq.scheduleAfter(EventQueue::kTickPs,
                          [&] { order.push_back(2); });
@@ -168,11 +270,11 @@ TEST(EventQueueWheel, FifoTieBreakAcrossLadderBoundary)
 TEST(EventQueueWheel, LadderEventFiresAtExactTime)
 {
     EventQueue eq;
-    const TimePs far = 3 * EventQueue::kWheelSpanPs + 777;
+    const TimePs far = 3 * (TimePs{1} << 40) + 777;
     TimePs fired = 0;
     eq.schedule(far, [&] { fired = eq.now(); });
-    // An intermediate event forces cursor movement through all wheels.
-    eq.schedule(EventQueue::kWheelSpanPs / 2, [] {});
+    // An intermediate far event moves the cursor most of the way.
+    eq.schedule(TimePs{1} << 39, [] {});
     eq.runAll();
     EXPECT_EQ(fired, far);
     EXPECT_EQ(eq.executed(), 2u);
@@ -180,9 +282,9 @@ TEST(EventQueueWheel, LadderEventFiresAtExactTime)
 
 TEST(EventQueueWheel, RunUntilAtSlotEdges)
 {
-    // Events straddling a wheel-0 slot boundary: runUntil exactly at
-    // the boundary must execute the boundary event but nothing after,
-    // even though later events share its slot region.
+    // Events straddling a slot boundary: runUntil exactly at the
+    // boundary must execute the boundary event but nothing after,
+    // even though later events share its slot.
     EventQueue eq;
     const TimePs tick = EventQueue::kTickPs;
     std::vector<TimePs> ran;
@@ -202,14 +304,13 @@ TEST(EventQueueWheel, RunUntilAtSlotEdges)
 TEST(EventQueueWheel, NextTimePeeksAcrossAllLevels)
 {
     EventQueue eq;
-    const TimePs far = EventQueue::kWheelSpanPs + 999; // ladder
+    const TimePs far = (TimePs{1} << 40) + 999;
     eq.schedule(far, [] {});
     EXPECT_EQ(eq.nextTime(), far);
-    const TimePs mid =
-        EventQueue::kTickPs * EventQueue::kSlots * 7; // wheel >= 1
+    const TimePs mid = 7 * kHorizonPs; // also far, but earlier
     eq.schedule(mid, [] {});
     EXPECT_EQ(eq.nextTime(), mid);
-    eq.schedule(42, [] {}); // wheel 0
+    eq.schedule(42, [] {}); // slot
     EXPECT_EQ(eq.nextTime(), 42u);
     // Peeking never reorders: execution still follows (when, seq).
     std::vector<TimePs> ran;
@@ -218,25 +319,18 @@ TEST(EventQueueWheel, NextTimePeeksAcrossAllLevels)
     EXPECT_EQ(ran, (std::vector<TimePs>{42, mid, far}));
 }
 
-/** Wheel work counts of one stress schedule. */
-struct StressCounts
-{
-    std::uint64_t executed = 0;
-    std::uint64_t cascades = 0;
-    std::uint64_t placedAtLevel[EventQueue::kWheels] = {};
-};
-
 /**
  * Differential stress run of the wheel against a reference ordered
- * set. A seeded schedule spans every level (wheel 0 through the
- * ladder); callbacks schedule more events from inside the slot being
- * drained; runOne() and runUntil() at random horizons interleave with
- * the schedule. Every event must run exactly when the reference says
- * it is the earliest pending (when, scheduling order) pair — the heap
- * semantics the wheel replaced — and nextTime() must equal the
- * reference minimum after every schedule and every pop.
+ * set. A seeded schedule mixes same-tick deltas, deltas straddling
+ * the wheel's horizon and far deltas past 2^40 ps; callbacks schedule
+ * more events from inside the slot being drained; runOne() and
+ * runUntil() at random horizons (which leave the cursor behind now())
+ * interleave with the schedule. Every event must run exactly when the
+ * reference says it is the earliest pending (when, scheduling order)
+ * pair — the heap semantics the wheel replaced — and nextTime() must
+ * equal the reference minimum after every schedule and every pop.
  */
-StressCounts
+void
 runStress(std::uint64_t seed)
 {
     EventQueue eq;
@@ -246,17 +340,16 @@ runStress(std::uint64_t seed)
     int callbackBudget = 600;
 
     const auto delta = [&rng]() -> TimePs {
-        // Mix of deltas: same-tick, slot-distance, cross-wheel, ladder.
-        switch (rng.nextBelow(5)) {
+        switch (rng.nextBelow(6)) {
           case 0: return rng.nextBelow(4);
           case 1: return rng.nextBelow(EventQueue::kTickPs * 4);
-          case 2:
-            return rng.nextBelow(EventQueue::kTickPs * EventQueue::kSlots *
-                                 4);
-          case 3: return rng.nextBelow(EventQueue::kWheelSpanPs / 16);
+          case 2: // within a few ticks of the horizon, either side
+            return kHorizonPs - 4 * EventQueue::kTickPs +
+                   rng.nextBelow(8 * EventQueue::kTickPs);
+          case 3: return rng.nextBelow(kHorizonPs * 16);
+          case 4: return rng.nextBelow(TimePs{1} << 32);
           default:
-            return EventQueue::kWheelSpanPs +
-                   rng.nextBelow(EventQueue::kWheelSpanPs);
+            return (TimePs{1} << 40) + rng.nextBelow(TimePs{1} << 40);
         }
     };
     const auto checkNextTime = [&] {
@@ -305,13 +398,6 @@ runStress(std::uint64_t seed)
     eq.runAll();
     EXPECT_TRUE(pending.empty());
     EXPECT_EQ(eq.executed(), static_cast<std::uint64_t>(seq));
-
-    StressCounts c;
-    c.executed = eq.executed();
-    c.cascades = eq.cascades();
-    for (unsigned l = 0; l < EventQueue::kWheels; ++l)
-        c.placedAtLevel[l] = eq.hostStats().placedAtLevel[l];
-    return c;
 }
 
 TEST(EventQueueWheel, StressMatchesStableSortReference)
@@ -322,160 +408,11 @@ TEST(EventQueueWheel, StressMatchesStableSortReference)
     }
 }
 
-TEST(EventQueueWheel, StressWheelMechanicsPinned)
-{
-    // Where events land and how often slots cascade are functions of
-    // the schedule alone. Skipping rescans (the nextTime() memo and
-    // the early stop) must not move them: these are the values of the
-    // kernel that rescanned every level on every peek.
-    const StressCounts c = runStress(42);
-    EXPECT_EQ(c.executed, 1000u);
-    EXPECT_EQ(c.cascades, 907u);
-    EXPECT_EQ(c.placedAtLevel[0], 367u);
-    EXPECT_EQ(c.placedAtLevel[1], 348u);
-    EXPECT_EQ(c.placedAtLevel[2], 345u);
-    EXPECT_EQ(c.placedAtLevel[3], 335u);
-}
-
-TEST(EventQueueHostStats, PlacementLevelsPinned)
-{
-    // With the cursor at tick 0, each delta selects a known level:
-    //   1'000 ps, 50'000 ps         -> wheel 0   (tick < 256)
-    //   100'000 ps                  -> wheel 1
-    //   1 << 25 ps                  -> wheel 2
-    //   1 << 33 ps                  -> wheel 3
-    //   1 << 41 ps                  -> overflow ladder
-    // The counters are pure functions of this schedule — perf on or
-    // off, serial or sharded — so exact pins are safe.
-    EventQueue eq;
-    for (const TimePs when :
-         {TimePs{1'000}, TimePs{50'000}, TimePs{100'000},
-          TimePs{1} << 25, TimePs{1} << 33, TimePs{1} << 41})
-        eq.schedule(when, [] {});
-    const EventQueue::HostStats &hs = eq.hostStats();
-    EXPECT_EQ(hs.placedAtLevel[0], 2u);
-    EXPECT_EQ(hs.placedAtLevel[1], 1u);
-    EXPECT_EQ(hs.placedAtLevel[2], 1u);
-    EXPECT_EQ(hs.placedAtLevel[3], 1u);
-    EXPECT_EQ(eq.ladderDeferred(), 1u);
-    EXPECT_EQ(hs.peakPending, 6u);
-    EXPECT_EQ(hs.frontSpills, 0u);
-    EXPECT_EQ(hs.drainInserts, 0u);
-    eq.runAll();
-    EXPECT_EQ(eq.executed(), 6u);
-    EXPECT_EQ(eq.hostStats().peakPending, 6u); // high-water, not size
-}
-
-TEST(EventQueueHostStats, DrainInsertCounted)
-{
-    // Two events share wheel-0 slot tick 3 (1000 and 1010 ps); the
-    // first schedules a third at its own timestamp while the slot is
-    // mid-drain, which must splice into the draining slot.
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(1'000, [&] {
-        order.push_back(1);
-        eq.schedule(eq.now(), [&] { order.push_back(2); });
-    });
-    eq.schedule(1'010, [&] { order.push_back(3); });
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.hostStats().drainInserts, 1u);
-    EXPECT_EQ(eq.hostStats().frontSpills, 0u);
-}
-
-TEST(EventQueueHostStats, FrontSpillCounted)
-{
-    // nextTime() on a wheel-1-only queue cascades the cursor forward;
-    // a subsequent schedule behind the cursor must spill to the sorted
-    // front list (and still execute first).
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(100'000, [&] { order.push_back(2); });
-    EXPECT_EQ(eq.nextTime(), 100'000u);
-    eq.schedule(2'000, [&] { order.push_back(1); });
-    EXPECT_EQ(eq.hostStats().frontSpills, 1u);
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueueHostStats, SlotListsRecycled)
-{
-    // The first slot ever opened allocates; after it drains, the next
-    // slot reuses the pooled vector instead of allocating again.
-    EventQueue eq;
-    eq.schedule(1'000, [] {});
-    eq.runAll();
-    EXPECT_EQ(eq.hostStats().listAllocs, 1u);
-    eq.schedule(100'000, [] {}); // fresh wheel-1 slot
-    EXPECT_EQ(eq.hostStats().listAllocs, 1u);
-    EXPECT_EQ(eq.hostStats().listReuses, 1u);
-    eq.runAll();
-    EXPECT_EQ(eq.executed(), 2u);
-}
-
-TEST(EventQueueHostStats, NextTimeScansAndMemoHitsPinned)
-{
-    // A peek scans wheel 0 and stops there when its hit precedes the
-    // next wheel-1 region; repeat peeks are served by the memo, which
-    // a wheel-0 schedule lowers and a pop clears.
-    EventQueue eq;
-    const EventQueue::HostStats &hs = eq.hostStats();
-    eq.schedule(1'000, [] {}); // tick 3, wheel 0
-    EXPECT_EQ(eq.nextTime(), 1'000u);
-    EXPECT_EQ(hs.slotScans, 1u);
-    EXPECT_EQ(eq.nextTime(), 1'000u);
-    eq.schedule(500, [] {}); // tick 1: lowers the memo
-    EXPECT_EQ(eq.nextTime(), 500u);
-    eq.schedule(100'000, [] {}); // wheel-1 region starting at tick 256
-    EXPECT_EQ(eq.nextTime(), 500u);
-    EXPECT_EQ(hs.slotScans, 1u);
-    EXPECT_EQ(hs.nextTimeMemoHits, 3u);
-    eq.runOne(); // pops 500 after one wheel-0 scan
-    EXPECT_EQ(hs.slotScans, 2u);
-    EXPECT_EQ(eq.nextTime(), 1'000u); // the pop cleared the memo
-    EXPECT_EQ(hs.slotScans, 3u);
-    EXPECT_EQ(hs.nextTimeMemoHits, 3u);
-    eq.runAll();
-    EXPECT_EQ(eq.executed(), 3u);
-    // Popping 1'000 scans once; 100'000 needs a wheel-1 scan, its
-    // cascade and a wheel-0 rescan; the empty queue scans all four.
-    EXPECT_EQ(hs.slotScans, 11u);
-    EXPECT_EQ(eq.cascades(), 1u);
-}
-
-TEST(EventQueueHostStats, MemoYieldsToAnEarlierHigherRegion)
-{
-    // After a ladder cascade the cursor sits mid-region, so a wheel-1
-    // region can start before the memoized wheel-0 tick. Such a
-    // schedule must drop the memo: the next peek rescans and cascades
-    // that region exactly as a fresh scan would.
-    EventQueue eq;
-    const TimePs far = EventQueue::kWheelSpanPs + 100 * EventQueue::kTickPs;
-    eq.schedule(far, [] {});
-    eq.runOne(); // cursor = far's tick, 100 ticks into its region
-    const std::uint64_t cascadesBefore = eq.cascades();
-    eq.schedule(far + 200 * EventQueue::kTickPs, [] {}); // wheel 0
-    EXPECT_EQ(eq.nextTime(), far + 200 * EventQueue::kTickPs);
-    // 300 ticks ahead: wheel 1, region starting 156 ticks ahead.
-    eq.schedule(far + 300 * EventQueue::kTickPs, [] {});
-    EXPECT_EQ(eq.hostStats().placedAtLevel[1], 1u);
-    const std::uint64_t hits = eq.hostStats().nextTimeMemoHits;
-    EXPECT_EQ(eq.nextTime(), far + 200 * EventQueue::kTickPs);
-    EXPECT_EQ(eq.hostStats().nextTimeMemoHits, hits);
-    EXPECT_EQ(eq.cascades(), cascadesBefore + 1);
-    std::vector<TimePs> ran;
-    while (eq.runOne())
-        ran.push_back(eq.now());
-    EXPECT_EQ(ran, (std::vector<TimePs>{far + 200 * EventQueue::kTickPs,
-                                        far + 300 * EventQueue::kTickPs}));
-}
-
 // ---------------------------------------------------------------------
 // Canonical cross-domain ordering (the sharded-executor surface):
-// events carried between per-domain wheels must land in the one total
+// events carried between per-domain queues must land in the one total
 // order (when, schedTime, schedDomain, schedCounter) regardless of
-// which wheel they came from or when they were merged.
+// which queue they came from or when they were merged.
 // ---------------------------------------------------------------------
 
 TEST(EventQueueDomains, CrossDomainScheduleStagesInOutbox)
@@ -560,8 +497,8 @@ TEST(EventQueueDomains, SchedTimePrecedesDomainRank)
 TEST(EventQueueDomains, EqualWhenMergeAcrossWheelLevels)
 {
     // Same-`when` events from two domains placed while the cursor sits
-    // far behind, so both land in a higher wheel and cascade down
-    // before executing: the canonical key must survive the cascade.
+    // far behind, so both wait in the far heap and move to a slot
+    // before executing: the canonical key must survive the move.
     EventQueue coord;
     EventQueue lane1;
     lane1.setHomeDomain(1);

@@ -218,7 +218,8 @@ TEST(TraceSamplingFidelity, ScaledReplayKeepsTheSameDemandSet)
         runAndCollectIds(base, plain);
     ASSERT_FALSE(unscaled.empty());
 
-    ScaledTraceSource slow(std::make_unique<VectorTraceSource>(t), 2.0);
+    ScaledTraceSource slow(std::make_unique<VectorTraceSource>(t), 2.0,
+                           "xalanc");
     EXPECT_EQ(runAndCollectIds(base, slow), unscaled);
 
     SimConfig sampled = base;
@@ -227,7 +228,7 @@ TEST(TraceSamplingFidelity, ScaledReplayKeepsTheSameDemandSet)
     sampled.sampling.fastfwdPs = 23_us;
     sampled.sampling.minWindows = 1;
     ScaledTraceSource slowAgain(std::make_unique<VectorTraceSource>(t),
-                                2.0);
+                                2.0, "xalanc");
     EXPECT_EQ(runAndCollectIds(sampled, slowAgain), unscaled);
 }
 

@@ -221,7 +221,7 @@ emittedDocuments()
     perf.wallSeconds = 1.5;
     perf.eventsExecuted = 7;
     perf.phasesNs = {{"run", 123}};
-    perf.counters["eq.cascades"] = 5;
+    perf.counters["channel.ticks"] = 5;
     perf.gauges["g"] = 0.5;
     perf.histograms["h"] = {0, 2, 1};
     perf.shards.resize(2);

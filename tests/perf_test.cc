@@ -84,8 +84,8 @@ TEST(PerfMonitor, HeartbeatFiresOnceIntervalElapses)
 TEST(PerfMonitor, CountersGaugesHistograms)
 {
     PerfMonitor pm;
-    pm.counterAdd("eq.cascades", 3);
-    pm.counterAdd("eq.cascades", 4);
+    pm.counterAdd("channel.ticks", 3);
+    pm.counterAdd("channel.ticks", 4);
     pm.counterMax("eq.peak_pending", 10);
     pm.counterMax("eq.peak_pending", 7); // lower: ignored
     pm.gaugeSet("exec.work_imbalance", 1.25);
@@ -98,7 +98,7 @@ TEST(PerfMonitor, CountersGaugesHistograms)
     const PerfReport r = pm.report(12345, 678);
     EXPECT_EQ(r.simTimePs, 12345u);
     EXPECT_EQ(r.eventsExecuted, 678u);
-    EXPECT_EQ(r.counters.at("eq.cascades"), 7u);
+    EXPECT_EQ(r.counters.at("channel.ticks"), 7u);
     EXPECT_EQ(r.counters.at("eq.peak_pending"), 10u);
     EXPECT_DOUBLE_EQ(r.gauges.at("exec.work_imbalance"), 1.25);
     ASSERT_EQ(r.shards.size(), 2u);
@@ -166,7 +166,7 @@ TEST(PerfToJson, RendersSchemaAndSections)
     r.simTimePs = 42;
     r.eventsExecuted = 7;
     r.phasesNs = {{"run", 123}};
-    r.counters["eq.cascades"] = 5;
+    r.counters["channel.ticks"] = 5;
     r.gauges["g"] = 0.5;
     r.histograms["h"] = {0, 2, 1};
     r.shards.resize(1);
@@ -178,7 +178,7 @@ TEST(PerfToJson, RendersSchemaAndSections)
     EXPECT_NE(j.find("\"schema\":\"mempod-perf-v1\""), std::string::npos);
     EXPECT_NE(j.find("\"host\""), std::string::npos);
     EXPECT_NE(j.find("\"run\":123"), std::string::npos);
-    EXPECT_NE(j.find("\"eq.cascades\":5"), std::string::npos);
+    EXPECT_NE(j.find("\"channel.ticks\":5"), std::string::npos);
     EXPECT_NE(j.find("\"busy_ns\":11"), std::string::npos);
     EXPECT_NE(j.find("\"sim_time_ps\":42"), std::string::npos);
 }

@@ -230,6 +230,25 @@ TEST(ChampSimTraceDeathTest, RejectsNonMultipleFileSize)
                  "64");
 }
 
+TEST(ChampSimTraceDeathTest, PeriodTimeOverflowIsFatal)
+{
+    // Instruction 4 at a 2^62 ps period is 2^64 ps: past the clock.
+    const std::string stem = testDir() + "/cs_overflow";
+    Trace trace;
+    for (std::uint64_t i = 0; i < 8; ++i)
+        trace.push_back({i, 64 * i, 0, AccessType::kRead});
+    VectorTraceSource vec(trace);
+    const ChampSimConvertResult conv =
+        convertToChampSim(vec, stem, ChampSimTiming::kPeriod);
+    ChampSimTraceSource source(conv.files, ChampSimTiming::kPeriod,
+                               TimePs{1} << 62,
+                               champsim::kDefaultAddrBias);
+    EXPECT_DEATH(materialize(source),
+                 "cs_overflow.core0.champsim': instruction 4 times "
+                 "period_ps 4611686018427387904 overflows the 64-bit "
+                 "picosecond clock");
+}
+
 TEST(SiftTrace, RoundTripIsLossless)
 {
     const std::string stem = testDir() + "/sift_rt";
@@ -272,6 +291,31 @@ TEST(SiftTraceDeathTest, RejectsUnknownRecordKind)
     out.close();
     EXPECT_DEATH(SiftTraceSource source({{path, 0}}, 1000),
                  "unknown SIFT record kind");
+}
+
+TEST(SiftTraceDeathTest, TimeOverflowIsFatal)
+{
+    // icount 2^62 at 8 ps per instruction is 2^65 ps: past the clock.
+    const std::string stem = testDir() + "/sift_overflow";
+    const Trace trace = {{TimePs{1} << 62, 64, 0, AccessType::kRead}};
+    VectorTraceSource vec(trace);
+    const SiftConvertResult conv = convertToSift(vec, stem, 1);
+    EXPECT_DEATH(SiftTraceSource source(conv.files, /*period_ps=*/8),
+                 "sift_overflow.core0.sift': record at offset 16: icount "
+                 "4611686018427387904 times period_ps 8 overflows the "
+                 "64-bit picosecond clock");
+}
+
+TEST(ScaledTraceDeathTest, TimeOverflowIsFatal)
+{
+    // 1e8 ps scaled by 1e12 is 1e20 ps: past llround's 2^63 range.
+    const Trace trace = {{0, 0, 0, AccessType::kRead},
+                         {100'000'000, 64, 0, AccessType::kRead}};
+    ScaledTraceSource source(std::make_unique<VectorTraceSource>(trace),
+                             1e12, "huge");
+    EXPECT_DEATH(materialize(source),
+                 "trace 'huge': record 1 at 100000000 ps times time scale "
+                 "1e\\+12 overflows the 64-bit picosecond clock");
 }
 
 TEST(MappedFileDeathTest, ReadPastEndIsActionable)
