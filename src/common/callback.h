@@ -1,13 +1,15 @@
 /**
  * @file
- * A move-only callable wrapper with fixed inline storage, replacing
+ * A callable wrapper with fixed inline storage, replacing
  * std::function on hot paths (event callbacks, swap hooks, metadata
  * continuations). std::function heap-allocates once captures outgrow
  * its tiny internal buffer; MoveFunction stores its target inline in
  * Cap bytes, and a target must be trivially copyable and fit the
- * buffer — both checked at compile time — so constructing, moving and
- * destroying one is a byte copy that never allocates. An oversize
- * capture is a compile error, not a silent heap fallback.
+ * buffer — both checked at compile time. The wrapper is therefore
+ * trivially copyable itself: copying, moving and destroying one is a
+ * plain byte copy (a move leaves the source callable too), so
+ * containers relocate it with memcpy. An oversize capture is a
+ * compile error, not a silent heap fallback.
  */
 #pragma once
 
@@ -22,7 +24,7 @@ namespace mempod {
 template <typename Sig, std::size_t Cap = 64>
 class MoveFunction;
 
-/** Move-only callable over a trivially copyable target of <= Cap bytes. */
+/** Callable over a trivially copyable target of <= Cap bytes. */
 template <typename R, typename... Args, std::size_t Cap>
 class MoveFunction<R(Args...), Cap>
 {
@@ -43,20 +45,10 @@ class MoveFunction<R(Args...), Cap>
                       "MoveFunction target is over-aligned");
         static_assert(std::is_trivially_copyable_v<D>,
                       "MoveFunction target must be trivially copyable");
-        // Zeroed first, so every byte a move copies is initialized.
+        // Zeroed first, so every byte a copy reads is initialized.
         std::memset(&storage_, 0, Cap);
         ::new (static_cast<void *>(&storage_)) D(std::forward<F>(f));
         invoke_ = &invoke<D>;
-    }
-
-    MoveFunction(MoveFunction &&other) noexcept { moveFrom(other); }
-
-    MoveFunction &
-    operator=(MoveFunction &&other) noexcept
-    {
-        if (this != &other)
-            moveFrom(other);
-        return *this;
     }
 
     MoveFunction &
@@ -66,8 +58,8 @@ class MoveFunction<R(Args...), Cap>
         return *this;
     }
 
-    MoveFunction(const MoveFunction &) = delete;
-    MoveFunction &operator=(const MoveFunction &) = delete;
+    MoveFunction(const MoveFunction &) = default;
+    MoveFunction &operator=(const MoveFunction &) = default;
 
     explicit operator bool() const { return invoke_ != nullptr; }
 
@@ -84,17 +76,6 @@ class MoveFunction<R(Args...), Cap>
     invoke(void *s, Args... a)
     {
         return (*static_cast<F *>(s))(std::forward<Args>(a)...);
-    }
-
-    /** Take `other`'s target (a byte copy) and leave it empty. */
-    void
-    moveFrom(MoveFunction &other) noexcept
-    {
-        invoke_ = other.invoke_;
-        if (invoke_) {
-            std::memcpy(&storage_, &other.storage_, Cap);
-            other.invoke_ = nullptr;
-        }
     }
 
     alignas(std::max_align_t) unsigned char storage_[Cap];

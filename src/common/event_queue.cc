@@ -132,7 +132,7 @@ EventQueue::endApply()
 }
 
 void
-EventQueue::appendToSlot(Event ev)
+EventQueue::appendToSlot(Event &&ev)
 {
     const std::size_t idx = (ev.when >> kTickShift) & (kSlots - 1);
     occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
@@ -140,7 +140,7 @@ EventQueue::appendToSlot(Event ev)
 }
 
 void
-EventQueue::place(Event ev)
+EventQueue::place(Event &&ev)
 {
     // Never behind the cursor: when >= now_, and the cursor is never
     // past now_'s tick.
@@ -219,8 +219,9 @@ EventQueue::claim(std::uint64_t tick)
     occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     drain_ = &slots_[idx];
     drainPos_ = 0;
-    std::sort(drain_->begin(), drain_->end(),
-              [](const Event &a, const Event &b) { return earlier(a, b); });
+    if (drain_->size() > 1)
+        std::sort(drain_->begin(), drain_->end(),
+                  [](const Event &a, const Event &b) { return earlier(a, b); });
 }
 
 bool

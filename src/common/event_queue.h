@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/callback.h"
@@ -114,12 +115,12 @@ class EventQueue
 {
   public:
     /**
-     * Move-only with a buffer sized for the largest hot-path capture
-     * (a channel completion: this + slab slot + timestamp = 24 bytes);
-     * a bigger or non-trivially-copyable capture does not compile.
-     * Kept tight on purpose: slot sorts, drains and far-heap moves
-     * move whole Events, so with the three 8-byte key fields the Event
-     * is exactly one cache line.
+     * A buffer sized for the largest hot-path capture (a channel
+     * completion: this + slab slot + timestamp = 24 bytes); a bigger
+     * or non-trivially-copyable capture does not compile. Kept tight
+     * on purpose: slot sorts, drains and far-heap moves copy whole
+     * Events, so with the three 8-byte key fields the Event is exactly
+     * one cache line.
      */
     using Callback = MoveFunction<void(), 24>;
 
@@ -303,6 +304,8 @@ class EventQueue
         std::uint64_t ord;
         Callback cb;
     };
+    // Slot pushes, sorts, heap moves and pops relocate plain bytes.
+    static_assert(std::is_trivially_copyable_v<Event>);
     using EventList = std::vector<Event>;
 
     static bool
@@ -327,8 +330,8 @@ class EventQueue
     std::uint64_t nextOrd();
     void dispatch(Event &ev);
 
-    void place(Event ev);
-    void appendToSlot(Event ev);
+    void place(Event &&ev);
+    void appendToSlot(Event &&ev);
     const Event *peek() const;
     bool nextTick(std::uint64_t &out_tick) const;
     void claim(std::uint64_t tick);

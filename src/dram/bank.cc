@@ -10,14 +10,16 @@ BankStateArray::BankStateArray(const CommandTimingTable &table,
                                std::uint32_t num_banks,
                                std::uint32_t banks_per_rank)
     : tbl_(table),
-      banksPerRank_(banks_per_rank),
       openRow_(num_banks, kNoRow),
+      rankOf_(num_banks),
       acts_(num_banks, 0),
       reads_(num_banks, 0),
       writes_(num_banks, 0)
 {
     const std::uint32_t ranks =
         (num_banks + banks_per_rank - 1) / banks_per_rank;
+    for (std::uint32_t b = 0; b < num_banks; ++b)
+        rankOf_[b] = b / banks_per_rank;
     for (auto &r : ready_)
         r.assign(num_banks, 0);
     rankActReady_.assign(ranks, 0);
@@ -34,20 +36,6 @@ BankStateArray::applyBankRow(DramCmd c, std::uint32_t b, TimePs now)
         ready_[n][b] = std::max(ready_[n][b], now + row[n]);
 }
 
-TimePs
-BankStateArray::actReadyAt(std::uint32_t b) const
-{
-    const std::uint32_t rank = b / banksPerRank_;
-    TimePs earliest = std::max(ready_[cmdIndex(DramCmd::kAct)][b],
-                               rankActReady_[rank]);
-    if (fawCount_[rank] >= 4) {
-        // The oldest of the last four ACTs gates the next one.
-        earliest = std::max(earliest,
-                            fawRing_[rank][fawHead_[rank]] + tbl_.fawPs);
-    }
-    return earliest;
-}
-
 void
 BankStateArray::activate(TimePs now, std::uint32_t b, std::int64_t row)
 {
@@ -57,7 +45,7 @@ BankStateArray::activate(TimePs now, std::uint32_t b, std::int64_t row)
     ++acts_[b];
     applyBankRow(DramCmd::kAct, b, now);
 
-    const std::uint32_t rank = b / banksPerRank_;
+    const std::uint32_t rank = rankOf_[b];
     rankActReady_[rank] =
         std::max(rankActReady_[rank],
                  now + tbl_.rank[cmdIndex(DramCmd::kAct)]

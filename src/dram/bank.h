@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -54,7 +55,19 @@ class BankStateArray
      * Earliest ACT issue time at bank `b`, folding in the rank's tRRD
      * spacing and the rolling four-ACT (tFAW) window.
      */
-    TimePs actReadyAt(std::uint32_t b) const;
+    TimePs
+    actReadyAt(std::uint32_t b) const
+    {
+        const std::uint32_t rank = rankOf_[b];
+        TimePs earliest = std::max(ready_[cmdIndex(DramCmd::kAct)][b],
+                                   rankActReady_[rank]);
+        if (fawCount_[rank] >= 4) {
+            // The oldest of the last four ACTs gates the next one.
+            earliest = std::max(
+                earliest, fawRing_[rank][fawHead_[rank]] + tbl_.fawPs);
+        }
+        return earliest;
+    }
 
     /** Apply an ACTIVATE at time `now`. */
     void activate(TimePs now, std::uint32_t b, std::int64_t row);
@@ -85,9 +98,10 @@ class BankStateArray
     void applyBankRow(DramCmd c, std::uint32_t b, TimePs now);
 
     const CommandTimingTable &tbl_;
-    std::uint32_t banksPerRank_;
 
     std::vector<std::int64_t> openRow_;
+    /** Rank index of each bank, for the rank-scope windows. */
+    std::vector<std::uint32_t> rankOf_;
     /** ready_[cmd][bank]: earliest issue time per command class. */
     std::array<std::vector<TimePs>, kNumDramCmds> ready_;
 

@@ -27,6 +27,11 @@ Channel::Channel(EventQueue &eq, const DramSpec &spec, std::string name,
         q->workWords.assign(words, 0);
     }
     nextRefreshAt_ = spec_.timing.tREFI;
+    const DramTiming &t = spec_.timing;
+    for (const TimePs v : {t.tCL, t.tCWL, t.tRCD, t.tRP, t.tRAS, t.tBL,
+                           t.tCCD, t.tWR, t.tWTR, t.tRTP, t.tRTW, t.tRRD,
+                           t.tFAW, t.tREFI, t.tRFC})
+        onClock_ = onClock_ && v % t.clockPeriodPs == 0;
 }
 
 TimePs
@@ -57,6 +62,7 @@ Channel::pushEntry(Queue &q, std::uint32_t idx)
     } else {
         bl.head = idx;
         q.workWords[b / 64] |= std::uint64_t{1} << (b % 64);
+        ++q.workBanks;
     }
     bl.tail = idx;
     ++q.size;
@@ -100,6 +106,7 @@ Channel::removeEntry(Queue &q, std::uint32_t idx)
 
     if (bl.head == kNil) {
         q.workWords[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+        --q.workBanks;
         bl.oldestHit = kNil;
         bl.oldestMiss = kNil;
         return;
@@ -179,7 +186,9 @@ Channel::enqueue(Request req, ChannelAddr where)
 void
 Channel::scheduleTick(TimePs when)
 {
-    when = std::max(when, alignUp(eq_.now()));
+    const TimePs now = eq_.now();
+    if (when < now || !onClock_)
+        when = alignUp(std::max(when, now));
     if (scheduledTickAt_ <= when)
         return; // an earlier or equal wakeup is already pending
     scheduledTickAt_ = when;
@@ -245,9 +254,10 @@ Channel::tick()
     if (now >= nextRefreshAt_) {
         performRefresh();
         if (readQ_.size != 0 || writeQ_.size != 0)
-            scheduleTick(alignUp(earliestWork()));
+            scheduleTick(wakeUpAt(std::min(scan(readQ_, false).wake,
+                                           scan(writeQ_, true).wake)));
         else
-            scheduleTick(alignUp(nextRefreshAt_));
+            scheduleTick(nextRefreshAt_);
         return;
     }
 
@@ -262,10 +272,7 @@ Channel::tick()
             if (openRowHasPendingHit(b))
                 continue; // a new hit arrived; keep the row open
             if (now >= banks_.readyAt(b, DramCmd::kPre)) {
-                banks_.precharge(now, b);
-                refreshBankCaches(readQ_, b);
-                refreshBankCaches(writeQ_, b);
-                ++stats_.precharges;
+                issuePre(b);
                 autoPrePending_[b] = false;
             }
         }
@@ -277,9 +284,9 @@ Channel::tick()
         if (policy_.closedPage) {
             for (std::uint32_t b = 0; b < banks_.numBanks(); ++b) {
                 if (autoPrePending_[b] && banks_.isOpen(b)) {
-                    scheduleTick(alignUp(std::max(
-                        now + spec_.timing.clockPeriodPs,
-                        banks_.readyAt(b, DramCmd::kPre))));
+                    scheduleTick(
+                        std::max(now + spec_.timing.clockPeriodPs,
+                                 banks_.readyAt(b, DramCmd::kPre)));
                     break;
                 }
             }
@@ -287,7 +294,8 @@ Channel::tick()
         return;
     }
 
-    const bool issued = tryIssue();
+    TimePs wake = kTimeNever;
+    const bool issued = tryIssue(wake);
     ++hostStats_.ticks;
     if (issued)
         ++hostStats_.issued;
@@ -297,11 +305,21 @@ Channel::tick()
     if (issued)
         scheduleTick(now + spec_.timing.clockPeriodPs);
     else
-        scheduleTick(alignUp(std::min(earliestWork(), nextRefreshAt_)));
+        scheduleTick(std::min(wakeUpAt(wake), nextRefreshAt_));
+}
+
+TimePs
+Channel::wakeUpAt(TimePs wake) const
+{
+    if (wake == kTimeNever)
+        return nextRefreshAt_;
+    // Never "now" exactly: the caller already failed to issue at now,
+    // so wait at least one cycle to avoid a zero-progress respin.
+    return std::max(wake, eq_.now() + spec_.timing.clockPeriodPs);
 }
 
 bool
-Channel::tryIssue()
+Channel::tryIssue(TimePs &wake)
 {
     // Write-drain hysteresis.
     if (writeQ_.size >= kDrainHigh)
@@ -311,138 +329,150 @@ Channel::tryIssue()
 
     const bool writes_first = draining_ || readQ_.size == 0;
     if (writes_first) {
-        if (tryIssueFrom(writeQ_, true))
+        if (tryIssueFrom(writeQ_, true, wake))
             return true;
-        return tryIssueFrom(readQ_, false);
+        return tryIssueFrom(readQ_, false, wake);
     }
-    if (tryIssueFrom(readQ_, false))
+    if (tryIssueFrom(readQ_, false, wake))
         return true;
-    return tryIssueFrom(writeQ_, true);
+    return tryIssueFrom(writeQ_, true, wake);
 }
 
 bool
-Channel::tryIssueFrom(Queue &q, bool is_write_queue)
+Channel::tryIssueFrom(Queue &q, bool is_write_queue, TimePs &wake)
 {
     if (q.size == 0)
         return false;
 
     ++hostStats_.arbPasses;
-    for (const std::uint64_t w : q.workWords)
-        hostStats_.workBanks +=
-            static_cast<std::uint64_t>(std::popcount(w));
-
-    const TimePs now = eq_.now();
-    const TimePs cas_gate = is_write_queue ? nextWrCasAt_ : nextRdCasAt_;
-    const DramCmd cas = is_write_queue ? DramCmd::kWr : DramCmd::kRd;
-    const TimePs cas_to_data =
-        is_write_queue ? spec_.timing.tCWL : spec_.timing.tCL;
+    hostStats_.workBanks += q.workBanks;
 
     // Anti-starvation: if the oldest entry has waited too long, only
     // consider it. Plain FCFS always considers only the oldest.
-    const Entry &front = entries_[q.head];
-    if (policy_.fcfs || now - front.enqueuedAt > kStarvationAgePs) {
-        // Single-candidate arbitration on the globally oldest entry,
-        // same CAS/ACT/PRE precedence as the general path below.
-        const std::uint32_t b = front.at.bank;
-        if (banks_.openRow(b) == front.at.row) {
-            if (now >= banks_.readyAt(b, cas) && now >= cas_gate &&
-                now + cas_to_data >= busFreeAt_) {
-                issueCas(q, q.head, is_write_queue);
-                return true;
-            }
-        } else if (!banks_.isOpen(b)) {
-            if (now >= banks_.actReadyAt(b)) {
-                Entry &e = entries_[q.head];
-                banks_.activate(now, b, e.at.row);
-                refreshBankCaches(readQ_, b);
-                refreshBankCaches(writeQ_, b);
-                e.causedAct = true;
-                ++stats_.activates;
-                return true;
-            }
-        } else if (now >= banks_.readyAt(b, DramCmd::kPre)) {
-            // Starving: close the conflicting row even if other
-            // queued requests still hit it.
-            banks_.precharge(now, b);
-            refreshBankCaches(readQ_, b);
-            refreshBankCaches(writeQ_, b);
-            ++stats_.precharges;
+    if (policy_.fcfs ||
+        eq_.now() - entries_[q.head].enqueuedAt > kStarvationAgePs) {
+        if (tryIssueFront(q, is_write_queue))
             return true;
-        }
+        wake = std::min(wake, scan(q, is_write_queue).wake);
         return false;
     }
 
-    // Pass 1 (FR-FCFS): oldest ready row hit. The CAS gate and the
-    // data-bus check are bank-independent, so they hoist.
-    if (now >= cas_gate && now + cas_to_data >= busFreeAt_) {
-        std::uint32_t best = kNil;
-        std::uint64_t best_seq = 0;
-        forEachWorkBank(q, [&](std::uint32_t b) {
-            const std::uint32_t h = q.banks[b].oldestHit;
-            if (h == kNil || now < banks_.readyAt(b, cas))
-                return;
-            if (best == kNil || entries_[h].seq < best_seq) {
-                best = h;
-                best_seq = entries_[h].seq;
-            }
-        });
-        if (best != kNil) {
-            issueCas(q, best, is_write_queue);
+    // FR-FCFS: oldest ready row hit, then oldest ready ACT, then
+    // oldest ready conflict PRE.
+    const Scan s = scan(q, is_write_queue);
+    if (s.hit != kNil) {
+        issueCas(q, s.hit, is_write_queue);
+    } else if (s.act != kNil) {
+        issueAct(s.act);
+    } else if (s.pre != kNil) {
+        issuePre(entries_[s.pre].at.bank);
+    } else {
+        wake = std::min(wake, s.wake);
+        return false;
+    }
+    return true;
+}
+
+bool
+Channel::tryIssueFront(Queue &q, bool is_write_queue)
+{
+    // Same CAS/ACT/PRE precedence as the scan, on one candidate.
+    const TimePs now = eq_.now();
+    const Entry &front = entries_[q.head];
+    const std::uint32_t b = front.at.bank;
+    if (banks_.openRow(b) == front.at.row) {
+        const TimePs cas_gate =
+            is_write_queue ? nextWrCasAt_ : nextRdCasAt_;
+        const DramCmd cas = is_write_queue ? DramCmd::kWr : DramCmd::kRd;
+        const TimePs cas_to_data =
+            is_write_queue ? spec_.timing.tCWL : spec_.timing.tCL;
+        if (now >= banks_.readyAt(b, cas) && now >= cas_gate &&
+            now + cas_to_data >= busFreeAt_) {
+            issueCas(q, q.head, is_write_queue);
             return true;
         }
-    }
-
-    // Pass 2: oldest entry whose bank is closed -> ACT.
-    {
-        std::uint32_t best = kNil;
-        std::uint64_t best_seq = 0;
-        forEachWorkBank(q, [&](std::uint32_t b) {
-            if (banks_.isOpen(b) || now < banks_.actReadyAt(b))
-                return;
-            const std::uint32_t h = q.banks[b].head;
-            if (best == kNil || entries_[h].seq < best_seq) {
-                best = h;
-                best_seq = entries_[h].seq;
-            }
-        });
-        if (best != kNil) {
-            Entry &e = entries_[best];
-            const std::uint32_t b = e.at.bank;
-            banks_.activate(now, b, e.at.row);
-            refreshBankCaches(readQ_, b);
-            refreshBankCaches(writeQ_, b);
-            e.causedAct = true;
-            ++stats_.activates;
+    } else if (!banks_.isOpen(b)) {
+        if (now >= banks_.actReadyAt(b)) {
+            issueAct(q.head);
             return true;
         }
+    } else if (now >= banks_.readyAt(b, DramCmd::kPre)) {
+        // Starving: close the conflicting row even if other queued
+        // requests still hit it.
+        issuePre(b);
+        return true;
     }
-
-    // Pass 3: oldest conflicting entry -> PRE, unless the open row
-    // still has pending hits.
-    {
-        std::uint32_t best = kNil;
-        std::uint64_t best_seq = 0;
-        forEachWorkBank(q, [&](std::uint32_t b) {
-            const std::uint32_t m = q.banks[b].oldestMiss;
-            if (m == kNil || openRowHasPendingHit(b) ||
-                now < banks_.readyAt(b, DramCmd::kPre))
-                return;
-            if (best == kNil || entries_[m].seq < best_seq) {
-                best = m;
-                best_seq = entries_[m].seq;
-            }
-        });
-        if (best != kNil) {
-            const std::uint32_t b = entries_[best].at.bank;
-            banks_.precharge(now, b);
-            refreshBankCaches(readQ_, b);
-            refreshBankCaches(writeQ_, b);
-            ++stats_.precharges;
-            return true;
-        }
-    }
-
     return false;
+}
+
+Channel::Scan
+Channel::scan(const Queue &q, bool is_write_queue) const
+{
+    const TimePs now = eq_.now();
+    const DramCmd cas = is_write_queue ? DramCmd::kWr : DramCmd::kRd;
+    // A CAS also waits for the channel's CAS gate and for its data to
+    // start no earlier than the bus frees; both are bank-independent.
+    const TimePs cas_to_data =
+        is_write_queue ? spec_.timing.tCWL : spec_.timing.tCL;
+    TimePs cas_floor = is_write_queue ? nextWrCasAt_ : nextRdCasAt_;
+    if (busFreeAt_ > cas_to_data)
+        cas_floor = std::max(cas_floor, busFreeAt_ - cas_to_data);
+
+    Scan s;
+    std::uint64_t hit_seq = 0, act_seq = 0, pre_seq = 0;
+    // Keep `idx` in `best` if it is the oldest ready candidate so far.
+    const auto oldest = [&](std::uint32_t &best, std::uint64_t &best_seq,
+                            std::uint32_t idx) {
+        const std::uint64_t seq = entries_[idx].seq;
+        if (best == kNil || seq < best_seq) {
+            best = idx;
+            best_seq = seq;
+        }
+    };
+    forEachWorkBank(q, [&](std::uint32_t b) {
+        const BankList &bl = q.banks[b];
+        if (!banks_.isOpen(b)) {
+            const TimePs at = banks_.actReadyAt(b);
+            s.wake = std::min(s.wake, at);
+            if (at <= now)
+                oldest(s.act, act_seq, bl.head);
+            return;
+        }
+        if (bl.oldestHit != kNil) {
+            const TimePs at = std::max(banks_.readyAt(b, cas), cas_floor);
+            s.wake = std::min(s.wake, at);
+            if (at <= now)
+                oldest(s.hit, hit_seq, bl.oldestHit);
+        }
+        if (bl.oldestMiss != kNil) {
+            const TimePs at = banks_.readyAt(b, DramCmd::kPre);
+            s.wake = std::min(s.wake, at);
+            if (at <= now && !openRowHasPendingHit(b))
+                oldest(s.pre, pre_seq, bl.oldestMiss);
+        }
+    });
+    return s;
+}
+
+void
+Channel::issueAct(std::uint32_t idx)
+{
+    Entry &e = entries_[idx];
+    const std::uint32_t b = e.at.bank;
+    banks_.activate(eq_.now(), b, e.at.row);
+    refreshBankCaches(readQ_, b);
+    refreshBankCaches(writeQ_, b);
+    e.causedAct = true;
+    ++stats_.activates;
+}
+
+void
+Channel::issuePre(std::uint32_t b)
+{
+    banks_.precharge(eq_.now(), b);
+    refreshBankCaches(readQ_, b);
+    refreshBankCaches(writeQ_, b);
+    ++stats_.precharges;
 }
 
 void
@@ -527,49 +557,6 @@ Channel::issueCas(Queue &q, std::uint32_t idx, bool is_write_queue)
     }
 
     entries_.release(idx);
-}
-
-TimePs
-Channel::earliestWork() const
-{
-    const TimePs now = eq_.now();
-    TimePs best = kTimeNever;
-
-    auto consider = [&](const Queue &q, bool is_write) {
-        const TimePs cas_gate = is_write ? nextWrCasAt_ : nextRdCasAt_;
-        const DramCmd cas = is_write ? DramCmd::kWr : DramCmd::kRd;
-        const TimePs cl =
-            is_write ? spec_.timing.tCWL : spec_.timing.tCL;
-        forEachWorkBank(q, [&](std::uint32_t b) {
-            const BankList &bl = q.banks[b];
-            if (banks_.isOpen(b)) {
-                if (bl.oldestHit != kNil) {
-                    TimePs ready =
-                        std::max(banks_.readyAt(b, cas), cas_gate);
-                    if (ready + cl < busFreeAt_)
-                        ready = busFreeAt_ - cl;
-                    best = std::min(best, std::max(ready, now));
-                }
-                if (bl.oldestMiss != kNil) {
-                    best = std::min(
-                        best,
-                        std::max(banks_.readyAt(b, DramCmd::kPre),
-                                 now));
-                }
-            } else {
-                best = std::min(
-                    best, std::max(banks_.actReadyAt(b), now));
-            }
-        });
-    };
-    consider(readQ_, false);
-    consider(writeQ_, true);
-
-    if (best == kTimeNever)
-        return nextRefreshAt_;
-    // Never return "now" exactly: the caller already failed to issue at
-    // now, so wait at least one cycle to avoid a zero-progress respin.
-    return std::max(best, now + spec_.timing.clockPeriodPs);
 }
 
 ChannelTelemetry

@@ -12,11 +12,12 @@
  *
  * Requests live in per-bank intrusive FIFO lists (plus one global age
  * list per read/write queue), with cached oldest-hit/oldest-conflict
- * entries per bank, so FR-FCFS arbitration walks banks-with-work via
- * a ready-bank bitmask instead of scanning the whole queue three
- * times per tick. The scheduling policy is unchanged: oldest ready
- * row hit, then oldest ready activate, then oldest conflicting
- * precharge, with the same anti-starvation rule.
+ * entries per bank. Arbitration is one scan per queue over the
+ * banks with work (a ready-bank bitmask): it reads each such bank
+ * once and yields both the FR-FCFS candidates (oldest ready row hit,
+ * then oldest ready activate, then oldest conflicting precharge) and
+ * the earliest time any of the queue's commands could issue, which
+ * is where the controller sleeps when it issues nothing.
  */
 #pragma once
 
@@ -182,23 +183,62 @@ class Channel final : public MemoryModel
         std::vector<BankList> banks;
         /** Ready-bank index: bit b set iff banks[b] is non-empty. */
         std::vector<std::uint64_t> workWords;
+        /** Set bits in workWords: banks with queued work. */
+        std::uint64_t workBanks = 0;
+    };
+
+    /** What one pass over a queue's work banks found at `now`. */
+    struct Scan
+    {
+        std::uint32_t hit = kNil; //!< oldest ready row hit (CAS)
+        std::uint32_t act = kNil; //!< oldest ready entry at a closed bank
+        /** Oldest ready conflict whose open row has no pending hit. */
+        std::uint32_t pre = kNil;
+        /**
+         * Earliest time any entry's next command could issue, ignoring
+         * the pending-hit filter on precharges; kTimeNever when empty.
+         */
+        TimePs wake = kTimeNever;
     };
 
     void tick();
+    /**
+     * Arm a tick at `when`, a clock edge. A time in the past, or any
+     * time under off-clock timings, rounds up to the next edge.
+     */
     void scheduleTick(TimePs when);
     void performRefresh();
 
-    /** Issue one command if possible; returns true if one was issued. */
-    bool tryIssue();
+    /**
+     * Issue one command if possible; returns true if one was issued.
+     * Otherwise lowers `wake` to the queues' earliest wake-up term.
+     */
+    bool tryIssue(TimePs &wake);
 
     /** Attempt to issue for queue `q`; CAS/ACT/PRE per FR-FCFS. */
-    bool tryIssueFrom(Queue &q, bool is_write_queue);
+    bool tryIssueFrom(Queue &q, bool is_write_queue, TimePs &wake);
+
+    /** Anti-starvation and FCFS: arbitrate `q`'s oldest entry only. */
+    bool tryIssueFront(Queue &q, bool is_write_queue);
+
+    /** Read each bank with work in `q` once; see Scan. */
+    Scan scan(const Queue &q, bool is_write_queue) const;
+
+    /**
+     * When to tick after issuing nothing: `wake` (a min of Scan::wake
+     * terms) at least one cycle out, or the next refresh when no
+     * queued entry has a command to wait for.
+     */
+    TimePs wakeUpAt(TimePs wake) const;
+
+    /** ACT for entry `idx` at its bank, at the current time. */
+    void issueAct(std::uint32_t idx);
+
+    /** PRE at bank `b` at the current time (a counted precharge). */
+    void issuePre(std::uint32_t b);
 
     /** Complete entry `idx` of `q` with a CAS at the current time. */
     void issueCas(Queue &q, std::uint32_t idx, bool is_write_queue);
-
-    /** Earliest future time any queued entry could issue a command. */
-    TimePs earliestWork() const;
 
     /** True if some queued entry targets bank `b`'s open row. */
     bool
@@ -266,6 +306,13 @@ class Channel final : public MemoryModel
     TimePs nextRefreshAt_ = 0;
     TimePs scheduledTickAt_ = kTimeNever;
     bool draining_ = false;
+    /**
+     * Every timing is a whole number of clocks (true of every preset),
+     * so each time the controller derives from a tick is a clock
+     * edge. A config with off-clock picosecond timings rounds each
+     * wake-up up to the next edge instead.
+     */
+    bool onClock_ = true;
 
     /** Write-drain watermarks. */
     static constexpr std::size_t kDrainHigh = 16;

@@ -56,7 +56,15 @@ SystemGeometry::singleTier(std::uint64_t bytes, std::uint32_t channels)
 AddressMap::AddressMap(const SystemGeometry &geom,
                        const DramOrganization &fast,
                        const DramOrganization &slow)
-    : geom_(geom), fastOrg_(fast), slowOrg_(slow)
+    : geom_(geom),
+      fastOrg_(fast),
+      slowOrg_(slow),
+      fastPages_(geom.fastPages()),
+      fastPagesPerPod_(geom.fastPagesPerPod()),
+      pagesPerPod_(geom.pagesPerPod()),
+      totalBytes_(geom.totalBytes()),
+      fastBanks_(fast.totalBanks()),
+      slowBanks_(slow.totalBanks())
 {
     geom_.validate();
 }
@@ -64,36 +72,34 @@ AddressMap::AddressMap(const SystemGeometry &geom,
 std::uint32_t
 AddressMap::podOfPage(PageId p) const
 {
-    if (p < geom_.fastPages())
+    if (p < fastPages_)
         return static_cast<std::uint32_t>(p % geom_.numPods);
-    return static_cast<std::uint32_t>((p - geom_.fastPages()) %
-                                      geom_.numPods);
+    return static_cast<std::uint32_t>((p - fastPages_) % geom_.numPods);
 }
 
 std::uint64_t
 AddressMap::podLocalOfPage(PageId p) const
 {
-    if (p < geom_.fastPages())
+    if (p < fastPages_)
         return p / geom_.numPods;
-    return geom_.fastPagesPerPod() +
-           (p - geom_.fastPages()) / geom_.numPods;
+    return fastPagesPerPod_ + (p - fastPages_) / geom_.numPods;
 }
 
 PageId
 AddressMap::pageOfPodLocal(std::uint32_t pod, std::uint64_t local) const
 {
     MEMPOD_ASSERT(pod < geom_.numPods, "pod %u out of range", pod);
-    MEMPOD_ASSERT(local < geom_.pagesPerPod(), "pod-local page overflow");
-    if (local < geom_.fastPagesPerPod())
+    MEMPOD_ASSERT(local < pagesPerPod_, "pod-local page overflow");
+    if (local < fastPagesPerPod_)
         return local * geom_.numPods + pod;
-    const std::uint64_t slow_local = local - geom_.fastPagesPerPod();
-    return geom_.fastPages() + slow_local * geom_.numPods + pod;
+    const std::uint64_t slow_local = local - fastPagesPerPod_;
+    return fastPages_ + slow_local * geom_.numPods + pod;
 }
 
 DecodedAddr
 AddressMap::decode(Addr a) const
 {
-    MEMPOD_ASSERT(a < geom_.totalBytes(), "address 0x%llx out of range",
+    MEMPOD_ASSERT(a < totalBytes_, "address 0x%llx out of range",
                   static_cast<unsigned long long>(a));
     DecodedAddr d;
     const PageId page = pageOf(a);
@@ -103,24 +109,27 @@ AddressMap::decode(Addr a) const
 
     std::uint64_t ch_local_page;
     const DramOrganization *org;
+    std::uint32_t banks;
     if (d.tier == MemTier::kFast) {
         const std::uint64_t fpage = page;
         d.channel = static_cast<std::uint32_t>(fpage % geom_.fastChannels);
         ch_local_page = fpage / geom_.fastChannels;
         org = &fastOrg_;
+        banks = fastBanks_;
     } else {
-        const std::uint64_t spage = page - geom_.fastPages();
+        const std::uint64_t spage = page - fastPages_;
         d.channel = geom_.fastChannels +
                     static_cast<std::uint32_t>(spage % geom_.slowChannels);
         ch_local_page = spage / geom_.slowChannels;
         org = &slowOrg_;
+        banks = slowBanks_;
     }
 
     const std::uint64_t ch_offset = ch_local_page * kPageBytes + in_page;
     const std::uint64_t chunk = ch_offset / org->rowBufferBytes;
     d.offsetInRow = ch_offset % org->rowBufferBytes;
-    d.bank = static_cast<std::uint32_t>(chunk % org->totalBanks());
-    d.row = static_cast<std::int64_t>(chunk / org->totalBanks());
+    d.bank = static_cast<std::uint32_t>(chunk % banks);
+    d.row = static_cast<std::int64_t>(chunk / banks);
     return d;
 }
 

@@ -91,7 +91,7 @@ class AddressMap
     MemTier
     tierOfPage(PageId p) const
     {
-        return p < geom_.fastPages() ? MemTier::kFast : MemTier::kSlow;
+        return p < fastPages_ ? MemTier::kFast : MemTier::kSlow;
     }
 
     static PageId pageOf(Addr a) { return a / kPageBytes; }
@@ -112,7 +112,7 @@ class AddressMap
     bool
     podLocalIsFast(std::uint64_t local) const
     {
-        return local < geom_.fastPagesPerPod();
+        return local < fastPagesPerPod_;
     }
 
     /** Full physical decode (tier, pod, channel, bank, row). */
@@ -127,6 +127,15 @@ class AddressMap
     SystemGeometry geom_;
     DramOrganization fastOrg_;
     DramOrganization slowOrg_;
+
+    // Derived geometry, computed once: decoding runs on every demand
+    // and every migrated line.
+    std::uint64_t fastPages_;
+    std::uint64_t fastPagesPerPod_;
+    std::uint64_t pagesPerPod_;
+    std::uint64_t totalBytes_;
+    std::uint32_t fastBanks_;
+    std::uint32_t slowBanks_;
 };
 
 /**

@@ -1,6 +1,7 @@
-/** @file Unit tests for the move-only inline callable. */
+/** @file Unit tests for the inline callable. */
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <utility>
 
 #include "common/callback.h"
@@ -30,16 +31,24 @@ TEST(MoveFunction, InlineCaptureInvokes)
 
 TEST(MoveFunction, MoveTransfersTarget)
 {
-    MoveFunction<int()> f = [] { return 5; };
-    MoveFunction<int()> g = std::move(f);
-    EXPECT_FALSE(f); // NOLINT(bugprone-use-after-move): spec'd empty
+    // A value type: a copy and a move both carry the target, and the
+    // source stays callable (a move is the same byte copy).
+    static_assert(std::is_trivially_copyable_v<MoveFunction<int()>>);
+    int hits = 0;
+    MoveFunction<int()> f = [&hits] { return ++hits; };
+    MoveFunction<int()> g = f;
     ASSERT_TRUE(g);
-    EXPECT_EQ(g(), 5);
+    EXPECT_EQ(g(), 1);
 
-    MoveFunction<int()> h;
-    h = std::move(g);
-    EXPECT_FALSE(g); // NOLINT(bugprone-use-after-move)
-    EXPECT_EQ(h(), 5);
+    MoveFunction<int()> h = std::move(f);
+    ASSERT_TRUE(h);
+    EXPECT_EQ(h(), 2);
+
+    MoveFunction<int()> k;
+    k = std::move(g);
+    ASSERT_TRUE(k);
+    EXPECT_EQ(k(), 3);
+    EXPECT_EQ(hits, 3);
 }
 
 } // namespace
