@@ -43,7 +43,8 @@ void
 MigrationEngine::submit(SwapOp op)
 {
     MEMPOD_ASSERT(op.lines > 0, "empty swap");
-    queue_.push_back(std::move(op));
+    MEMPOD_ASSERT(op.owner != nullptr, "swap without an owner");
+    queue_.push_back(op);
     tryStart();
 }
 
@@ -53,9 +54,8 @@ MigrationEngine::clearQueued()
     stats_.opsDropped += queue_.size();
     // Dropped candidates must release any blocked state *without*
     // committing the remap update (no data actually moved).
-    for (auto &op : queue_)
-        if (op.onAbort)
-            op.onAbort();
+    for (const SwapOp &op : queue_)
+        op.owner->finish(op.key, false);
     queue_.clear();
 }
 
@@ -63,18 +63,17 @@ void
 MigrationEngine::tryStart()
 {
     while (active_ < maxInFlight_ && !queue_.empty()) {
-        SwapOp op = std::move(queue_.front());
+        const SwapOp op = queue_.front();
         queue_.pop_front();
         ++active_;
-        run(std::move(op));
+        run(op);
     }
 }
 
 void
 MigrationEngine::run(SwapOp op)
 {
-    if (op.onStart)
-        op.onStart();
+    op.owner->start(op.key);
     // Swap spans are async (b/e): engines with parallelism > 1 (CAMEO)
     // interleave ops on one track, which B/E nesting cannot express.
     if (op.traceId != 0) {
@@ -91,8 +90,7 @@ MigrationEngine::run(SwapOp op)
     }
     // Phase 1: read both candidates into the swap buffer; phase 2:
     // write both back to their exchanged locations; then commit.
-    const std::uint32_t lines = op.lines;
-    issuePhase(ops_.acquire(OpState{std::move(op), 2 * lines}));
+    issuePhase(ops_.acquire(OpState{op, 2 * op.lines}));
 }
 
 void
@@ -161,11 +159,9 @@ MigrationEngine::finish(std::uint32_t ref)
     }
     // Free the slot before committing: the commit may start new ops,
     // which can reuse it or grow ops_ under `st`.
-    const std::function<void()> on_commit = std::move(st.op.onCommit);
-    st = OpState{};
+    const SwapOp op = st.op;
     ops_.release(ref);
-    if (on_commit)
-        on_commit();
+    op.owner->finish(op.key, true);
     MEMPOD_ASSERT(active_ > 0, "engine slot underflow");
     --active_;
     tryStart();

@@ -7,12 +7,18 @@
  * the paper models it. Swap ops run with configurable parallelism
  * (MemPod: one engine per Pod; HMA/THM: one centralized engine;
  * CAMEO: per-channel concurrency).
+ *
+ * Each op names its owner and the owner's key for it; the engine
+ * tells the owner when the op starts moving data and when it commits
+ * or is dropped (SwapOwner). Ops hold plain data only: queued ops
+ * copy as bytes, and line requests carry an {engine, op} completion
+ * handle.
  */
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <string>
 
 #include "common/event_queue.h"
 #include "common/metrics.h"
@@ -22,6 +28,32 @@
 #include "mem/request.h"
 
 namespace mempod {
+
+/**
+ * Whoever submitted a swap and is told how it goes. The set is
+ * closed: each mechanism's SwapGuard. `key` is the owner's own name
+ * for the swap.
+ */
+class SwapOwner
+{
+  public:
+    /**
+     * The engine begins moving the swap's data. Demand blocking must
+     * begin here, not at scheduling time: a queued candidate is still
+     * serviceable at its old location until its swap actually starts.
+     */
+    virtual void start(std::uint64_t key) = 0;
+
+    /** The swap is durable (`committed`) or was dropped unstarted. */
+    virtual void finish(std::uint64_t key, bool committed) = 0;
+
+  protected:
+    SwapOwner() = default;
+    ~SwapOwner() = default;
+    // Every queued op holds the owner's address: owners stay put.
+    SwapOwner(const SwapOwner &) = delete;
+    SwapOwner &operator=(const SwapOwner &) = delete;
+};
 
 /** Executes queued page/line swaps through the memory system. */
 class MigrationEngine final : private Completer
@@ -33,15 +65,8 @@ class MigrationEngine final : private Completer
         Addr locA = 0;           //!< first page/line physical base
         Addr locB = 0;           //!< second page/line physical base
         std::uint32_t lines = 0; //!< line transfers per side
-        /**
-         * Runs when the engine begins moving data. Demand blocking
-         * must begin here, not at scheduling time: a queued candidate
-         * is still serviceable at its old location until its swap
-         * actually starts.
-         */
-        std::function<void()> onStart;
-        std::function<void()> onCommit; //!< runs when the swap is durable
-        std::function<void()> onAbort;  //!< runs if dropped before start
+        SwapOwner *owner = nullptr; //!< told of start and finish
+        std::uint64_t key = 0;      //!< the owner's name for the swap
         /** Migration-lifecycle flow id (0 = not traced). */
         std::uint64_t traceId = 0;
     };
@@ -62,7 +87,8 @@ class MigrationEngine final : private Completer
                     std::uint32_t max_in_flight_ops = 1,
                     std::string trace_track = "engine");
 
-    /** Queue a swap; starts immediately if a slot is free. */
+    /** Queue a swap (its owner must be set); starts immediately if a
+     *  slot is free. */
     void submit(SwapOp op);
 
     /** Drop ops not yet started (stale candidates at a new interval). */

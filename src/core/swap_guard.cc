@@ -51,12 +51,10 @@ SwapGuard::schedule(Swap s)
     op.locA = s.locA;
     op.locB = s.locB;
     op.lines = s.lines;
+    op.owner = this;
+    op.key = key;
     op.traceId = e.flow;
-    // Demands block only while the data is actually in flight.
-    op.onStart = [this, key] { start(key); };
-    op.onCommit = [this, key] { finish(key, true); };
-    op.onAbort = [this, key] { finish(key, false); };
-    engine_.submit(std::move(op));
+    engine_.submit(op);
 }
 
 SwapGuard::Entry &

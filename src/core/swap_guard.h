@@ -35,7 +35,7 @@
 namespace mempod {
 
 /** Reserve/lock/park/commit bookkeeping for one mechanism instance. */
-class SwapGuard
+class SwapGuard final : private SwapOwner
 {
   public:
     /**
@@ -126,9 +126,10 @@ class SwapGuard
 
     Entry &reserve(std::uint64_t key);
     void parkOn(Entry &e, std::uint64_t key, const Demand &d);
-    void start(std::uint64_t key);
+    /** Lock the keys of the swap whose first key is `key`. */
+    void start(std::uint64_t key) override;
     /** Commit (`committed`) or abort the swap whose first key is `key`. */
-    void finish(std::uint64_t key, bool committed);
+    void finish(std::uint64_t key, bool committed) override;
     /** Free `key` and resume its parked demands in arrival order. */
     void release(std::uint64_t key);
 

@@ -9,8 +9,9 @@ namespace mempod {
 
 Channel::Channel(EventQueue &eq, const DramSpec &spec, std::string name,
                  TimePs extra_latency_ps, ControllerPolicy policy,
-                 DomainId domain)
-    : eq_(eq),
+                 DomainId domain, std::uint64_t *in_flight)
+    : MemoryModel(in_flight),
+      eq_(eq),
       spec_(spec),
       tbl_(CommandTimingTable::build(spec.timing)),
       name_(std::move(name)),
@@ -536,7 +537,7 @@ Channel::issueCas(Queue &q, std::uint32_t idx, bool is_write_queue)
         }
     }
 
-    if (completionHook_ || e.cbSlot != kNil) {
+    if (counted() || e.cbSlot != kNil) {
         // Completions cross back to the coordinator domain: their
         // delta (CAS latency + burst + interconnect) lower-bounds the
         // executor's lookahead horizon.
@@ -549,10 +550,7 @@ Channel::issueCas(Queue &q, std::uint32_t idx, bool is_write_queue)
                 // new request that reuses (or grows past) this slot.
                 completionSlots_.release(slot);
             }
-            if (completionHook_)
-                completionHook_(finish);
-            if (done)
-                done(finish);
+            complete(done, finish);
         });
     }
 

@@ -23,7 +23,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,14 +69,15 @@ class Channel final : public MemoryModel
      *        Completion events always target the coordinator domain;
      *        everything else the controller schedules stays local. The
      *        default keeps standalone (single-queue) use unchanged.
+     * @param in_flight The memory system's in-flight line count. A
+     *        standalone channel (nullptr) schedules no completion for
+     *        a request nobody waits on.
      */
     Channel(EventQueue &eq, const DramSpec &spec, std::string name,
             TimePs extra_latency_ps = 5000,
             ControllerPolicy policy = {},
-            DomainId domain = EventQueue::kCoordinatorDomain);
-
-    Channel(const Channel &) = delete;
-    Channel &operator=(const Channel &) = delete;
+            DomainId domain = EventQueue::kCoordinatorDomain,
+            std::uint64_t *in_flight = nullptr);
 
     /** Queue one line transfer. The controller wakes itself up. */
     void enqueue(Request req, ChannelAddr where) override;
@@ -92,26 +92,8 @@ class Channel final : public MemoryModel
      */
     void resumeAt(TimePs now) override;
 
-    /**
-     * Invoked inside every completion event, before the request's
-     * owner is completed. The MemorySystem uses this to track in-flight
-     * lines for every request at once. Set once at construction time.
-     */
-    void
-    setCompletionHook(std::function<void(TimePs)> hook) override
-    {
-        completionHook_ = std::move(hook);
-    }
-
-    /** Requests accepted but not yet issued to the device. */
-    std::size_t
-    queued() const override
-    {
-        return static_cast<std::size_t>(stats_.queuedNow);
-    }
-
     /** True when no request is queued (in-flight data may remain). */
-    bool idle() const override { return queued() == 0; }
+    bool idle() const { return stats_.queuedNow == 0; }
 
     const Stats &stats() const override { return stats_; }
     const DramSpec &spec() const override { return spec_; }
@@ -281,7 +263,6 @@ class Channel final : public MemoryModel
     TimePs extraLatencyPs_;
     ControllerPolicy policy_;
     DomainId domain_;
-    std::function<void(TimePs)> completionHook_;
 
     /**
      * Parking slab for completion handles from enqueue until the data

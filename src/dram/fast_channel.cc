@@ -7,8 +7,10 @@
 namespace mempod {
 
 FastChannel::FastChannel(EventQueue &eq, const DramSpec &spec,
-                         std::string name, TimePs extra_latency_ps)
-    : eq_(eq),
+                         std::string name, TimePs extra_latency_ps,
+                         std::uint64_t *in_flight)
+    : MemoryModel(in_flight),
+      eq_(eq),
       spec_(spec),
       name_(std::move(name)),
       servicePs_(spec.timing.tRCD + spec.timing.tCL + spec.timing.tBL +
@@ -68,10 +70,7 @@ FastChannel::enqueue(Request req, ChannelAddr)
         // request that reuses (or grows past) this slot.
         slots_.release(slot);
         --stats_.queuedNow;
-        if (completionHook_)
-            completionHook_(finish);
-        if (done)
-            done(finish);
+        complete(done, finish);
     });
 }
 

@@ -22,6 +22,10 @@
  * attribution and queue depth are maintained with the same meanings
  * as the detailed controller; bank-level counters (row hits, ACT/PRE,
  * refresh) stay zero because the model has no such state.
+ *
+ * dram.model=fast makes it the measured model of every channel; in a
+ * sampled run its measurement windows alternate with the functional
+ * warm model's fast-forward windows, as the detailed model's do.
  */
 #pragma once
 
@@ -45,32 +49,23 @@ class FastChannel final : public MemoryModel
     /**
      * @param eq Event queue hosting this channel's completions.
      * @param spec Device description; only tRCD/tCL/tBL are read.
-     * @param name For diagnostics and telemetry ("fast0.warm", ...).
+     * @param name For diagnostics and telemetry ("fast0", ...).
      * @param extra_latency_ps Fixed interconnect latency added to
      *        every completion, as in the detailed controller.
+     * @param in_flight The memory system's in-flight line count.
      */
     FastChannel(EventQueue &eq, const DramSpec &spec, std::string name,
-                TimePs extra_latency_ps = 5000);
-
-    FastChannel(const FastChannel &) = delete;
-    FastChannel &operator=(const FastChannel &) = delete;
+                TimePs extra_latency_ps = 5000,
+                std::uint64_t *in_flight = nullptr);
 
     void enqueue(Request req, ChannelAddr where) override;
 
-    void
-    setCompletionHook(std::function<void(TimePs)> hook) override
-    {
-        completionHook_ = std::move(hook);
-    }
-
     /** Requests accepted whose completion has not fired yet. */
     std::size_t
-    queued() const override
+    queued() const
     {
         return static_cast<std::size_t>(stats_.queuedNow);
     }
-
-    bool idle() const override { return queued() == 0; }
 
     const ChannelStats &stats() const override { return stats_; }
     const DramSpec &spec() const override { return spec_; }
@@ -90,7 +85,6 @@ class FastChannel final : public MemoryModel
     EventQueue &eq_;
     DramSpec spec_;
     std::string name_;
-    std::function<void(TimePs)> completionHook_;
 
     TimePs servicePs_ = 0; //!< tRCD + tCL + tBL + extra latency
     TimePs burstPs_ = 0;   //!< data-bus occupancy per request (tBL)

@@ -1,19 +1,21 @@
 /**
  * @file
- * FunctionalModel: the zero-latency, zero-event warming model. Every
- * request completes synchronously inside enqueue() — the completion
- * hook and the request's owner complete at the current simulated
- * time before enqueue() returns, and nothing is ever scheduled.
+ * FunctionalModel: the zero-latency, zero-event warm model of sampled
+ * runs. Every request completes synchronously inside enqueue() — the
+ * line leaves the memory system's in-flight count and its owner
+ * completes at the current simulated time before enqueue() returns,
+ * and nothing is ever scheduled.
  *
  * This is what makes SMARTS-style fast-forward windows cheap: the
  * whole policy stack (MEA trackers, remap tables, epoch timers, the
  * decision ledger) sees the full demand and migration stream, while
  * the memory system costs a couple of counter increments per line
- * instead of an event cascade.
+ * instead of an event cascade. It observes no stall time, so it is
+ * never a measurement model: dram.model has no spelling for it.
  *
  * Serial-kernel only: synchronous completion would run manager and
  * frontend code on a shard worker under the PDES executor, so the
- * Simulation refuses to combine this model with sim.shards > 0.
+ * Simulation refuses to combine sampling with sim.shards > 0.
  */
 #pragma once
 
@@ -34,25 +36,15 @@ class FunctionalModel final : public MemoryModel
 {
   public:
     FunctionalModel(EventQueue &eq, const DramSpec &spec,
-                    std::string name)
-        : eq_(eq), spec_(spec), name_(std::move(name))
+                    std::string name, std::uint64_t *in_flight = nullptr)
+        : MemoryModel(in_flight),
+          eq_(eq),
+          spec_(spec),
+          name_(std::move(name))
     {
     }
-
-    FunctionalModel(const FunctionalModel &) = delete;
-    FunctionalModel &operator=(const FunctionalModel &) = delete;
 
     void enqueue(Request req, ChannelAddr where) override;
-
-    void
-    setCompletionHook(std::function<void(TimePs)> hook) override
-    {
-        completionHook_ = std::move(hook);
-    }
-
-    /** Nothing ever stays queued: completion is synchronous. */
-    std::size_t queued() const override { return 0; }
-    bool idle() const override { return true; }
 
     const ChannelStats &stats() const override { return stats_; }
     const DramSpec &spec() const override { return spec_; }
@@ -69,7 +61,6 @@ class FunctionalModel final : public MemoryModel
     EventQueue &eq_;
     DramSpec spec_;
     std::string name_;
-    std::function<void(TimePs)> completionHook_;
 
     ChannelStats stats_;         //!< only reads/writes ever move
     ChannelHostStats hostStats_; //!< all zero

@@ -13,8 +13,6 @@ dramModelName(DramModel m)
         return "detailed";
       case DramModel::kFast:
         return "fast";
-      case DramModel::kFunctional:
-        return "functional";
     }
     return "detailed";
 }
@@ -28,10 +26,6 @@ dramModelFromName(const std::string &name, DramModel &out)
     }
     if (name == "fast") {
         out = DramModel::kFast;
-        return true;
-    }
-    if (name == "functional") {
-        out = DramModel::kFunctional;
         return true;
     }
     return false;
@@ -57,12 +51,8 @@ FunctionalModel::enqueue(Request req, ChannelAddr)
         }
     }
 
-    // Synchronous completion: hook first (in-flight accounting), then
-    // the request's owner, both at the current time.
-    if (completionHook_)
-        completionHook_(now);
-    if (req.done)
-        req.done(now);
+    // Synchronous completion at the current time.
+    complete(req.done, now);
 }
 
 ChannelTelemetry

@@ -1,8 +1,8 @@
 /**
  * @file
- * The swappable memory-model interface. The MemorySystem routes every
- * line transfer through a MemoryModel per channel; which concrete
- * model sits behind the interface is a run-time choice:
+ * The memory-model interface. The MemorySystem holds, per channel, the
+ * run's measured model and, on sampled runs only, a functional warm
+ * model; every line transfer goes to one of them:
  *
  *   kDetailed    the table-driven SoA channel controller (Channel):
  *                per-bank open-page state, FR-FCFS, refresh — the
@@ -10,22 +10,23 @@
  *   kFast        FastChannel: fixed per-tier service latency plus a
  *                bandwidth-capped queue, no bank state. Roughly an
  *                order of magnitude fewer events per request.
- *   kFunctional  FunctionalModel: completes every request inline at
- *                enqueue time with zero latency and zero events.
- *                Timing-free warming for sampled simulation: MEA
- *                trackers, remap tables and the decision ledger keep
- *                seeing the full demand stream while fast-forwarding.
  *
- * All models share the completion contract: the completion hook runs
- * and then the request's owner is completed through its Completion
- * handle, both in the coordinator domain (for event-driven models, via
- * a scheduled completion whose delta is at least the PDES lookahead;
- * the functional model is serial-only and completes synchronously).
+ * dram.model picks one of the two. The warm model (FunctionalModel,
+ * never a measurement choice) completes every request inline at
+ * enqueue time with zero latency and zero events, so MEA trackers,
+ * remap tables and the decision ledger keep seeing the full demand
+ * stream while a sampled run fast-forwards.
+ *
+ * Every model completes a request the same way (complete()): it
+ * decrements the memory system's in-flight count, then completes the
+ * request's handle, both in the coordinator domain. Event-driven
+ * models do so from a scheduled completion whose delta is at least
+ * the PDES lookahead; the functional model is serial-only and
+ * completes synchronously.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/types.h"
@@ -42,15 +43,14 @@ struct ChannelAddr
     std::int64_t row = 0;
 };
 
-/** Which memory model services a channel's requests. */
+/** Which model measures a channel's requests (dram.model). */
 enum class DramModel : std::uint8_t
 {
     kDetailed = 0,
     kFast = 1,
-    kFunctional = 2,
 };
 
-/** Canonical config spelling ("detailed" / "fast" / "functional"). */
+/** Canonical config spelling ("detailed" / "fast"). */
 const char *dramModelName(DramModel m);
 
 /** Parse a config spelling; returns false on an unknown name. */
@@ -82,30 +82,16 @@ class MemoryModel
     virtual void enqueue(Request req, ChannelAddr where) = 0;
 
     /**
-     * Invoked inside every completion, before the request's owner is
-     * completed. The MemorySystem uses this to track in-flight lines
-     * for every request at once. Set once at construction time.
-     */
-    virtual void setCompletionHook(std::function<void(TimePs)> hook) = 0;
-
-    /**
-     * The fidelity controller is about to route traffic here again
-     * after the model sat inactive since some earlier instant. Models
-     * with wall-clock obligations forgive the debt accrued while
-     * inactive — the detailed controller re-phases its refresh clock
-     * so a measurement window is not spent retiring ~fastfwd/tREFI
+     * The sampled run is about to route traffic here again after the
+     * warm model carried it since some earlier instant. Models with
+     * wall-clock obligations forgive the debt accrued meanwhile — the
+     * detailed controller re-phases its refresh clock so a
+     * measurement window is not spent retiring ~fastfwd/tREFI
      * catch-up refreshes that conceptually happened during warm-up.
-     * Never called in single-fidelity runs (their outputs stay
+     * Never called in unsampled runs (their outputs stay
      * byte-identical); default is a no-op.
      */
     virtual void resumeAt(TimePs) {}
-
-    /** Requests accepted but not yet issued (or still in flight for
-     *  models without an issue stage). */
-    virtual std::size_t queued() const = 0;
-
-    /** True when no request is queued. */
-    virtual bool idle() const = 0;
 
     virtual const ChannelStats &stats() const = 0;
     virtual const DramSpec &spec() const = 0;
@@ -115,6 +101,34 @@ class MemoryModel
     virtual ChannelTelemetry telemetry() const = 0;
 
     virtual const ChannelHostStats &hostStats() const = 0;
+
+  protected:
+    /**
+     * @param in_flight The memory system's count of dispatched, not
+     *        yet completed lines; nullptr when the model stands alone.
+     */
+    explicit MemoryModel(std::uint64_t *in_flight) : inFlight_(in_flight)
+    {
+    }
+
+    MemoryModel(const MemoryModel &) = delete;
+    MemoryModel &operator=(const MemoryModel &) = delete;
+
+    /** Whether completions are counted even when nobody waits. */
+    bool counted() const { return inFlight_ != nullptr; }
+
+    /** The one completion path: uncount the line, then tell its owner. */
+    void
+    complete(Completion done, TimePs finish) const
+    {
+        if (inFlight_)
+            --*inFlight_;
+        if (done)
+            done(finish);
+    }
+
+  private:
+    std::uint64_t *inFlight_;
 };
 
 } // namespace mempod

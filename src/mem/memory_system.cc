@@ -2,69 +2,14 @@
 
 #include "common/log.h"
 #include "dram/fast_channel.h"
-#include "dram/functional_model.h"
 
 namespace mempod {
-
-void
-MemorySystem::Slot::add(DramModel kind,
-                        std::unique_ptr<MemoryModel> m)
-{
-    models_.emplace_back(kind, std::move(m));
-    if (!primary_) {
-        primary_ = models_.back().second.get();
-        active_ = primary_;
-    }
-}
-
-void
-MemorySystem::Slot::select(DramModel kind)
-{
-    MemoryModel *m = find(kind);
-    MEMPOD_ASSERT(m != nullptr,
-                  "memory model '%s' was not built for this run",
-                  dramModelName(kind));
-    active_ = m;
-}
-
-MemoryModel *
-MemorySystem::Slot::find(DramModel kind) const
-{
-    for (const auto &[k, m] : models_)
-        if (k == kind)
-            return m.get();
-    return nullptr;
-}
-
-namespace {
-
-std::unique_ptr<MemoryModel>
-makeModel(DramModel kind, EventQueue &eq, const DramSpec &spec,
-          std::string name, TimePs extra_latency_ps,
-          ControllerPolicy policy, DomainId domain)
-{
-    switch (kind) {
-      case DramModel::kDetailed:
-        return std::make_unique<Channel>(eq, spec, std::move(name),
-                                         extra_latency_ps, policy,
-                                         domain);
-      case DramModel::kFast:
-        return std::make_unique<FastChannel>(
-            eq, spec, std::move(name), extra_latency_ps);
-      case DramModel::kFunctional:
-        return std::make_unique<FunctionalModel>(eq, spec,
-                                                 std::move(name));
-    }
-    MEMPOD_FATAL("unknown memory model %d", static_cast<int>(kind));
-}
-
-} // namespace
 
 MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
                            const DramSpec &fast, const DramSpec &slow,
                            TimePs extra_latency_ps,
                            ControllerPolicy policy, const ShardPlan *plan,
-                           const ModelPlan &models)
+                           DramModel measured, bool sampled)
     : eq_(eq),
       map_(geom,
            fast.withChannelBytes(geom.fastBytes / geom.fastChannels).org,
@@ -72,77 +17,65 @@ MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
                ? slow.withChannelBytes(geom.slowBytes / geom.slowChannels)
                      .org
                : slow.org),
-      dispatch_(plan ? plan->dispatch : nullptr),
-      activeModel_(models.primary)
+      dispatch_(plan ? plan->dispatch : nullptr)
 {
-    // Channel i always owns execution domain 1 + i — also in the
-    // serial single-queue run, so the canonical event order (and thus
-    // every output byte) is identical at any shard count.
-    const auto queue_for = [&](std::size_t i) -> EventQueue & {
-        return plan ? *plan->channelQueues[i] : eq_;
+    const auto add_view = [&](const MemoryModel &m, MemTier tier) {
+        ChannelTelemetry v = m.telemetry();
+        v.tier = tier;
+        views_.push_back(std::move(v));
     };
     const auto add_channel = [&](const DramSpec &spec,
-                                 const std::string &base) {
-        const std::size_t i = slots_.size();
+                                 const std::string &base, MemTier tier) {
+        const std::size_t i = measured_.size();
+        // Channel i always owns execution domain 1 + i — also in the
+        // serial single-queue run, so the canonical event order (and
+        // thus every output byte) is identical at any shard count.
         const DomainId domain = static_cast<DomainId>(1 + i);
-        auto slot = std::make_unique<Slot>();
-        // Primary first: it owns the base name and the observer API.
-        slot->add(models.primary,
-                  makeModel(models.primary, queue_for(i), spec, base,
-                            extra_latency_ps, policy, domain));
-        if (models.warm)
-            slot->add(DramModel::kFunctional,
-                      makeModel(DramModel::kFunctional, queue_for(i),
-                                spec, base + ".warm", extra_latency_ps,
-                                policy, domain));
-        slots_.push_back(std::move(slot));
+        EventQueue &q = plan ? *plan->channelQueues[i] : eq_;
+        if (measured == DramModel::kFast)
+            measured_.push_back(std::make_unique<FastChannel>(
+                q, spec, base, extra_latency_ps, &inFlight_));
+        else
+            measured_.push_back(std::make_unique<Channel>(
+                q, spec, base, extra_latency_ps, policy, domain,
+                &inFlight_));
+        add_view(*measured_.back(), tier);
+        if (sampled) {
+            warmModels_.push_back(std::make_unique<FunctionalModel>(
+                q, spec, base + ".warm", &inFlight_));
+            add_view(*warmModels_.back(), tier);
+        }
     };
 
     const DramSpec fast_sized =
         fast.withChannelBytes(geom.fastBytes / geom.fastChannels);
-    slots_.reserve(geom.fastChannels + geom.slowChannels);
     for (std::uint32_t c = 0; c < geom.fastChannels; ++c)
-        add_channel(fast_sized, "fast" + std::to_string(c));
+        add_channel(fast_sized, "fast" + std::to_string(c),
+                    MemTier::kFast);
     if (geom.slowChannels > 0) {
         const DramSpec slow_sized =
             slow.withChannelBytes(geom.slowBytes / geom.slowChannels);
         for (std::uint32_t c = 0; c < geom.slowChannels; ++c)
-            add_channel(slow_sized, "slow" + std::to_string(c));
-    }
-    // One shared hook per channel keeps in-flight tracking off the
-    // per-request path: requests carry only their completion handle.
-    for (auto &slot : slots_)
-        slot->setCompletionHook([this](TimePs) { --inFlight_; });
-
-    views_.reserve(slots_.size() * (models.warm ? 2 : 1));
-    for (std::size_t c = 0; c < slots_.size(); ++c) {
-        const MemTier tier =
-            c < geom.fastChannels ? MemTier::kFast : MemTier::kSlow;
-        ChannelTelemetry v = slots_[c]->telemetry();
-        v.tier = tier;
-        views_.push_back(std::move(v));
-        if (models.warm) {
-            ChannelTelemetry w =
-                slots_[c]->find(DramModel::kFunctional)->telemetry();
-            w.tier = tier;
-            views_.push_back(std::move(w));
-        }
+            add_channel(slow_sized, "slow" + std::to_string(c),
+                        MemTier::kSlow);
     }
 }
 
 void
-MemorySystem::setModel(DramModel m)
+MemorySystem::setWarm(bool on)
 {
-    if (m == activeModel_)
+    MEMPOD_ASSERT(!on || !warmModels_.empty(),
+                  "warm models were not built for this run");
+    if (on == warm_)
         return;
-    for (auto &slot : slots_) {
-        slot->select(m);
-        // The incoming model sat idle while the outgoing one served
-        // traffic; let it forgive time-based obligations (refresh
-        // debt) before the first enqueue lands.
-        slot->find(m)->resumeAt(eq_.now());
-    }
-    activeModel_ = m;
+    warm_ = on;
+    if (on)
+        return;
+    // The measured models sat idle while the warm ones served traffic;
+    // let them forgive time-based obligations (refresh debt) before
+    // the first enqueue lands.
+    for (auto &m : measured_)
+        m->resumeAt(eq_.now());
 }
 
 void
@@ -164,13 +97,16 @@ MemorySystem::access(Request req)
     }
 
     ++inFlight_;
-    if (dispatch_) {
+    const ChannelAddr where{d.bank, d.row};
+    if (warm_) {
+        warmModels_[d.channel]->enqueue(req, where);
+    } else if (dispatch_) {
         // Sharded run: the executor applies the enqueue on the owning
         // channel's queue at this call's canonical key position.
-        dispatch_(d.channel, req, ChannelAddr{d.bank, d.row});
-        return;
+        dispatch_(d.channel, req, where);
+    } else {
+        measured_[d.channel]->enqueue(req, where);
     }
-    slots_[d.channel]->enqueue(req, ChannelAddr{d.bank, d.row});
 }
 
 std::uint64_t

@@ -3,17 +3,21 @@
  * The physical memory system: all fast + slow channels behind one
  * decode/dispatch facade. Managers direct post-remap physical
  * addresses here; the MemorySystem decodes them, tracks tier/kind
- * statistics and forwards to the owning channel controller.
+ * statistics and forwards to the owning channel's memory model: its
+ * measured model, or during a sampled run's fast-forward windows its
+ * functional warm model.
  */
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/event_queue.h"
 #include "common/metrics.h"
 #include "dram/channel.h"
+#include "dram/functional_model.h"
 #include "dram/memory_model.h"
 #include "dram/telemetry.h"
 #include "mem/address_map.h"
@@ -34,21 +38,6 @@ struct ShardPlan
     std::vector<EventQueue *> channelQueues;
     std::function<void(std::size_t ch, Request req, ChannelAddr where)>
         dispatch;
-};
-
-/**
- * Which memory models each channel hosts and which one starts active.
- * The primary model is the run's measurement fidelity (dram.model); it
- * owns the channel's base telemetry name. Sampled simulation (`warm`)
- * adds a functional warm-up model per channel (named "<base>.warm")
- * that the FidelityController swaps in during fast-forward windows.
- * The default plan — detailed only — builds exactly the pre-sampling
- * system: one Channel per physical channel, no extra telemetry.
- */
-struct ModelPlan
-{
-    DramModel primary = DramModel::kDetailed;
-    bool warm = false;
 };
 
 /** All channels of the two-level memory plus shared statistics. */
@@ -78,12 +67,24 @@ class MemorySystem
         linesByKindTier(Request::Kind kind, MemTier tier) const;
     };
 
+    /**
+     * @param measured Every channel's measured model (dram.model); it
+     *        owns the channel's base telemetry name.
+     * @param sampled Also build one functional warm model per channel
+     *        (named "<base>.warm") for setWarm(). Unsampled systems
+     *        build exactly one model per channel.
+     */
     MemorySystem(EventQueue &eq, const SystemGeometry &geom,
                  const DramSpec &fast, const DramSpec &slow,
                  TimePs extra_latency_ps = 5000,
                  ControllerPolicy policy = {},
                  const ShardPlan *plan = nullptr,
-                 const ModelPlan &models = {});
+                 DramModel measured = DramModel::kDetailed,
+                 bool sampled = false);
+
+    // Every model holds the address of inFlight_: the system stays put.
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
 
     /** Dispatch one line transfer at a physical address. */
     void access(Request req);
@@ -91,24 +92,23 @@ class MemorySystem
     const AddressMap &map() const { return map_; }
     const SystemGeometry &geom() const { return map_.geom(); }
 
-    std::size_t numChannels() const { return slots_.size(); }
-    MemoryModel &channel(std::size_t i) { return *slots_[i]; }
+    std::size_t numChannels() const { return measured_.size(); }
+    /** Channel i's measured model. */
+    MemoryModel &channel(std::size_t i) { return *measured_[i]; }
     const MemoryModel &
     channel(std::size_t i) const
     {
-        return *slots_[i];
+        return *measured_[i];
     }
 
     /**
-     * Switch every channel to `m` for subsequent enqueues. Requests
-     * already accepted by the previous model finish under it; both
-     * models' completions keep feeding the shared in-flight count.
-     * Panics if the plan never built `m`.
+     * Route subsequent enqueues to the warm models (`on`) or back to
+     * the measured ones, which first forgive the time they sat idle
+     * (MemoryModel::resumeAt). Requests already accepted finish under
+     * the model that accepted them. Panics turning warm on in a
+     * system built unsampled.
      */
-    void setModel(DramModel m);
-
-    /** The model new requests are routed to. */
-    DramModel activeModel() const { return activeModel_; }
+    void setWarm(bool on);
 
     /** Line transfers dispatched but not yet completed. */
     std::uint64_t inFlight() const { return inFlight_; }
@@ -143,81 +143,6 @@ class MemorySystem
     void registerMetrics(MetricRegistry &reg) const;
 
   private:
-    /**
-     * One channel's router: owns every model the plan built for the
-     * channel and forwards new enqueues to the active one. Stable
-     * identity — the PDES executor binds a lane to the Slot once and
-     * fidelity switches happen inside it — while observer methods
-     * (stats, spec, telemetry) always answer for the primary model,
-     * so detailed-only behavior is unchanged.
-     */
-    class Slot final : public MemoryModel
-    {
-      public:
-        void
-        enqueue(Request req, ChannelAddr where) override
-        {
-            active_->enqueue(req, where);
-        }
-
-        void
-        setCompletionHook(std::function<void(TimePs)> hook) override
-        {
-            for (auto &[kind, m] : models_)
-                m->setCompletionHook(hook);
-        }
-
-        std::size_t
-        queued() const override
-        {
-            std::size_t q = 0;
-            for (const auto &[kind, m] : models_)
-                q += m->queued();
-            return q;
-        }
-
-        bool idle() const override { return queued() == 0; }
-
-        const ChannelStats &
-        stats() const override
-        {
-            return primary_->stats();
-        }
-        const DramSpec &spec() const override
-        {
-            return primary_->spec();
-        }
-        const std::string &name() const override
-        {
-            return primary_->name();
-        }
-        ChannelTelemetry
-        telemetry() const override
-        {
-            return primary_->telemetry();
-        }
-        const ChannelHostStats &
-        hostStats() const override
-        {
-            return primary_->hostStats();
-        }
-
-        /** Register a model; the first one added becomes primary. */
-        void add(DramModel kind, std::unique_ptr<MemoryModel> m);
-
-        /** Route subsequent enqueues to `kind`; panics if unbuilt. */
-        void select(DramModel kind);
-
-        /** The model `kind` resolves to; nullptr when unbuilt. */
-        MemoryModel *find(DramModel kind) const;
-
-      private:
-        std::vector<std::pair<DramModel, std::unique_ptr<MemoryModel>>>
-            models_;
-        MemoryModel *primary_ = nullptr;
-        MemoryModel *active_ = nullptr;
-    };
-
     /** Register one channel's instruments from its telemetry view. */
     void registerChannelMetrics(MetricRegistry &reg,
                                 const std::string &prefix,
@@ -226,9 +151,11 @@ class MemorySystem
     EventQueue &eq_;
     AddressMap map_;
     std::function<void(std::size_t, Request, ChannelAddr)> dispatch_;
-    std::vector<std::unique_ptr<Slot>> slots_;
+    std::vector<std::unique_ptr<MemoryModel>> measured_;
+    /** One per channel on sampled systems, empty otherwise. */
+    std::vector<std::unique_ptr<FunctionalModel>> warmModels_;
     std::vector<ChannelTelemetry> views_;
-    DramModel activeModel_ = DramModel::kDetailed;
+    bool warm_ = false;
     std::uint64_t inFlight_ = 0;
     Stats stats_;
 };

@@ -52,9 +52,8 @@ struct SimConfig
      * "detailed" is the cycle-faithful bank/row controller the paper's
      * numbers come from; "fast" replaces every channel with a
      * fixed-service-latency, bandwidth-capped queue (dram/fast_channel.h)
-     * for quick sweeps; "functional" completes every access instantly
-     * and is only meaningful as a sampling warm-up model. Detailed runs
-     * are byte-identical to the pre-model-abstraction simulator.
+     * for quick sweeps. Sampled runs add their functional warm model on
+     * top; no spelling selects it for measurement.
      */
     DramModel dramModel = DramModel::kDetailed;
 
@@ -206,9 +205,18 @@ struct SimConfig
     /**
      * Apply one dotted-key override, e.g. set("mempod.interval",
      * "50000000") or set("mechanism", "MemPod") — the CLI's
-     * `--set key=value`. Panics on unknown keys or unparsable values.
+     * `--set key=value`. Panics on unknown keys, unparsable values
+     * and a zero where the knob must be positive (see validate()).
      */
     void set(const std::string &key, const std::string &value);
+
+    /**
+     * Panics naming the key of any knob that must be positive but is
+     * 0 (a core count, device clock or geometry divisor, or a
+     * migration interval); set() rejects the same values as they
+     * arrive. The Simulation checks this at construction.
+     */
+    void validate() const;
 };
 
 } // namespace mempod

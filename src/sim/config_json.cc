@@ -71,7 +71,7 @@ parseValue(DramModel &dst, const std::string &v, const char *key)
 {
     if (!dramModelFromName(v, dst)) {
         MEMPOD_PANIC("config key '%s': unknown memory model '%s' "
-                     "(detailed, fast or functional)",
+                     "(detailed or fast)",
                      key, v.c_str());
     }
 }
@@ -124,17 +124,22 @@ struct Field
     const char *key;
     std::function<json::Value(const SimConfig &)> get;
     std::function<void(SimConfig &, const std::string &)> set;
+    /** Zero divides by zero or never ends an epoch: rejected. */
+    bool positive = false;
 };
 
 /** One table entry for the member reached by expression `expr`. */
-#define MEMPOD_CONFIG_FIELD(key, expr)                                 \
+#define MEMPOD_CONFIG_KNOB(key, expr, positive)                        \
     Field                                                              \
     {                                                                  \
         key, [](const SimConfig &c) { return printValue(c.expr); },    \
             [](SimConfig &c, const std::string &v) {                   \
                 parseValue(c.expr, v, key);                            \
-            }                                                          \
+            },                                                         \
+            positive                                                   \
     }
+#define MEMPOD_CONFIG_FIELD(key, expr) MEMPOD_CONFIG_KNOB(key, expr, false)
+#define MEMPOD_CONFIG_POSITIVE(key, expr) MEMPOD_CONFIG_KNOB(key, expr, true)
 
 /**
  * The 22 per-device leaves, shared between `dram.near` (the fast,
@@ -144,7 +149,7 @@ struct Field
  */
 #define MEMPOD_CONFIG_DRAM_FIELDS(tier, member)                        \
     MEMPOD_CONFIG_FIELD("dram." tier ".name", member.name),            \
-        MEMPOD_CONFIG_FIELD("dram." tier ".clock_ps",                  \
+        MEMPOD_CONFIG_POSITIVE("dram." tier ".clock_ps",               \
                             member.timing.clockPeriodPs),              \
         MEMPOD_CONFIG_FIELD("dram." tier ".tCL_ps", member.timing.tCL),\
         MEMPOD_CONFIG_FIELD("dram." tier ".tCWL_ps",                   \
@@ -172,13 +177,14 @@ struct Field
                             member.timing.tREFI),                      \
         MEMPOD_CONFIG_FIELD("dram." tier ".tRFC_ps",                   \
                             member.timing.tRFC),                       \
-        MEMPOD_CONFIG_FIELD("dram." tier ".ranks", member.org.ranks),  \
-        MEMPOD_CONFIG_FIELD("dram." tier ".banksPerRank",              \
-                            member.org.banksPerRank),                  \
+        MEMPOD_CONFIG_POSITIVE("dram." tier ".ranks",                  \
+                               member.org.ranks),                      \
+        MEMPOD_CONFIG_POSITIVE("dram." tier ".banksPerRank",           \
+                               member.org.banksPerRank),               \
         MEMPOD_CONFIG_FIELD("dram." tier ".rowsPerBank",               \
                             member.org.rowsPerBank),                   \
-        MEMPOD_CONFIG_FIELD("dram." tier ".rowBufferBytes",            \
-                            member.org.rowBufferBytes),                \
+        MEMPOD_CONFIG_POSITIVE("dram." tier ".rowBufferBytes",         \
+                               member.org.rowBufferBytes),             \
         MEMPOD_CONFIG_FIELD("dram." tier ".busBits",                   \
                             member.org.busBits)
 
@@ -199,7 +205,7 @@ fieldTable()
         MEMPOD_CONFIG_FIELD("dram.model", dramModel),
         MEMPOD_CONFIG_DRAM_FIELDS("near", near),
         MEMPOD_CONFIG_DRAM_FIELDS("far", far),
-        MEMPOD_CONFIG_FIELD("mempod.interval", mempod.interval),
+        MEMPOD_CONFIG_POSITIVE("mempod.interval", mempod.interval),
         MEMPOD_CONFIG_FIELD("mempod.pod.meaEntries",
                             mempod.pod.meaEntries),
         MEMPOD_CONFIG_FIELD("mempod.pod.meaCounterBits",
@@ -216,7 +222,7 @@ fieldTable()
                             mempod.pod.metaCacheAssoc),
         MEMPOD_CONFIG_FIELD("mempod.pod.remapEntryBytes",
                             mempod.pod.remapEntryBytes),
-        MEMPOD_CONFIG_FIELD("hma.interval", hma.interval),
+        MEMPOD_CONFIG_POSITIVE("hma.interval", hma.interval),
         MEMPOD_CONFIG_FIELD("hma.sortStall", hma.sortStall),
         MEMPOD_CONFIG_FIELD("hma.counterBits", hma.counterBits),
         MEMPOD_CONFIG_FIELD("hma.threshold", hma.threshold),
@@ -242,7 +248,7 @@ fieldTable()
         MEMPOD_CONFIG_FIELD("maxOutstanding", maxOutstanding),
         MEMPOD_CONFIG_FIELD("placementSeed", placementSeed),
         MEMPOD_CONFIG_FIELD("extraLatencyPs", extraLatencyPs),
-        MEMPOD_CONFIG_FIELD("numCores", numCores),
+        MEMPOD_CONFIG_POSITIVE("numCores", numCores),
         MEMPOD_CONFIG_FIELD("controller.closedPage",
                             controller.closedPage),
         MEMPOD_CONFIG_FIELD("controller.fcfs", controller.fcfs),
@@ -269,7 +275,20 @@ fieldTable()
 }
 
 #undef MEMPOD_CONFIG_DRAM_FIELDS
+#undef MEMPOD_CONFIG_POSITIVE
 #undef MEMPOD_CONFIG_FIELD
+#undef MEMPOD_CONFIG_KNOB
+
+/** Panics naming `f`'s key when a positive-only knob holds 0. */
+void
+checkPositive(const Field &f, const SimConfig &c)
+{
+    if (f.positive && f.get(c).text == "0") {
+        MEMPOD_PANIC("config key '%s': value 0 out of range (must be "
+                     "positive)",
+                     f.key);
+    }
+}
 
 std::vector<std::string>
 splitKey(const std::string &key)
@@ -349,12 +368,20 @@ SimConfig::set(const std::string &key, const std::string &value)
     for (const Field &f : fieldTable()) {
         if (key == f.key) {
             f.set(*this, value);
+            checkPositive(f, *this);
             return;
         }
     }
     MEMPOD_PANIC("unknown config key '%s' (see EXPERIMENTS.md for the "
                  "schema)",
                  key.c_str());
+}
+
+void
+SimConfig::validate() const
+{
+    for (const Field &f : fieldTable())
+        checkPositive(f, *this);
 }
 
 SimConfig

@@ -54,12 +54,8 @@ WindowStats::tCritical95(std::uint64_t df)
 
 FidelityController::FidelityController(
     EventQueue &eq, MemorySystem &mem, TraceFrontend &frontend,
-    const SimConfig::SamplingParams &params, DramModel measured)
-    : eq_(eq),
-      mem_(mem),
-      frontend_(frontend),
-      params_(params),
-      measured_(measured)
+    const SimConfig::SamplingParams &params)
+    : eq_(eq), mem_(mem), frontend_(frontend), params_(params)
 {
     if (params_.measurePs == 0) {
         MEMPOD_PANIC("sim.sampling.measure_ps must be positive: a "
@@ -91,14 +87,14 @@ FidelityController::begin()
 void
 FidelityController::enterFastForward()
 {
-    mem_.setModel(DramModel::kFunctional);
+    mem_.setWarm(true);
     frontend_.setFastForward(true);
 }
 
 void
 FidelityController::onDetailedStart()
 {
-    mem_.setModel(measured_);
+    mem_.setWarm(false);
     frontend_.setFastForward(false);
     eq_.schedule(eq_.now() + warmupPs_, [this] { onWarmupEnd(); });
 }

@@ -1,10 +1,11 @@
 /**
  * @file
  * SMARTS-style sampled simulation: the FidelityController alternates
- * fast-forward warm-up windows (run under the functional model, which
- * completes every access instantly, while MEA trackers, remap tables
- * and the decision ledger stay live) with detailed measurement windows
- * (run under the configured measurement model), and reduces the
+ * fast-forward warm-up windows (run under the memory system's warm
+ * models, which complete every access instantly, while MEA trackers,
+ * remap tables and the decision ledger stay live) with detailed
+ * measurement windows (run under the measured models, dram.model),
+ * and reduces the
  * per-window AMMAT samples to a mean with a Student-t confidence
  * interval.
  *
@@ -76,17 +77,15 @@ class FidelityController
   public:
     /**
      * @param eq Coordinator event queue (window events live here).
-     * @param mem Memory system whose active model is switched.
+     * @param mem Sampled memory system whose warm switch is flipped.
      * @param frontend Frontend whose fast-forward mode is toggled.
      * @param params Validated sampling knobs; panics on a degenerate
      *        configuration (measurePs == 0, warmupPct > 99, or a
      *        warm-up slice that leaves no measurement slice).
-     * @param measured The measurement-fidelity model (dram.model).
      */
     FidelityController(EventQueue &eq, MemorySystem &mem,
                        TraceFrontend &frontend,
-                       const SimConfig::SamplingParams &params,
-                       DramModel measured);
+                       const SimConfig::SamplingParams &params);
 
     /**
      * Enter the first fast-forward window and schedule the first
@@ -116,7 +115,6 @@ class FidelityController
     MemorySystem &mem_;
     TraceFrontend &frontend_;
     SimConfig::SamplingParams params_;
-    DramModel measured_;
     TimePs warmupPs_ = 0;
 
     WindowStats stats_;

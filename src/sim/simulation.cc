@@ -58,10 +58,7 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     PerfScope setup_scope(perf_.get(), "setup");
 
     config_.geom.validate();
-    if (config_.dramModel == DramModel::kFunctional) {
-        MEMPOD_PANIC("dram.model=functional is not a measurement "
-                     "model; sampled runs use it for fast-forward");
-    }
+    config_.validate();
     if (config_.sampling.enabled && config_.shards > 0) {
         MEMPOD_PANIC(
             "sampled simulation requires the serial kernel "
@@ -73,7 +70,7 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
         tracer_ = std::make_unique<Tracer>(config_.tracer);
     // Decision epochs use the MemPod interval uniformly, so ledgers
     // from different mechanisms line up when compared.
-    const TimePs epoch_ps = std::max<TimePs>(config_.mempod.interval, 1);
+    const TimePs epoch_ps = config_.mempod.interval;
     if (config_.decisionsEnabled) {
         decisions_ = std::make_unique<DecisionLog>(
             epoch_ps, benefitPerTouchNs(config_));
@@ -101,8 +98,8 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     mem_ = std::make_unique<MemorySystem>(
         eq_, config_.geom, config_.near, config_.far,
         config_.extraLatencyPs, config_.controller,
-        exec_ ? &plan : nullptr,
-        ModelPlan{config_.dramModel, config_.sampling.enabled});
+        exec_ ? &plan : nullptr, config_.dramModel,
+        config_.sampling.enabled);
     if (exec_)
         exec_->bindChannels(*mem_);
     placement_ = std::make_unique<LogicalToPhysical>(
@@ -126,8 +123,7 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     }
     if (config_.sampling.enabled) {
         fidelity_ = std::make_unique<FidelityController>(
-            eq_, *mem_, *frontend_, config_.sampling,
-            config_.dramModel);
+            eq_, *mem_, *frontend_, config_.sampling);
     }
 
     registerAllMetrics();

@@ -1,10 +1,12 @@
 /** @file Unit tests for SimConfig JSON round-trip and overrides. */
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "common/json.h"
 #include "sim/config.h"
+#include "sim/simulation.h"
 
 namespace mempod {
 namespace {
@@ -162,6 +164,65 @@ TEST(ConfigJsonDeathTest, DeepNestingPanicsInsteadOfOverflowing)
     EXPECT_DEATH((void)SimConfig::fromJson(brackets), "fromJson.*nesting");
     EXPECT_DEATH((void)SimConfig::fromJson(objects), "fromJson.*nesting");
 }
+
+/** A knob that must be positive, and how to zero it behind set(). */
+struct PositiveKnob
+{
+    const char *key;
+    void (*zero)(SimConfig &);
+};
+
+/** Names each case by its key in test listings. */
+void
+PrintTo(const PositiveKnob &k, std::ostream *os)
+{
+    *os << k.key;
+}
+
+class ZeroKnobDeathTest : public ::testing::TestWithParam<PositiveKnob>
+{
+};
+
+// Each of these divided by zero (SIGFPE) or never ended an epoch when
+// it was 0; now both set() and the Simulation reject it by name.
+TEST_P(ZeroKnobDeathTest, RejectedByNameAtSetAndConstruction)
+{
+    const PositiveKnob &k = GetParam();
+    const std::string msg =
+        std::string("config key '") + k.key + "': value 0 out of range";
+    SimConfig c;
+    EXPECT_DEATH(c.set(k.key, "0"), msg);
+    k.zero(c);
+    EXPECT_DEATH(Simulation sim(c), msg);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Config, ZeroKnobDeathTest,
+    ::testing::Values(
+        PositiveKnob{"numCores", [](SimConfig &c) { c.numCores = 0; }},
+        PositiveKnob{"mempod.interval",
+                     [](SimConfig &c) { c.mempod.interval = 0; }},
+        PositiveKnob{"hma.interval",
+                     [](SimConfig &c) {
+                         c.mechanism = Mechanism::kHma;
+                         c.hma.interval = 0;
+                     }},
+        PositiveKnob{"dram.near.clock_ps",
+                     [](SimConfig &c) { c.near.timing.clockPeriodPs = 0; }},
+        PositiveKnob{"dram.near.ranks",
+                     [](SimConfig &c) { c.near.org.ranks = 0; }},
+        PositiveKnob{"dram.near.banksPerRank",
+                     [](SimConfig &c) { c.near.org.banksPerRank = 0; }},
+        PositiveKnob{"dram.near.rowBufferBytes",
+                     [](SimConfig &c) { c.near.org.rowBufferBytes = 0; }},
+        PositiveKnob{"dram.far.clock_ps",
+                     [](SimConfig &c) { c.far.timing.clockPeriodPs = 0; }},
+        PositiveKnob{"dram.far.ranks",
+                     [](SimConfig &c) { c.far.org.ranks = 0; }},
+        PositiveKnob{"dram.far.banksPerRank",
+                     [](SimConfig &c) { c.far.org.banksPerRank = 0; }},
+        PositiveKnob{"dram.far.rowBufferBytes",
+                     [](SimConfig &c) { c.far.org.rowBufferBytes = 0; }}));
 
 } // namespace
 } // namespace mempod

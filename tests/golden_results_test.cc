@@ -11,7 +11,8 @@
  *   MEMPOD_PRINT_GOLDEN=1 ./build/tests/mempod_tests \
  *       --gtest_filter='Golden*' 2>/dev/null
  * and paste the printed tables over kGolden / kMetaGolden /
- * kSampledGolden / kFastGolden / kTraceGolden below.
+ * kSampledGolden / kSampledFastGolden / kFastGolden / kTraceGolden
+ * below.
  */
 #include <gtest/gtest.h>
 
@@ -120,6 +121,25 @@ constexpr SampledGoldenRow kSampledGolden[] = {
 };
 
 /**
+ * The sampled schedule over the fast model (dram.model=fast): the
+ * measurement windows run on FastChannel while fast-forward runs on
+ * the functional warm model, so this pins the measured=fast,
+ * warm=functional pairing that the detailed sampled rows cannot.
+ */
+constexpr SampledGoldenRow kSampledFastGolden[] = {
+    {"NoMigration", Mechanism::kNoMigration, 6u, 22908u, 0u, 5313u,
+     44687u, 498279866u, 35.921537389506064, 0.49992713655405752},
+    {"HMA", Mechanism::kHma, 6u, 26535u, 580u, 9386u, 40614u, 498050825u,
+     35.938034889384795, 3.7371191078574033},
+    {"THM", Mechanism::kThm, 6u, 44493u, 811u, 17685u, 32315u,
+     498279866u, 39.194884576815355, 2.2784316068438515},
+    {"CAMEO", Mechanism::kCameo, 6u, 59953u, 40933u, 9032u, 40968u,
+     498279866u, 36.294026552296728, 0.56853044987651646},
+    {"MemPod", Mechanism::kMemPod, 6u, 32910u, 456u, 12442u, 37558u,
+     500007452u, 36.146706778095819, 3.9819659097337898},
+};
+
+/**
  * The plain run under the fixed-latency fast model (dram.model=fast):
  * pins FastChannel's queueing and completion path, which no other
  * golden exercises.
@@ -154,6 +174,7 @@ enum class Variant
     kPlain,
     kMetaCache, //!< bookkeeping caches on (kMetaGolden)
     kSampled,   //!< shortened sampled-mode schedule (kSampledGolden)
+    kSampledFast, //!< kSampled over the fast model (kSampledFastGolden)
     kFast,      //!< fixed-latency fast memory model (kFastGolden)
 };
 
@@ -175,6 +196,11 @@ goldenConfig(Mechanism m, Variant v)
         cfg.thm.metaCacheEnabled = true;
         break;
       case Variant::kSampled:
+        cfg.sampling.enabled = true;
+        cfg.sampling.fastfwdPs = 63_us;
+        break;
+      case Variant::kSampledFast:
+        cfg.dramModel = DramModel::kFast;
         cfg.sampling.enabled = true;
         cfg.sampling.fastfwdPs = 63_us;
         break;
@@ -371,13 +397,15 @@ TEST(GoldenResults, MetadataCacheRowsArePinned)
     }
 }
 
-TEST(GoldenResults, SampledRowsArePinned)
+/** Run `rows` under sampled `variant` and check (or print) each row. */
+template <std::size_t N>
+void
+pinSampledRows(const SampledGoldenRow (&rows)[N], Variant variant)
 {
-    const std::vector<JobResult> results =
-        runRows(kSampledGolden, Variant::kSampled);
-    ASSERT_EQ(results.size(), std::size(kSampledGolden));
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const SampledGoldenRow &g = kSampledGolden[i];
+    const std::vector<JobResult> results = runRows(rows, variant);
+    ASSERT_EQ(results.size(), N);
+    for (std::size_t i = 0; i < N; ++i) {
+        const SampledGoldenRow &g = rows[i];
         ASSERT_TRUE(results[i].ok) << g.label << ": "
                                    << results[i].error;
         const RunResult &r = results[i].result;
@@ -409,6 +437,16 @@ TEST(GoldenResults, SampledRowsArePinned)
         EXPECT_NEAR(r.sampledCiNs, g.sampledCiNs, g.sampledCiNs * 1e-9)
             << g.label;
     }
+}
+
+TEST(GoldenResults, SampledRowsArePinned)
+{
+    pinSampledRows(kSampledGolden, Variant::kSampled);
+}
+
+TEST(GoldenResults, SampledFastRowsArePinned)
+{
+    pinSampledRows(kSampledFastGolden, Variant::kSampledFast);
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 /** @file Unit tests for the migration driver/datapath. */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -9,25 +12,85 @@
 namespace mempod {
 namespace {
 
+constexpr auto kPageLines = static_cast<std::uint32_t>(kLinesPerPage);
+
+/**
+ * Test stand-in for a SwapGuard: logs what the engine tells it
+ * ("start0", "commit0", "abort1", by key) and runs the closure the
+ * test registered for a key's start or commit.
+ */
+class FakeOwner final : public SwapOwner
+{
+  public:
+    std::vector<std::string> log;
+    std::map<std::uint64_t, std::function<void()>> onStart;
+    std::map<std::uint64_t, std::function<void()>> onCommit;
+
+    /** A swap of `lines` per side between two bases, owned by this. */
+    MigrationEngine::SwapOp
+    op(Addr a, Addr b, std::uint32_t lines, std::uint64_t key)
+    {
+        MigrationEngine::SwapOp o;
+        o.locA = a;
+        o.locB = b;
+        o.lines = lines;
+        o.owner = this;
+        o.key = key;
+        return o;
+    }
+
+    /** The i-th page swap: slow page i with fast page i. */
+    MigrationEngine::SwapOp
+    pageSwap(int i, std::uint32_t lines = kPageLines)
+    {
+        return op(16_MiB + i * kPageBytes,
+                  static_cast<Addr>(i) * kPageBytes, lines,
+                  static_cast<std::uint64_t>(i));
+    }
+
+    void
+    start(std::uint64_t key) override
+    {
+        log.push_back("start" + std::to_string(key));
+        if (auto it = onStart.find(key); it != onStart.end())
+            it->second();
+    }
+
+    void
+    finish(std::uint64_t key, bool committed) override
+    {
+        log.push_back((committed ? "commit" : "abort") +
+                      std::to_string(key));
+        if (!committed)
+            return;
+        if (auto it = onCommit.find(key); it != onCommit.end())
+            it->second();
+    }
+
+    std::size_t
+    count(const std::string &prefix) const
+    {
+        std::size_t n = 0;
+        for (const std::string &e : log)
+            n += e.rfind(prefix, 0) == 0;
+        return n;
+    }
+};
+
 struct EngineFixture : ::testing::Test
 {
     EventQueue eq;
     MemorySystem mem{eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
                      DramSpec::ddr4_1600()};
+    FakeOwner owner;
 };
 
 TEST_F(EngineFixture, PageSwapIssuesFullDatapathTraffic)
 {
     MigrationEngine eng(eq, mem, 1);
-    bool committed = false;
-    MigrationEngine::SwapOp op;
-    op.locA = 16_MiB; // a slow page
-    op.locB = 0;      // a fast page
-    op.lines = static_cast<std::uint32_t>(kLinesPerPage);
-    op.onCommit = [&] { committed = true; };
-    eng.submit(std::move(op));
+    eng.submit(owner.op(16_MiB, 0, kPageLines, 7));
     eq.runAll();
-    EXPECT_TRUE(committed);
+    EXPECT_EQ(owner.log, (std::vector<std::string>{"start7", "commit7"}));
     // 32 reads + 32 writes per candidate, both candidates: the paper's
     // 2 KB migration datapath (Section 6.2).
     EXPECT_EQ(mem.stats().migrationLines(), 4 * kLinesPerPage);
@@ -38,11 +101,7 @@ TEST_F(EngineFixture, PageSwapIssuesFullDatapathTraffic)
 TEST_F(EngineFixture, LineSwapMovesTwoLines)
 {
     MigrationEngine eng(eq, mem, 1);
-    MigrationEngine::SwapOp op;
-    op.locA = 16_MiB;
-    op.locB = 64;
-    op.lines = 1;
-    eng.submit(std::move(op));
+    eng.submit(owner.op(16_MiB, 64, 1, 0));
     eq.runAll();
     EXPECT_EQ(mem.stats().migrationLines(), 4u); // 2 reads + 2 writes
     EXPECT_EQ(eng.stats().bytesMoved, 2 * kLineBytes);
@@ -51,34 +110,26 @@ TEST_F(EngineFixture, LineSwapMovesTwoLines)
 TEST_F(EngineFixture, OpsSerializeWithSingleSlot)
 {
     MigrationEngine eng(eq, mem, 1);
-    std::vector<int> commits;
-    for (int i = 0; i < 3; ++i) {
-        MigrationEngine::SwapOp op;
-        op.locA = 16_MiB + i * kPageBytes;
-        op.locB = static_cast<Addr>(i) * kPageBytes;
-        op.lines = 4;
-        op.onCommit = [&, i] { commits.push_back(i); };
-        eng.submit(std::move(op));
-    }
+    for (int i = 0; i < 3; ++i)
+        eng.submit(owner.pageSwap(i, 4));
     EXPECT_EQ(eng.activeOps(), 1u);
     EXPECT_EQ(eng.queuedOps(), 2u);
     eq.runAll();
-    EXPECT_EQ(commits, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(owner.log,
+              (std::vector<std::string>{"start0", "commit0", "start1",
+                                        "commit1", "start2",
+                                        "commit2"}));
     EXPECT_FALSE(eng.busy());
 }
 
 TEST_F(EngineFixture, ParallelSlotsRunConcurrently)
 {
     MigrationEngine eng(eq, mem, 4);
-    for (int i = 0; i < 4; ++i) {
-        MigrationEngine::SwapOp op;
-        op.locA = 16_MiB + i * kPageBytes;
-        op.locB = static_cast<Addr>(i) * kPageBytes;
-        op.lines = 2;
-        eng.submit(std::move(op));
-    }
+    for (int i = 0; i < 4; ++i)
+        eng.submit(owner.pageSwap(i, 2));
     EXPECT_EQ(eng.activeOps(), 4u);
     EXPECT_EQ(eng.queuedOps(), 0u);
+    EXPECT_EQ(owner.count("start"), 4u);
     eq.runAll();
     EXPECT_EQ(eng.stats().opsCommitted, 4u);
 }
@@ -86,20 +137,12 @@ TEST_F(EngineFixture, ParallelSlotsRunConcurrently)
 TEST_F(EngineFixture, ClearQueuedAbortsWithoutCommitting)
 {
     MigrationEngine eng(eq, mem, 1);
-    int committed = 0, aborted = 0;
-    for (int i = 0; i < 3; ++i) {
-        MigrationEngine::SwapOp op;
-        op.locA = 16_MiB + i * kPageBytes;
-        op.locB = static_cast<Addr>(i) * kPageBytes;
-        op.lines = 2;
-        op.onCommit = [&] { ++committed; };
-        op.onAbort = [&] { ++aborted; };
-        eng.submit(std::move(op));
-    }
+    for (int i = 0; i < 3; ++i)
+        eng.submit(owner.pageSwap(i, 2));
     eng.clearQueued(); // two queued ops dropped; the active one runs
     eq.runAll();
-    EXPECT_EQ(committed, 1);
-    EXPECT_EQ(aborted, 2);
+    EXPECT_EQ(owner.log, (std::vector<std::string>{"start0", "abort1",
+                                                   "abort2", "commit0"}));
     EXPECT_EQ(eng.stats().opsDropped, 2u);
 }
 
@@ -109,12 +152,10 @@ TEST_F(EngineFixture, WritesFollowReads)
     // at commit time must be all reads plus all writes.
     MigrationEngine eng(eq, mem, 1);
     std::uint64_t lines_at_commit = 0;
-    MigrationEngine::SwapOp op;
-    op.locA = 16_MiB;
-    op.locB = 0;
-    op.lines = 8;
-    op.onCommit = [&] { lines_at_commit = mem.stats().migrationLines(); };
-    eng.submit(std::move(op));
+    owner.onCommit[0] = [&] {
+        lines_at_commit = mem.stats().migrationLines();
+    };
+    eng.submit(owner.op(16_MiB, 0, 8, 0));
     eq.runAll();
     EXPECT_EQ(lines_at_commit, 32u); // 16 reads + 16 writes dispatched
 }
@@ -124,17 +165,10 @@ TEST_F(EngineFixture, FreedSlotStartsNextOp)
     MigrationEngine eng(eq, mem, 1);
     bool second_started_after_first = false;
     bool first_done = false;
-    MigrationEngine::SwapOp a, b;
-    a.locA = 16_MiB;
-    a.locB = 0;
-    a.lines = 2;
-    a.onCommit = [&] { first_done = true; };
-    b.locA = 17_MiB;
-    b.locB = kPageBytes;
-    b.lines = 2;
-    b.onCommit = [&] { second_started_after_first = first_done; };
-    eng.submit(std::move(a));
-    eng.submit(std::move(b));
+    owner.onCommit[0] = [&] { first_done = true; };
+    owner.onStart[1] = [&] { second_started_after_first = first_done; };
+    eng.submit(owner.op(16_MiB, 0, 2, 0));
+    eng.submit(owner.op(17_MiB, kPageBytes, 2, 1));
     eq.runAll();
     EXPECT_TRUE(second_started_after_first);
 }
@@ -147,13 +181,8 @@ TEST_F(EngineFixture, DestroyedWithOpInFlightFreesItsState)
     // nothing leaks.
     {
         MigrationEngine eng(eq, mem, 1);
-        for (int i = 0; i < 2; ++i) {
-            MigrationEngine::SwapOp op;
-            op.locA = 16_MiB + i * kPageBytes;
-            op.locB = static_cast<Addr>(i) * kPageBytes;
-            op.lines = static_cast<std::uint32_t>(kLinesPerPage);
-            eng.submit(std::move(op));
-        }
+        for (int i = 0; i < 2; ++i)
+            eng.submit(owner.pageSwap(i));
         eq.runAll(50);
         EXPECT_EQ(eng.activeOps(), 1u);
         EXPECT_EQ(eng.queuedOps(), 1u);
@@ -162,39 +191,36 @@ TEST_F(EngineFixture, DestroyedWithOpInFlightFreesItsState)
 }
 
 /**
- * Over the functional model every line completes inside access(), so
- * a whole swap — both phases and its commit — runs inside submit().
+ * Over a sampled system switched to its warm models every line
+ * completes inside access(), so a whole swap — both phases and its
+ * commit — runs inside submit().
  */
 struct SyncEngineFixture : ::testing::Test
 {
     EventQueue eq;
-    MemorySystem mem{eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
-                     DramSpec::ddr4_1600(), 5000, {}, nullptr,
-                     ModelPlan{DramModel::kFunctional}};
+    MemorySystem mem{eq,
+                     SystemGeometry::tiny(),
+                     DramSpec::hbm1GHz(),
+                     DramSpec::ddr4_1600(),
+                     5000,
+                     {},
+                     nullptr,
+                     DramModel::kDetailed,
+                     /*sampled=*/true};
+    FakeOwner owner;
 
-    static MigrationEngine::SwapOp
-    pageSwap(int i)
-    {
-        MigrationEngine::SwapOp op;
-        op.locA = 16_MiB + i * kPageBytes;
-        op.locB = static_cast<Addr>(i) * kPageBytes;
-        op.lines = static_cast<std::uint32_t>(kLinesPerPage);
-        return op;
-    }
+    SyncEngineFixture() { mem.setWarm(true); }
 };
 
 TEST_F(SyncEngineFixture, SwapCommitsExactlyOnceInsideSubmit)
 {
     MigrationEngine eng(eq, mem, 1);
-    int commits = 0;
     std::uint64_t lines_at_commit = 0;
-    MigrationEngine::SwapOp op = pageSwap(0);
-    op.onCommit = [&] {
-        ++commits;
+    owner.onCommit[0] = [&] {
         lines_at_commit = mem.stats().migrationLines();
     };
-    eng.submit(std::move(op));
-    EXPECT_EQ(commits, 1);
+    eng.submit(owner.pageSwap(0));
+    EXPECT_EQ(owner.log, (std::vector<std::string>{"start0", "commit0"}));
     EXPECT_EQ(lines_at_commit, 4 * kLinesPerPage);
     EXPECT_FALSE(eng.busy());
     EXPECT_EQ(eng.stats().opsCommitted, 1u);
@@ -202,7 +228,7 @@ TEST_F(SyncEngineFixture, SwapCommitsExactlyOnceInsideSubmit)
     EXPECT_EQ(mem.inFlight(), 0u);
     EXPECT_TRUE(eq.empty());
     eq.runAll();
-    EXPECT_EQ(commits, 1);
+    EXPECT_EQ(owner.count("commit"), 1u);
 }
 
 TEST_F(SyncEngineFixture, QueuedOpStartsFromInsideOnCommit)
@@ -211,19 +237,15 @@ TEST_F(SyncEngineFixture, QueuedOpStartsFromInsideOnCommit)
     // slot the first still holds, then runs to its own commit as soon
     // as that slot frees — all inside the outer submit().
     MigrationEngine eng(eq, mem, 1);
-    std::vector<int> order;
-    MigrationEngine::SwapOp a = pageSwap(0);
-    a.onCommit = [&] {
-        order.push_back(1);
-        MigrationEngine::SwapOp b = pageSwap(1);
-        b.onStart = [&] { order.push_back(3); };
-        b.onCommit = [&] { order.push_back(4); };
-        eng.submit(std::move(b));
+    owner.onCommit[0] = [&] {
+        eng.submit(owner.pageSwap(1));
         EXPECT_EQ(eng.queuedOps(), 1u);
-        order.push_back(2);
+        owner.log.push_back("submitted1");
     };
-    eng.submit(std::move(a));
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    eng.submit(owner.pageSwap(0));
+    EXPECT_EQ(owner.log,
+              (std::vector<std::string>{"start0", "commit0", "submitted1",
+                                        "start1", "commit1"}));
     EXPECT_EQ(eng.stats().opsCommitted, 2u);
     EXPECT_FALSE(eng.busy());
     EXPECT_EQ(mem.stats().migrationLines(), 8 * kLinesPerPage);
@@ -232,18 +254,16 @@ TEST_F(SyncEngineFixture, QueuedOpStartsFromInsideOnCommit)
 TEST_F(SyncEngineFixture, OpCommitsInsideAnotherOpsCommit)
 {
     // With a free slot the nested op starts and commits inside the
-    // outer op's onCommit, while the outer op is still in flight.
+    // outer op's commit, while the outer op is still in flight.
     MigrationEngine eng(eq, mem, 2);
-    std::vector<int> order;
-    MigrationEngine::SwapOp a = pageSwap(0);
-    a.onCommit = [&] {
-        MigrationEngine::SwapOp b = pageSwap(1);
-        b.onCommit = [&] { order.push_back(2); };
-        eng.submit(std::move(b));
-        order.push_back(1);
+    owner.onCommit[0] = [&] {
+        eng.submit(owner.pageSwap(1));
+        owner.log.push_back("submitted1");
     };
-    eng.submit(std::move(a));
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+    eng.submit(owner.pageSwap(0));
+    EXPECT_EQ(owner.log,
+              (std::vector<std::string>{"start0", "commit0", "start1",
+                                        "commit1", "submitted1"}));
     EXPECT_EQ(eng.stats().opsCommitted, 2u);
     EXPECT_FALSE(eng.busy());
 }
