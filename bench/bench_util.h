@@ -129,13 +129,13 @@ void ensureWritableDir(const std::string &dir, const char *flag,
 /**
  * The harness-wide trace cache: mutex-guarded, build-once per
  * (workload, requests, seed). Shared by makeTrace() and every runner
- * built via runnerOptions(), so a synthetic trace is never generated
- * twice — and an external trace is never duplicated — even across a
- * harness's separate batches.
+ * built via runnerOptions(), so an external trace is validated once
+ * even across a harness's separate batches. Synthetic stores hold no
+ * records; each cursor generates its own stream.
  */
 TraceCache &traceCache();
 
-/** Fetch/build the shared trace store through the harness cache. */
+/** Fetch/build the trace store (recipe) through the harness cache. */
 std::shared_ptr<const TraceStore> makeTrace(const std::string &workload,
                                             std::uint64_t requests,
                                             std::uint64_t seed);

@@ -27,7 +27,9 @@ Channel::Channel(EventQueue &eq, const DramSpec &spec, std::string name,
         q->banks.assign(nbanks, BankList{});
         q->workWords.assign(words, 0);
     }
-    nextRefreshAt_ = spec_.timing.tREFI;
+    // tREFI == 0 turns refresh off (as in resumeAt).
+    nextRefreshAt_ =
+        spec_.timing.tREFI == 0 ? kTimeNever : spec_.timing.tREFI;
     const DramTiming &t = spec_.timing;
     for (const TimePs v : {t.tCL, t.tCWL, t.tRCD, t.tRP, t.tRAS, t.tBL,
                            t.tCCD, t.tWR, t.tWTR, t.tRTP, t.tRTW, t.tRRD,
@@ -187,6 +189,8 @@ Channel::enqueue(Request req, ChannelAddr where)
 void
 Channel::scheduleTick(TimePs when)
 {
+    if (when == kTimeNever)
+        return; // nothing to wake for (refresh off, queues idle)
     const TimePs now = eq_.now();
     if (when < now || !onClock_)
         when = alignUp(std::max(when, now));

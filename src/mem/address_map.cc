@@ -136,7 +136,9 @@ AddressMap::decode(Addr a) const
 LogicalToPhysical::LogicalToPhysical(std::uint64_t total_pages,
                                      std::uint32_t num_cores,
                                      std::uint64_t seed)
-    : totalPages_(total_pages), pagesPerCore_(total_pages / num_cores)
+    : totalPages_(total_pages),
+      numCores_(num_cores),
+      pagesPerCore_(total_pages / num_cores)
 {
     MEMPOD_ASSERT(total_pages > 0 && num_cores > 0, "empty placement");
     // Pick a multiplicative stride coprime with totalPages so that the
@@ -166,6 +168,11 @@ LogicalToPhysical::physicalPage(std::uint64_t logical_page) const
 Addr
 LogicalToPhysical::physicalAddr(std::uint8_t core, Addr core_local) const
 {
+    if (core >= numCores_) {
+        MEMPOD_PANIC("config key 'numCores' = %u, but the trace has "
+                     "core %u",
+                     numCores_, core);
+    }
     const std::uint64_t core_page = core_local / kPageBytes;
     MEMPOD_ASSERT(core_page < pagesPerCore_,
                   "core %u footprint exceeds its allocation slice", core);

@@ -151,7 +151,10 @@ class LogicalToPhysical
     /** Pages each core may address. */
     std::uint64_t pagesPerCore() const { return pagesPerCore_; }
 
-    /** Map (core, core-local byte address) to a physical address. */
+    /**
+     * Map (core, core-local byte address) to a physical address.
+     * Panics naming `numCores` when `core` is outside [0, num_cores).
+     */
     Addr physicalAddr(std::uint8_t core, Addr core_local) const;
 
     /** Map a logical page id to its physical page. */
@@ -159,6 +162,7 @@ class LogicalToPhysical
 
   private:
     std::uint64_t totalPages_;
+    std::uint32_t numCores_;
     std::uint64_t pagesPerCore_;
     std::uint64_t stride_;
     std::uint64_t offset_;

@@ -101,17 +101,6 @@ class TraceFrontend final : private Completer
     /** Per-request latency distribution. */
     const Log2Histogram &latencyHistogramNs() const { return latencyNs_; }
 
-    /**
-     * Per-core latency distribution, or nullptr when the core issued
-     * nothing (index = core id).
-     */
-    const Log2Histogram *
-    coreLatencyHistogramNs(std::size_t core) const
-    {
-        return core < perCore_.size() ? &perCore_[core].latencyNs
-                                      : nullptr;
-    }
-
     std::uint64_t completed() const { return completed_; }
 
     /** Per-core AMMAT in picoseconds (index = core id). */

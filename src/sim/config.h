@@ -214,7 +214,10 @@ struct SimConfig
      * Panics naming the key of any knob that must be positive but is
      * 0 (a core count, device clock or geometry divisor, or a
      * migration interval); set() rejects the same values as they
-     * arrive. The Simulation checks this at construction.
+     * arrive. Also rejects, by key, the relations set() cannot see
+     * one key at a time: a refresh interval at or below tRFC (0 is
+     * "refresh off") and a zero-capacity tier that has channels. The
+     * Simulation checks this at construction.
      */
     void validate() const;
 };

@@ -382,6 +382,29 @@ SimConfig::validate() const
 {
     for (const Field &f : fieldTable())
         checkPositive(f, *this);
+    for (const auto &[tier, t] : {std::pair{"near", &near.timing},
+                                  std::pair{"far", &far.timing}}) {
+        // A refresh cycle as long as its interval leaves no time to
+        // issue a command; 0 turns refresh off instead.
+        if (t->tREFI != 0 && t->tREFI <= t->tRFC) {
+            MEMPOD_PANIC("config key 'dram.%s.tREFI_ps': %llu ps must "
+                         "exceed tRFC (%llu ps), or be 0 for no "
+                         "refresh",
+                         tier, static_cast<unsigned long long>(t->tREFI),
+                         static_cast<unsigned long long>(t->tRFC));
+        }
+    }
+    if (geom.fastBytes == 0 && geom.fastChannels != 0) {
+        MEMPOD_PANIC("config key 'geom.fastBytes': 0 leaves the %u fast "
+                     "channels without capacity",
+                     geom.fastChannels);
+    }
+    if (geom.slowBytes == 0 && geom.slowChannels != 0) {
+        MEMPOD_PANIC("config key 'geom.slowBytes': 0 leaves the %u slow "
+                     "channels without capacity (set "
+                     "geom.slowChannels=0 for a single tier)",
+                     geom.slowChannels);
+    }
 }
 
 SimConfig

@@ -5,8 +5,11 @@
  * workloads and configurations whose runs share nothing but the input
  * traces, so the BatchRunner executes them on a fixed-size worker
  * pool: each job builds its own Simulation (own EventQueue, own RNG
- * state) and the generated traces are shared read-only through a
- * mutex-guarded, generate-once TraceCache. Results come back in
+ * state) and opens its own cursor on the trace, from a recipe shared
+ * through a mutex-guarded, build-once TraceCache. A synthetic trace
+ * streams out of a fresh generator in every job and is never stored,
+ * so a sweep holds O(cores) trace state per running job, not its
+ * records. Results come back in
  * submission order regardless of completion order, and a job that
  * throws is captured as a per-job failure instead of killing the
  * batch — so a 27-workload x 6-configuration sweep reports the one
@@ -48,10 +51,10 @@ namespace mempod {
  * key builds the store while the lock is released; concurrent
  * requesters of the same key block on its future instead of
  * duplicating the work, and requesters of other keys build in
- * parallel. For synthetic workloads the store holds the
- * generated-once trace; for manifest-declared external traces it
- * holds the validated recipe and each job opens a cheap streaming
- * cursor — the trace bytes are never duplicated per job.
+ * parallel. A store is a recipe, not records: building one validates
+ * a manifest-declared external trace once (header, counts), and each
+ * job then opens its own streaming cursor — a fresh generator for a
+ * synthetic workload, a fresh reader for an external one.
  */
 class TraceCache
 {

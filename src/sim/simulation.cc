@@ -57,8 +57,8 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
         perf_ = std::make_unique<PerfMonitor>();
     PerfScope setup_scope(perf_.get(), "setup");
 
-    config_.geom.validate();
     config_.validate();
+    config_.geom.validate();
     if (config_.sampling.enabled && config_.shards > 0) {
         MEMPOD_PANIC(
             "sampled simulation requires the serial kernel "
@@ -341,29 +341,16 @@ Simulation::run(TraceSource &source, const std::string &workload_name)
         r.sampleWindows = w.count();
     }
 
-    // Per-core metrics are registered for [0, numCores); a trace with
-    // out-of-range core ids still gets its AMMAT from the frontend.
+    // Per-core metrics are registered for [0, numCores), and the
+    // placement rejects any trace core outside that range.
     const std::size_t cores_seen = frontend_->coresSeen();
     for (std::size_t c = 0; c < cores_seen; ++c) {
         const std::string cp = "core" + std::to_string(c);
-        if (s.has(cp + ".ammat_ps")) {
-            r.perCoreAmmatNs.push_back(s.real(cp + ".ammat_ps") /
-                                       1000.0);
-        } else {
-            r.perCoreAmmatNs.push_back(frontend_->perCoreAmmatPs()[c] /
-                                       1000.0);
-        }
+        r.perCoreAmmatNs.push_back(s.real(cp + ".ammat_ps") / 1000.0);
         LatencyPercentiles lp;
-        if (s.has(cp + ".latency_p50_ns")) {
-            lp.p50Ns = s.real(cp + ".latency_p50_ns");
-            lp.p95Ns = s.real(cp + ".latency_p95_ns");
-            lp.p99Ns = s.real(cp + ".latency_p99_ns");
-        } else if (const Log2Histogram *h =
-                       frontend_->coreLatencyHistogramNs(c)) {
-            lp.p50Ns = static_cast<double>(h->percentile(0.50));
-            lp.p95Ns = static_cast<double>(h->percentile(0.95));
-            lp.p99Ns = static_cast<double>(h->percentile(0.99));
-        }
+        lp.p50Ns = s.real(cp + ".latency_p50_ns");
+        lp.p95Ns = s.real(cp + ".latency_p95_ns");
+        lp.p99Ns = s.real(cp + ".latency_p99_ns");
         r.perCoreLatency.push_back(lp);
     }
 

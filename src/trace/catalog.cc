@@ -83,8 +83,8 @@ syntheticSuite()
     return all;
 }
 
-Trace
-generateSynthetic(const WorkloadSpec &spec, const GeneratorConfig &gen)
+std::unique_ptr<TraceSource>
+openSynthetic(const WorkloadSpec &spec, const GeneratorConfig &gen)
 {
     std::vector<BenchmarkProfile> profiles;
     profiles.reserve(spec.benchmarks.size());
@@ -94,7 +94,8 @@ generateSynthetic(const WorkloadSpec &spec, const GeneratorConfig &gen)
     GeneratorConfig cfg = gen;
     for (char ch : spec.name)
         cfg.seed = cfg.seed * 131 + static_cast<unsigned char>(ch);
-    return generateTrace(profiles, cfg);
+    return std::make_unique<SyntheticTraceSource>(std::move(profiles),
+                                                  cfg);
 }
 
 /** Open the raw (unscaled, uncapped-scale) external stream. */
@@ -125,16 +126,18 @@ openExternal(const ExternalTraceSpec &spec, std::uint64_t max_records)
     MEMPOD_PANIC("unreachable trace format '%s'", spec.format.c_str());
 }
 
+/** A fresh cursor over `e` under `gen`; see WorkloadCatalog::open. */
 std::unique_ptr<TraceSource>
-openExternalScaled(const ExternalTraceSpec &spec,
-                   const GeneratorConfig &gen)
+openEntry(const CatalogEntry &e, const GeneratorConfig &gen)
 {
+    if (e.kind == CatalogEntry::Kind::kSynthetic)
+        return openSynthetic(e.synthetic, gen);
     std::unique_ptr<TraceSource> src =
-        openExternal(spec, gen.totalRequests);
-    const double scale = spec.timeScale / gen.rateScale;
+        openExternal(e.external, gen.totalRequests);
+    const double scale = e.external.timeScale / gen.rateScale;
     if (scale != 1.0) {
-        src = std::make_unique<ScaledTraceSource>(std::move(src),
-                                                  scale, spec.name);
+        src = std::make_unique<ScaledTraceSource>(std::move(src), scale,
+                                                  e.external.name);
     }
     return src;
 }
@@ -144,15 +147,7 @@ openExternalScaled(const ExternalTraceSpec &spec,
 std::unique_ptr<TraceSource>
 TraceStore::open() const
 {
-    if (!external_)
-        return std::make_unique<VectorTraceSource>(trace_);
-    std::unique_ptr<TraceSource> src =
-        openExternal(spec_, maxRecords_);
-    if (timeScale_ != 1.0) {
-        src = std::make_unique<ScaledTraceSource>(
-            std::move(src), timeScale_, spec_.name);
-    }
-    return src;
+    return openEntry(entry_, gen_);
 }
 
 WorkloadCatalog::WorkloadCatalog()
@@ -268,48 +263,24 @@ std::unique_ptr<TraceSource>
 WorkloadCatalog::open(const std::string &name,
                       const GeneratorConfig &gen) const
 {
-    const CatalogEntry &e = find(name);
-    if (e.kind == CatalogEntry::Kind::kExternal)
-        return openExternalScaled(e.external, gen);
-    auto trace = std::make_shared<Trace>(
-        generateSynthetic(e.synthetic, gen));
-    return std::make_unique<VectorTraceSource>(
-        std::shared_ptr<const Trace>(std::move(trace)));
+    return openEntry(find(name), gen);
 }
 
 Trace
 WorkloadCatalog::build(const std::string &name,
                        const GeneratorConfig &gen) const
 {
-    const CatalogEntry &e = find(name);
-    if (e.kind == CatalogEntry::Kind::kSynthetic)
-        return generateSynthetic(e.synthetic, gen);
-    std::unique_ptr<TraceSource> src = openExternalScaled(e.external,
-                                                          gen);
-    return materialize(*src);
+    return materialize(*open(name, gen));
 }
 
 std::shared_ptr<const TraceStore>
 WorkloadCatalog::makeStore(const std::string &name,
                            const GeneratorConfig &gen) const
 {
-    const CatalogEntry &e = find(name);
     auto store = std::make_shared<TraceStore>();
-    if (e.kind == CatalogEntry::Kind::kSynthetic) {
-        store->trace_ = std::make_shared<const Trace>(
-            generateSynthetic(e.synthetic, gen));
-        store->records_ = store->trace_->size();
-        store->external_ = false;
-        return store;
-    }
-    store->external_ = true;
-    store->spec_ = e.external;
-    store->maxRecords_ = gen.totalRequests;
-    store->timeScale_ = e.external.timeScale / gen.rateScale;
-    // Open once now: validates headers/counts up front so a bad
-    // manifest fails at batch start, not inside worker threads.
-    std::unique_ptr<TraceSource> probe = store->open();
-    store->records_ = probe->size();
+    store->entry_ = find(name);
+    store->gen_ = gen;
+    store->records_ = store->open()->size();
     return store;
 }
 

@@ -13,6 +13,11 @@
  * is what makes record-and-replay transparent: replaying a captured
  * "xalanc" produces sidecars named and grouped exactly like the live
  * synthetic run, so CI can diff them byte for byte.
+ *
+ * Synthetic traces stream and are never stored: opening one starts a
+ * fresh SyntheticTraceSource, as opening an external trace opens its
+ * file. Only build() materializes records, for analyses that need
+ * random access.
  */
 #pragma once
 
@@ -49,35 +54,33 @@ struct CatalogEntry
 };
 
 /**
- * Shared immutable backing for one (workload, generator-params) pair —
- * what the TraceCache holds, one per key, handed to every job. For a
- * synthetic workload it is the trace generated once; for an external
- * trace it is the open-validated spec (jobs each open a cheap cursor;
- * the OS page cache shares the file data between them).
+ * The recipe for one (workload, generator-params) pair — what the
+ * TraceCache holds, one per key, handed to every job. It holds no
+ * records: open() starts a fresh generator for a synthetic workload
+ * and a fresh reader over an external trace, whose files were
+ * validated once when the store was made.
  */
 class TraceStore
 {
   public:
-    /** New single-owner cursor over the shared backing. */
+    /** New single-owner cursor from the recipe. */
     std::unique_ptr<TraceSource> open() const;
 
     /** Records every cursor will yield. */
     std::uint64_t records() const { return records_; }
 
-    bool external() const { return external_; }
-
-    /** The materialized trace; synthetic stores only. */
-    std::shared_ptr<const Trace> trace() const { return trace_; }
+    bool
+    external() const
+    {
+        return entry_.kind == CatalogEntry::Kind::kExternal;
+    }
 
   private:
     friend class WorkloadCatalog;
 
-    std::shared_ptr<const Trace> trace_; //!< synthetic backing
-    ExternalTraceSpec spec_;             //!< external backing
-    std::uint64_t maxRecords_ = 0;
-    double timeScale_ = 1.0;
+    CatalogEntry entry_;
+    GeneratorConfig gen_;
     std::uint64_t records_ = 0;
-    bool external_ = false;
 };
 
 /** Name → workload registry; see file comment. */
@@ -119,10 +122,10 @@ class WorkloadCatalog
 
     /**
      * Open a fresh streaming cursor for a workload. Synthetic entries
-     * generate (materialize) their trace; external entries stream from
-     * disk with gen.totalRequests as the record cap and gen.rateScale
-     * folded into the manifest time_scale. gen.seed/footprintScale
-     * apply to synthetic entries only.
+     * generate their records as they are read; external entries stream
+     * from disk with gen.totalRequests as the record cap and
+     * gen.rateScale folded into the manifest time_scale.
+     * gen.seed/footprintScale apply to synthetic entries only.
      */
     std::unique_ptr<TraceSource> open(const std::string &name,
                                       const GeneratorConfig &gen) const;
@@ -131,7 +134,10 @@ class WorkloadCatalog
     Trace build(const std::string &name,
                 const GeneratorConfig &gen) const;
 
-    /** Shared backing for (name, gen) — the TraceCache's value. */
+    /**
+     * The recipe for (name, gen) — the TraceCache's value. Opens the
+     * trace once, so a bad external file fails here, at batch start.
+     */
     std::shared_ptr<const TraceStore>
     makeStore(const std::string &name, const GeneratorConfig &gen) const;
 

@@ -1,201 +1,212 @@
 #include "trace/generator.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/log.h"
 #include "common/rng.h"
 
 namespace mempod {
 
-namespace {
-
-/** State machine producing one core's access stream. */
-class CoreModel
+CoreModel::CoreModel(const BenchmarkProfile &prof, std::uint8_t core,
+                     const GeneratorConfig &cfg)
+    : prof_(prof), core_(core), rng_(cfg.seed * 0x100 + core + 1)
 {
-  public:
-    CoreModel(const BenchmarkProfile &prof, std::uint8_t core,
-              const GeneratorConfig &cfg)
-        : prof_(prof),
-          core_(core),
-          rng_(cfg.seed * 0x100 + core + 1)
-    {
-        footprintPages_ = std::max<std::uint64_t>(
-            4, static_cast<std::uint64_t>(
-                   static_cast<double>(prof.footprintBytes / kPageBytes) *
-                   cfg.footprintScale));
-        hotPages_ = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(footprintPages_ *
-                                          prof.hotFraction));
-        linesPerFootprint_ = footprintPages_ * kLinesPerPage;
-        const double rate = prof.reqsPerUs * cfg.rateScale;
-        MEMPOD_ASSERT(rate > 0, "profile '%s' has zero request rate",
-                      prof.name.c_str());
-        meanGapPs_ = 1e6 / rate;
-        // Desynchronize phase boundaries across cores.
-        if (prof_.phasePeriod > 0)
-            nextPhaseAt_ = prof_.phasePeriod +
-                           rng_.nextBelow(prof_.phasePeriod);
-    }
+    footprintPages_ = std::max<std::uint64_t>(
+        4, static_cast<std::uint64_t>(
+               static_cast<double>(prof.footprintBytes / kPageBytes) *
+               cfg.footprintScale));
+    hotPages_ = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(footprintPages_ * prof.hotFraction));
+    linesPerFootprint_ = footprintPages_ * kLinesPerPage;
+    const double rate = prof.reqsPerUs * cfg.rateScale;
+    MEMPOD_ASSERT(rate > 0, "profile '%s' has zero request rate",
+                  prof.name.c_str());
+    meanGapPs_ = 1e6 / rate;
+    // Desynchronize phase boundaries across cores.
+    if (prof.phasePeriod > 0)
+        nextPhaseAt_ = prof.phasePeriod + rng_.nextBelow(prof.phasePeriod);
+}
 
-    /** Produce the next record for this core. */
-    TraceRecord
-    next()
-    {
-        advanceClock();
-        maybeRotatePhase();
+TraceRecord
+CoreModel::next()
+{
+    advanceClock();
+    maybeRotatePhase();
 
-        TraceRecord r;
-        r.time = now_;
-        r.core = core_;
-        r.type = rng_.nextBool(prof_.writeFraction) ? AccessType::kWrite
-                                                    : AccessType::kRead;
+    TraceRecord r;
+    r.time = now_;
+    r.core = core_;
+    r.type = rng_.nextBool(prof_.writeFraction) ? AccessType::kWrite
+                                                : AccessType::kRead;
 
-        std::uint64_t line;
-        // Revisit one of the recently drawn hot pages: each hot draw
-        // grants ~dwellLines-1 further visits (credits), spread over
-        // the small active ring and interleaved in time (the LLC
-        // absorbs truly back-to-back same-page touches, so an LLC-miss
-        // stream never shows them consecutively).
-        if (activeCount_ > 0 && dwellCredits_ > 0) {
-            --dwellCredits_;
-            const std::uint64_t page =
-                active_[rng_.nextBelow(activeCount_)];
-            line = page * kLinesPerPage + rng_.nextBelow(kLinesPerPage);
-            r.coreLocal = line * kLineBytes;
-            return r;
-        }
-        if (rng_.nextBool(prof_.streamFraction)) {
-            // Working-front stream: scatter over a span behind the
-            // advancing cursor (constant work per page).
-            const auto span = std::max<std::uint64_t>(
-                1, static_cast<std::uint64_t>(prof_.streamSpanLines));
-            const std::uint64_t back = rng_.nextBelow(span);
-            line = (cursor_ + linesPerFootprint_ - back) %
-                   linesPerFootprint_;
-            cursor_ = (cursor_ + 1) % linesPerFootprint_;
-        } else if (rng_.nextBool(prof_.hotAccessProb)) {
-            // A fresh hot page joins the active working set; cold
-            // touches below stay single-line.
-            const std::uint64_t page =
-                hotPage(rng_.nextZipf(hotPages_, prof_.zipfS));
-            line = page * kLinesPerPage +
-                   rng_.nextBelow(kLinesPerPage);
-            active_[activeNext_] = page;
-            activeNext_ = (activeNext_ + 1) % active_.size();
-            activeCount_ =
-                std::min(activeCount_ + 1, active_.size());
-            dwellCredits_ += rng_.nextGeometric(prof_.dwellLines) - 1;
-        } else {
-            line = rng_.nextBelow(footprintPages_) * kLinesPerPage +
-                   rng_.nextBelow(kLinesPerPage);
-        }
+    std::uint64_t line;
+    // Revisit one of the recently drawn hot pages: each hot draw grants
+    // ~dwellLines-1 further visits (credits), spread over the small
+    // active ring and interleaved in time (the LLC absorbs truly
+    // back-to-back same-page touches, so an LLC-miss stream never shows
+    // them consecutively).
+    if (activeCount_ > 0 && dwellCredits_ > 0) {
+        --dwellCredits_;
+        const std::uint64_t page = active_[rng_.nextBelow(activeCount_)];
+        line = page * kLinesPerPage + rng_.nextBelow(kLinesPerPage);
         r.coreLocal = line * kLineBytes;
         return r;
     }
-
-    TimePs now() const { return now_; }
-
-  private:
-    void
-    advanceClock()
-    {
-        // Exponential inter-arrival gap, floored at 1 ps.
-        const double u = rng_.nextDouble();
-        const double gap = -meanGapPs_ * std::log1p(-u);
-        now_ += std::max<TimePs>(1, static_cast<TimePs>(gap));
+    if (rng_.nextBool(prof_.streamFraction)) {
+        // Working-front stream: scatter over a span behind the
+        // advancing cursor (constant work per page).
+        const auto span = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(prof_.streamSpanLines));
+        const std::uint64_t back = rng_.nextBelow(span);
+        line = (cursor_ + linesPerFootprint_ - back) % linesPerFootprint_;
+        cursor_ = (cursor_ + 1) % linesPerFootprint_;
+    } else if (rng_.nextBool(prof_.hotAccessProb)) {
+        // A fresh hot page joins the active working set; cold touches
+        // below stay single-line.
+        const std::uint64_t page =
+            hotPage(rng_.nextZipf(hotPages_, prof_.zipfS));
+        line = page * kLinesPerPage + rng_.nextBelow(kLinesPerPage);
+        active_[activeNext_] = page;
+        activeNext_ = (activeNext_ + 1) % active_.size();
+        activeCount_ = std::min(activeCount_ + 1, active_.size());
+        dwellCredits_ += rng_.nextGeometric(prof_.dwellLines) - 1;
+    } else {
+        line = rng_.nextBelow(footprintPages_) * kLinesPerPage +
+               rng_.nextBelow(kLinesPerPage);
     }
+    r.coreLocal = line * kLineBytes;
+    return r;
+}
 
-    /**
-     * Map a zipf rank to a page. The head ranks are pinned (a stable
-     * hottest set), while fringe ranks slide over the footprint as
-     * drift_ advances: a page entering the fringe window ramps from
-     * cold through the warm ranks and back out — the cold->hot->cold
-     * life cycle of real working sets that rewards recency-based
-     * prediction on the lower tiers.
-     */
-    std::uint64_t
-    hotPage(std::uint64_t rank) const
-    {
-        const std::uint64_t head =
-            std::min<std::uint64_t>(3, hotPages_);
-        if (rank < head)
-            return rank;
-        const std::uint64_t window = footprintPages_ - head;
-        return head + (drift_ + (rank - head)) % window;
-    }
-
-    void
-    maybeRotatePhase()
-    {
-        if (prof_.phasePeriod == 0 || now_ < nextPhaseAt_)
-            return;
-        const auto shift = static_cast<std::uint64_t>(
-            std::max(1.0, hotPages_ * prof_.phaseShift));
-        drift_ += shift;
-        nextPhaseAt_ += prof_.phasePeriod;
-    }
-
-    const BenchmarkProfile &prof_;
-    std::uint8_t core_;
-    Rng rng_;
-    std::uint64_t footprintPages_ = 0;
-    std::uint64_t hotPages_ = 0;
-    std::uint64_t linesPerFootprint_ = 0;
-    double meanGapPs_ = 0.0;
-    TimePs now_ = 0;
-    TimePs nextPhaseAt_ = 0;
-    std::uint64_t drift_ = 0; //!< fringe-window position
-    std::uint64_t cursor_ = 0;
-    std::array<std::uint64_t, 6> active_{}; //!< recent hot pages
-    std::size_t activeCount_ = 0;
-    std::size_t activeNext_ = 0;
-    std::uint64_t dwellCredits_ = 0;
-};
-
-} // namespace
-
-Trace
-generateTrace(const std::vector<BenchmarkProfile> &core_profiles,
-              const GeneratorConfig &config)
+void
+CoreModel::advanceClock()
 {
-    MEMPOD_ASSERT(!core_profiles.empty(), "no core profiles");
-    MEMPOD_ASSERT(config.totalRequests > 0, "empty trace requested");
+    // Exponential inter-arrival gap, floored at 1 ps.
+    const double u = rng_.nextDouble();
+    const double gap = -meanGapPs_ * std::log1p(-u);
+    now_ += std::max<TimePs>(1, static_cast<TimePs>(gap));
+}
 
-    const std::size_t cores = core_profiles.size();
-    std::vector<CoreModel> models;
-    models.reserve(cores);
+/**
+ * Map a zipf rank to a page. The head ranks are pinned (a stable
+ * hottest set), while fringe ranks slide over the footprint as drift_
+ * advances: a page entering the fringe window ramps from cold through
+ * the warm ranks and back out — the cold->hot->cold life cycle of real
+ * working sets that rewards recency-based prediction on the lower
+ * tiers.
+ */
+std::uint64_t
+CoreModel::hotPage(std::uint64_t rank) const
+{
+    const std::uint64_t head = std::min<std::uint64_t>(3, hotPages_);
+    if (rank < head)
+        return rank;
+    const std::uint64_t window = footprintPages_ - head;
+    return head + (drift_ + (rank - head)) % window;
+}
+
+void
+CoreModel::maybeRotatePhase()
+{
+    if (prof_.phasePeriod == 0 || now_ < nextPhaseAt_)
+        return;
+    const auto shift = static_cast<std::uint64_t>(
+        std::max(1.0, hotPages_ * prof_.phaseShift));
+    drift_ += shift;
+    nextPhaseAt_ += prof_.phasePeriod;
+}
+
+SyntheticTraceSource::SyntheticTraceSource(
+    std::vector<BenchmarkProfile> core_profiles,
+    const GeneratorConfig &config)
+    : profiles_(std::move(core_profiles)), config_(config)
+{
+    MEMPOD_ASSERT(!profiles_.empty(), "no core profiles");
+    MEMPOD_ASSERT(config_.totalRequests > 0, "empty trace requested");
+    reset();
+}
+
+void
+SyntheticTraceSource::reset()
+{
+    const std::size_t cores = profiles_.size();
+    models_.clear();
+    models_.reserve(cores);
     for (std::size_t c = 0; c < cores; ++c)
-        models.emplace_back(core_profiles[c],
-                            static_cast<std::uint8_t>(c), config);
+        models_.emplace_back(profiles_[c], static_cast<std::uint8_t>(c),
+                             config_);
 
     // Each core contributes requests proportional to its rate so the
     // merged stream reflects the profiles' relative intensities.
     double rate_sum = 0.0;
-    for (const auto &p : core_profiles)
+    for (const auto &p : profiles_)
         rate_sum += p.reqsPerUs;
-    std::vector<std::uint64_t> quota(cores);
+    remaining_.assign(cores, 0);
     std::uint64_t assigned = 0;
     for (std::size_t c = 0; c < cores; ++c) {
-        quota[c] = static_cast<std::uint64_t>(
-            config.totalRequests *
-            (core_profiles[c].reqsPerUs / rate_sum));
-        assigned += quota[c];
+        remaining_[c] = static_cast<std::uint64_t>(
+            config_.totalRequests * (profiles_[c].reqsPerUs / rate_sum));
+        assigned += remaining_[c];
     }
-    quota[0] += config.totalRequests - assigned; // rounding remainder
+    // The rounding remainder goes to core 0.
+    remaining_[0] += config_.totalRequests - assigned;
 
-    Trace trace;
-    trace.reserve(config.totalRequests);
+    buffer_.assign(cores * kBatch, TraceRecord{});
+    pos_.assign(cores, 0);
+    fill_.assign(cores, 0);
+    headTime_.assign(cores, kTimeNever);
     for (std::size_t c = 0; c < cores; ++c)
-        for (std::uint64_t i = 0; i < quota[c]; ++i)
-            trace.push_back(models[c].next());
+        refill(c);
+    left_ = config_.totalRequests;
+}
 
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const TraceRecord &a, const TraceRecord &b) {
-                         return a.time < b.time;
-                     });
-    return trace;
+void
+SyntheticTraceSource::refill(std::size_t c)
+{
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(kBatch, remaining_[c]));
+    TraceRecord *batch = &buffer_[c * kBatch];
+    for (std::uint32_t i = 0; i < n; ++i)
+        batch[i] = models_[c].next();
+    remaining_[c] -= n;
+    pos_[c] = 0;
+    fill_[c] = n;
+    // An exhausted core's head sits at kTimeNever, past any record.
+    headTime_[c] = n != 0 ? batch[0].time : kTimeNever;
+}
+
+bool
+SyntheticTraceSource::next(TraceRecord &out)
+{
+    if (left_ == 0)
+        return false;
+    // Branch-free minimum: the strict < keeps the lowest core on ties.
+    std::size_t best = 0;
+    TimePs best_time = headTime_[0];
+    for (std::size_t c = 1; c < headTime_.size(); ++c) {
+        const TimePs t = headTime_[c];
+        best = t < best_time ? c : best;
+        best_time = t < best_time ? t : best_time;
+    }
+    out = buffer_[best * kBatch + pos_[best]];
+    --left_;
+    if (++pos_[best] == fill_[best])
+        refill(best);
+    else
+        headTime_[best] = buffer_[best * kBatch + pos_[best]].time;
+    return true;
+}
+
+std::uint64_t
+SyntheticTraceSource::maxResidentBytes() const
+{
+    const std::uint64_t per_core =
+        sizeof(BenchmarkProfile) + sizeof(CoreModel) +
+        kBatch * sizeof(TraceRecord) + sizeof(TimePs) +
+        2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    return sizeof(*this) + profiles_.size() * per_core;
 }
 
 } // namespace mempod

@@ -3,13 +3,13 @@
  * TraceSource: the pull-based stream of trace records every frontend
  * consumes. A source yields TraceRecords in non-decreasing time order,
  * one at a time, so a multi-GB on-disk trace replays in O(1) memory
- * (file-backed sources decode through a bounded mmap window) while a
- * generated synthetic trace streams straight out of its vector.
+ * (file-backed sources decode through a bounded mmap window) and a
+ * synthetic trace is generated as it is consumed, in O(cores) memory.
  *
  * Sources are single-owner cursors: cheap to open, not shared across
- * threads. Shared immutable state (a materialized synthetic trace, a
- * validated on-disk file) lives behind the TraceCache, which hands
- * each job its own cursor over the common backing.
+ * threads. A TraceStore (trace/catalog.h) is the recipe a cursor is
+ * opened from; the TraceCache validates each store once and hands
+ * each job its own cursor.
  */
 #pragma once
 
@@ -43,9 +43,10 @@ class TraceSource
     virtual std::uint64_t size() const = 0;
 
     /**
-     * Peak bytes of file data this source keeps mapped at once; 0 for
-     * in-memory sources. Independent of trace length for the streaming
-     * readers (bounded by the mmap window) — the property the
+     * Peak bytes of trace state this source holds at once: the mmap
+     * window of a file reader, the per-core models of the generator;
+     * 0 for a vector, whose records its owner holds. Independent of
+     * trace length for every streaming source — the property the
      * streaming tests pin.
      */
     virtual std::uint64_t maxResidentBytes() const { return 0; }
@@ -54,7 +55,7 @@ class TraceSource
 /**
  * In-memory source over a Trace vector. Non-owning when built from a
  * raw reference (caller keeps the vector alive); owning when built
- * from a shared_ptr (the cache's handout path).
+ * from a shared_ptr (a BatchJob's explicit trace).
  */
 class VectorTraceSource final : public TraceSource
 {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/event_queue.h"
+#include "common/rng.h"
 #include "completion_fns.h"
 #include "dram/channel.h"
 
@@ -141,6 +142,42 @@ TEST_F(ChannelFixture, RefreshOccursUnderSteadyTraffic)
     eq.schedule(0, [&feeder] { feeder(); });
     eq.runAll();
     EXPECT_GE(ch.stats().refreshes, 4u);
+}
+
+// tREFI == 0 turns refresh off. It used to refresh on every tick (the
+// next refresh was "due" at time 0 forever) and never issue again.
+TEST_F(ChannelFixture, ZeroRefreshIntervalDrainsWithoutRefreshing)
+{
+    DramSpec off = spec;
+    off.timing.tREFI = 0;
+    EventQueue q;
+    Channel c(q, off, "norefresh", kExtra);
+    Rng rng(17);
+    const std::uint32_t banks = off.org.totalBanks();
+    constexpr int kRequests = 2000;
+    std::vector<ChannelAddr> at;
+    std::vector<AccessType> type;
+    int completed = 0;
+    auto enqueue = [&](int i) {
+        Request r;
+        r.type = type[i];
+        r.done = fns.add([&completed](TimePs) { ++completed; });
+        c.enqueue(std::move(r), at[i]);
+    };
+    TimePs t = 0;
+    for (int i = 0; i < kRequests; ++i) {
+        // Spread over ~5 default refresh intervals.
+        t += rng.nextBelow(10 * spec.timing.tREFI / kRequests);
+        at.push_back({static_cast<std::uint32_t>(rng.nextBelow(banks)),
+                      static_cast<std::int64_t>(rng.nextBelow(8))});
+        type.push_back(rng.nextBool(0.3) ? AccessType::kWrite
+                                         : AccessType::kRead);
+        q.schedule(t, [&enqueue, i] { enqueue(i); });
+    }
+    q.runAll(10'000'000); // bounded: a livelock fails, not hangs
+    EXPECT_EQ(completed, kRequests);
+    EXPECT_TRUE(c.idle());
+    EXPECT_EQ(c.stats().refreshes, 0u);
 }
 
 TEST_F(ChannelFixture, DeterministicAcrossRuns)

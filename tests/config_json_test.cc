@@ -7,6 +7,7 @@
 #include "common/json.h"
 #include "sim/config.h"
 #include "sim/simulation.h"
+#include "trace/catalog.h"
 
 namespace mempod {
 namespace {
@@ -223,6 +224,57 @@ INSTANTIATE_TEST_SUITE_P(
                      [](SimConfig &c) { c.far.org.banksPerRank = 0; }},
         PositiveKnob{"dram.far.rowBufferBytes",
                      [](SimConfig &c) { c.far.org.rowBufferBytes = 0; }}));
+
+// Before validate() checked it, a refresh interval at or below tRFC
+// refreshed on every tick and ended in "simulation livelock".
+TEST(ConfigDeathTest, RefreshIntervalNotAboveTrfcRejectedByKey)
+{
+    SimConfig c;
+    c.near.timing.tREFI = c.near.timing.tRFC;
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'dram.near.tREFI_ps': .* must exceed tRFC");
+    c = SimConfig{};
+    c.far.timing.tREFI = 1;
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'dram.far.tREFI_ps': 1 ps must exceed tRFC");
+    c = SimConfig{};
+    c.near.timing.tREFI = 0; // refresh off is a valid setting
+    c.far.timing.tREFI = 0;
+    c.validate();
+}
+
+// A tier with channels but no capacity used to pass validation and
+// die later, in the placement, naming a core's footprint.
+TEST(ConfigDeathTest, ZeroCapacityTierWithChannelsRejectedByKey)
+{
+    SimConfig c;
+    c.geom.slowBytes = 0;
+    EXPECT_DEATH(Simulation sim(c), "config key 'geom.slowBytes': 0");
+    c.geom.slowChannels = 0; // a single-tier system is valid
+    c.validate();
+    c = SimConfig{};
+    c.geom.fastBytes = 0;
+    EXPECT_DEATH(Simulation sim(c), "config key 'geom.fastBytes': 0");
+}
+
+// A trace with more cores than the configuration used to die in the
+// placement with "logical page overflow".
+TEST(ConfigDeathTest, TraceCoreBeyondNumCoresRejectedByKey)
+{
+    SimConfig c = SimConfig::paper(Mechanism::kNoMigration);
+    c.geom = SystemGeometry::tiny();
+    c.numCores = 3;
+    GeneratorConfig gen;
+    gen.totalRequests = 2000;
+    gen.footprintScale = 0.02;
+    const Trace trace = WorkloadCatalog::global().build("xalanc", gen);
+    EXPECT_DEATH(
+        {
+            Simulation sim(c);
+            sim.run(trace, "xalanc");
+        },
+        "config key 'numCores' = 3, but the trace has core [3-7]");
+}
 
 } // namespace
 } // namespace mempod

@@ -3,7 +3,7 @@
  * Tests for the parallel BatchRunner: bit-identical results at any
  * worker count (the determinism guarantee the harnesses rely on),
  * submission-order results, per-job failure capture, and the
- * generate-once semantics of the shared TraceCache.
+ * build-once semantics of the shared TraceCache.
  */
 #include <gtest/gtest.h>
 
@@ -177,13 +177,29 @@ TEST(BatchRunner, RunAllIsRepeatable)
                   .mechanism);
 }
 
-TEST(TraceCache, GeneratesOncePerKey)
+TEST(TraceCache, BuildsOneStorePerKey)
 {
     TraceCache cache;
     const auto a = cache.get("xalanc", tinyGen());
     const auto b = cache.get("xalanc", tinyGen());
-    EXPECT_EQ(a.get(), b.get()); // same immutable trace object
+    EXPECT_EQ(a.get(), b.get()); // same shared store
     EXPECT_EQ(cache.size(), 1u);
+
+    // The store is a recipe, not records: every cursor is a fresh
+    // generator that yields the whole stream on its own.
+    const auto c1 = a->open();
+    const auto c2 = a->open();
+    TraceRecord first;
+    ASSERT_TRUE(c1->next(first));
+    TraceRecord r;
+    std::uint64_t n = 0;
+    while (c2->next(r)) {
+        if (n++ == 0) {
+            EXPECT_EQ(r.time, first.time);
+            EXPECT_EQ(r.coreLocal, first.coreLocal);
+        }
+    }
+    EXPECT_EQ(n, a->records());
 
     GeneratorConfig other = tinyGen();
     other.seed = 7;

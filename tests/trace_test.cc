@@ -10,6 +10,7 @@
 #include "trace/native.h"
 #include "trace/profiles.h"
 #include "trace/record.h"
+#include "trace/source.h"
 
 namespace mempod {
 namespace {
@@ -30,23 +31,31 @@ eightCores(const std::string &name)
     return std::vector<BenchmarkProfile>(8, findProfile(name));
 }
 
+/** Drain a generated stream into a vector. */
+Trace
+generate(std::vector<BenchmarkProfile> profiles, const GeneratorConfig &c)
+{
+    SyntheticTraceSource source(std::move(profiles), c);
+    return materialize(source);
+}
+
 TEST(Generator, ProducesRequestedCount)
 {
-    const Trace t = generateTrace(eightCores("xalanc"), smallConfig());
+    const Trace t = generate(eightCores("xalanc"), smallConfig());
     EXPECT_EQ(t.size(), 20000u);
 }
 
 TEST(Generator, TimeSorted)
 {
-    const Trace t = generateTrace(eightCores("mcf"), smallConfig());
+    const Trace t = generate(eightCores("mcf"), smallConfig());
     for (std::size_t i = 1; i < t.size(); ++i)
         ASSERT_GE(t[i].time, t[i - 1].time);
 }
 
 TEST(Generator, Deterministic)
 {
-    const Trace a = generateTrace(eightCores("lbm"), smallConfig());
-    const Trace b = generateTrace(eightCores("lbm"), smallConfig());
+    const Trace a = generate(eightCores("lbm"), smallConfig());
+    const Trace b = generate(eightCores("lbm"), smallConfig());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].time, b[i].time);
@@ -58,9 +67,9 @@ TEST(Generator, Deterministic)
 TEST(Generator, SeedChangesStream)
 {
     GeneratorConfig c = smallConfig();
-    const Trace a = generateTrace(eightCores("lbm"), c);
+    const Trace a = generate(eightCores("lbm"), c);
     c.seed = 8;
-    const Trace b = generateTrace(eightCores("lbm"), c);
+    const Trace b = generate(eightCores("lbm"), c);
     int differing = 0;
     for (std::size_t i = 0; i < 100; ++i)
         differing += a[i].coreLocal != b[i].coreLocal ? 1 : 0;
@@ -69,7 +78,7 @@ TEST(Generator, SeedChangesStream)
 
 TEST(Generator, AllCoresRepresented)
 {
-    const Trace t = generateTrace(eightCores("bzip"), smallConfig());
+    const Trace t = generate(eightCores("bzip"), smallConfig());
     std::unordered_set<int> cores;
     for (const auto &r : t)
         cores.insert(r.core);
@@ -83,14 +92,14 @@ TEST(Generator, FootprintRespected)
     const std::uint64_t pages = std::max<std::uint64_t>(
         4, static_cast<std::uint64_t>(
                (prof.footprintBytes / kPageBytes) * c.footprintScale));
-    const Trace t = generateTrace(eightCores("gcc"), c);
+    const Trace t = generate(eightCores("gcc"), c);
     for (const auto &r : t)
         ASSERT_LT(r.coreLocal / kPageBytes, pages);
 }
 
 TEST(Generator, WriteFractionApproximated)
 {
-    const Trace t = generateTrace(eightCores("lbm"), smallConfig());
+    const Trace t = generate(eightCores("lbm"), smallConfig());
     const TraceSummary s = summarize(t);
     const double wf = static_cast<double>(s.writes) / s.records;
     EXPECT_NEAR(wf, findProfile("lbm").writeFraction, 0.05);
@@ -102,7 +111,7 @@ TEST(Generator, RateQuotasFollowProfiles)
     std::vector<BenchmarkProfile> profs(4, findProfile("mcf"));
     for (int i = 0; i < 4; ++i)
         profs.push_back(findProfile("gcc"));
-    const Trace t = generateTrace(profs, smallConfig());
+    const Trace t = generate(profs, smallConfig());
     std::uint64_t mcf = 0, gcc = 0;
     for (const auto &r : t)
         (r.core < 4 ? mcf : gcc) += 1;
@@ -112,7 +121,7 @@ TEST(Generator, RateQuotasFollowProfiles)
 TEST(Generator, SkewedProfileConcentratesAccesses)
 {
     // xalanc's top pages should take a large share of accesses.
-    const Trace t = generateTrace(eightCores("xalanc"), smallConfig());
+    const Trace t = generate(eightCores("xalanc"), smallConfig());
     std::unordered_map<std::uint64_t, int> counts;
     for (const auto &r : t)
         if (r.core == 0)
@@ -143,8 +152,8 @@ TEST(Generator, StreamingProfileSpreadsAccessesEvenly)
             max_count = std::max(max_count, c);
         return static_cast<double>(max_count) / total;
     };
-    const Trace lbm = generateTrace(eightCores("lbm"), smallConfig());
-    const Trace xal = generateTrace(eightCores("xalanc"), smallConfig());
+    const Trace lbm = generate(eightCores("lbm"), smallConfig());
+    const Trace xal = generate(eightCores("xalanc"), smallConfig());
     EXPECT_GT(top_share(xal), 4 * top_share(lbm));
 }
 
@@ -154,7 +163,7 @@ TEST(Generator, PhaseChangeShiftsHotSet)
     // with phase changes: overlap should be partial.
     GeneratorConfig c = smallConfig();
     c.totalRequests = 60000;
-    const Trace t = generateTrace(eightCores("xalanc"), c);
+    const Trace t = generate(eightCores("xalanc"), c);
     auto top_pages = [&](std::size_t begin, std::size_t end) {
         std::unordered_map<std::uint64_t, int> counts;
         for (std::size_t i = begin; i < end; ++i)
@@ -180,7 +189,7 @@ TEST(Generator, PhaseChangeShiftsHotSet)
 
 TEST(TraceIo, SaveLoadRoundTrip)
 {
-    const Trace t = generateTrace(eightCores("sphinx"), smallConfig());
+    const Trace t = generate(eightCores("sphinx"), smallConfig());
     const std::string path = ::testing::TempDir() + "/trace.bin";
     writeNativeTrace(t, path);
     NativeTraceSource source(path);

@@ -148,8 +148,9 @@ main(int argc, char **argv)
                            : NativeTraceSource(trace_file).size();
     }
 
-    // One cursor over the cached trace serves --record and the
-    // summary; the jobs below reuse the same cache entry.
+    // One cursor serves --record and the summary (each a full pass
+    // over the stream); the jobs below open their own cursors on the
+    // same cached store.
     const std::unique_ptr<TraceSource> source =
         makeTrace(workload, opt.timingRequests(), opt.seed)->open();
     if (!record_file.empty()) {

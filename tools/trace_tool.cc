@@ -91,7 +91,7 @@ cmdRecord(int argc, char **argv)
     while (source->next(rec))
         writer.append(rec);
     writer.close();
-    std::printf("recorded %llu records to %s (peak mapped %llu KiB)\n",
+    std::printf("recorded %llu records to %s (peak resident %llu KiB)\n",
                 static_cast<unsigned long long>(writer.recordsWritten()),
                 pos[1],
                 static_cast<unsigned long long>(
