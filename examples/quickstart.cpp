@@ -37,7 +37,8 @@ main(int argc, char **argv)
         WorkloadCatalog::global().find(workload_name);
     const Trace trace =
         WorkloadCatalog::global().build(workload_name, gen);
-    const TraceSummary summary = summarize(trace);
+    VectorTraceSource source(trace);
+    const TraceSummary summary = summarize(source);
     std::printf("workload %s: %llu requests, %.1f req/us, "
                 "%llu distinct pages, %.2f ms of execution\n",
                 entry.name.c_str(),

@@ -1,9 +1,8 @@
 #include "analysis/footprint.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "common/flat_map.h"
 #include "common/log.h"
 
 namespace mempod {
@@ -31,20 +30,20 @@ FootprintStats::meanWindowWorkingSet() const
 }
 
 FootprintStats
-analyzeFootprint(const Trace &trace, std::uint64_t window_requests)
+analyzeFootprint(TraceSource &source, std::uint64_t window_requests)
 {
     MEMPOD_ASSERT(window_requests > 0, "empty analysis window");
     FootprintStats out;
-    out.totalAccesses = trace.size();
     out.windowRequests = window_requests;
-    if (trace.empty())
-        return out;
 
-    std::unordered_map<std::uint64_t, std::uint64_t> counts;
-    counts.reserve(trace.size() / 4);
-    std::unordered_set<std::uint64_t> window;
+    FlatMap<std::uint64_t> counts; // (core, page) -> accesses
+    FlatSet window;
     std::uint64_t in_window = 0;
-    for (const auto &r : trace) {
+    source.reset();
+    TraceRecord r;
+    while (source.next(r)) {
+        ++out.totalAccesses;
+        ++out.perCoreAccesses[r.core];
         ++counts[pageKey(r)];
         window.insert(pageKey(r));
         if (++in_window == window_requests) {
@@ -53,22 +52,25 @@ analyzeFootprint(const Trace &trace, std::uint64_t window_requests)
             in_window = 0;
         }
     }
+    source.reset();
+    if (out.totalAccesses == 0)
+        return out;
     out.distinctPages = counts.size();
 
     // Sort access counts descending for the concentration curve.
     std::vector<std::uint64_t> sorted;
     sorted.reserve(counts.size());
     std::uint64_t single = 0;
-    for (const auto &[page, c] : counts) {
+    counts.forEach([&](std::uint64_t, std::uint64_t c) {
         sorted.push_back(c);
         if (c == 1)
             ++single;
-    }
+    });
     std::sort(sorted.rbegin(), sorted.rend());
     out.singleTouchFraction =
         static_cast<double>(single) / static_cast<double>(counts.size());
 
-    const double total = static_cast<double>(trace.size());
+    const double total = static_cast<double>(out.totalAccesses);
     out.concentration.assign(5, 0.0);
     double cum = 0;
     std::size_t idx = 0;

@@ -8,10 +8,11 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "trace/record.h"
+#include "trace/source.h"
 
 namespace mempod {
 
@@ -40,6 +41,9 @@ struct FootprintStats
     std::uint64_t windowRequests = 0;
     std::vector<std::uint64_t> workingSetPerWindow;
 
+    /** Accesses issued by each core id. */
+    std::array<std::uint64_t, 256> perCoreAccesses{};
+
     /** Mean of workingSetPerWindow. */
     double meanWindowWorkingSet() const;
 };
@@ -49,11 +53,12 @@ inline constexpr std::uint64_t kConcentrationBuckets[5] = {1, 10, 100,
                                                            1000, 10000};
 
 /**
- * Characterize a trace.
+ * Characterize a trace in one streaming pass; resets the source before
+ * and after. Memory grows with the distinct pages, not the records.
  * @param window_requests Working-set window (default: the paper's
  *        5500-request interval).
  */
-FootprintStats analyzeFootprint(const Trace &trace,
+FootprintStats analyzeFootprint(TraceSource &source,
                                 std::uint64_t window_requests = 5500);
 
 } // namespace mempod

@@ -1,5 +1,6 @@
 #include "baselines/cameo.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/decision_log.h"
@@ -15,6 +16,7 @@ CameoManager::CameoManager(EventQueue &eq, MemorySystem &mem,
       params_(params),
       fastLines_(mem.geom().fastBytes / kLineBytes),
       ratio_(mem.geom().slowBytes / mem.geom().fastBytes),
+      ratioDiv_(std::max<std::uint64_t>(ratio_, 1)), // checked below
       engine_(eq, mem, params.engineParallelism, "cameo.engine"),
       guard_(eq, engine_, mstats_, "cameo", "group", DecisionLog::kNoPod,
              [this](std::uint64_t, Demand d) { proceed(d); })
@@ -38,10 +40,10 @@ CameoManager::identityState() const
 std::uint64_t &
 CameoManager::groupState(std::uint64_t group)
 {
-    auto it = groups_.find(group);
-    if (it != groups_.end())
-        return it->second;
-    return groups_.emplace(group, identityState()).first->second;
+    const auto [st, fresh] = groups_.tryEmplace(group);
+    if (fresh)
+        *st = identityState();
+    return *st;
 }
 
 std::pair<std::uint64_t, std::uint32_t>
@@ -52,9 +54,8 @@ CameoManager::groupOf(LineId line) const
     // Contiguous grouping: ratio consecutive slow lines share one fast
     // slot, so spatially local streams swap on every line and thrash —
     // the pathology the paper attributes to CAMEO at 1:8 ratios.
-    const std::uint64_t slow_idx = line - fastLines_;
-    return {slow_idx / ratio_,
-            1 + static_cast<std::uint32_t>(slow_idx % ratio_)};
+    const auto [group, idx] = ratioDiv_.divmod(line - fastLines_);
+    return {group, 1 + static_cast<std::uint32_t>(idx)};
 }
 
 LineId
@@ -68,10 +69,10 @@ CameoManager::lineAt(std::uint64_t group, std::uint32_t slot) const
 std::uint32_t
 CameoManager::slotOfMember(std::uint64_t group, std::uint32_t member) const
 {
-    auto it = groups_.find(group);
-    if (it == groups_.end())
+    const std::uint64_t *st = groups_.find(group);
+    if (!st)
         return member; // untouched group: identity
-    return unpackSlot(it->second, member);
+    return unpackSlot(*st, member);
 }
 
 void
@@ -88,8 +89,7 @@ CameoManager::proceed(Demand d)
     if (guard_.park(group, d))
         return;
 
-    std::uint64_t &st = groupState(group);
-    const std::uint32_t slot = unpackSlot(st, member);
+    const std::uint32_t slot = unpackSlot(groupState(group), member);
     if (DecisionLog *log = eq_.decisions())
         log->noteAccess(DecisionLog::kNoPod, line, slot == 0,
                                eq_.now());
@@ -99,7 +99,9 @@ CameoManager::proceed(Demand d)
     mem_.access(Request::demand(addr, d));
 
     if (slot == 0) {
-        st |= kUsedFlag; // the fast-resident line produced a hit
+        // Look the group up again: a synchronous completion (sampled or
+        // fast models) may have re-entered and allocated other groups.
+        groupState(group) |= kUsedFlag; // the fast line produced a hit
         return;
     }
 
@@ -161,7 +163,7 @@ CameoManager::validateInvariants(bool paranoid) const
                                engine_.stats().opsCommitted);
     if (!paranoid)
         return;
-    for (const auto &[group, st] : groups_) {
+    groups_.forEach([this](std::uint64_t group, std::uint64_t st) {
         std::uint32_t seen = 0; // ratio_ <= 14, so a bitmask suffices
         for (std::uint32_t m = 0; m <= ratio_; ++m) {
             const std::uint32_t slot = unpackSlot(st, m);
@@ -173,7 +175,7 @@ CameoManager::validateInvariants(bool paranoid) const
                     static_cast<unsigned long long>(group), m, slot);
             seen |= 1u << slot;
         }
-    }
+    });
 }
 
 std::uint64_t

@@ -12,9 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/divisor.h"
 #include "common/event_queue.h"
+#include "common/flat_map.h"
 #include "core/migration_engine.h"
 #include "core/swap_guard.h"
 #include "mem/manager.h"
@@ -83,6 +84,10 @@ class CameoManager : public MemoryManager
     static constexpr std::uint64_t kMigratedFlag = 1ull << 63;
 
     std::uint64_t identityState() const;
+    /**
+     * The group's packed state, allocated on first touch. The reference
+     * lasts until the next first touch (see flat_map.h).
+     */
     std::uint64_t &groupState(std::uint64_t group);
 
     static std::uint32_t
@@ -112,7 +117,8 @@ class CameoManager : public MemoryManager
     CameoParams params_;
     std::uint64_t fastLines_;
     std::uint64_t ratio_;
-    std::unordered_map<std::uint64_t, std::uint64_t> groups_;
+    Divisor ratioDiv_; //!< ratio_, for groupOf on every demand
+    FlatMap<std::uint64_t> groups_; //!< group -> packed state
     MigrationEngine engine_;
     SwapGuard guard_; //!< line groups under a scheduled swap
     std::uint64_t swapsSkipped_ = 0;

@@ -1,8 +1,7 @@
 #include "baselines/hma.h"
 
-#include <unordered_set>
-
 #include "common/decision_log.h"
+#include "common/flat_map.h"
 #include "sim/validate.h"
 
 namespace mempod {
@@ -88,8 +87,7 @@ HmaManager::onInterval()
     engine_.clearQueued();
 
     const auto ranked = counters_.topN(params_.maxMigrationsPerInterval);
-    std::unordered_set<std::uint64_t> hot_set;
-    hot_set.reserve(ranked.size() * 2);
+    FlatSet hot_set(ranked.size());
     for (const auto &e : ranked)
         if (e.count >= params_.threshold)
             hot_set.insert(e.id);

@@ -1,5 +1,6 @@
 #include "baselines/thm.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/decision_log.h"
@@ -14,6 +15,7 @@ ThmManager::ThmManager(EventQueue &eq, MemorySystem &mem,
       mem_(mem),
       params_(params),
       ratio_(mem.geom().slowPages() / mem.geom().fastPages()),
+      ratioDiv_(std::max<std::uint64_t>(ratio_, 1)), // checked below
       numSegments_(mem.geom().fastPages()),
       engine_(eq, mem, /*max_in_flight_ops=*/1, "thm.engine"),
       guard_(eq, engine_, mstats_, "thm", "segment", DecisionLog::kNoPod,
@@ -38,15 +40,14 @@ ThmManager::ThmManager(EventQueue &eq, MemorySystem &mem,
 ThmManager::SegState &
 ThmManager::segState(std::uint64_t seg)
 {
-    auto it = segs_.find(seg);
-    if (it != segs_.end())
-        return it->second;
-    SegState st;
-    st.cc = CompetingCounter(params_.counterBits);
-    st.slotOf.resize(ratio_ + 1);
-    for (std::uint32_t m = 0; m <= ratio_; ++m)
-        st.slotOf[m] = static_cast<std::uint8_t>(m);
-    return segs_.emplace(seg, std::move(st)).first->second;
+    const auto [st, fresh] = segs_.tryEmplace(seg);
+    if (fresh) {
+        st->cc = CompetingCounter(params_.counterBits);
+        st->slotOf.resize(ratio_ + 1);
+        for (std::uint32_t m = 0; m <= ratio_; ++m)
+            st->slotOf[m] = static_cast<std::uint8_t>(m);
+    }
+    return *st;
 }
 
 std::pair<std::uint64_t, std::uint32_t>
@@ -57,9 +58,8 @@ ThmManager::segmentOf(PageId page) const
     // Contiguous grouping: slow pages [s*ratio, (s+1)*ratio) belong to
     // segment s. Spatially local regions therefore compete for one
     // fast page — the restriction the paper analyzes (Section 2).
-    const std::uint64_t slow_idx = page - numSegments_;
-    return {slow_idx / ratio_,
-            1 + static_cast<std::uint32_t>(slow_idx % ratio_)};
+    const auto [seg, idx] = ratioDiv_.divmod(page - numSegments_);
+    return {seg, 1 + static_cast<std::uint32_t>(idx)};
 }
 
 PageId
@@ -73,11 +73,11 @@ ThmManager::pageAt(std::uint64_t seg, std::uint32_t slot) const
 std::uint32_t
 ThmManager::fastResidentMember(std::uint64_t seg) const
 {
-    auto it = segs_.find(seg);
-    if (it == segs_.end())
+    const SegState *st = segs_.find(seg);
+    if (!st)
         return 0;
     for (std::uint32_t m = 0; m <= ratio_; ++m)
-        if (it->second.slotOf[m] == 0)
+        if (st->slotOf[m] == 0)
             return m;
     MEMPOD_PANIC("segment %llu has no fast resident",
                  static_cast<unsigned long long>(seg));
@@ -102,8 +102,7 @@ ThmManager::proceed(Demand d)
     if (guard_.park(seg, d))
         return;
 
-    SegState &st = segState(seg);
-    const std::uint32_t slot = st.slotOf[member];
+    const std::uint32_t slot = segState(seg).slotOf[member];
     if (DecisionLog *log = eq_.decisions())
         log->noteAccess(DecisionLog::kNoPod,
                                AddressMap::pageOf(d.homeAddr),
@@ -112,7 +111,10 @@ ThmManager::proceed(Demand d)
     // Service the access from the page's current location first.
     issueAt(seg, slot, d);
 
-    // Then update the competing counter and maybe trigger a swap.
+    // Then update the competing counter and maybe trigger a swap. Look
+    // the segment up again: a synchronous completion (sampled or fast
+    // models) may have re-entered and allocated other segments.
+    SegState &st = segState(seg);
     if (slot == 0) {
         st.cc.accessFast();
         return;
@@ -168,7 +170,7 @@ ThmManager::validateInvariants(bool paranoid) const
                                engine_.stats().opsCommitted);
     if (!paranoid)
         return;
-    for (const auto &[seg, st] : segs_) {
+    segs_.forEach([this](std::uint64_t seg, const SegState &st) {
         std::vector<bool> seen(ratio_ + 2, false);
         for (std::uint32_t m = 0; m <= ratio_; ++m) {
             const std::uint8_t slot = st.slotOf[m];
@@ -180,7 +182,7 @@ ThmManager::validateInvariants(bool paranoid) const
                     static_cast<unsigned long long>(seg), m, slot);
             seen[slot] = true;
         }
-    }
+    });
 }
 
 std::uint64_t

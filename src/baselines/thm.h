@@ -13,10 +13,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/divisor.h"
 #include "common/event_queue.h"
+#include "common/flat_map.h"
 #include "core/migration_engine.h"
 #include "core/swap_guard.h"
 #include "mem/manager.h"
@@ -85,6 +86,10 @@ class ThmManager : public MemoryManager
         std::vector<std::uint8_t> slotOf; //!< member -> slot (0 = fast)
     };
 
+    /**
+     * The segment's state, allocated on first touch. The reference
+     * lasts until the next first touch (see flat_map.h).
+     */
     SegState &segState(std::uint64_t seg);
 
     /** (segment, member) of a home page; member 0 is the fast page. */
@@ -101,8 +106,9 @@ class ThmManager : public MemoryManager
     MemorySystem &mem_;
     ThmParams params_;
     std::uint64_t ratio_;
+    Divisor ratioDiv_; //!< ratio_, for segmentOf on every demand
     std::uint64_t numSegments_;
-    std::unordered_map<std::uint64_t, SegState> segs_;
+    FlatMap<SegState> segs_; //!< segment -> its state
     MigrationEngine engine_;
     SwapGuard guard_; //!< segments under a scheduled swap
     std::optional<MetadataPath> metaPath_;

@@ -1,7 +1,7 @@
 /**
  * @file
  * DecisionLog implementation: append-only record list plus two small
- * hash maps — the open realized-hits watch windows and the
+ * open-addressed maps — the open realized-hits watch windows and the
  * migrated-in index used for ping-pong detection — each retired by a
  * deadline-ordered expiry queue.
  */
@@ -16,6 +16,16 @@ DecisionLog::DecisionLog(TimePs epochPs, double benefitPerTouchNs)
 {
     MEMPOD_ASSERT(epochPs_ > 0,
                   "DecisionLog epoch length must be positive");
+}
+
+std::uint64_t
+DecisionLog::key(std::uint32_t pod, std::uint64_t page)
+{
+    const std::uint64_t tag = static_cast<std::uint32_t>(pod + 1);
+    MEMPOD_ASSERT(tag < (1u << 23) && page < (std::uint64_t{1} << 40),
+                  "DecisionLog key (pod %u, page %llu) out of range", pod,
+                  static_cast<unsigned long long>(page));
+    return (tag << 40) | page;
 }
 
 std::uint64_t
@@ -57,23 +67,21 @@ DecisionLog::commit(std::uint64_t id, TimePs now)
     // within two epochs (expire() retired every older entry). Mark the
     // *earlier* decision — its benefit window was cut short — and
     // retire its migrated-in entry.
-    const Key victimKey{r.pod, r.victim};
-    if (const auto it = migratedIn_.find(victimKey);
-        it != migratedIn_.end()) {
-        Record &earlier = records_[it->second];
+    const std::uint64_t victimKey = key(r.pod, r.victim);
+    if (const std::uint64_t *seq = migratedIn_.find(victimKey)) {
+        Record &earlier = records_[*seq];
         if (!earlier.pingPong) {
             earlier.pingPong = true;
             ++pingPongs_;
         }
-        migratedIn_.erase(it);
+        migratedIn_.erase(victimKey);
     }
 
-    const Key key{r.pod, r.page};
-    migratedIn_[key] = r.seq;
-    migratedInExpiry_.push_back(
-        Expiry{now + 2 * epochPs_ + 1, key, r.seq});
-    watch_[key] = r.seq;
-    watchExpiry_.push_back(Expiry{now + epochPs_, key, r.seq});
+    const std::uint64_t k = key(r.pod, r.page);
+    migratedIn_[k] = r.seq;
+    migratedInExpiry_.push_back(Expiry{now + 2 * epochPs_ + 1, k, r.seq});
+    watch_[k] = r.seq;
+    watchExpiry_.push_back(Expiry{now + epochPs_, k, r.seq});
 }
 
 namespace {
@@ -83,9 +91,9 @@ void
 retire(Queue &q, Map &m, TimePs now)
 {
     while (!q.empty() && q.front().closesAt <= now) {
-        if (const auto it = m.find(q.front().key);
-            it != m.end() && it->second == q.front().seq)
-            m.erase(it);
+        const std::uint64_t seq = q.front().seq;
+        m.erase(q.front().key,
+                [seq](std::uint64_t held) { return held == seq; });
         q.pop_front();
     }
 }
@@ -118,8 +126,8 @@ DecisionLog::noteAccess(std::uint32_t pod, std::uint64_t page,
     expire(now);
     if (!nearTier || watch_.empty())
         return;
-    if (const auto it = watch_.find(Key{pod, page}); it != watch_.end())
-        ++records_[it->second].realizedNearHits;
+    if (const std::uint64_t *seq = watch_.find(key(pod, page)))
+        ++records_[*seq].realizedNearHits;
 }
 
 const char *

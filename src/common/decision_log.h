@@ -22,10 +22,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace mempod {
@@ -115,26 +114,21 @@ class DecisionLog
     static const char *outcomeName(Outcome o);
 
   private:
-    using Key = std::pair<std::uint32_t, std::uint64_t>;
+    /**
+     * (pod, page) packed into one word: pod + 1 (kNoPod wraps to 0)
+     * above 40 bits of page. Pod-local pages and global lines stay
+     * below 2^37, since SystemGeometry caps a system at 2^32 pages;
+     * the key is checked, and never reaches the table's ~0 marker.
+     */
+    static std::uint64_t key(std::uint32_t pod, std::uint64_t page);
 
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const
-        {
-            // Fibonacci-mix the page and fold in the pod; exactness is
-            // carried by pair equality, this only spreads buckets.
-            return static_cast<std::size_t>(
-                (k.second + k.first) * 0x9e3779b97f4a7c15ull);
-        }
-    };
-
-    using SeqMap = std::unordered_map<Key, std::uint64_t, KeyHash>;
+    using SeqMap = FlatMap<std::uint64_t>;
 
     /** The first instant at which the window `seq` opened is closed. */
     struct Expiry
     {
         TimePs closesAt = 0;
-        Key key;
+        std::uint64_t key = 0;
         std::uint64_t seq = 0;
     };
 

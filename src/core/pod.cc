@@ -1,9 +1,9 @@
 #include "core/pod.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/decision_log.h"
+#include "common/flat_map.h"
 #include "sim/validate.h"
 
 namespace mempod {
@@ -132,8 +132,7 @@ Pod::onInterval()
     engine_.clearQueued();
 
     const auto hot = mea_.snapshot();
-    std::unordered_set<std::uint64_t> hot_set;
-    hot_set.reserve(hot.size() * 2);
+    FlatSet hot_set(hot.size());
     for (const auto &e : hot)
         hot_set.insert(e.id);
 

@@ -23,9 +23,11 @@ void
 SwapGuard::schedule(Swap s)
 {
     const std::uint64_t key = s.keyA;
-    Entry &e = reserve(key);
+    reserve(key);
     if (s.keyB != kNoKey)
         reserve(s.keyB);
+    // Both reservations are in: no insertion below can move the entry.
+    Entry &e = keys_.at(key);
     e.partner = s.keyB;
     e.lines = s.lines;
     e.apply = std::move(s.apply);
@@ -57,13 +59,12 @@ SwapGuard::schedule(Swap s)
     engine_.submit(op);
 }
 
-SwapGuard::Entry &
+void
 SwapGuard::reserve(std::uint64_t key)
 {
-    auto [it, fresh] = keys_.try_emplace(key);
-    MEMPOD_ASSERT(fresh, "swap key %llu already reserved",
+    MEMPOD_ASSERT(keys_.tryEmplace(key).second,
+                  "swap key %llu already reserved",
                   static_cast<unsigned long long>(key));
-    return it->second;
 }
 
 void
@@ -95,6 +96,7 @@ SwapGuard::parkOn(Entry &e, std::uint64_t key, const Demand &d)
 void
 SwapGuard::finish(std::uint64_t key, bool committed)
 {
+    // Nothing below inserts or erases a key before release(): `e` holds.
     Entry &e = keys_.at(key);
     if (committed) {
         e.apply();
@@ -128,8 +130,7 @@ SwapGuard::release(std::uint64_t key)
     // Take the parked list out before resuming anything: a resumed
     // demand may schedule and start a new swap on this key, and the
     // rest of the list must then re-park behind it.
-    std::vector<Demand> parked =
-        std::move(keys_.extract(key).mapped().parked);
+    std::vector<Demand> parked = keys_.take(key).parked;
     MEMPOD_ASSERT(parked_ >= parked.size(), "parked accounting");
     parked_ -= parked.size();
     const TimePs now = eq_.now();

@@ -22,12 +22,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/callback.h"
 #include "common/decision_log.h"
 #include "common/event_queue.h"
+#include "common/flat_map.h"
 #include "core/migration_engine.h"
 #include "mem/manager.h"
 #include "mem/request.h"
@@ -101,10 +101,10 @@ class SwapGuard final : private SwapOwner
     bool
     park(std::uint64_t key, const Demand &d)
     {
-        auto it = keys_.find(key);
-        if (it == keys_.end() || !it->second.locked)
+        Entry *e = keys_.find(key);
+        if (!e || !e->locked)
             return false;
-        parkOn(it->second, key, d);
+        parkOn(*e, key, d);
         return true;
     }
 
@@ -124,7 +124,8 @@ class SwapGuard final : private SwapOwner
         ApplyFn apply;
     };
 
-    Entry &reserve(std::uint64_t key);
+    /** Claim a free key. Moves other entries (see flat_map.h). */
+    void reserve(std::uint64_t key);
     void parkOn(Entry &e, std::uint64_t key, const Demand &d);
     /** Lock the keys of the swap whose first key is `key`. */
     void start(std::uint64_t key) override;
@@ -140,7 +141,7 @@ class SwapGuard final : private SwapOwner
     const char *keyArg_;
     std::uint32_t pod_;
     ResumeFn resume_;
-    std::unordered_map<std::uint64_t, Entry> keys_;
+    FlatMap<Entry> keys_;
     std::uint64_t parked_ = 0;
 };
 

@@ -14,6 +14,7 @@ Channel::Channel(EventQueue &eq, const DramSpec &spec, std::string name,
       eq_(eq),
       spec_(spec),
       tbl_(CommandTimingTable::build(spec.timing)),
+      clock_(spec.timing.clockPeriodPs),
       name_(std::move(name)),
       extraLatencyPs_(extra_latency_ps),
       policy_(policy),
@@ -35,13 +36,6 @@ Channel::Channel(EventQueue &eq, const DramSpec &spec, std::string name,
                            t.tCCD, t.tWR, t.tWTR, t.tRTP, t.tRTW, t.tRRD,
                            t.tFAW, t.tREFI, t.tRFC})
         onClock_ = onClock_ && v % t.clockPeriodPs == 0;
-}
-
-TimePs
-Channel::alignUp(TimePs t) const
-{
-    const TimePs p = spec_.timing.clockPeriodPs;
-    return (t + p - 1) / p * p;
 }
 
 void

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/divisor.h"
 #include "common/event_queue.h"
 #include "common/slab.h"
 #include "common/types.h"
@@ -254,11 +255,17 @@ class Channel final : public MemoryModel
         }
     }
 
-    TimePs alignUp(TimePs t) const;
+    /** The first clock edge at or after `t`. */
+    TimePs
+    alignUp(TimePs t) const
+    {
+        return clock_.div(t + clock_.value() - 1) * clock_.value();
+    }
 
     EventQueue &eq_;
     DramSpec spec_;
     CommandTimingTable tbl_; //!< precomputed from spec_.timing
+    Divisor clock_;          //!< spec_.timing.clockPeriodPs
     std::string name_;
     TimePs extraLatencyPs_;
     ControllerPolicy policy_;

@@ -27,6 +27,9 @@ SystemGeometry::validate() const
     } else {
         MEMPOD_ASSERT(slowBytes == 0, "slow capacity without channels");
     }
+    MEMPOD_ASSERT(totalPages() < (std::uint64_t{1} << 32),
+                  "%llu pages: placement needs fewer than 2^32 (16 TiB)",
+                  static_cast<unsigned long long>(totalPages()));
 }
 
 SystemGeometry
@@ -57,32 +60,35 @@ AddressMap::AddressMap(const SystemGeometry &geom,
                        const DramOrganization &fast,
                        const DramOrganization &slow)
     : geom_(geom),
-      fastOrg_(fast),
-      slowOrg_(slow),
       fastPages_(geom.fastPages()),
       fastPagesPerPod_(geom.fastPagesPerPod()),
       pagesPerPod_(geom.pagesPerPod()),
-      totalBytes_(geom.totalBytes()),
-      fastBanks_(fast.totalBanks()),
-      slowBanks_(slow.totalBanks())
+      totalBytes_(geom.totalBytes())
 {
     geom_.validate();
+    numPods_ = Divisor(geom.numPods);
+    fast_ = {0, 0, Divisor(geom.fastChannels),
+             Divisor(fast.rowBufferBytes), Divisor(fast.totalBanks())};
+    if (geom.slowChannels > 0) {
+        slow_ = {fastPages_, geom.fastChannels,
+                 Divisor(geom.slowChannels), Divisor(slow.rowBufferBytes),
+                 Divisor(slow.totalBanks())};
+    }
 }
 
 std::uint32_t
 AddressMap::podOfPage(PageId p) const
 {
-    if (p < fastPages_)
-        return static_cast<std::uint32_t>(p % geom_.numPods);
-    return static_cast<std::uint32_t>((p - fastPages_) % geom_.numPods);
+    return static_cast<std::uint32_t>(
+        numPods_.mod(p < fastPages_ ? p : p - fastPages_));
 }
 
 std::uint64_t
 AddressMap::podLocalOfPage(PageId p) const
 {
     if (p < fastPages_)
-        return p / geom_.numPods;
-    return fastPagesPerPod_ + (p - fastPages_) / geom_.numPods;
+        return numPods_.div(p);
+    return fastPagesPerPod_ + numPods_.div(p - fastPages_);
 }
 
 PageId
@@ -103,33 +109,18 @@ AddressMap::decode(Addr a) const
                   static_cast<unsigned long long>(a));
     DecodedAddr d;
     const PageId page = pageOf(a);
-    const std::uint64_t in_page = a % kPageBytes;
     d.tier = tierOf(a);
     d.pod = podOfPage(page);
 
-    std::uint64_t ch_local_page;
-    const DramOrganization *org;
-    std::uint32_t banks;
-    if (d.tier == MemTier::kFast) {
-        const std::uint64_t fpage = page;
-        d.channel = static_cast<std::uint32_t>(fpage % geom_.fastChannels);
-        ch_local_page = fpage / geom_.fastChannels;
-        org = &fastOrg_;
-        banks = fastBanks_;
-    } else {
-        const std::uint64_t spage = page - fastPages_;
-        d.channel = geom_.fastChannels +
-                    static_cast<std::uint32_t>(spage % geom_.slowChannels);
-        ch_local_page = spage / geom_.slowChannels;
-        org = &slowOrg_;
-        banks = slowBanks_;
-    }
-
-    const std::uint64_t ch_offset = ch_local_page * kPageBytes + in_page;
-    const std::uint64_t chunk = ch_offset / org->rowBufferBytes;
-    d.offsetInRow = ch_offset % org->rowBufferBytes;
-    d.bank = static_cast<std::uint32_t>(chunk % banks);
-    d.row = static_cast<std::int64_t>(chunk / banks);
+    const TierDecode &t = d.tier == MemTier::kFast ? fast_ : slow_;
+    const auto [ch_local_page, ch] = t.channels.divmod(page - t.firstPage);
+    d.channel = t.firstChannel + static_cast<std::uint32_t>(ch);
+    const auto [chunk, in_row] =
+        t.rowBytes.divmod(ch_local_page * kPageBytes + a % kPageBytes);
+    d.offsetInRow = in_row;
+    const auto [row, bank] = t.banks.divmod(chunk);
+    d.bank = static_cast<std::uint32_t>(bank);
+    d.row = static_cast<std::int64_t>(row);
     return d;
 }
 
@@ -141,6 +132,10 @@ LogicalToPhysical::LogicalToPhysical(std::uint64_t total_pages,
       pagesPerCore_(total_pages / num_cores)
 {
     MEMPOD_ASSERT(total_pages > 0 && num_cores > 0, "empty placement");
+    MEMPOD_ASSERT(total_pages < (std::uint64_t{1} << 32),
+                  "%llu pages: placement needs fewer than 2^32",
+                  static_cast<unsigned long long>(total_pages));
+    totalPagesDiv_ = Divisor(total_pages);
     // Pick a multiplicative stride coprime with totalPages so that the
     // affine map is a bijection on page ids.
     std::uint64_t s =
@@ -160,9 +155,9 @@ PageId
 LogicalToPhysical::physicalPage(std::uint64_t logical_page) const
 {
     MEMPOD_ASSERT(logical_page < totalPages_, "logical page overflow");
-    const __uint128_t prod =
-        static_cast<__uint128_t>(logical_page) * stride_ + offset_;
-    return static_cast<PageId>(prod % totalPages_);
+    // Both factors are below totalPages_ < 2^32, so the product and
+    // the offset fit 64 bits.
+    return totalPagesDiv_.mod(logical_page * stride_ + offset_);
 }
 
 Addr

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/divisor.h"
 #include "common/types.h"
 #include "dram/spec.h"
 
@@ -49,7 +50,11 @@ struct SystemGeometry
         return slowChannels / numPods;
     }
 
-    /** Panics if the interleave constraints do not hold. */
+    /**
+     * Panics if the interleave constraints do not hold, or if the
+     * system has 2^32 pages (16 TiB) or more: placement multiplies two
+     * page ids in 64 bits.
+     */
     void validate() const;
 
     /** The paper's Table 2 system: 1 GB HBM + 8 GB DDR4, 4 Pods. */
@@ -124,18 +129,28 @@ class AddressMap
     }
 
   private:
+    /** One tier's decode steps, as reciprocals of its geometry. */
+    struct TierDecode
+    {
+        PageId firstPage = 0;
+        std::uint32_t firstChannel = 0;
+        Divisor channels; //!< page -> (channel-local page, channel)
+        Divisor rowBytes; //!< channel offset -> (chunk, offset in row)
+        Divisor banks;    //!< chunk -> (row, bank)
+    };
+
     SystemGeometry geom_;
-    DramOrganization fastOrg_;
-    DramOrganization slowOrg_;
 
     // Derived geometry, computed once: decoding runs on every demand
-    // and every migrated line.
+    // and every migrated line, so it multiplies by reciprocals and
+    // never divides.
     std::uint64_t fastPages_;
     std::uint64_t fastPagesPerPod_;
     std::uint64_t pagesPerPod_;
     std::uint64_t totalBytes_;
-    std::uint32_t fastBanks_;
-    std::uint32_t slowBanks_;
+    Divisor numPods_;
+    TierDecode fast_;
+    TierDecode slow_;
 };
 
 /**
@@ -162,6 +177,7 @@ class LogicalToPhysical
 
   private:
     std::uint64_t totalPages_;
+    Divisor totalPagesDiv_;
     std::uint32_t numCores_;
     std::uint64_t pagesPerCore_;
     std::uint64_t stride_;

@@ -124,7 +124,10 @@ struct Field
     const char *key;
     std::function<json::Value(const SimConfig &)> get;
     std::function<void(SimConfig &, const std::string &)> set;
-    /** Zero divides by zero or never ends an epoch: rejected. */
+    /**
+     * Zero divides by zero, sizes an empty table or never ends an
+     * epoch: rejected.
+     */
     bool positive = false;
 };
 
@@ -199,17 +202,17 @@ fieldTable()
         MEMPOD_CONFIG_FIELD("mechanism", mechanism),
         MEMPOD_CONFIG_FIELD("geom.fastBytes", geom.fastBytes),
         MEMPOD_CONFIG_FIELD("geom.slowBytes", geom.slowBytes),
-        MEMPOD_CONFIG_FIELD("geom.fastChannels", geom.fastChannels),
+        MEMPOD_CONFIG_POSITIVE("geom.fastChannels", geom.fastChannels),
         MEMPOD_CONFIG_FIELD("geom.slowChannels", geom.slowChannels),
-        MEMPOD_CONFIG_FIELD("geom.numPods", geom.numPods),
+        MEMPOD_CONFIG_POSITIVE("geom.numPods", geom.numPods),
         MEMPOD_CONFIG_FIELD("dram.model", dramModel),
         MEMPOD_CONFIG_DRAM_FIELDS("near", near),
         MEMPOD_CONFIG_DRAM_FIELDS("far", far),
         MEMPOD_CONFIG_POSITIVE("mempod.interval", mempod.interval),
-        MEMPOD_CONFIG_FIELD("mempod.pod.meaEntries",
-                            mempod.pod.meaEntries),
-        MEMPOD_CONFIG_FIELD("mempod.pod.meaCounterBits",
-                            mempod.pod.meaCounterBits),
+        MEMPOD_CONFIG_POSITIVE("mempod.pod.meaEntries",
+                               mempod.pod.meaEntries),
+        MEMPOD_CONFIG_POSITIVE("mempod.pod.meaCounterBits",
+                               mempod.pod.meaCounterBits),
         MEMPOD_CONFIG_FIELD("mempod.pod.maxMigrationsPerInterval",
                             mempod.pod.maxMigrationsPerInterval),
         MEMPOD_CONFIG_FIELD("mempod.pod.minHotCount",
@@ -224,7 +227,7 @@ fieldTable()
                             mempod.pod.remapEntryBytes),
         MEMPOD_CONFIG_POSITIVE("hma.interval", hma.interval),
         MEMPOD_CONFIG_FIELD("hma.sortStall", hma.sortStall),
-        MEMPOD_CONFIG_FIELD("hma.counterBits", hma.counterBits),
+        MEMPOD_CONFIG_POSITIVE("hma.counterBits", hma.counterBits),
         MEMPOD_CONFIG_FIELD("hma.threshold", hma.threshold),
         MEMPOD_CONFIG_FIELD("hma.maxMigrationsPerInterval",
                             hma.maxMigrationsPerInterval),
@@ -235,17 +238,17 @@ fieldTable()
         MEMPOD_CONFIG_FIELD("hma.counterEntryBytes",
                             hma.counterEntryBytes),
         MEMPOD_CONFIG_FIELD("thm.threshold", thm.threshold),
-        MEMPOD_CONFIG_FIELD("thm.counterBits", thm.counterBits),
+        MEMPOD_CONFIG_POSITIVE("thm.counterBits", thm.counterBits),
         MEMPOD_CONFIG_FIELD("thm.metaCacheEnabled",
                             thm.metaCacheEnabled),
         MEMPOD_CONFIG_FIELD("thm.metaCacheBytes", thm.metaCacheBytes),
         MEMPOD_CONFIG_FIELD("thm.metaCacheAssoc", thm.metaCacheAssoc),
         MEMPOD_CONFIG_FIELD("thm.segEntryBytes", thm.segEntryBytes),
-        MEMPOD_CONFIG_FIELD("cameo.engineParallelism",
-                            cameo.engineParallelism),
+        MEMPOD_CONFIG_POSITIVE("cameo.engineParallelism",
+                               cameo.engineParallelism),
         MEMPOD_CONFIG_FIELD("cameo.maxQueuedSwaps",
                             cameo.maxQueuedSwaps),
-        MEMPOD_CONFIG_FIELD("maxOutstanding", maxOutstanding),
+        MEMPOD_CONFIG_POSITIVE("maxOutstanding", maxOutstanding),
         MEMPOD_CONFIG_FIELD("placementSeed", placementSeed),
         MEMPOD_CONFIG_FIELD("extraLatencyPs", extraLatencyPs),
         MEMPOD_CONFIG_POSITIVE("numCores", numCores),

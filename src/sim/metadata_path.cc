@@ -28,8 +28,8 @@ MetadataPath::access(std::uint64_t entry_idx, ReadyFn ready)
     }
     ++stats_.metaCacheMisses;
     const std::uint64_t block = cache_.blockOf(entry_idx);
-    auto [it, first] = pending_.try_emplace(block);
-    it->second.push_back({eq_.now(), std::move(ready)});
+    const auto [waiters, first] = pending_.tryEmplace(block);
+    waiters->push_back({eq_.now(), std::move(ready)});
     if (!first)
         return; // piggyback on the outstanding fill
 
@@ -51,8 +51,9 @@ MetadataPath::complete(std::uint32_t ref, TimePs)
 {
     const std::uint64_t block = ref;
     cache_.fill(block * cache_.entriesPerBlock());
-    auto node = pending_.extract(block);
-    for (Waiter &w : node.mapped()) {
+    // Take the waiters out first: each may re-enter access() and start
+    // a new fill, which inserts into (and may rehash) pending_.
+    for (Waiter &w : pending_.take(block)) {
         stats_.metadataPs += eq_.now() - w.since;
         w.ready();
     }

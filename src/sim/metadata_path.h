@@ -12,11 +12,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/callback.h"
 #include "common/event_queue.h"
+#include "common/flat_map.h"
 #include "common/metrics.h"
 #include "mem/manager.h"
 #include "mem/memory_system.h"
@@ -76,7 +76,8 @@ class MetadataPath final : private Completer
     MetadataCache cache_;
     BlockAddrFn blockAddr_;
     std::uint64_t fills_ = 0; //!< injected backing-store reads
-    std::unordered_map<std::uint64_t, std::vector<Waiter>> pending_;
+    /** Block -> accesses waiting on its fill, in arrival order. */
+    FlatMap<std::vector<Waiter>> pending_;
 };
 
 } // namespace mempod

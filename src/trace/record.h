@@ -26,7 +26,10 @@ struct TraceRecord
 
 using Trace = std::vector<TraceRecord>;
 
-/** Summary statistics of a trace (for tests and reports). */
+/**
+ * Summary statistics of a trace (for tests and reports), computed by
+ * summarize() in trace/source.h.
+ */
 struct TraceSummary
 {
     std::uint64_t records = 0;
@@ -36,7 +39,5 @@ struct TraceSummary
     std::uint64_t touchedPages = 0; //!< distinct (core, page) pairs
     double requestsPerUs = 0.0;
 };
-
-TraceSummary summarize(const Trace &trace);
 
 } // namespace mempod

@@ -1,8 +1,8 @@
 #include "trace/source.h"
 
 #include <cmath>
-#include <unordered_set>
 
+#include "common/flat_map.h"
 #include "common/log.h"
 
 namespace mempod {
@@ -43,7 +43,7 @@ summarize(TraceSource &source)
 {
     source.reset();
     TraceSummary s;
-    std::unordered_set<std::uint64_t> pages;
+    FlatSet pages;
     TraceRecord r;
     TimePs first = 0, last = 0;
     while (source.next(r)) {

@@ -123,7 +123,10 @@ class ScaledTraceSource final : public TraceSource
 /** Drain a source into a materialized vector (offline analyses). */
 Trace materialize(TraceSource &source);
 
-/** Streaming TraceSummary over a source; resets the source first. */
+/**
+ * Streaming TraceSummary over a source; resets the source before and
+ * after. An in-memory Trace is summarized through a VectorTraceSource.
+ */
 TraceSummary summarize(TraceSource &source);
 
 } // namespace mempod

@@ -13,40 +13,33 @@ MeaTracker::MeaTracker(std::uint32_t entries, std::uint32_t counter_bits,
       counterMax_(counter_bits >= 32
                       ? ~std::uint32_t{0}
                       : (std::uint32_t{1} << counter_bits) - 1),
-      idBits_(id_bits)
+      idBits_(id_bits),
+      map_(entries)
 {
     MEMPOD_ASSERT(entries > 0, "MEA needs at least one entry");
     MEMPOD_ASSERT(counter_bits >= 1 && counter_bits <= 32,
                   "counter width %u out of range", counter_bits);
-    map_.reserve(entries * 2);
 }
 
 void
 MeaTracker::touch(std::uint64_t id)
 {
-    auto it = map_.find(id);
-    if (it != map_.end()) {
+    if (std::uint32_t *count = map_.find(id)) {
         // Operation (a): saturating increment.
-        if (it->second < counterMax_)
-            ++it->second;
+        if (*count < counterMax_)
+            ++*count;
         return;
     }
     if (map_.size() < entries_) {
         // Operation (b): claim a free entry.
-        map_.emplace(id, 1);
+        map_[id] = 1;
         return;
     }
     // Operation (c): decrement all counters, evict zeros. In hardware
     // this is one cycle of parallel subtract-and-compare.
     ++sweeps_;
-    for (auto cur = map_.begin(); cur != map_.end();) {
-        if (--cur->second == 0) {
-            cur = map_.erase(cur);
-            ++evictions_;
-        } else {
-            ++cur;
-        }
-    }
+    evictions_ += map_.eraseIf(
+        [](std::uint64_t, std::uint32_t &count) { return --count == 0; });
 }
 
 void
@@ -61,8 +54,9 @@ MeaTracker::snapshot() const
 {
     std::vector<TrackedEntry> out;
     out.reserve(map_.size());
-    for (const auto &[id, count] : map_)
+    map_.forEach([&](std::uint64_t id, std::uint32_t count) {
         out.push_back(TrackedEntry{id, count});
+    });
     std::sort(out.begin(), out.end(),
               [](const TrackedEntry &a, const TrackedEntry &b) {
                   if (a.count != b.count)
@@ -77,8 +71,8 @@ MeaTracker::trackedIds() const
 {
     std::vector<std::uint64_t> out;
     out.reserve(map_.size());
-    for (const auto &[id, count] : map_)
-        out.push_back(id);
+    map_.forEach(
+        [&](std::uint64_t id, std::uint32_t) { out.push_back(id); });
     return out;
 }
 

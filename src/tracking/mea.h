@@ -18,9 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "tracking/tracker.h"
 
 namespace mempod {
@@ -50,17 +50,14 @@ class MeaTracker
     /** Ids currently tracked (unsorted membership test set). */
     std::vector<std::uint64_t> trackedIds() const;
 
-    bool contains(std::uint64_t id) const
-    {
-        return map_.find(id) != map_.end();
-    }
+    bool contains(std::uint64_t id) const { return map_.contains(id); }
 
     /** Current counter value for `id` (0 when untracked) — the
      *  decision-time snapshot the migration ledger records. */
     std::uint32_t countOf(std::uint64_t id) const
     {
-        const auto it = map_.find(id);
-        return it == map_.end() ? 0 : it->second;
+        const std::uint32_t *count = map_.find(id);
+        return count ? *count : 0;
     }
 
     std::uint32_t entries() const { return entries_; }
@@ -85,7 +82,7 @@ class MeaTracker
     std::uint32_t counterBits_;
     std::uint32_t counterMax_;
     std::uint32_t idBits_;
-    std::unordered_map<std::uint64_t, std::uint32_t> map_;
+    FlatMap<std::uint32_t> map_; //!< page id -> saturating count
     std::uint64_t sweeps_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t resets_ = 0;

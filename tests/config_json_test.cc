@@ -223,7 +223,35 @@ INSTANTIATE_TEST_SUITE_P(
         PositiveKnob{"dram.far.banksPerRank",
                      [](SimConfig &c) { c.far.org.banksPerRank = 0; }},
         PositiveKnob{"dram.far.rowBufferBytes",
-                     [](SimConfig &c) { c.far.org.rowBufferBytes = 0; }}));
+                     [](SimConfig &c) { c.far.org.rowBufferBytes = 0; }},
+        // Geometry divisors and table sizes: these used to die in an
+        // internal assertion ("need at least one MSHR", "MEA needs at
+        // least one entry", ...) that did not name the key.
+        PositiveKnob{"geom.numPods",
+                     [](SimConfig &c) { c.geom.numPods = 0; }},
+        PositiveKnob{"geom.fastChannels",
+                     [](SimConfig &c) { c.geom.fastChannels = 0; }},
+        PositiveKnob{"mempod.pod.meaEntries",
+                     [](SimConfig &c) { c.mempod.pod.meaEntries = 0; }},
+        PositiveKnob{"mempod.pod.meaCounterBits",
+                     [](SimConfig &c) { c.mempod.pod.meaCounterBits = 0; }},
+        PositiveKnob{"hma.counterBits",
+                     [](SimConfig &c) {
+                         c.mechanism = Mechanism::kHma;
+                         c.hma.counterBits = 0;
+                     }},
+        PositiveKnob{"thm.counterBits",
+                     [](SimConfig &c) {
+                         c.mechanism = Mechanism::kThm;
+                         c.thm.counterBits = 0;
+                     }},
+        PositiveKnob{"cameo.engineParallelism",
+                     [](SimConfig &c) {
+                         c.mechanism = Mechanism::kCameo;
+                         c.cameo.engineParallelism = 0;
+                     }},
+        PositiveKnob{"maxOutstanding",
+                     [](SimConfig &c) { c.maxOutstanding = 0; }}));
 
 // Before validate() checked it, a refresh interval at or below tRFC
 // refreshed on every tick and ended in "simulation livelock".

@@ -21,9 +21,16 @@ syntheticTrace(const std::vector<std::uint64_t> &pages)
     return t;
 }
 
+FootprintStats
+analyze(const Trace &trace, std::uint64_t window_requests = 5500)
+{
+    VectorTraceSource source(trace);
+    return analyzeFootprint(source, window_requests);
+}
+
 TEST(Footprint, EmptyTrace)
 {
-    const FootprintStats s = analyzeFootprint({}, 100);
+    const FootprintStats s = analyze({}, 100);
     EXPECT_EQ(s.totalAccesses, 0u);
     EXPECT_EQ(s.distinctPages, 0u);
 }
@@ -31,7 +38,7 @@ TEST(Footprint, EmptyTrace)
 TEST(Footprint, CountsDistinctPages)
 {
     const FootprintStats s =
-        analyzeFootprint(syntheticTrace({0, 1, 2, 0, 1, 0}), 100);
+        analyze(syntheticTrace({0, 1, 2, 0, 1, 0}), 100);
     EXPECT_EQ(s.totalAccesses, 6u);
     EXPECT_EQ(s.distinctPages, 3u);
 }
@@ -39,7 +46,7 @@ TEST(Footprint, CountsDistinctPages)
 TEST(Footprint, ConcentrationOfSinglePageIsTotal)
 {
     const FootprintStats s =
-        analyzeFootprint(syntheticTrace({5, 5, 5, 5}), 100);
+        analyze(syntheticTrace({5, 5, 5, 5}), 100);
     for (double c : s.concentration)
         EXPECT_DOUBLE_EQ(c, 1.0);
     EXPECT_DOUBLE_EQ(s.skewIndex, 0.0); // one page: no inequality
@@ -51,7 +58,7 @@ TEST(Footprint, ConcentrationCurveIsMonotone)
     gc.totalRequests = 30000;
     gc.footprintScale = 0.05;
     const Trace t = WorkloadCatalog::global().build("xalanc", gc);
-    const FootprintStats s = analyzeFootprint(t);
+    const FootprintStats s = analyze(t);
     for (std::size_t i = 1; i < s.concentration.size(); ++i)
         EXPECT_GE(s.concentration[i], s.concentration[i - 1]);
     EXPECT_LE(s.concentration.back(), 1.0 + 1e-9);
@@ -62,9 +69,9 @@ TEST(Footprint, SkewedWorkloadMoreConcentratedThanStreaming)
     GeneratorConfig gc;
     gc.totalRequests = 40000;
     gc.footprintScale = 0.05;
-    const FootprintStats skewed = analyzeFootprint(
+    const FootprintStats skewed = analyze(
         WorkloadCatalog::global().build("xalanc", gc));
-    const FootprintStats streaming = analyzeFootprint(
+    const FootprintStats streaming = analyze(
         WorkloadCatalog::global().build("lbm", gc));
     // Hottest 100 pages absorb far more of xalanc's traffic.
     EXPECT_GT(skewed.concentration[2], streaming.concentration[2]);
@@ -74,7 +81,7 @@ TEST(Footprint, SkewedWorkloadMoreConcentratedThanStreaming)
 TEST(Footprint, SingleTouchFraction)
 {
     const FootprintStats s =
-        analyzeFootprint(syntheticTrace({0, 0, 1, 2}), 100);
+        analyze(syntheticTrace({0, 0, 1, 2}), 100);
     // Pages 1 and 2 touched once; page 0 twice.
     EXPECT_DOUBLE_EQ(s.singleTouchFraction, 2.0 / 3.0);
 }
@@ -83,7 +90,7 @@ TEST(Footprint, WorkingSetWindows)
 {
     // Two full windows of 3 accesses: {0,1,2} then {0,0,0}.
     const FootprintStats s =
-        analyzeFootprint(syntheticTrace({0, 1, 2, 0, 0, 0}), 3);
+        analyze(syntheticTrace({0, 1, 2, 0, 0, 0}), 3);
     ASSERT_EQ(s.workingSetPerWindow.size(), 2u);
     EXPECT_EQ(s.workingSetPerWindow[0], 3u);
     EXPECT_EQ(s.workingSetPerWindow[1], 1u);
@@ -94,7 +101,7 @@ TEST(Footprint, CoresDistinguished)
 {
     Trace t = syntheticTrace({0, 0});
     t[1].core = 1; // same page id, different core
-    const FootprintStats s = analyzeFootprint(t, 100);
+    const FootprintStats s = analyze(t, 100);
     EXPECT_EQ(s.distinctPages, 2u);
 }
 
@@ -110,9 +117,9 @@ TEST(Footprint, SkewIndexOrdersUniformVsZipf)
         for (std::uint64_t k = 0; k < 1000 / (p + 1); ++k)
             zipf.push_back(p);
     const double u =
-        analyzeFootprint(syntheticTrace(uniform), 100).skewIndex;
+        analyze(syntheticTrace(uniform), 100).skewIndex;
     const double z =
-        analyzeFootprint(syntheticTrace(zipf), 100).skewIndex;
+        analyze(syntheticTrace(zipf), 100).skewIndex;
     EXPECT_LT(u, 0.05);
     EXPECT_GT(z, 0.3);
 }

@@ -237,7 +237,8 @@ TEST(GoldenTrace, GeneratorIsPinned)
     gc.seed = kSeed;
     const Trace trace =
         WorkloadCatalog::global().build(kWorkload, gc);
-    const TraceSummary s = summarize(trace);
+    VectorTraceSource source(trace);
+    const TraceSummary s = summarize(source);
     if (printGolden()) {
         std::printf("constexpr TraceGolden kTraceGolden = "
                     "{%llu, %llu, %llu, %llu, %llu};\n",

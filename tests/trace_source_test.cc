@@ -75,7 +75,8 @@ TEST(NativeTrace, StreamingSummaryMatchesVectorSummary)
     const Trace original = smallTrace();
     writeNativeTrace(original, path);
 
-    const TraceSummary vec = summarize(original);
+    VectorTraceSource in_memory(original);
+    const TraceSummary vec = summarize(in_memory);
     NativeTraceSource source(path);
     const TraceSummary str = summarize(source);
     EXPECT_EQ(str.records, vec.records);

@@ -100,7 +100,8 @@ TEST(Generator, FootprintRespected)
 TEST(Generator, WriteFractionApproximated)
 {
     const Trace t = generate(eightCores("lbm"), smallConfig());
-    const TraceSummary s = summarize(t);
+    VectorTraceSource source(t);
+    const TraceSummary s = summarize(source);
     const double wf = static_cast<double>(s.writes) / s.records;
     EXPECT_NEAR(wf, findProfile("lbm").writeFraction, 0.05);
 }
@@ -224,7 +225,8 @@ TEST(TraceSummaryTest, CountsFields)
         r.type = i % 2 ? AccessType::kWrite : AccessType::kRead;
         t.push_back(r);
     }
-    const TraceSummary s = summarize(t);
+    VectorTraceSource source(t);
+    const TraceSummary s = summarize(source);
     EXPECT_EQ(s.records, 10u);
     EXPECT_EQ(s.writes, 5u);
     EXPECT_EQ(s.touchedPages, 3u);

@@ -25,7 +25,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/footprint.h"
@@ -201,8 +200,7 @@ cmdInfo(int argc, char **argv)
     if (argc < 3)
         return usage(kInfoUsage);
     NativeTraceSource source(argv[2]);
-    const Trace trace = materialize(source);
-    const TraceSummary s = summarize(trace);
+    const TraceSummary s = summarize(source);
     std::printf("records:      %llu\n",
                 static_cast<unsigned long long>(s.records));
     std::printf("reads/writes: %llu / %llu (%.1f%% writes)\n",
@@ -214,10 +212,7 @@ cmdInfo(int argc, char **argv)
     std::printf("pages:        %llu distinct (core, page) pairs\n",
                 static_cast<unsigned long long>(s.touchedPages));
 
-    std::unordered_map<int, std::uint64_t> per_core;
-    for (const auto &r : trace)
-        ++per_core[r.core];
-    const FootprintStats f = analyzeFootprint(trace);
+    const FootprintStats f = analyzeFootprint(source);
     std::printf("concentration: hottest 1/10/100/1k/10k pages absorb "
                 "%.1f/%.1f/%.1f/%.1f/%.1f %% of accesses\n",
                 100 * f.concentration[0], 100 * f.concentration[1],
@@ -229,10 +224,10 @@ cmdInfo(int argc, char **argv)
                 f.meanWindowWorkingSet());
     std::printf("per core:    ");
     for (int c = 0; c < 256; ++c) {
-        auto it = per_core.find(c);
-        if (it != per_core.end())
+        if (f.perCoreAccesses[c] != 0)
             std::printf(" c%d=%llu", c,
-                        static_cast<unsigned long long>(it->second));
+                        static_cast<unsigned long long>(
+                            f.perCoreAccesses[c]));
     }
     std::printf("\n");
     return 0;
