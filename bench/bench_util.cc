@@ -323,30 +323,12 @@ Options::suiteWorkloads() const
     return WorkloadCatalog::global().names();
 }
 
-TraceCache &
-traceCache()
-{
-    static TraceCache cache;
-    return cache;
-}
-
-std::shared_ptr<const TraceStore>
-makeTrace(const std::string &workload, std::uint64_t requests,
-          std::uint64_t seed)
-{
-    GeneratorConfig gc;
-    gc.totalRequests = requests;
-    gc.seed = seed;
-    return traceCache().get(workload, gc);
-}
-
 RunnerOptions
 runnerOptions(const Options &opt)
 {
     RunnerOptions ro;
     ro.jobs = opt.jobs;
     ro.progress = true;
-    ro.cache = &traceCache();
     ro.artifacts = opt.artifacts;
     return ro;
 }

@@ -2,7 +2,8 @@
  * @file
  * Shared scaffolding for the figure/table harnesses: CLI options
  * (scale control, workload selection, worker count), workload-set
- * helpers, the process-wide trace cache, and BatchRunner glue.
+ * helpers, and BatchRunner glue. Every job opens its own trace through
+ * WorkloadCatalog::open; nothing caches traces between jobs.
  *
  * Every simulation binary parses its command line with parseOptions()
  * over one option table: the shared rows in bench_util.cc plus any
@@ -21,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,21 +126,7 @@ Options parseOptions(int argc, char **argv, const char *what,
 void ensureWritableDir(const std::string &dir, const char *flag,
                        const char *what);
 
-/**
- * The harness-wide trace cache: mutex-guarded, build-once per
- * (workload, requests, seed). Shared by makeTrace() and every runner
- * built via runnerOptions(), so an external trace is validated once
- * even across a harness's separate batches. Synthetic stores hold no
- * records; each cursor generates its own stream.
- */
-TraceCache &traceCache();
-
-/** Fetch/build the trace store (recipe) through the harness cache. */
-std::shared_ptr<const TraceStore> makeTrace(const std::string &workload,
-                                            std::uint64_t requests,
-                                            std::uint64_t seed);
-
-/** RunnerOptions honoring --jobs, progress on stderr, shared cache. */
+/** RunnerOptions honoring --jobs, progress on stderr, --out. */
 RunnerOptions runnerOptions(const Options &opt);
 
 /** A timing job at the harness's scale (timingRequests, seed). */

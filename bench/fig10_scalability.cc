@@ -42,7 +42,9 @@ shardScalingReport(const mempod::bench::Options &opt)
 
     const char *workload = "mix5";
     const std::uint64_t requests = opt.timingRequests();
-    const auto store = makeTrace(workload, requests, opt.seed);
+    GeneratorConfig gen;
+    gen.totalRequests = requests;
+    gen.seed = opt.seed;
     const SimConfig cfg = SimConfig::future(Mechanism::kMemPod);
 
     std::printf("\nPDES shard scaling (MemPod future system, %s, "
@@ -68,7 +70,8 @@ shardScalingReport(const mempod::bench::Options &opt)
             c.perfEnabled = true; // per-shard busy/stall columns
             Simulation sim(c);
             const auto t0 = Clock::now();
-            const auto source = store->open();
+            const auto source =
+                WorkloadCatalog::global().open(workload, gen);
             r = sim.run(*source, "scaling");
             wall[rep] = std::chrono::duration<double, std::milli>(
                             Clock::now() - t0)

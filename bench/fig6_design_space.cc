@@ -46,8 +46,8 @@ main(int argc, char **argv)
     TimePs best_epoch = 0;
     std::uint32_t best_k = 0;
 
-    // The whole (epoch x counters x workload) grid as one batch; the
-    // runner's cache generates each workload's trace exactly once.
+    // The whole (epoch x counters x workload) grid as one batch; each
+    // job streams its own copy of its workload's trace.
     BatchRunner runner(runnerOptions(opt));
     for (const TimePs epoch : epochs) {
         for (const std::uint32_t k : counters) {

@@ -50,18 +50,6 @@ tierHits(const std::vector<std::uint64_t> &ranking, std::size_t tier,
 } // namespace
 
 std::vector<std::uint64_t>
-pageStreamFromTrace(const Trace &trace)
-{
-    std::vector<std::uint64_t> stream;
-    stream.reserve(trace.size());
-    for (const auto &r : trace) {
-        stream.push_back((static_cast<std::uint64_t>(r.core) << 48) |
-                         (r.coreLocal / kPageBytes));
-    }
-    return stream;
-}
-
-std::vector<std::uint64_t>
 pageStreamFromSource(TraceSource &source)
 {
     source.reset();

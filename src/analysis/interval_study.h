@@ -46,10 +46,11 @@ struct IntervalStudyResult
     double meaPredictionsPerInterval = 0.0;
 };
 
-/** Reduce a trace to its page-id stream (core-disambiguated). */
-std::vector<std::uint64_t> pageStreamFromTrace(const Trace &trace);
-
-/** Same, streaming from a TraceSource (resets it first). */
+/**
+ * Reduce a source to its page-id stream, core-disambiguated as
+ * (core << 48) | page; resets the source before and after. An
+ * in-memory Trace goes through a VectorTraceSource.
+ */
 std::vector<std::uint64_t> pageStreamFromSource(TraceSource &source);
 
 /** Run the study over a page-id stream. */

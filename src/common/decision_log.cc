@@ -1,8 +1,8 @@
 /**
  * @file
- * DecisionLog implementation: append-only record list plus two small
- * open-addressed maps — the open realized-hits watch windows and the
- * migrated-in index used for ping-pong detection — each retired by a
+ * DecisionLog implementation: append-only record list plus one small
+ * open-addressed table of migrated-in pages, which holds both the
+ * realized-hits watch and the ping-pong window of each, retired by one
  * deadline-ordered expiry queue.
  */
 #include "common/decision_log.h"
@@ -66,45 +66,28 @@ DecisionLog::commit(std::uint64_t id, TimePs now)
     // Ping-pong: the page we just evicted was itself migrated in
     // within two epochs (expire() retired every older entry). Mark the
     // *earlier* decision — its benefit window was cut short — and
-    // retire its migrated-in entry.
-    const std::uint64_t victimKey = key(r.pod, r.victim);
-    if (const std::uint64_t *seq = migratedIn_.find(victimKey)) {
-        Record &earlier = records_[*seq];
-        if (!earlier.pingPong) {
-            earlier.pingPong = true;
-            ++pingPongs_;
-        }
-        migratedIn_.erase(victimKey);
+    // close its ping-pong window; its watch stays open.
+    if (Window *w = windows_.find(key(r.pod, r.victim));
+        w != nullptr && w->pingPongOpen) {
+        records_[w->seq].pingPong = true;
+        ++pingPongs_;
+        w->pingPongOpen = false;
     }
 
     const std::uint64_t k = key(r.pod, r.page);
-    migratedIn_[k] = r.seq;
-    migratedInExpiry_.push_back(Expiry{now + 2 * epochPs_ + 1, k, r.seq});
-    watch_[k] = r.seq;
-    watchExpiry_.push_back(Expiry{now + epochPs_, k, r.seq});
+    windows_[k] = Window{r.seq, true};
+    expiry_.push_back(Expiry{now + 2 * epochPs_ + 1, k, r.seq});
 }
-
-namespace {
-
-template <typename Queue, typename Map>
-void
-retire(Queue &q, Map &m, TimePs now)
-{
-    while (!q.empty() && q.front().closesAt <= now) {
-        const std::uint64_t seq = q.front().seq;
-        m.erase(q.front().key,
-                [seq](std::uint64_t held) { return held == seq; });
-        q.pop_front();
-    }
-}
-
-} // namespace
 
 void
 DecisionLog::expire(TimePs now)
 {
-    retire(watchExpiry_, watch_, now);
-    retire(migratedInExpiry_, migratedIn_, now);
+    while (!expiry_.empty() && expiry_.front().closesAt <= now) {
+        const std::uint64_t seq = expiry_.front().seq;
+        windows_.erase(expiry_.front().key,
+                       [seq](const Window &w) { return w.seq == seq; });
+        expiry_.pop_front();
+    }
 }
 
 void
@@ -124,10 +107,15 @@ DecisionLog::noteAccess(std::uint32_t pod, std::uint64_t page,
                         bool nearTier, TimePs now)
 {
     expire(now);
-    if (!nearTier || watch_.empty())
+    // No watch is open an epoch after the last commit.
+    if (!nearTier || now >= lastCommitPs_ + epochPs_)
         return;
-    if (const std::uint64_t *seq = watch_.find(key(pod, page)))
-        ++records_[*seq].realizedNearHits;
+    const Window *w = windows_.find(key(pod, page));
+    if (w != nullptr) {
+        Record &r = records_[w->seq];
+        if (now < r.commitPs + epochPs_)
+            ++r.realizedNearHits;
+    }
 }
 
 const char *

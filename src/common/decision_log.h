@@ -8,9 +8,10 @@
  * engine resolves the swap, and a one-epoch watch window after each
  * commit accumulates the *realized* near-tier hits the migrated page
  * actually received, so predicted and delivered benefit can be
- * compared per decision. Both windows are bounded: a deadline-ordered
- * queue retires each one when it closes, so the ledger's lookup state
- * holds only the commits of the last two epochs.
+ * compared per decision. Both windows live in one table entry per
+ * migrated-in page, and a deadline-ordered queue retires the entry
+ * when the longer (ping-pong) window closes, so the ledger's lookup
+ * state holds only the commits of the last two epochs.
  *
  * Determinism contract: all mutations happen from manager callbacks,
  * which the PDES kernel executes in the coordinator domain in
@@ -92,8 +93,10 @@ class DecisionLog
     /**
      * A demand touched (`pod`, `page`); credits realized near-tier
      * hits to the decision that migrated the page in, while its
-     * one-epoch watch window is open. One hash probe per near-tier
-     * demand while any window is open, none otherwise.
+     * one-epoch watch window is open. Access and commit times never
+     * decrease (every caller passes the coordinator's clock). One hash
+     * probe per near-tier demand within an epoch of the last commit,
+     * none otherwise.
      */
     void noteAccess(std::uint32_t pod, std::uint64_t page,
                     bool nearTier, TimePs now);
@@ -104,10 +107,8 @@ class DecisionLog
     std::uint64_t abortedCount() const { return aborted_; }
     std::uint64_t pingPongCount() const { return pingPongs_; }
     TimePs epochPs() const { return epochPs_; }
-    /** Realized-hits windows still open (bounded by expiry). */
-    std::size_t openWatches() const { return watch_.size(); }
-    /** Migrated-in pages still able to flag a ping-pong. */
-    std::size_t openPingPongWindows() const { return migratedIn_.size(); }
+    /** Migrated-in pages whose windows are not yet retired. */
+    std::size_t openWindows() const { return windows_.size(); }
     double benefitPerTouchNs() const { return benefitPerTouchNs_; }
 
     /** Stable name for an outcome, as exported in the JSONL. */
@@ -122,9 +123,18 @@ class DecisionLog
      */
     static std::uint64_t key(std::uint32_t pod, std::uint64_t page);
 
-    using SeqMap = FlatMap<std::uint64_t>;
+    /**
+     * The latest commit that migrated a page in. Its watch window is
+     * open while now < commitPs + epoch (read from the record); its
+     * ping-pong window while the entry lives and the flag is set.
+     */
+    struct Window
+    {
+        std::uint64_t seq = 0;
+        bool pingPongOpen = false; //!< cleared by the first ping-pong
+    };
 
-    /** The first instant at which the window `seq` opened is closed. */
+    /** When commit `seq`'s entry for `key` is retired. */
     struct Expiry
     {
         TimePs closesAt = 0;
@@ -132,24 +142,20 @@ class DecisionLog
         std::uint64_t seq = 0;
     };
 
-    /** Retire every window closed at `now` from both maps. */
+    /** Retire every entry whose ping-pong window closed at `now`. */
     void expire(TimePs now);
 
     TimePs epochPs_;
     double benefitPerTouchNs_;
     std::vector<Record> records_;
-    /** (pod, page) -> seq of the commit whose watch window is open. */
-    SeqMap watch_;
-    /** (pod, page) -> seq of the commit that migrated it in. */
-    SeqMap migratedIn_;
+    /** (pod, page) -> the commit that last migrated it in. */
+    FlatMap<Window> windows_;
     /**
-     * Expiry queues, in closing order because commit times never
-     * decrease: a watch closes one epoch after its commit, ping-pong
-     * eligibility just after two. An entry erases its map slot only if
-     * that slot still holds its commit's seq.
+     * Expiry queue, in closing order because commit times never
+     * decrease: an entry closes just after two epochs. It erases its
+     * table slot only if that slot still holds its commit's seq.
      */
-    std::deque<Expiry> watchExpiry_;
-    std::deque<Expiry> migratedInExpiry_;
+    std::deque<Expiry> expiry_;
     TimePs lastCommitPs_ = 0;
     std::uint64_t committed_ = 0;
     std::uint64_t aborted_ = 0;

@@ -9,27 +9,56 @@ namespace mempod {
 void
 SystemGeometry::validate() const
 {
-    MEMPOD_ASSERT(numPods >= 1, "need at least one pod");
-    MEMPOD_ASSERT(fastBytes % kPageBytes == 0 && slowBytes % kPageBytes == 0,
-                  "capacities must be page aligned");
-    MEMPOD_ASSERT(fastChannels >= 1, "need fast channels");
-    MEMPOD_ASSERT(fastChannels % numPods == 0,
-                  "fast channels (%u) must divide evenly into pods (%u)",
-                  fastChannels, numPods);
-    MEMPOD_ASSERT(slowChannels % numPods == 0 || slowChannels == 0,
-                  "slow channels (%u) must divide evenly into pods (%u)",
-                  slowChannels, numPods);
-    MEMPOD_ASSERT(fastPages() % fastChannels == 0,
-                  "fast pages must interleave evenly over channels");
-    if (slowChannels > 0) {
-        MEMPOD_ASSERT(slowPages() % slowChannels == 0,
-                      "slow pages must interleave evenly over channels");
-    } else {
-        MEMPOD_ASSERT(slowBytes == 0, "slow capacity without channels");
+    // Each check names the config key (geom.*) that breaks it.
+    if (numPods == 0)
+        MEMPOD_PANIC("config key 'geom.numPods': need at least one pod");
+    if (fastChannels == 0) {
+        MEMPOD_PANIC("config key 'geom.fastChannels': need at least one "
+                     "fast channel");
     }
-    MEMPOD_ASSERT(totalPages() < (std::uint64_t{1} << 32),
-                  "%llu pages: placement needs fewer than 2^32 (16 TiB)",
-                  static_cast<unsigned long long>(totalPages()));
+    struct Tier
+    {
+        const char *name, *bytesKey, *channelsKey;
+        std::uint64_t bytes;
+        std::uint32_t channels;
+    };
+    for (const Tier &t :
+         {Tier{"fast", "geom.fastBytes", "geom.fastChannels", fastBytes,
+               fastChannels},
+          Tier{"slow", "geom.slowBytes", "geom.slowChannels", slowBytes,
+               slowChannels}}) {
+        if (t.bytes % kPageBytes != 0) {
+            MEMPOD_PANIC("config key '%s': %llu bytes is not a whole "
+                         "number of %llu-byte pages",
+                         t.bytesKey, static_cast<unsigned long long>(t.bytes),
+                         static_cast<unsigned long long>(kPageBytes));
+        }
+        if (t.channels % numPods != 0) {
+            MEMPOD_PANIC("config key '%s': %s channels (%u) must divide "
+                         "evenly into pods (geom.numPods = %u)",
+                         t.channelsKey, t.name, t.channels, numPods);
+        }
+        const std::uint64_t pages = t.bytes / kPageBytes;
+        if (t.channels > 0 && pages % t.channels != 0) {
+            MEMPOD_PANIC("config key '%s': %llu %s pages must interleave "
+                         "evenly over %u channels (%s)",
+                         t.bytesKey, static_cast<unsigned long long>(pages),
+                         t.name, t.channels, t.channelsKey);
+        }
+    }
+    if (slowChannels == 0 && slowBytes != 0) {
+        MEMPOD_PANIC("config key 'geom.slowBytes': %llu bytes of slow "
+                     "capacity without channels (geom.slowChannels = 0)",
+                     static_cast<unsigned long long>(slowBytes));
+    }
+    if (totalPages() >= (std::uint64_t{1} << 32)) {
+        MEMPOD_PANIC("config key '%s': %llu pages in all (geom.fastBytes "
+                     "+ geom.slowBytes); placement needs fewer than 2^32 "
+                     "(8 TiB)",
+                     fastBytes > slowBytes ? "geom.fastBytes"
+                                           : "geom.slowBytes",
+                     static_cast<unsigned long long>(totalPages()));
+    }
 }
 
 SystemGeometry

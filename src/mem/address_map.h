@@ -51,9 +51,9 @@ struct SystemGeometry
     }
 
     /**
-     * Panics if the interleave constraints do not hold, or if the
-     * system has 2^32 pages (16 TiB) or more: placement multiplies two
-     * page ids in 64 bits.
+     * Panics, naming the geom.* config key, if the interleave
+     * constraints do not hold, or if the system has 2^32 pages (8 TiB)
+     * or more: placement multiplies two page ids in 64 bits.
      */
     void validate() const;
 

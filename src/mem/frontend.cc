@@ -20,19 +20,10 @@ TraceFrontend::TraceFrontend(EventQueue &eq, MemoryManager &manager,
 void
 TraceFrontend::setSource(TraceSource &source)
 {
-    ownedSource_.reset();
     source_ = &source;
     source_->reset();
     totalRecords_ = source_->size();
     headValid_ = source_->next(head_);
-}
-
-void
-TraceFrontend::setTrace(const Trace &trace)
-{
-    auto owned = std::make_unique<VectorTraceSource>(trace);
-    setSource(*owned);
-    ownedSource_ = std::move(owned); // keep alive; setSource cleared it
 }
 
 void

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/event_queue.h"
 #include "common/metrics.h"
@@ -45,9 +44,6 @@ class TraceFrontend final : private Completer
      * lookahead.
      */
     void setSource(TraceSource &source);
-
-    /** Convenience: stream an in-memory trace (must outlive the run). */
-    void setTrace(const Trace &trace);
 
     /** Schedule the first arrival. */
     void start();
@@ -139,7 +135,6 @@ class TraceFrontend final : private Completer
     MemoryManager &manager_;
     const LogicalToPhysical &placement_;
     TraceSource *source_ = nullptr;
-    std::unique_ptr<TraceSource> ownedSource_; //!< setTrace() wrapper
     std::uint64_t totalRecords_ = 0;
 
     /** One-record lookahead: the next record to admit, if any. */

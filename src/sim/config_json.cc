@@ -397,6 +397,14 @@ SimConfig::validate() const
                          static_cast<unsigned long long>(t->tRFC));
         }
     }
+    // The cores freeze for sortStall at every HMA epoch, so a stall as
+    // long as the epoch never lets them issue again.
+    if (hma.sortStall >= hma.interval) {
+        MEMPOD_PANIC("config key 'hma.sortStall': %llu ps must be shorter "
+                     "than hma.interval (%llu ps)",
+                     static_cast<unsigned long long>(hma.sortStall),
+                     static_cast<unsigned long long>(hma.interval));
+    }
     if (geom.fastBytes == 0 && geom.fastChannels != 0) {
         MEMPOD_PANIC("config key 'geom.fastBytes': 0 leaves the %u fast "
                      "channels without capacity",

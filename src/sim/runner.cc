@@ -5,58 +5,16 @@
 #include <condition_variable>
 #include <deque>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "sim/simulation.h"
 #include "sim/stats_writer.h"
+#include "trace/catalog.h"
 
 namespace mempod {
-
-std::shared_ptr<const TraceStore>
-TraceCache::get(const std::string &workload, const GeneratorConfig &gen)
-{
-    const Key key{workload, gen.totalRequests, gen.seed,
-                  gen.footprintScale, gen.rateScale};
-
-    std::shared_future<std::shared_ptr<const TraceStore>> future;
-    std::promise<std::shared_ptr<const TraceStore>> promise;
-    bool build = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            future = promise.get_future().share();
-            entries_.emplace(key, future);
-            build = true;
-        } else {
-            future = it->second;
-        }
-    }
-
-    if (build) {
-        // Store construction runs outside the lock so distinct keys
-        // build in parallel; same-key requesters block on the future.
-        try {
-            const WorkloadCatalog &cat =
-                catalog_ ? *catalog_ : WorkloadCatalog::global();
-            if (cat.tryFind(workload) == nullptr)
-                throw std::invalid_argument("unknown workload '" +
-                                            workload + "'");
-            promise.set_value(cat.makeStore(workload, gen));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get(); // rethrows the builder's exception, if any
-}
-
-std::size_t
-TraceCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-}
 
 BatchRunner::BatchRunner(RunnerOptions opt) : opt_(opt) {}
 
@@ -76,12 +34,6 @@ BatchRunner::workerCount() const
     return n == 0 ? 1 : n;
 }
 
-TraceCache &
-BatchRunner::traceCache()
-{
-    return opt_.cache ? *opt_.cache : own_cache_;
-}
-
 JobResult
 BatchRunner::execute(const BatchJob &job, std::size_t index)
 {
@@ -90,14 +42,16 @@ BatchRunner::execute(const BatchJob &job, std::size_t index)
     out.label = job.label;
     const auto t0 = std::chrono::steady_clock::now();
     try {
-        // Each job gets its own single-owner cursor over the shared
-        // backing (explicit trace, or the cache's store).
-        std::unique_ptr<TraceSource> source;
-        if (job.trace) {
-            source = std::make_unique<VectorTraceSource>(job.trace);
-        } else {
-            source = traceCache().get(job.workload, job.gen)->open();
-        }
+        // Each job opens its own single-owner cursor; the catalog is
+        // the only state jobs share, and they only read it. Checking
+        // the name first keeps an unknown workload a per-job failure
+        // instead of find()'s process exit.
+        const WorkloadCatalog &catalog = WorkloadCatalog::global();
+        if (catalog.tryFind(job.workload) == nullptr)
+            throw std::invalid_argument("unknown workload '" +
+                                        job.workload + "'");
+        const std::unique_ptr<TraceSource> source =
+            catalog.open(job.workload, job.gen);
         switch (job.kind) {
           case JobKind::kTiming: {
             Simulation sim(job.config);

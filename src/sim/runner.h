@@ -5,11 +5,11 @@
  * workloads and configurations whose runs share nothing but the input
  * traces, so the BatchRunner executes them on a fixed-size worker
  * pool: each job builds its own Simulation (own EventQueue, own RNG
- * state) and opens its own cursor on the trace, from a recipe shared
- * through a mutex-guarded, build-once TraceCache. A synthetic trace
- * streams out of a fresh generator in every job and is never stored,
- * so a sweep holds O(cores) trace state per running job, not its
- * records. Results come back in
+ * state) and opens its own cursor on the trace through the read-only
+ * WorkloadCatalog, the only state jobs share: a fresh generator for a
+ * synthetic workload, a fresh reader for an external one. A synthetic
+ * trace is never stored, so a sweep holds O(cores) trace state per
+ * running job, not its records. Results come back in
  * submission order regardless of completion order, and a job that
  * throws is captured as a per-job failure instead of killing the
  * batch — so a 27-workload x 6-configuration sweep reports the one
@@ -23,14 +23,8 @@
  */
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
-#include <future>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/interval_study.h"
@@ -38,52 +32,9 @@
 #include "sim/artifacts.h"
 #include "sim/config.h"
 #include "sim/report.h"
-#include "trace/catalog.h"
 #include "trace/generator.h"
-#include "trace/record.h"
 
 namespace mempod {
-
-/**
- * Keyed store cache: at most one TraceStore per catalog entry +
- * generator/scaling params (workload, requests, seed, footprintScale,
- * rateScale), safe to hit from many threads. The first requester of a
- * key builds the store while the lock is released; concurrent
- * requesters of the same key block on its future instead of
- * duplicating the work, and requesters of other keys build in
- * parallel. A store is a recipe, not records: building one validates
- * a manifest-declared external trace once (header, counts), and each
- * job then opens its own streaming cursor — a fresh generator for a
- * synthetic workload, a fresh reader for an external one.
- */
-class TraceCache
-{
-  public:
-    /** Resolves names through this catalog; default is the global. */
-    explicit TraceCache(const WorkloadCatalog *catalog = nullptr)
-        : catalog_(catalog)
-    {
-    }
-
-    /**
-     * Fetch (or build) the shared store for `workload` under `gen`.
-     * Throws std::invalid_argument for an unknown workload name.
-     */
-    std::shared_ptr<const TraceStore> get(const std::string &workload,
-                                          const GeneratorConfig &gen);
-
-    /** Number of distinct stores built so far. */
-    std::size_t size() const;
-
-  private:
-    using Key = std::tuple<std::string, std::uint64_t, std::uint64_t,
-                           double, double>;
-
-    const WorkloadCatalog *catalog_;
-    mutable std::mutex mu_;
-    std::map<Key, std::shared_future<std::shared_ptr<const TraceStore>>>
-        entries_;
-};
 
 /** What a BatchJob asks the worker to run over its trace. */
 enum class JobKind
@@ -92,7 +43,7 @@ enum class JobKind
     kIntervalStudy, //!< Section 3 offline study -> IntervalStudyResult
 };
 
-/** One unit of work: a configuration plus a trace (or its recipe). */
+/** One unit of work: a configuration plus the workload it replays. */
 struct BatchJob
 {
     JobKind kind = JobKind::kTiming;
@@ -103,11 +54,8 @@ struct BatchJob
     /** Workload name; keys trace generation and labels the result. */
     std::string workload;
 
-    /** Trace recipe (requests, seed, scales) for the cache. */
+    /** Trace parameters (requests, seed, scales) the job opens with. */
     GeneratorConfig gen;
-
-    /** Explicit pre-built trace; bypasses the cache when set. */
-    std::shared_ptr<const Trace> trace;
 
     /** Display label for progress/error reports (e.g. "MemPod"). */
     std::string label;
@@ -143,9 +91,6 @@ struct RunnerOptions
 
     /** Progress destination; nullptr = stderr. */
     std::FILE *progressStream = nullptr;
-
-    /** Share a cache across runners; nullptr = runner-private cache. */
-    TraceCache *cache = nullptr;
 
     /**
      * Run-directory sink for every per-job artifact. When its root is
@@ -200,9 +145,6 @@ class BatchRunner
     /** Worker-thread count runAll() will use. */
     unsigned workerCount() const;
 
-    /** The cache jobs resolve their traces through. */
-    TraceCache &traceCache();
-
     /** Run everything; blocking. Results are in submission order. */
     std::vector<JobResult> runAll();
 
@@ -210,7 +152,6 @@ class BatchRunner
     JobResult execute(const BatchJob &job, std::size_t index);
 
     RunnerOptions opt_;
-    TraceCache own_cache_;
     std::vector<BatchJob> jobs_;
     std::size_t statsIndexBase_ = 0; //!< jobs run by prior runAll()s
 };

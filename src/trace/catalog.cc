@@ -144,12 +144,6 @@ openEntry(const CatalogEntry &e, const GeneratorConfig &gen)
 
 } // namespace
 
-std::unique_ptr<TraceSource>
-TraceStore::open() const
-{
-    return openEntry(entry_, gen_);
-}
-
 WorkloadCatalog::WorkloadCatalog()
 {
     for (auto &spec : syntheticSuite()) {
@@ -271,17 +265,6 @@ WorkloadCatalog::build(const std::string &name,
                        const GeneratorConfig &gen) const
 {
     return materialize(*open(name, gen));
-}
-
-std::shared_ptr<const TraceStore>
-WorkloadCatalog::makeStore(const std::string &name,
-                           const GeneratorConfig &gen) const
-{
-    auto store = std::make_shared<TraceStore>();
-    store->entry_ = find(name);
-    store->gen_ = gen;
-    store->records_ = store->open()->size();
-    return store;
 }
 
 } // namespace mempod

@@ -18,6 +18,11 @@
  * fresh SyntheticTraceSource, as opening an external trace opens its
  * file. Only build() materializes records, for analyses that need
  * random access.
+ *
+ * open() is the one way to a workload's trace: every tool, harness and
+ * BatchRunner job calls it for its own cursor. Manifests are loaded
+ * before any job starts; from then on the catalog is only read, so
+ * jobs on any worker thread share it without a lock.
  */
 #pragma once
 
@@ -51,36 +56,6 @@ struct CatalogEntry
     bool homogeneous = false;
     WorkloadSpec synthetic;    //!< valid when kind == kSynthetic
     ExternalTraceSpec external; //!< valid when kind == kExternal
-};
-
-/**
- * The recipe for one (workload, generator-params) pair — what the
- * TraceCache holds, one per key, handed to every job. It holds no
- * records: open() starts a fresh generator for a synthetic workload
- * and a fresh reader over an external trace, whose files were
- * validated once when the store was made.
- */
-class TraceStore
-{
-  public:
-    /** New single-owner cursor from the recipe. */
-    std::unique_ptr<TraceSource> open() const;
-
-    /** Records every cursor will yield. */
-    std::uint64_t records() const { return records_; }
-
-    bool
-    external() const
-    {
-        return entry_.kind == CatalogEntry::Kind::kExternal;
-    }
-
-  private:
-    friend class WorkloadCatalog;
-
-    CatalogEntry entry_;
-    GeneratorConfig gen_;
-    std::uint64_t records_ = 0;
 };
 
 /** Name → workload registry; see file comment. */
@@ -125,7 +100,8 @@ class WorkloadCatalog
      * generate their records as they are read; external entries stream
      * from disk with gen.totalRequests as the record cap and
      * gen.rateScale folded into the manifest time_scale.
-     * gen.seed/footprintScale apply to synthetic entries only.
+     * gen.seed/footprintScale apply to synthetic entries only. Fatal
+     * on an unknown name; tryFind() first to recover.
      */
     std::unique_ptr<TraceSource> open(const std::string &name,
                                       const GeneratorConfig &gen) const;
@@ -133,13 +109,6 @@ class WorkloadCatalog
     /** Materialize a workload's trace (offline analyses, tools). */
     Trace build(const std::string &name,
                 const GeneratorConfig &gen) const;
-
-    /**
-     * The recipe for (name, gen) — the TraceCache's value. Opens the
-     * trace once, so a bad external file fails here, at batch start.
-     */
-    std::shared_ptr<const TraceStore>
-    makeStore(const std::string &name, const GeneratorConfig &gen) const;
 
   private:
     void insert(CatalogEntry entry);

@@ -7,9 +7,8 @@
  * synthetic trace is generated as it is consumed, in O(cores) memory.
  *
  * Sources are single-owner cursors: cheap to open, not shared across
- * threads. A TraceStore (trace/catalog.h) is the recipe a cursor is
- * opened from; the TraceCache validates each store once and hands
- * each job its own cursor.
+ * threads. WorkloadCatalog::open (trace/catalog.h) opens a fresh one
+ * per caller, so each BatchRunner job streams its own.
  */
 #pragma once
 
@@ -53,18 +52,13 @@ class TraceSource
 };
 
 /**
- * In-memory source over a Trace vector. Non-owning when built from a
- * raw reference (caller keeps the vector alive); owning when built
- * from a shared_ptr (a BatchJob's explicit trace).
+ * In-memory source over a Trace vector it does not own: the caller
+ * keeps the vector alive while the source is read.
  */
 class VectorTraceSource final : public TraceSource
 {
   public:
     explicit VectorTraceSource(const Trace &trace) : trace_(&trace) {}
-    explicit VectorTraceSource(std::shared_ptr<const Trace> trace)
-        : owned_(std::move(trace)), trace_(owned_.get())
-    {
-    }
 
     bool
     next(TraceRecord &out) override
@@ -79,7 +73,6 @@ class VectorTraceSource final : public TraceSource
     std::uint64_t size() const override { return trace_->size(); }
 
   private:
-    std::shared_ptr<const Trace> owned_;
     const Trace *trace_;
     std::uint64_t idx_ = 0;
 };

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the bench/ scaffolding: CLI parsing (including rejection
- * of malformed input), workload-set selection, and the shared
- * mutex-guarded trace cache behind makeTrace().
+ * of malformed input), workload-set selection, and the job and
+ * runner-option helpers.
  */
 #include <gtest/gtest.h>
 
@@ -269,24 +269,13 @@ TEST(WorkloadSelection, SuiteDefaultsToAll27)
     EXPECT_EQ(opt.suiteWorkloads().size(), 27u);
 }
 
-TEST(BenchTraceCache, MakeTraceMemoizes)
-{
-    const auto a = makeTrace("xalanc", 5000, 42);
-    const auto b = makeTrace("xalanc", 5000, 42);
-    EXPECT_EQ(a.get(), b.get()); // same cached immutable store
-    EXPECT_EQ(a->records(), 5000u);
-
-    const auto c = makeTrace("xalanc", 5000, 43);
-    EXPECT_NE(a.get(), c.get()); // seed participates in the key
-}
-
-TEST(BenchTraceCache, RunnerOptionsShareTheCache)
+TEST(JobHelpers, RunnerOptionsHonorJobsAndOut)
 {
     const Options opt = parse({"--jobs", "2"});
     const RunnerOptions ro = runnerOptions(opt);
-    EXPECT_EQ(ro.cache, &traceCache());
     EXPECT_EQ(ro.jobs, 2u);
     EXPECT_TRUE(ro.progress);
+    EXPECT_EQ(ro.artifacts.root, opt.artifacts.root);
 }
 
 TEST(JobHelpers, TimingJobCarriesHarnessScale)

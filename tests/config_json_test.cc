@@ -285,6 +285,101 @@ TEST(ConfigDeathTest, ZeroCapacityTierWithChannelsRejectedByKey)
     EXPECT_DEATH(Simulation sim(c), "config key 'geom.fastBytes': 0");
 }
 
+// HMA freezes the cores for sortStall every epoch; a stall as long as
+// the epoch used to end in "simulation livelock" or run forever.
+TEST(ConfigDeathTest, HmaSortStallNotBelowIntervalRejectedByKey)
+{
+    SimConfig c = SimConfig::paper(Mechanism::kHma);
+    c.hma.sortStall = c.hma.interval;
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'hma.sortStall': .* must be shorter than "
+                 "hma.interval");
+    c.hma.interval = 1'000'000; // mempod_sim --set hma.interval=1000000
+    c.hma.sortStall = 140'000'000;
+    EXPECT_DEATH(Simulation sim(c), "config key 'hma.sortStall'");
+    c.hma.sortStall = c.hma.interval - 1;
+    c.validate();
+}
+
+// Every preset, and HMA's epoch scaled down by scaleHmaEpoch (7:100
+// stall ratio), keeps the stall below the epoch.
+TEST(Config, PresetsKeepHmaStallBelowInterval)
+{
+    for (bool future : {false, true}) {
+        SimConfig c = future ? SimConfig::future(Mechanism::kHma)
+                             : SimConfig::paper(Mechanism::kHma);
+        c.validate();
+        for (const double ratio : {1.0, 40.0, 2000.0}) {
+            SimConfig s = c;
+            s.scaleHmaEpoch(ratio);
+            EXPECT_LT(s.hma.sortStall, s.hma.interval) << ratio;
+            s.validate();
+        }
+    }
+    SimConfig::fastOnly(false).validate();
+    SimConfig::fastOnly(true).validate();
+    SimConfig::slowOnly(false).validate();
+    SimConfig::slowOnly(true).validate();
+}
+
+// SystemGeometry::validate() used to die in an assertion that printed
+// the failed expression ("fastChannels % numPods == 0") and no key.
+TEST(ConfigDeathTest, UnalignedCapacityRejectedByKey)
+{
+    SimConfig c;
+    c.geom.fastBytes += kPageBytes / 2;
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'geom.fastBytes': .* whole number of "
+                 "2048-byte pages");
+    c = SimConfig{};
+    c.geom.slowBytes += 1;
+    EXPECT_DEATH(Simulation sim(c), "config key 'geom.slowBytes': .* pages");
+}
+
+TEST(ConfigDeathTest, ChannelsNotDividingIntoPodsRejectedByKey)
+{
+    SimConfig c;
+    c.set("geom.fastChannels", "6");
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'geom.fastChannels': fast channels \\(6\\) "
+                 "must divide evenly into pods \\(geom.numPods = 4\\)");
+    c = SimConfig{};
+    c.set("geom.slowChannels", "3");
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'geom.slowChannels': slow channels \\(3\\)");
+}
+
+TEST(ConfigDeathTest, PagesNotInterleavingOverChannelsRejectedByKey)
+{
+    SimConfig c;
+    c.geom.fastBytes += kPageBytes; // one page more than 8 channels take
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'geom.fastBytes': [0-9]+ fast pages must "
+                 "interleave evenly over 8 channels");
+    c = SimConfig{};
+    c.geom.slowBytes += kPageBytes;
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'geom.slowBytes': [0-9]+ slow pages must "
+                 "interleave evenly over 4 channels");
+}
+
+TEST(ConfigDeathTest, SlowCapacityWithoutChannelsRejectedByKey)
+{
+    SimConfig c;
+    c.set("geom.slowChannels", "0");
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'geom.slowBytes': .* without channels");
+}
+
+TEST(ConfigDeathTest, TooManyPagesRejectedByKey)
+{
+    SimConfig c;
+    c.geom.slowBytes = std::uint64_t{1} << 43; // 2^32 pages alone
+    EXPECT_DEATH(Simulation sim(c),
+                 "config key 'geom.slowBytes': [0-9]+ pages in all .* "
+                 "fewer than 2\\^32");
+}
+
 // A trace with more cores than the configuration used to die in the
 // placement with "logical page overflow".
 TEST(ConfigDeathTest, TraceCoreBeyondNumCoresRejectedByKey)

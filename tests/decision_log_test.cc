@@ -72,10 +72,11 @@ TEST(DecisionLog, WatchWindowExpiresAfterOneEpoch)
 {
     DecisionLog log(kEpoch, 1.0);
     const auto id = log.record(0, 9, 1, 2, 0);
-    log.commit(id, 1000); // window closes at 2000
-    log.noteAccess(0, 9, true, 2000); // lazy expiry, no credit
-    log.noteAccess(0, 9, true, 1500); // window already erased
+    log.commit(id, 1000); // watch closes at 2000, entry lives to 3001
+    log.noteAccess(0, 9, true, 2000);
+    log.noteAccess(0, 9, true, 2500); // entry open for ping-pong only
     EXPECT_EQ(log.records()[id].realizedNearHits, 0u);
+    EXPECT_EQ(log.openWindows(), 1u);
 }
 
 TEST(DecisionLog, PingPongMarksTheEarlierDecision)
@@ -89,6 +90,23 @@ TEST(DecisionLog, PingPongMarksTheEarlierDecision)
     EXPECT_TRUE(log.records()[first].pingPong);
     EXPECT_FALSE(log.records()[second].pingPong);
     EXPECT_EQ(log.pingPongCount(), 1u);
+}
+
+TEST(DecisionLog, PingPongedPageKeepsItsWatch)
+{
+    DecisionLog log(kEpoch, 1.0);
+    const auto first = log.record(0, 5, 1, 4, 0);
+    log.commit(first, 1000);
+    log.commit(log.record(0, 8, /*victim=*/5, 4, 1100), 1200);
+    EXPECT_TRUE(log.records()[first].pingPong);
+    // The ping-pong closes only its own window: touches inside the
+    // first watch still count, and a second eviction of the same page
+    // is not a second ping-pong.
+    log.noteAccess(0, 5, true, 1500);
+    EXPECT_EQ(log.records()[first].realizedNearHits, 1u);
+    log.commit(log.record(0, 9, /*victim=*/5, 4, 1600), 1700);
+    EXPECT_EQ(log.pingPongCount(), 1u);
+    EXPECT_EQ(log.openWindows(), 3u);
 }
 
 TEST(DecisionLog, SlowEvictionIsNotAPingPong)
@@ -107,32 +125,34 @@ TEST(DecisionLog, WindowsCloseAfterTwoIdleEpochs)
     DecisionLog log(kEpoch, 1.0);
     log.commit(log.record(0, 5, 1, 4, 0), 1000);
     log.commit(log.record(0, 6, 2, 4, 0), 1200);
-    EXPECT_EQ(log.openWatches(), 2u);
-    EXPECT_EQ(log.openPingPongWindows(), 2u);
-    // Any demand retires what has closed: watches at commit + 1 epoch,
-    // ping-pong eligibility after commit + 2 epochs.
-    log.noteAccess(3, 99, true, 2000);
-    EXPECT_EQ(log.openWatches(), 1u);
-    EXPECT_EQ(log.openPingPongWindows(), 2u);
+    EXPECT_EQ(log.openWindows(), 2u);
+    // Any demand retires what has closed: an entry outlives its watch
+    // (commit + 1 epoch) until ping-pong eligibility ends, just after
+    // commit + 2 epochs.
     log.noteAccess(3, 99, true, 3000);
-    EXPECT_EQ(log.openWatches(), 0u);
-    EXPECT_EQ(log.openPingPongWindows(), 2u);
+    EXPECT_EQ(log.openWindows(), 2u);
     log.noteAccess(3, 99, true, 3001);
-    EXPECT_EQ(log.openPingPongWindows(), 1u);
+    EXPECT_EQ(log.openWindows(), 1u);
     log.noteAccess(3, 99, true, 3201);
-    EXPECT_EQ(log.openWatches(), 0u);
-    EXPECT_EQ(log.openPingPongWindows(), 0u);
+    EXPECT_EQ(log.openWindows(), 0u);
 }
 
 TEST(DecisionLog, TouchAtTheDeadlineEarnsNoCredit)
 {
-    DecisionLog log(kEpoch, 1.0);
-    const auto id = log.record(0, 9, 1, 2, 0);
-    log.commit(id, 1000); // window [1000, 2000)
-    log.noteAccess(0, 9, true, 1999);
-    log.noteAccess(0, 9, true, 2000);
-    EXPECT_EQ(log.records()[id].realizedNearHits, 1u);
-    EXPECT_EQ(log.openWatches(), 0u);
+    // Alone, the watch is closed by the no-probe fast path; after a
+    // later commit, by its own commit time.
+    for (const bool later_commit : {false, true}) {
+        DecisionLog log(kEpoch, 1.0);
+        const auto id = log.record(0, 9, 1, 2, 0);
+        log.commit(id, 1000); // window [1000, 2000)
+        if (later_commit)
+            log.commit(log.record(0, 4, 2, 2, 1500), 1500);
+        log.noteAccess(0, 9, true, 1999);
+        log.noteAccess(0, 9, true, 2000);
+        EXPECT_EQ(log.records()[id].realizedNearHits, 1u) << later_commit;
+        // The closed watch leaves the entry to its ping-pong window.
+        EXPECT_EQ(log.openWindows(), later_commit ? 2u : 1u);
+    }
 }
 
 TEST(DecisionLog, PingPongWindowIsTwoEpochsInclusive)

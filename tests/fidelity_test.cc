@@ -212,7 +212,7 @@ TEST(TraceSamplingFidelity, ScaledReplayKeepsTheSameDemandSet)
     // Time-scaling a replay changes every timestamp but no record
     // index, so the traced set must match the unscaled run's — under
     // every fidelity.
-    const auto t = std::make_shared<const Trace>(tinyTrace());
+    const Trace t = tinyTrace();
     const SimConfig base = tinyConfig(Mechanism::kMemPod);
 
     VectorTraceSource plain(t);

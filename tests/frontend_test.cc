@@ -67,7 +67,8 @@ TEST_F(FrontendFixture, CompletesAllRecords)
 {
     TraceFrontend fe(eq, mgr, l2p, 4);
     const Trace t = makeTrace(50, 10);
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     EXPECT_TRUE(fe.done());
@@ -79,7 +80,8 @@ TEST_F(FrontendFixture, AmmatIsFixedLatencyWhenUncontended)
 {
     TraceFrontend fe(eq, mgr, l2p, 64);
     const Trace t = makeTrace(20, 1000); // arrivals far apart
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     EXPECT_DOUBLE_EQ(fe.ammatPs(), 100.0);
@@ -90,7 +92,8 @@ TEST_F(FrontendFixture, MshrCapLimitsOutstandingAndAddsQueueing)
     // 10 simultaneous arrivals through a 1-wide frontend serialize.
     TraceFrontend fe(eq, mgr, l2p, 1);
     const Trace t = makeTrace(10, 0);
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     // i-th request waits i*100 before admission.
@@ -101,7 +104,8 @@ TEST_F(FrontendFixture, StallFreezesIntake)
 {
     TraceFrontend fe(eq, mgr, l2p, 64);
     const Trace t = makeTrace(10, 10);
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.stallUntil(10'000);
     fe.start();
     eq.runAll();
@@ -114,7 +118,8 @@ TEST_F(FrontendFixture, SuspendShiftsTimelineWithoutStallCost)
 {
     TraceFrontend fe(eq, mgr, l2p, 64);
     const Trace t = makeTrace(10, 1000);
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runUntil(2'500); // two records admitted
     fe.suspendCores(50'000);
@@ -129,7 +134,8 @@ TEST_F(FrontendFixture, AmmatDenominatorIsTraceLength)
 {
     TraceFrontend fe(eq, mgr, l2p, 64);
     const Trace t = makeTrace(4, 1000);
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     EXPECT_DOUBLE_EQ(fe.totalStallPs() / 4.0, fe.ammatPs());
@@ -139,7 +145,8 @@ TEST_F(FrontendFixture, EmptyTraceIsDoneImmediately)
 {
     TraceFrontend fe(eq, mgr, l2p, 64);
     const Trace t;
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     EXPECT_TRUE(fe.done());
@@ -152,7 +159,8 @@ TEST_F(FrontendFixture, AppliesPlacementMapping)
     Trace t = makeTrace(1, 0);
     t[0].core = 3;
     t[0].coreLocal = 7 * kPageBytes + 128;
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     EXPECT_EQ(mgr.addrs[0],
@@ -163,7 +171,8 @@ TEST_F(FrontendFixture, PerCoreAmmatTracked)
 {
     TraceFrontend fe(eq, mgr, l2p, 64);
     const Trace t = makeTrace(16, 1000); // cores round-robin 0..7
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     const auto per_core = fe.perCoreAmmatPs();
@@ -176,7 +185,8 @@ TEST_F(FrontendFixture, LatencyHistogramPopulated)
 {
     TraceFrontend fe(eq, mgr, l2p, 64);
     const Trace t = makeTrace(32, 500);
-    fe.setTrace(t);
+    VectorTraceSource source(t);
+    fe.setSource(source);
     fe.start();
     eq.runAll();
     EXPECT_EQ(fe.latencyHistogramNs().count(), 32u);

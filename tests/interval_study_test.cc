@@ -50,7 +50,8 @@ TEST(IntervalStudy, PageStreamFromTraceDisambiguatesCores)
     b.coreLocal = 0;
     t.push_back(a);
     t.push_back(b);
-    const auto stream = pageStreamFromTrace(t);
+    VectorTraceSource source(t);
+    const auto stream = pageStreamFromSource(source);
     EXPECT_NE(stream[0], stream[1]);
 }
 
@@ -111,8 +112,8 @@ TEST(IntervalStudy, CountingAccuracyBelowPerfect)
     GeneratorConfig gc;
     gc.totalRequests = 50000;
     gc.footprintScale = 0.05;
-    const Trace t = WorkloadCatalog::global().build("mix5", gc);
-    const auto stream = pageStreamFromTrace(t);
+    const auto stream =
+        pageStreamFromSource(*WorkloadCatalog::global().open("mix5", gc));
     const IntervalStudyResult r = runIntervalStudy(stream, smallStudy());
     EXPECT_GT(r.intervals, 10u);
     for (int tier = 0; tier < 3; ++tier) {
@@ -126,9 +127,9 @@ TEST(IntervalStudy, PredictionsBoundedByMeaCapacity)
     GeneratorConfig gc;
     gc.totalRequests = 30000;
     gc.footprintScale = 0.05;
-    const Trace t = WorkloadCatalog::global().build("xalanc", gc);
-    const IntervalStudyResult r =
-        runIntervalStudy(pageStreamFromTrace(t), smallStudy());
+    const IntervalStudyResult r = runIntervalStudy(
+        pageStreamFromSource(*WorkloadCatalog::global().open("xalanc", gc)),
+        smallStudy());
     EXPECT_LE(r.meaPredictionsPerInterval, 128.0);
     EXPECT_GT(r.meaPredictionsPerInterval, 0.0);
 }
@@ -138,9 +139,9 @@ TEST(IntervalStudy, HitsNeverExceedTierSize)
     GeneratorConfig gc;
     gc.totalRequests = 30000;
     gc.footprintScale = 0.05;
-    const Trace t = WorkloadCatalog::global().build("mix1", gc);
-    const IntervalStudyResult r =
-        runIntervalStudy(pageStreamFromTrace(t), smallStudy());
+    const IntervalStudyResult r = runIntervalStudy(
+        pageStreamFromSource(*WorkloadCatalog::global().open("mix1", gc)),
+        smallStudy());
     for (int tier = 0; tier < 3; ++tier) {
         EXPECT_LE(r.meaPredictionHits[tier], 10.0);
         EXPECT_LE(r.fcPredictionHits[tier], 10.0);

@@ -2,8 +2,8 @@
  * @file
  * Tests for the parallel BatchRunner: bit-identical results at any
  * worker count (the determinism guarantee the harnesses rely on),
- * submission-order results, per-job failure capture, and the
- * build-once semantics of the shared TraceCache.
+ * submission-order results, per-job failure capture, and each job
+ * opening its own trace cursor through the catalog.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "sim/runner.h"
 #include "sim/simulation.h"
 #include "trace/catalog.h"
+#include "trace/native.h"
 
 namespace mempod {
 namespace {
@@ -125,20 +126,6 @@ TEST(BatchRunner, ThrowingJobIsCapturedWithoutKillingTheBatch)
     EXPECT_EQ(results[2].result.completed, 20000u);
 }
 
-TEST(BatchRunner, ExplicitTraceBypassesTheCache)
-{
-    auto trace = std::make_shared<const Trace>(
-        WorkloadCatalog::global().build("xalanc", tinyGen()));
-    BatchRunner runner(withJobs(2));
-    BatchJob job = tinyJob(Mechanism::kNoMigration, "xalanc");
-    job.trace = trace;
-    runner.add(std::move(job));
-    const auto results = runner.runAll();
-    ASSERT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(results[0].result.completed, trace->size());
-    EXPECT_EQ(runner.traceCache().size(), 0u);
-}
-
 TEST(BatchRunner, IntervalStudyJobsRunOnThePool)
 {
     BatchRunner runner(withJobs(2));
@@ -177,59 +164,46 @@ TEST(BatchRunner, RunAllIsRepeatable)
                   .mechanism);
 }
 
-TEST(TraceCache, BuildsOneStorePerKey)
+/**
+ * A native trace registered in the global catalog, as mempod_sim
+ * --trace does, replays through the runner exactly as in memory: each
+ * job opens its own reader, at any worker count. The registration
+ * outlives the test in this process, so the name is unique.
+ */
+TEST(BatchRunner, RegisteredNativeTraceMatchesInMemoryReplay)
 {
-    TraceCache cache;
-    const auto a = cache.get("xalanc", tinyGen());
-    const auto b = cache.get("xalanc", tinyGen());
-    EXPECT_EQ(a.get(), b.get()); // same shared store
-    EXPECT_EQ(cache.size(), 1u);
+    const Trace original =
+        WorkloadCatalog::global().build("xalanc", tinyGen());
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "mempod_runner_native";
+    std::filesystem::create_directories(dir);
+    ExternalTraceSpec spec;
+    spec.name = "runner-test-native-replay";
+    spec.format = "native";
+    spec.files.push_back({(dir / "replay.trc").string(), 0});
+    writeNativeTrace(original, spec.files[0].path);
+    WorkloadCatalog::global().registerExternal(spec);
 
-    // The store is a recipe, not records: every cursor is a fresh
-    // generator that yields the whole stream on its own.
-    const auto c1 = a->open();
-    const auto c2 = a->open();
-    TraceRecord first;
-    ASSERT_TRUE(c1->next(first));
-    TraceRecord r;
-    std::uint64_t n = 0;
-    while (c2->next(r)) {
-        if (n++ == 0) {
-            EXPECT_EQ(r.time, first.time);
-            EXPECT_EQ(r.coreLocal, first.coreLocal);
+    const std::vector<Mechanism> mechs{
+        Mechanism::kNoMigration, Mechanism::kMemPod, Mechanism::kHma};
+    std::vector<std::string> in_memory;
+    for (Mechanism m : mechs)
+        in_memory.push_back(serializeRunResult(
+            runSimulation(tinyConfig(m), original, spec.name)));
+
+    for (const unsigned workers : {1u, 4u}) {
+        BatchRunner runner(withJobs(workers));
+        for (Mechanism m : mechs)
+            runner.add(tinyJob(m, spec.name));
+        const auto results = runner.runAll();
+        ASSERT_EQ(results.size(), mechs.size());
+        for (std::size_t i = 0; i < mechs.size(); ++i) {
+            ASSERT_TRUE(results[i].ok) << results[i].error;
+            EXPECT_EQ(serializeRunResult(results[i].result), in_memory[i])
+                << mechanismName(mechs[i]) << " at jobs " << workers;
         }
     }
-    EXPECT_EQ(n, a->records());
-
-    GeneratorConfig other = tinyGen();
-    other.seed = 7;
-    const auto c = cache.get("xalanc", other);
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(TraceCache, UnknownWorkloadThrows)
-{
-    TraceCache cache;
-    EXPECT_THROW(cache.get("bogus", tinyGen()), std::invalid_argument);
-    // A failed generation must not poison the key for valid retries
-    // of *other* keys.
-    EXPECT_NO_THROW(cache.get("xalanc", tinyGen()));
-}
-
-TEST(TraceCache, SharedAcrossRunners)
-{
-    TraceCache cache;
-    RunnerOptions opt;
-    opt.jobs = 2;
-    opt.cache = &cache;
-    for (int round = 0; round < 2; ++round) {
-        BatchRunner runner(opt);
-        runner.add(tinyJob(Mechanism::kNoMigration, "xalanc"));
-        const auto results = runner.runAll();
-        ASSERT_TRUE(results[0].ok) << results[0].error;
-    }
-    EXPECT_EQ(cache.size(), 1u); // second round reused the trace
+    std::filesystem::remove_all(dir);
 }
 
 TEST(RunnerOptions, ZeroJobsFallsBackToHardwareConcurrency)

@@ -360,30 +360,5 @@ TEST(ReplayDeterminism, ReplayedStatsAreByteIdenticalToLive)
     EXPECT_EQ(serializeRunResult(replay_cs), live_stats);
 }
 
-/** External traces flow through the TraceCache without duplication. */
-TEST(ReplayDeterminism, TraceCacheServesExternalTraces)
-{
-    const std::string dir = testDir();
-    const Trace original = smallTrace("xalanc", 3000);
-    writeNativeTrace(original, dir + "/cached.trc");
-    std::ofstream m(dir + "/traces.json");
-    m << "{\"version\": 1, \"traces\": [{\"name\": \"cached\", "
-         "\"format\": \"native\", \"file\": \"cached.trc\"}]}\n";
-    m.close();
-
-    WorkloadCatalog catalog;
-    catalog.loadManifest(dir + "/traces.json");
-    TraceCache cache(&catalog);
-    GeneratorConfig gc;
-    gc.totalRequests = 0;
-    const auto store = cache.get("cached", gc);
-    ASSERT_TRUE(store->external());
-    EXPECT_EQ(store->records(), original.size());
-    // Same key => same shared store, not a second validation pass.
-    EXPECT_EQ(cache.get("cached", gc).get(), store.get());
-
-    expectIdentical(original, materialize(*store->open()));
-}
-
 } // namespace
 } // namespace mempod

@@ -149,10 +149,12 @@ main(int argc, char **argv)
     }
 
     // One cursor serves --record and the summary (each a full pass
-    // over the stream); the jobs below open their own cursors on the
-    // same cached store.
+    // over the stream); the jobs below open their own cursors with the
+    // same generator parameters.
+    BatchJob job = timingJob(cfg, workload, opt);
+    job.label = mechanismName(job.config.mechanism);
     const std::unique_ptr<TraceSource> source =
-        makeTrace(workload, opt.timingRequests(), opt.seed)->open();
+        WorkloadCatalog::global().open(workload, job.gen);
     if (!record_file.empty()) {
         NativeTraceWriter writer(record_file);
         TraceRecord rec;
@@ -165,8 +167,6 @@ main(int argc, char **argv)
                     record_file.c_str());
     }
 
-    BatchJob job = timingJob(cfg, workload, opt);
-    job.label = mechanismName(job.config.mechanism);
     std::printf("config: %s\n", job.config.describe().c_str());
     const TraceSummary ts = summarize(*source);
     std::printf("trace: %llu requests, %.1f req/us, %llu pages, "
