@@ -99,6 +99,9 @@ class TraceFrontend final : private Completer
 
     std::uint64_t completed() const { return completed_; }
 
+    /** Demand requests admitted so far. */
+    std::uint64_t issued() const { return issued_; }
+
     /** Per-core AMMAT in picoseconds (index = core id). */
     std::vector<double> perCoreAmmatPs() const;
 

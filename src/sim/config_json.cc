@@ -258,8 +258,8 @@ fieldTable()
         MEMPOD_CONFIG_FIELD("statsIntervalPs", statsIntervalPs),
         MEMPOD_CONFIG_FIELD("sim.shards", shards),
         MEMPOD_CONFIG_FIELD("sim.sampling.enabled", sampling.enabled),
-        MEMPOD_CONFIG_FIELD("sim.sampling.measure_ps",
-                            sampling.measurePs),
+        MEMPOD_CONFIG_POSITIVE("sim.sampling.measure_ps",
+                               sampling.measurePs),
         MEMPOD_CONFIG_FIELD("sim.sampling.fastfwd_ps",
                             sampling.fastfwdPs),
         MEMPOD_CONFIG_FIELD("sim.sampling.warmup_pct",
@@ -395,6 +395,23 @@ SimConfig::validate() const
                          "refresh",
                          tier, static_cast<unsigned long long>(t->tREFI),
                          static_cast<unsigned long long>(t->tRFC));
+        }
+    }
+    // An epoch or window shorter than one near-memory clock runs its
+    // per-epoch work more often than the DRAM can issue a command, and
+    // a run crawls (statsIntervalPs=3 ran past 20 s on 3000 records).
+    // statsIntervalPs 0 turns the sampler off.
+    for (const auto &[key, ps] :
+         {std::pair{"mempod.interval", mempod.interval},
+          std::pair{"hma.interval", hma.interval},
+          std::pair{"sim.sampling.measure_ps", sampling.measurePs},
+          std::pair{"statsIntervalPs", statsIntervalPs}}) {
+        if (ps != 0 && ps < near.timing.clockPeriodPs) {
+            MEMPOD_PANIC("config key '%s': %llu ps is shorter than one "
+                         "dram.near.clock_ps (%llu ps)",
+                         key, static_cast<unsigned long long>(ps),
+                         static_cast<unsigned long long>(
+                             near.timing.clockPeriodPs));
         }
     }
     // The cores freeze for sortStall at every HMA epoch, so a stall as

@@ -57,11 +57,6 @@ FidelityController::FidelityController(
     const SimConfig::SamplingParams &params)
     : eq_(eq), mem_(mem), frontend_(frontend), params_(params)
 {
-    if (params_.measurePs == 0) {
-        MEMPOD_PANIC("sim.sampling.measure_ps must be positive: a "
-                     "zero-length measurement window can never "
-                     "produce a sample");
-    }
     if (params_.warmupPct > 99) {
         MEMPOD_PANIC("sim.sampling.warmup_pct must be in [0, 99], got "
                      "%u",

@@ -211,21 +211,36 @@ Simulation::run(TraceSource &source, const std::string &workload_name)
     };
     // Watchdog: recurring timers keep the queue non-empty forever, so
     // a stuck drain would otherwise spin silently. One simulated
-    // second without any forward progress is a bug.
+    // second with work outstanding and no demand completed or admitted
+    // is a bug; with nothing outstanding the trace is only idle
+    // between records.
     std::uint64_t last_progress = 0;
+    std::uint64_t last_issued = 0;
     TimePs progress_at = 0;
+    // Kept out of line: inlined, it made check_progress too large to
+    // inline into the per-event loops.
+    const auto window_expired = [&]() __attribute__((noinline, cold)) {
+        const bool busy = frontend_->outstanding() != 0 ||
+                          mem_->inFlight() != 0 ||
+                          manager_->pendingWork() != 0;
+        if (busy && frontend_->issued() == last_issued)
+            MEMPOD_PANIC("simulation livelock: no progress for 1 s of "
+                         "simulated time (pending=%llu)",
+                         static_cast<unsigned long long>(
+                             manager_->pendingWork()));
+        last_issued = frontend_->issued();
+        progress_at = eq_.now();
+    };
     const auto check_progress = [&] {
         // Timer self-rescheduling executes events without advancing
-        // the workload; only demand completions count as progress.
+        // the workload; only demand completions count as progress, and
+        // admissions once the window has expired.
         const std::uint64_t progress = frontend_->completed();
         if (progress != last_progress || progress_at == 0) {
             last_progress = progress;
             progress_at = eq_.now();
         } else if (eq_.now() > progress_at + 1'000'000'000'000ull) {
-            MEMPOD_PANIC("simulation livelock: no progress for 1 s of "
-                         "simulated time (pending=%llu)",
-                         static_cast<unsigned long long>(
-                             manager_->pendingWork()));
+            window_expired();
         }
         // Read-only conservation checks, self-rate-limited to one pass
         // per epoch of *simulated* time — the serial and sharded loops

@@ -107,21 +107,15 @@ openExternal(const ExternalTraceSpec &spec, std::uint64_t max_records)
                                                    max_records);
     }
     if (spec.format == "champsim") {
-        std::vector<ChampSimFileSpec> files;
-        for (const auto &f : spec.files)
-            files.push_back({f.path, f.core});
         return std::make_unique<ChampSimTraceSource>(
-            std::move(files),
+            spec.files,
             spec.timing == "ip" ? ChampSimTiming::kIp
                                 : ChampSimTiming::kPeriod,
             spec.periodPs, spec.addrBias, max_records);
     }
     if (spec.format == "sift") {
-        std::vector<SiftFileSpec> files;
-        for (const auto &f : spec.files)
-            files.push_back({f.path, f.core});
-        return std::make_unique<SiftTraceSource>(
-            std::move(files), spec.periodPs, max_records);
+        return std::make_unique<SiftTraceSource>(spec.files, spec.periodPs,
+                                                 max_records);
     }
     MEMPOD_PANIC("unreachable trace format '%s'", spec.format.c_str());
 }

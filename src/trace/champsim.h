@@ -9,10 +9,10 @@
  * The format carries neither timestamps nor a core id, so two manifest
  * knobs recover them:
  *  - core mapping: one file per core, each manifest entry naming its
- *    core index; the reader k-way-merges the per-core streams keyed
- *    (time, core, per-file order) — the exact tie order the synthetic
- *    generator's stable time sort produces, which is what makes
- *    record-and-replay through ChampSim files byte-identical.
+ *    core index; the reader merges the per-core streams through
+ *    CoreMerge on (time, core, per-file order) — the generator's tie
+ *    order, which is what makes record-and-replay through ChampSim
+ *    files byte-identical.
  *  - timing: "period" synthesizes time = instruction-index × periodPs
  *    (for traces from real ChampSim tooling); "ip" reads the arrival
  *    time in picoseconds out of the ip field (our converter stores it
@@ -32,8 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/mapped_file.h"
-#include "trace/source.h"
+#include "trace/core_merge.h"
 
 namespace mempod {
 
@@ -52,63 +51,54 @@ enum class ChampSimTiming
     kIp,     //!< time = the instr's ip field, in picoseconds
 };
 
-/** One per-core ChampSim file. */
-struct ChampSimFileSpec
+/**
+ * The one ChampSim parser: one per-core file's records, loads before
+ * stores within an instruction, all at the instruction's time. Fatal,
+ * naming the file and instruction, on an address below addr_bias, a
+ * time that falls, overflows the clock or is the reserved kTimeNever.
+ */
+class ChampSimDecoder
 {
-    std::string path;
-    std::uint8_t core = 0;
+  public:
+    ChampSimDecoder(std::unique_ptr<MappedFile> file, std::uint8_t core,
+                    ChampSimTiming timing, TimePs period_ps,
+                    std::uint64_t addr_bias);
+
+    bool next(TraceRecord &out);
+    void rewind();
+    std::uint64_t residentBytes() const { return file_->maxMappedBytes(); }
+
+  private:
+    std::unique_ptr<MappedFile> file_;
+    std::uint8_t core_;
+    ChampSimTiming timing_;
+    TimePs periodPs_;
+    std::uint64_t addrBias_;
+    std::uint64_t instrIdx_ = 0;
+    TimePs prevTime_ = 0;
+    TraceRecord pending_[champsim::kDstSlots + champsim::kSrcSlots];
+    int pendingN_ = 0;
+    int pendingI_ = 0;
 };
 
 /**
  * Streaming reader over a set of per-core ChampSim files: decodes
- * through bounded mmap windows and k-way-merges the per-core streams
- * into one time-ordered stream. Pre-scans each file once at open to
- * learn the record count (TraceSource::size contract).
+ * through bounded mmap windows and merges the per-core streams on
+ * (time, core). Every record is decoded once at open (size() contract
+ * and validation).
  */
-class ChampSimTraceSource final : public TraceSource
+class ChampSimTraceSource final : public CoreMerge<ChampSimDecoder>
 {
   public:
     ChampSimTraceSource(
-        std::vector<ChampSimFileSpec> files, ChampSimTiming timing,
+        std::vector<CoreFile> files, ChampSimTiming timing,
         TimePs period_ps, std::uint64_t addr_bias,
         std::uint64_t max_records = 0,
-        std::uint64_t window_bytes = MappedFile::kDefaultWindowBytes);
-
-    bool next(TraceRecord &out) override;
-    void reset() override;
-    std::uint64_t size() const override { return limit_; }
-    std::uint64_t maxResidentBytes() const override;
-
-  private:
-    /** Per-core cursor: one file, a few pending records per instr. */
-    struct PerFile
+        std::uint64_t window_bytes = MappedFile::kDefaultWindowBytes)
     {
-        std::unique_ptr<MappedFile> file;
-        std::uint8_t core = 0;
-        std::uint64_t instrCount = 0;
-        std::uint64_t instrIdx = 0;
-        TraceRecord pending[champsim::kDstSlots + champsim::kSrcSlots];
-        int pendingN = 0;
-        int pendingI = 0;
-        bool headValid = false;
-        TraceRecord head;
-    };
-
-    void advance(PerFile &pf);
-
-    std::vector<PerFile> files_;
-    ChampSimTiming timing_;
-    TimePs periodPs_;
-    std::uint64_t addrBias_;
-    std::uint64_t limit_ = 0;
-    std::uint64_t emitted_ = 0;
-};
-
-/** What convertToChampSim wrote (feed straight into a manifest). */
-struct ChampSimConvertResult
-{
-    std::vector<ChampSimFileSpec> files;
-    std::uint64_t records = 0;
+        openFiles("champsim", std::move(files), max_records, window_bytes,
+                  timing, period_ps, addr_bias);
+    }
 };
 
 /**
@@ -118,10 +108,10 @@ struct ChampSimConvertResult
  * the round trip is lossless; with kPeriod the ip holds the original
  * core-local address (cosmetic) and timing is resynthesized on read.
  */
-ChampSimConvertResult convertToChampSim(TraceSource &source,
-                                        const std::string &stem,
-                                        ChampSimTiming timing,
-                                        std::uint64_t addr_bias =
-                                            champsim::kDefaultAddrBias);
+ConvertResult convertToChampSim(TraceSource &source,
+                                const std::string &stem,
+                                ChampSimTiming timing,
+                                std::uint64_t addr_bias =
+                                    champsim::kDefaultAddrBias);
 
 } // namespace mempod

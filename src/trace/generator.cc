@@ -121,92 +121,30 @@ CoreModel::maybeRotatePhase()
 SyntheticTraceSource::SyntheticTraceSource(
     std::vector<BenchmarkProfile> core_profiles,
     const GeneratorConfig &config)
-    : profiles_(std::move(core_profiles)), config_(config)
 {
-    MEMPOD_ASSERT(!profiles_.empty(), "no core profiles");
-    MEMPOD_ASSERT(config_.totalRequests > 0, "empty trace requested");
-    reset();
-}
-
-void
-SyntheticTraceSource::reset()
-{
-    const std::size_t cores = profiles_.size();
-    models_.clear();
-    models_.reserve(cores);
-    for (std::size_t c = 0; c < cores; ++c)
-        models_.emplace_back(profiles_[c], static_cast<std::uint8_t>(c),
-                             config_);
-
+    MEMPOD_ASSERT(!core_profiles.empty(), "no core profiles");
+    MEMPOD_ASSERT(config.totalRequests > 0, "empty trace requested");
+    const std::size_t cores = core_profiles.size();
     // Each core contributes requests proportional to its rate so the
     // merged stream reflects the profiles' relative intensities.
     double rate_sum = 0.0;
-    for (const auto &p : profiles_)
+    for (const auto &p : core_profiles)
         rate_sum += p.reqsPerUs;
-    remaining_.assign(cores, 0);
+    std::vector<std::uint64_t> quota(cores);
     std::uint64_t assigned = 0;
     for (std::size_t c = 0; c < cores; ++c) {
-        remaining_[c] = static_cast<std::uint64_t>(
-            config_.totalRequests * (profiles_[c].reqsPerUs / rate_sum));
-        assigned += remaining_[c];
+        quota[c] = static_cast<std::uint64_t>(
+            config.totalRequests * (core_profiles[c].reqsPerUs / rate_sum));
+        assigned += quota[c];
     }
     // The rounding remainder goes to core 0.
-    remaining_[0] += config_.totalRequests - assigned;
-
-    buffer_.assign(cores * kBatch, TraceRecord{});
-    pos_.assign(cores, 0);
-    fill_.assign(cores, 0);
-    headTime_.assign(cores, kTimeNever);
-    for (std::size_t c = 0; c < cores; ++c)
-        refill(c);
-    left_ = config_.totalRequests;
-}
-
-void
-SyntheticTraceSource::refill(std::size_t c)
-{
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kBatch, remaining_[c]));
-    TraceRecord *batch = &buffer_[c * kBatch];
-    for (std::uint32_t i = 0; i < n; ++i)
-        batch[i] = models_[c].next();
-    remaining_[c] -= n;
-    pos_[c] = 0;
-    fill_[c] = n;
-    // An exhausted core's head sits at kTimeNever, past any record.
-    headTime_[c] = n != 0 ? batch[0].time : kTimeNever;
-}
-
-bool
-SyntheticTraceSource::next(TraceRecord &out)
-{
-    if (left_ == 0)
-        return false;
-    // Branch-free minimum: the strict < keeps the lowest core on ties.
-    std::size_t best = 0;
-    TimePs best_time = headTime_[0];
-    for (std::size_t c = 1; c < headTime_.size(); ++c) {
-        const TimePs t = headTime_[c];
-        best = t < best_time ? c : best;
-        best_time = t < best_time ? t : best_time;
+    quota[0] += config.totalRequests - assigned;
+    for (std::size_t c = 0; c < cores; ++c) {
+        const CoreModel model(core_profiles[c],
+                              static_cast<std::uint8_t>(c), config);
+        add({model, model}, quota[c]);
     }
-    out = buffer_[best * kBatch + pos_[best]];
-    --left_;
-    if (++pos_[best] == fill_[best])
-        refill(best);
-    else
-        headTime_[best] = buffer_[best * kBatch + pos_[best]].time;
-    return true;
-}
-
-std::uint64_t
-SyntheticTraceSource::maxResidentBytes() const
-{
-    const std::uint64_t per_core =
-        sizeof(BenchmarkProfile) + sizeof(CoreModel) +
-        kBatch * sizeof(TraceRecord) + sizeof(TimePs) +
-        2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
-    return sizeof(*this) + profiles_.size() * per_core;
+    start(0);
 }
 
 } // namespace mempod

@@ -13,10 +13,9 @@
  * Inter-arrival gaps are exponential with the profile's rate.
  *
  * The trace streams and is never stored: the source holds one model
- * and a short batch of pending records per core, and merges the
- * cores' streams by (time, core). Each core's times strictly increase,
- * so the merge yields exactly the order of a stable time sort over the
- * cores' records appended core by core, in O(cores) memory.
+ * per core and merges the cores' streams through CoreMerge
+ * (trace/core_merge.h), in O(cores) memory. Each core's times strictly
+ * increase.
  */
 #pragma once
 
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "trace/core_merge.h"
 #include "trace/profiles.h"
 #include "trace/record.h"
 #include "trace/source.h"
@@ -74,59 +74,34 @@ class CoreModel
     std::uint64_t dwellCredits_ = 0;
 };
 
+/** One core's model as a CoreMerge stream. */
+struct ModelStream
+{
+    CoreModel model;
+    CoreModel initial; //!< the model as built, for rewind()
+
+    bool
+    next(TraceRecord &out)
+    {
+        out = model.next();
+        return true;
+    }
+    void rewind() { model = initial; }
+    std::uint64_t residentBytes() const { return 0; }
+};
+
 /**
- * A generated multi-programmed trace as a stream; one profile per
- * core. Core-local addresses start at 0 for every core. Each core owes
- * a quota of totalRequests proportional to its profile's rate (the
- * rounding remainder goes to core 0).
+ * A generated multi-programmed trace as a stream: one model per core
+ * (one profile each), merged by CoreMerge. Core-local addresses start
+ * at 0 for every core. Each core owes a quota of totalRequests
+ * proportional to its profile's rate (the rounding remainder goes to
+ * core 0).
  */
-class SyntheticTraceSource final : public TraceSource
+class SyntheticTraceSource final : public CoreMerge<ModelStream>
 {
   public:
     SyntheticTraceSource(std::vector<BenchmarkProfile> core_profiles,
                          const GeneratorConfig &config);
-
-    /**
-     * The next record of the core whose next time is smallest; ties go
-     * to the lowest core.
-     */
-    bool next(TraceRecord &out) override;
-
-    /** Rebuild every core model from (profiles, config). */
-    void reset() override;
-
-    std::uint64_t size() const override { return config_.totalRequests; }
-
-    /** Model and batch state: O(cores), independent of the length. */
-    std::uint64_t maxResidentBytes() const override;
-
-  private:
-    /**
-     * Records a core generates at a time. A model run in bursts keeps
-     * its branches predictable: draining 8M xalanc records took 0.68 s
-     * against 0.84 s one record per merge step (median of 5, 4-vCPU
-     * VM). The state stays O(cores).
-     */
-    static constexpr std::size_t kBatch = 64;
-
-    /** Generate core c's next batch into its buffer slice. */
-    void refill(std::size_t c);
-
-    std::vector<BenchmarkProfile> profiles_;
-    GeneratorConfig config_;
-    std::vector<CoreModel> models_;
-    /**
-     * Core c's pending records: buffer_[c * kBatch + i] for i in
-     * [pos_[c], fill_[c]).
-     */
-    std::vector<TraceRecord> buffer_;
-    std::vector<std::uint32_t> pos_;
-    std::vector<std::uint32_t> fill_;
-    /** Time of core c's next record; kTimeNever once it is done. */
-    std::vector<TimePs> headTime_;
-    /** Records core c has yet to generate. */
-    std::vector<std::uint64_t> remaining_;
-    std::uint64_t left_ = 0; //!< records still to yield, all cores
 };
 
 } // namespace mempod

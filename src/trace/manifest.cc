@@ -178,7 +178,7 @@ loadTraceManifest(const std::string &path)
                 }
                 rejectUnknownKeys(fe, {"path", "core"},
                                   "a \"files\" entry", path);
-                ManifestFile mf;
+                CoreFile mf;
                 mf.path = resolvePath(
                     base, require(fe.find("path"),
                                   Value::Kind::kString, "\"path\"",

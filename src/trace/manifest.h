@@ -34,22 +34,16 @@
 #include <vector>
 
 #include "common/types.h"
+#include "trace/core_merge.h"
 
 namespace mempod {
-
-/** One per-core file of an external trace. */
-struct ManifestFile
-{
-    std::string path;
-    std::uint8_t core = 0;
-};
 
 /** One manifest-declared external trace. */
 struct ExternalTraceSpec
 {
     std::string name;
     std::string format;           //!< "native" | "champsim" | "sift"
-    std::vector<ManifestFile> files;
+    std::vector<CoreFile> files;
     std::string timing = "period"; //!< champsim: "period" | "ip"
     TimePs periodPs = 1000;
     std::uint64_t addrBias = 0;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace mempod {
@@ -62,5 +63,14 @@ class MappedFile
     std::uint64_t mapLen_ = 0;
     std::uint64_t maxMapped_ = 0;
 };
+
+/** The little-endian u64 at `p` (a decoder's field read). */
+inline std::uint64_t
+readU64(const std::uint8_t *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, 8);
+    return v;
+}
 
 } // namespace mempod

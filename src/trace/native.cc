@@ -159,7 +159,14 @@ NativeTraceSource::next(TraceRecord &out)
     std::memcpy(&out.coreLocal, p + 8, 8);
     out.core = p[16];
     out.type = p[17] ? AccessType::kWrite : AccessType::kRead;
-    if (idx_ > 0 && out.time < prevTime_) {
+    if (out.time < prevTime_ || out.time == kTimeNever) {
+        if (out.time == kTimeNever) {
+            MEMPOD_FATAL("'%s': record %llu is at %llu ps, the reserved "
+                         "end-of-stream time",
+                         file_.path().c_str(),
+                         static_cast<unsigned long long>(idx_),
+                         static_cast<unsigned long long>(out.time));
+        }
         MEMPOD_FATAL("'%s': record %llu is out of time order (%llu ps "
                      "after %llu ps) — the trace is corrupt or was not "
                      "time-sorted",

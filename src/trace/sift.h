@@ -13,7 +13,8 @@
  *
  * SIFT carries an instruction count per access, not wall time; the
  * manifest's period_ps converts it (time = icount × periodPs). Like
- * ChampSim, one file per core, merged on (time, core, file order).
+ * ChampSim, one file per core, merged by CoreMerge on
+ * (time, core, file order).
  */
 #pragma once
 
@@ -22,8 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/mapped_file.h"
-#include "trace/source.h"
+#include "trace/core_merge.h"
 
 namespace mempod {
 
@@ -35,54 +35,47 @@ constexpr std::uint8_t kRecordMemAccess = 0x01;
 constexpr std::uint64_t kMemAccessBytes = 18; //!< kind + payload
 } // namespace sift
 
-/** One per-core SIFT file. */
-struct SiftFileSpec
+/**
+ * The one SIFT parser: one per-core file's MemAccess records after a
+ * validated header, time = icount × period_ps. Fatal, naming the file
+ * and record offset, on an unknown kind, a truncated record, or a time
+ * that falls, overflows the clock or is the reserved kTimeNever.
+ */
+class SiftDecoder
 {
-    std::string path;
-    std::uint8_t core = 0;
+  public:
+    SiftDecoder(std::unique_ptr<MappedFile> file, std::uint8_t core,
+                TimePs period_ps);
+
+    bool next(TraceRecord &out);
+    void rewind();
+    std::uint64_t residentBytes() const { return file_->maxMappedBytes(); }
+
+  private:
+    std::unique_ptr<MappedFile> file_;
+    std::uint8_t core_;
+    TimePs periodPs_;
+    std::uint64_t payload_ = 0; //!< first record's byte offset
+    std::uint64_t offset_ = 0;  //!< next record's byte offset
+    TimePs prevTime_ = 0;
 };
 
 /**
- * Streaming reader over per-core SIFT files: header-validated at open,
- * decoded through bounded mmap windows, k-way-merged on
- * (time, core, file order). Pre-scans once to learn the record count.
+ * Streaming reader over per-core SIFT files: decoded through bounded
+ * mmap windows and merged on (time, core, file order). Every record
+ * is decoded once at open (size() contract and validation).
  */
-class SiftTraceSource final : public TraceSource
+class SiftTraceSource final : public CoreMerge<SiftDecoder>
 {
   public:
     SiftTraceSource(
-        std::vector<SiftFileSpec> files, TimePs period_ps,
+        std::vector<CoreFile> files, TimePs period_ps,
         std::uint64_t max_records = 0,
-        std::uint64_t window_bytes = MappedFile::kDefaultWindowBytes);
-
-    bool next(TraceRecord &out) override;
-    void reset() override;
-    std::uint64_t size() const override { return limit_; }
-    std::uint64_t maxResidentBytes() const override;
-
-  private:
-    struct PerFile
+        std::uint64_t window_bytes = MappedFile::kDefaultWindowBytes)
     {
-        std::unique_ptr<MappedFile> file;
-        std::uint8_t core = 0;
-        std::uint64_t offset = 0; //!< next record's byte offset
-        bool headValid = false;
-        TraceRecord head;
-    };
-
-    void advance(PerFile &pf);
-
-    std::vector<PerFile> files_;
-    TimePs periodPs_;
-    std::uint64_t limit_ = 0;
-    std::uint64_t emitted_ = 0;
-};
-
-/** What convertToSift wrote (feed straight into a manifest). */
-struct SiftConvertResult
-{
-    std::vector<SiftFileSpec> files;
-    std::uint64_t records = 0;
+        openFiles("sift", std::move(files), max_records, window_bytes,
+                  period_ps);
+    }
 };
 
 /**
@@ -91,8 +84,7 @@ struct SiftConvertResult
  * icount = time / period_ps. Lossless when period_ps is 1 (or divides
  * every timestamp); otherwise timing quantizes to the period grid.
  */
-SiftConvertResult convertToSift(TraceSource &source,
-                                const std::string &stem,
-                                TimePs period_ps);
+ConvertResult convertToSift(TraceSource &source, const std::string &stem,
+                            TimePs period_ps);
 
 } // namespace mempod

@@ -35,9 +35,9 @@ class TraceSource
     /**
      * Total records this source yields (after any record limit). Known
      * up front for every backend — the native header carries the
-     * count, and the file readers pre-scan once at open — because the
-     * frontend's AMMAT denominator and progress reporting need it
-     * before the stream is consumed.
+     * count, and the per-core readers decode every record at open —
+     * because the frontend's AMMAT denominator and progress reporting
+     * need it before the stream is consumed.
      */
     virtual std::uint64_t size() const = 0;
 

@@ -251,7 +251,52 @@ INSTANTIATE_TEST_SUITE_P(
                          c.cameo.engineParallelism = 0;
                      }},
         PositiveKnob{"maxOutstanding",
-                     [](SimConfig &c) { c.maxOutstanding = 0; }}));
+                     [](SimConfig &c) { c.maxOutstanding = 0; }},
+        // Was caught only inside the sampler, by a panic that did not
+        // name the key, and only with sampling on.
+        PositiveKnob{"sim.sampling.measure_ps",
+                     [](SimConfig &c) { c.sampling.measurePs = 0; }}));
+
+// An epoch or window of a few ps was accepted and then crawled:
+// mempod_sim --requests 3000 took 8.2 s at mempod.interval=3, 3.3 s at
+// hma.interval=3 (hma.sortStall=1), and ran past 20 s at
+// statsIntervalPs=3.
+TEST(ConfigDeathTest, IntervalBelowOneNearClockRejectedByKey)
+{
+    const TimePs clock = SimConfig{}.near.timing.clockPeriodPs;
+    ASSERT_GT(clock, 1u);
+    const std::pair<const char *, void (*)(SimConfig &, TimePs)> rows[] = {
+        {"mempod.interval",
+         [](SimConfig &c, TimePs v) { c.mempod.interval = v; }},
+        {"hma.interval",
+         [](SimConfig &c, TimePs v) {
+             c.mechanism = Mechanism::kHma;
+             c.hma.interval = v;
+             c.hma.sortStall = 0;
+         }},
+        {"sim.sampling.measure_ps",
+         [](SimConfig &c, TimePs v) { c.sampling.measurePs = v; }},
+        {"statsIntervalPs",
+         [](SimConfig &c, TimePs v) { c.statsIntervalPs = v; }},
+    };
+    for (const auto &[key, set] : rows) {
+        SimConfig c;
+        set(c, clock - 1);
+        EXPECT_DEATH(Simulation sim(c),
+                     std::string("config key '") + key +
+                         "': [0-9]+ ps is shorter than one "
+                         "dram.near.clock_ps")
+            << key;
+        set(c, 3);
+        EXPECT_DEATH(c.validate(), std::string("config key '") + key)
+            << key;
+        set(c, clock); // one clock is the floor
+        c.validate();
+    }
+    SimConfig c;
+    c.statsIntervalPs = 0; // 0 turns the sampler off
+    c.validate();
+}
 
 // Before validate() checked it, a refresh interval at or below tRFC
 // refreshed on every tick and ended in "simulation livelock".

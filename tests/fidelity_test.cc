@@ -97,7 +97,9 @@ TEST(FidelityDeath, ZeroMeasureWindowPanics)
     SimConfig c = tinyConfig(Mechanism::kMemPod);
     c.sampling.enabled = true;
     c.sampling.measurePs = 0;
-    EXPECT_DEATH(Simulation sim(c), "measure_ps must be positive");
+    EXPECT_DEATH(Simulation sim(c), "config key "
+                                    "'sim.sampling.measure_ps': value 0 "
+                                    "out of range");
 }
 
 TEST(FidelityDeath, WarmupPctAboveNinetyNinePanics)

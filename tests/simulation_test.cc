@@ -42,6 +42,34 @@ TEST(Simulation, EveryMechanismRunsToCompletion)
     }
 }
 
+// The watchdog counts completions. Before it asked whether anything
+// was outstanding, a trace idle for over one simulated second between
+// two records panicked "simulation livelock" with nothing in flight.
+// The 3.5 s gap spans several watchdog windows with nothing admitted.
+TEST(Simulation, IdleGapBetweenRecordsIsNotALivelock)
+{
+    const Trace t = {{1000, 0, 0, AccessType::kRead},
+                     {3'500'000'001'000, 4096, 0, AccessType::kRead}};
+    for (Mechanism m : {Mechanism::kNoMigration, Mechanism::kMemPod}) {
+        const RunResult r = runSimulation(tinyConfig(m), t);
+        EXPECT_EQ(r.completed, 2u) << mechanismName(m);
+        EXPECT_GT(r.simulatedPs, 3'500'000'001'000u) << mechanismName(m);
+    }
+}
+
+// A demand that takes 4.4 simulated seconds stays outstanding, with
+// nothing else admitted, past the watchdog's window while MemPod's
+// epoch timer keeps the queue busy: that is still a stall.
+TEST(SimulationDeathTest, NoCompletionWhileWorkIsOutstandingIsALivelock)
+{
+    SimConfig c = tinyConfig(Mechanism::kMemPod);
+    c.extraLatencyPs = TimePs{1} << 42;
+    const Trace t = {{1000, 0, 0, AccessType::kRead}};
+    EXPECT_DEATH(runSimulation(c, t),
+                 "simulation livelock: no progress for 1 s of simulated "
+                 "time");
+}
+
 TEST(Simulation, DeterministicAcrossRuns)
 {
     const Trace t = tinyTrace("xalanc", 20000);

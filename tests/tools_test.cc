@@ -3,7 +3,8 @@
  * End-to-end tests of the CLI tools, invoking the real binaries
  * (paths injected by CMake as MEMPOD_*_TOOL_PATH):
  *   - every trace_tool numeric argument rejects a malformed token
- *     with exit 2
+ *     with exit 2, and convert writes the manifest that replays its
+ *     output
  *   - run_tool (MEMPOD_RUN_TOOL_PATH): summary, trace (its --json
  *     digest keeps the pinned mempod-trace-summary-v1 schema, it
  *     counts unmatched async ends instead of failing on them, and a
@@ -143,6 +144,68 @@ TEST(TraceTool, MalformedNumbersExitTwoWithUsage)
         EXPECT_TRUE(r.out.empty()) << args << ": " << r.out;
     }
     EXPECT_FALSE(std::filesystem::exists(out));
+    std::filesystem::remove_all(dir);
+}
+
+// convert writes `<stem>.<format>.json` beside its per-core files: one
+// trace named after the stem's basename, with paths relative to the
+// manifest, so the directory replays the input exactly wherever it
+// is moved.
+TEST(TraceTool, ConvertWritesTheManifestThatReplaysIt)
+{
+    const auto dir = tmpDir();
+    const Trace original = tinyTrace(3000);
+    const std::string trc = (dir / "in.trc").string();
+    writeNativeTrace(original, trc);
+    const auto out = dir / "corpus";
+    std::filesystem::create_directories(out);
+    const std::string stem = (out / "tiny").string();
+    for (const char *flags :
+         {"champsim --timing ip", "champsim --timing period --period-ps 1",
+          "sift --period-ps 1"}) {
+        const std::string args = flags;
+        const std::string fmt = args.substr(0, args.find(' '));
+        const CmdResult r = run(std::string(MEMPOD_TRACE_TOOL_PATH) +
+                                " convert " + trc + " " + stem + " " +
+                                args);
+        ASSERT_EQ(r.status, 0) << args;
+        const std::string manifest = "tiny." + fmt + ".json";
+        EXPECT_NE(r.out.find("converted 3000 records into 8 " + fmt +
+                             " file(s); replay with --manifest " + stem +
+                             "." + fmt + ".json"),
+                  std::string::npos)
+            << r.out;
+
+        // Relative paths: replay from a moved copy of the directory.
+        const auto moved = dir / "moved";
+        std::filesystem::remove_all(moved);
+        std::filesystem::copy(out, moved);
+        WorkloadCatalog catalog;
+        catalog.loadManifest((moved / manifest).string());
+        const CatalogEntry &e = catalog.find("tiny");
+        EXPECT_EQ(e.external.format, fmt) << args;
+        EXPECT_EQ(e.external.files.size(), 8u) << args;
+        GeneratorConfig gc;
+        gc.totalRequests = 0; // no cap
+        const Trace replayed = materialize(*catalog.open("tiny", gc));
+        ASSERT_EQ(replayed.size(), original.size()) << args;
+        // Period timing at 1 ps per instruction re-times each core's
+        // records by index; the other two round trips are exact.
+        const bool exact = args != "champsim --timing period --period-ps 1";
+        std::map<int, std::uint64_t> index;
+        for (std::size_t i = 0; i < replayed.size(); ++i) {
+            if (exact) {
+                ASSERT_EQ(replayed[i].time, original[i].time) << args;
+                ASSERT_EQ(replayed[i].core, original[i].core) << args;
+                ASSERT_EQ(replayed[i].coreLocal, original[i].coreLocal)
+                    << args;
+                ASSERT_EQ(replayed[i].type, original[i].type) << args;
+            } else {
+                ASSERT_EQ(replayed[i].time, index[replayed[i].core]++)
+                    << args;
+            }
+        }
+    }
     std::filesystem::remove_all(dir);
 }
 

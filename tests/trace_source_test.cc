@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,8 +21,10 @@
 #include "sim/simulation.h"
 #include "trace/catalog.h"
 #include "trace/champsim.h"
+#include "trace/generator.h"
 #include "trace/mapped_file.h"
 #include "trace/native.h"
+#include "trace/profiles.h"
 #include "trace/sift.h"
 #include "trace/source.h"
 
@@ -171,7 +174,7 @@ TEST(ChampSimTrace, IpTimingRoundTripIsLossless)
     const std::string stem = testDir() + "/cs_ip";
     const Trace original = smallTrace();
     VectorTraceSource vec(original);
-    const ChampSimConvertResult conv =
+    const ConvertResult conv =
         convertToChampSim(vec, stem, ChampSimTiming::kIp);
     EXPECT_EQ(conv.records, original.size());
     EXPECT_GT(conv.files.size(), 1u); // multi-programmed => per-core
@@ -188,7 +191,7 @@ TEST(ChampSimTrace, PeriodTimingPreservesPerCoreSequences)
     const std::string stem = testDir() + "/cs_period";
     const Trace original = smallTrace();
     VectorTraceSource vec(original);
-    const ChampSimConvertResult conv =
+    const ConvertResult conv =
         convertToChampSim(vec, stem, ChampSimTiming::kPeriod);
 
     const TimePs period = 500;
@@ -239,12 +242,13 @@ TEST(ChampSimTraceDeathTest, PeriodTimeOverflowIsFatal)
     for (std::uint64_t i = 0; i < 8; ++i)
         trace.push_back({i, 64 * i, 0, AccessType::kRead});
     VectorTraceSource vec(trace);
-    const ChampSimConvertResult conv =
+    const ConvertResult conv =
         convertToChampSim(vec, stem, ChampSimTiming::kPeriod);
-    ChampSimTraceSource source(conv.files, ChampSimTiming::kPeriod,
-                               TimePs{1} << 62,
-                               champsim::kDefaultAddrBias);
-    EXPECT_DEATH(materialize(source),
+    // Every record is decoded at open, so the source fails to open.
+    EXPECT_DEATH(ChampSimTraceSource source(conv.files,
+                                            ChampSimTiming::kPeriod,
+                                            TimePs{1} << 62,
+                                            champsim::kDefaultAddrBias),
                  "cs_overflow.core0.champsim': instruction 4 times "
                  "period_ps 4611686018427387904 overflows the 64-bit "
                  "picosecond clock");
@@ -256,7 +260,7 @@ TEST(SiftTrace, RoundTripIsLossless)
     const Trace original = smallTrace();
     VectorTraceSource vec(original);
     // period 1: icount == time in ps, so the round trip is exact.
-    const SiftConvertResult conv = convertToSift(vec, stem, 1);
+    const ConvertResult conv = convertToSift(vec, stem, 1);
     EXPECT_EQ(conv.records, original.size());
 
     SiftTraceSource source(conv.files, /*period_ps=*/1);
@@ -300,11 +304,133 @@ TEST(SiftTraceDeathTest, TimeOverflowIsFatal)
     const std::string stem = testDir() + "/sift_overflow";
     const Trace trace = {{TimePs{1} << 62, 64, 0, AccessType::kRead}};
     VectorTraceSource vec(trace);
-    const SiftConvertResult conv = convertToSift(vec, stem, 1);
+    const ConvertResult conv = convertToSift(vec, stem, 1);
     EXPECT_DEATH(SiftTraceSource source(conv.files, /*period_ps=*/8),
                  "sift_overflow.core0.sift': record at offset 16: icount "
                  "4611686018427387904 times period_ps 8 overflows the "
                  "64-bit picosecond clock");
+}
+
+/**
+ * A file set listed in descending core order replays in the order of
+ * the sort oracle GeneratorStream checks the generator against: each
+ * core's records appended core by core, stable-sorted by time. A 1 ps
+ * mean gap makes most records tie, so the tie order decides.
+ */
+TEST(CoreFileOrder, DescendingFileListMatchesTheSortOracle)
+{
+    BenchmarkProfile fast = findProfile("mcf");
+    fast.reqsPerUs = 1e6;
+    std::vector<BenchmarkProfile> profiles(5, fast);
+    profiles[2].reqsPerUs = 2e6; // unequal quotas
+    GeneratorConfig gc;
+    gc.totalRequests = 3000;
+    SyntheticTraceSource gen(profiles, gc);
+    const Trace original = materialize(gen);
+
+    Trace oracle;
+    for (std::uint8_t core = 0; core < profiles.size(); ++core)
+        for (const TraceRecord &r : original)
+            if (r.core == core)
+                oracle.push_back(r);
+    std::stable_sort(oracle.begin(), oracle.end(),
+                     [](const TraceRecord &a, const TraceRecord &b) {
+                         return a.time < b.time;
+                     });
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < oracle.size(); ++i)
+        ties += oracle[i].time == oracle[i - 1].time;
+    EXPECT_GT(ties, oracle.size() / 2);
+
+    VectorTraceSource vec(original);
+    const std::string dir = testDir();
+    std::vector<CoreFile> cs =
+        convertToChampSim(vec, dir + "/desc_cs", ChampSimTiming::kIp).files;
+    std::vector<CoreFile> sf =
+        convertToSift(vec, dir + "/desc_sift", 1).files;
+    ASSERT_EQ(cs.size(), profiles.size());
+    std::reverse(cs.begin(), cs.end());
+    std::reverse(sf.begin(), sf.end());
+    ChampSimTraceSource cs_source(cs, ChampSimTiming::kIp, 1000,
+                                  champsim::kDefaultAddrBias);
+    expectIdentical(oracle, materialize(cs_source));
+    SiftTraceSource sift_source(sf, 1);
+    expectIdentical(oracle, materialize(sift_source));
+}
+
+/**
+ * Write a ChampSim file of (ip, load address) instructions, unbiased
+ * addresses.
+ */
+void
+writeChampSim(const std::string &path,
+              const std::vector<std::pair<std::uint64_t, std::uint64_t>>
+                  &instrs)
+{
+    std::ofstream out(path, std::ios::binary);
+    for (const auto &[ip, addr] : instrs) {
+        std::uint8_t instr[champsim::kInstrBytes] = {0};
+        const std::uint64_t biased = addr + champsim::kDefaultAddrBias;
+        std::memcpy(instr, &ip, 8);
+        std::memcpy(instr + 32, &biased, 8); // src_mem[0]: a load
+        out.write(reinterpret_cast<const char *>(instr), sizeof instr);
+    }
+}
+
+// kTimeNever (2^64-1 ps) marks an exhausted core in the merge. An
+// ip-timed record there used to pass, and a two-file manifest then
+// died in "simulation deadlock"; every decoder now rejects it at open.
+TEST(CoreFileDeathTest, ReservedTimeIsFatalAtOpen)
+{
+    const std::string dir = testDir();
+    writeChampSim(dir + "/never.core0.champsim",
+                  {{1000, 0}, {kTimeNever, 4096}});
+    writeChampSim(dir + "/never.core1.champsim", {{2000, 0}});
+    EXPECT_DEATH(ChampSimTraceSource source(
+                     {{dir + "/never.core0.champsim", 0},
+                      {dir + "/never.core1.champsim", 1}},
+                     ChampSimTiming::kIp, 1000,
+                     champsim::kDefaultAddrBias),
+                 "never.core0.champsim': instruction 1 is at "
+                 "18446744073709551615 ps, the reserved end-of-stream "
+                 "time");
+
+    const Trace at_never = {{10, 64, 0, AccessType::kRead},
+                            {kTimeNever, 128, 0, AccessType::kRead}};
+    VectorTraceSource vec(at_never);
+    const ConvertResult sift = convertToSift(vec, dir + "/never_sift", 1);
+    EXPECT_DEATH(SiftTraceSource source(sift.files, 1),
+                 "never_sift.core0.sift': record at offset 34 is at "
+                 "18446744073709551615 ps, the reserved end-of-stream "
+                 "time");
+
+    const std::string native = dir + "/never.trc";
+    writeNativeTrace(at_never, native);
+    NativeTraceSource source(native);
+    EXPECT_DEATH(materialize(source),
+                 "never.trc': record 1 is at 18446744073709551615 ps, the "
+                 "reserved end-of-stream time");
+}
+
+// The open-time pass runs the same decoder as the replay, so what used
+// to fail mid-run now fails before the first record is yielded.
+TEST(CoreFileDeathTest, MalformedChampSimRecordsFailAtOpen)
+{
+    const std::string dir = testDir();
+    const std::string order = dir + "/order.core0.champsim";
+    writeChampSim(order, {{5000, 0}, {4000, 64}});
+    EXPECT_DEATH(ChampSimTraceSource source({{order, 0}},
+                                            ChampSimTiming::kIp, 1000,
+                                            champsim::kDefaultAddrBias),
+                 "order.core0.champsim': instruction 1 is not in time "
+                 "order \\(4000 ps after 5000 ps\\)");
+    const std::string bias = dir + "/bias.core0.champsim";
+    writeChampSim(bias, {{1000, 0}});
+    EXPECT_DEATH(ChampSimTraceSource source({{bias, 0}},
+                                            ChampSimTiming::kIp, 1000,
+                                            /*addr_bias=*/128),
+                 "bias.core0.champsim': address 0x40 at instruction 0 "
+                 "is below the manifest addr_bias 128");
 }
 
 TEST(ScaledTraceDeathTest, TimeOverflowIsFatal)
@@ -352,7 +478,7 @@ TEST(ReplayDeterminism, ReplayedStatsAreByteIdenticalToLive)
     EXPECT_EQ(serializeRunResult(replay_native), live_stats);
 
     VectorTraceSource vec(original);
-    const ChampSimConvertResult conv = convertToChampSim(
+    const ConvertResult conv = convertToChampSim(
         vec, dir + "/replay_cs", ChampSimTiming::kIp);
     ChampSimTraceSource cs(conv.files, ChampSimTiming::kIp, 1000,
                            champsim::kDefaultAddrBias);

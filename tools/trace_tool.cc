@@ -17,17 +17,22 @@
  *
  * `record` streams any catalog workload (synthetic, or external after
  * --manifest) into the versioned native trace format; `convert` splits
- * a native trace into per-core ChampSim or SIFT files and prints the
- * manifest entry that replays them. The Chrome traces a run writes
+ * a native trace into per-core ChampSim or SIFT files
+ * `<out-stem>.core<k>.<format>` and writes the manifest that replays
+ * them, `<out-stem>.<format>.json`, whose one trace is named after the
+ * stem's basename. The Chrome traces a run writes
  * (--emit traces) are read by `run_tool trace`.
  */
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/footprint.h"
+#include "common/json.h"
+#include "common/log.h"
 #include "common/number.h"
 #include "trace/catalog.h"
 #include "trace/champsim.h"
@@ -98,21 +103,31 @@ cmdRecord(int argc, char **argv)
     return 0;
 }
 
-/** The traces.json entry that replays a convert's output, verbatim. */
-void
-printManifestEntry(const char *fmt_line,
-                   const std::vector<std::pair<std::string, unsigned>>
-                       &files)
+/**
+ * Write `<stem>.<fmt>.json`, the manifest that replays a convert's
+ * output: one trace named after the stem's basename, `params` its
+ * format keys, file paths relative to the manifest beside them.
+ */
+std::string
+writeManifest(const std::string &stem, const std::string &fmt,
+              const std::string &params, const ConvertResult &res)
 {
-    std::printf("manifest entry (paste into traces.json "
-                "\"traces\": [...]):\n");
-    std::printf("  {%s,\n   \"files\": [", fmt_line);
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        std::printf("%s{\"path\": \"%s\", \"core\": %u}",
-                    i ? ",\n              " : "", files[i].first.c_str(),
-                    files[i].second);
+    const auto base = [](const std::string &path) {
+        return json::escape(path.substr(path.find_last_of('/') + 1));
+    };
+    std::string text = "{\"version\": 1, \"traces\": [\n  {\"name\": \"" +
+                       base(stem) + "\", \"format\": \"" + fmt + "\", " +
+                       params + ",\n   \"files\": [";
+    for (std::size_t i = 0; i < res.files.size(); ++i) {
+        text += std::string(i ? ",\n             " : "") +
+                "{\"path\": \"" + base(res.files[i].path) +
+                "\", \"core\": " + std::to_string(res.files[i].core) + "}";
     }
-    std::printf("]}\n");
+    const std::string path = stem + "." + fmt + ".json";
+    std::ofstream out(path);
+    if (!(out << text << "]}]}\n"))
+        MEMPOD_FATAL("cannot write '%s'", path.c_str());
+    return path;
 }
 
 int
@@ -150,47 +165,35 @@ cmdConvert(int argc, char **argv)
     }
     if (pos.size() < 3)
         return usage(kConvertUsage);
-
-    NativeTraceSource source(pos[0]);
+    const std::string stem = pos[1];
     const std::string fmt = pos[2];
-    std::vector<std::pair<std::string, unsigned>> files;
-    if (fmt == "champsim") {
-        const ChampSimConvertResult res =
-            convertToChampSim(source, pos[1], timing, addr_bias);
-        for (const auto &f : res.files)
-            files.emplace_back(f.path, f.core);
-        std::printf("converted %llu records into %zu ChampSim "
-                    "file(s)\n",
-                    static_cast<unsigned long long>(res.records),
-                    files.size());
-        char fmt_line[160];
-        std::snprintf(fmt_line, sizeof fmt_line,
-                      "\"name\": \"NAME\", \"format\": \"champsim\", "
-                      "\"timing\": \"%s\", \"addr_bias\": %llu",
-                      timing == ChampSimTiming::kIp ? "ip" : "period",
-                      static_cast<unsigned long long>(addr_bias));
-        printManifestEntry(fmt_line, files);
-    } else if (fmt == "sift") {
-        const SiftConvertResult res =
-            convertToSift(source, pos[1], period_ps);
-        for (const auto &f : res.files)
-            files.emplace_back(f.path, f.core);
-        std::printf("converted %llu records into %zu SIFT file(s)\n",
-                    static_cast<unsigned long long>(res.records),
-                    files.size());
-        char fmt_line[160];
-        std::snprintf(fmt_line, sizeof fmt_line,
-                      "\"name\": \"NAME\", \"format\": \"sift\", "
-                      "\"period_ps\": %llu",
-                      static_cast<unsigned long long>(period_ps));
-        printManifestEntry(fmt_line, files);
-    } else {
+    if (fmt != "champsim" && fmt != "sift") {
         std::fprintf(stderr,
                      "unknown convert format '%s' (use champsim or "
                      "sift)\n",
                      fmt.c_str());
         return 2;
     }
+
+    NativeTraceSource source(pos[0]);
+    const std::string period = "\"period_ps\": " + std::to_string(period_ps);
+    ConvertResult res;
+    std::string params;
+    if (fmt == "champsim") {
+        res = convertToChampSim(source, stem, timing, addr_bias);
+        params = timing == ChampSimTiming::kIp
+                     ? "\"timing\": \"ip\""
+                     : "\"timing\": \"period\", " + period;
+        params += ", \"addr_bias\": " + std::to_string(addr_bias);
+    } else {
+        res = convertToSift(source, stem, period_ps);
+        params = period;
+    }
+    const std::string manifest = writeManifest(stem, fmt, params, res);
+    std::printf("converted %llu records into %zu %s file(s); replay "
+                "with --manifest %s\n",
+                static_cast<unsigned long long>(res.records),
+                res.files.size(), fmt.c_str(), manifest.c_str());
     return 0;
 }
 
