@@ -8,11 +8,24 @@
  * Pod-local page ids: [0, fastSlots) are fast-memory locations,
  * [fastSlots, numPages) are slow-memory locations. Initially the
  * mapping is the identity (every page at its home).
+ *
+ * The modeled hardware table is dense (one entry per page, costed by
+ * storageBitsRemap()), but the simulator stores only the ids that are
+ * off identity: one FlatMap entry {location, resident} per id whose
+ * page has left its home slot. A page is at its home exactly when its
+ * home slot holds it, so both halves leave and return to identity
+ * together, and the map holds exactly the non-fixed points of the
+ * permutation. A swap moves only the two pages it exchanges, so it
+ * adds at most two entries: the map never holds more than
+ * min(2 x committed swaps, numPages) entries, and a run's remap state
+ * grows with its migrations, not with capacity.
  */
 #pragma once
 
 #include <cstdint>
-#include <vector>
+
+#include "common/flat_map.h"
+#include "common/log.h"
 
 namespace mempod {
 
@@ -20,6 +33,16 @@ namespace mempod {
 class RemapTable
 {
   public:
+    /** An off-identity id's two halves of the permutation. */
+    struct Entry
+    {
+        std::uint32_t location = 0; //!< where page `id` now lives
+        std::uint32_t resident = 0; //!< the page now in slot `id`
+    };
+
+    /** The stored off-identity ids; absent ids map to themselves. */
+    using Moved = FlatMap<Entry>;
+
     /**
      * @param num_pages Pages managed by this Pod (fast + slow).
      * @param fast_slots How many of them are fast-memory locations.
@@ -27,15 +50,27 @@ class RemapTable
     RemapTable(std::uint64_t num_pages, std::uint64_t fast_slots);
 
     /** Current location (slot) of original page `orig`. */
-    std::uint64_t locationOf(std::uint64_t orig) const;
+    std::uint64_t
+    locationOf(std::uint64_t orig) const
+    {
+        MEMPOD_ASSERT(orig < numPages_, "remap lookup out of range");
+        const Entry *e = moved_.find(orig);
+        return e ? e->location : orig;
+    }
 
     /** Original page currently residing in `slot`. */
-    std::uint64_t residentOf(std::uint64_t slot) const;
+    std::uint64_t
+    residentOf(std::uint64_t slot) const
+    {
+        MEMPOD_ASSERT(slot < numPages_, "inverted lookup out of range");
+        const Entry *e = moved_.find(slot);
+        return e ? e->resident : slot;
+    }
 
     /** Exchange the locations of two original pages. */
     void swap(std::uint64_t orig_a, std::uint64_t orig_b);
 
-    std::uint64_t numPages() const { return location_.size(); }
+    std::uint64_t numPages() const { return numPages_; }
     std::uint64_t fastSlots() const { return fastSlots_; }
 
     /** Is `orig` currently resident in fast memory? */
@@ -67,7 +102,10 @@ class RemapTable
     }
 
     /** True when no page has migrated. */
-    bool isIdentity() const;
+    bool isIdentity() const { return moved_.empty(); }
+
+    /** Off-identity ids stored: at most 2 x swaps and numPages(). */
+    std::uint64_t movedEntries() const { return moved_.size(); }
 
     /** Fast slots currently holding a page other than their home. */
     std::uint64_t occupiedFastSlots() const { return occupiedFast_; }
@@ -87,15 +125,25 @@ class RemapTable
     /** Modeled hardware cost of the inverted fast-slot table. */
     std::uint64_t storageBitsInverted() const;
 
-    /** Verify the bijection law (checkPermutation); panics on corruption. */
+    /**
+     * Verify the bijection law over the stored entries
+     * (checkPermutation) and the fast-occupancy count; panics on
+     * corruption. O(stored entries), not O(pages).
+     */
     void checkConsistency() const;
 
   private:
+    /** `id`'s entry, inserted as identity when absent. */
+    Entry &entryFor(std::uint64_t id);
+
+    /** Erase `id`'s entry if it is back at identity. */
+    void dropIfHome(std::uint64_t id);
+
+    std::uint64_t numPages_;
     std::uint64_t fastSlots_;
     std::uint64_t occupiedFast_ = 0; //!< fast slots holding a guest page
     std::uint64_t victimScan_ = 0;   //!< rotating victim-scan pointer
-    std::vector<std::uint32_t> location_; //!< orig -> slot
-    std::vector<std::uint32_t> resident_; //!< slot -> orig
+    Moved moved_; //!< off-identity id -> {location, resident}
 };
 
 } // namespace mempod

@@ -161,8 +161,9 @@ struct SimConfig
     /**
      * Deep-scan mode (`validate.paranoid` dotted key): additionally
      * walk every remap/location table each epoch to verify the
-     * permutation invariant. O(pages) per epoch — for CI smokes and
-     * debugging, not the default.
+     * permutation invariant. Each table stores only its migrated
+     * entries, so a scan costs O(migrated state) per epoch — for CI
+     * smokes and debugging, not the default.
      */
     bool validateParanoid = false;
 

@@ -396,6 +396,29 @@ SimConfig::validate() const
                          tier, static_cast<unsigned long long>(t->tREFI),
                          static_cast<unsigned long long>(t->tRFC));
         }
+        // A clock or timing as long as the refresh interval lets
+        // refresh starve every command: at 2^40 ps, tCL, tRCD, tBL,
+        // tCCD, tWTR and tRTW ran past 20 s on 3000 records and the
+        // rest ended in "simulation livelock".
+        if (t->tREFI == 0)
+            continue;
+        for (const auto &[key, ps] :
+             {std::pair{"clock_ps", t->clockPeriodPs},
+              std::pair{"tCL_ps", t->tCL}, std::pair{"tCWL_ps", t->tCWL},
+              std::pair{"tRCD_ps", t->tRCD}, std::pair{"tRP_ps", t->tRP},
+              std::pair{"tRAS_ps", t->tRAS}, std::pair{"tBL_ps", t->tBL},
+              std::pair{"tCCD_ps", t->tCCD}, std::pair{"tWR_ps", t->tWR},
+              std::pair{"tWTR_ps", t->tWTR}, std::pair{"tRTP_ps", t->tRTP},
+              std::pair{"tRTW_ps", t->tRTW}, std::pair{"tRRD_ps", t->tRRD},
+              std::pair{"tFAW_ps", t->tFAW}}) {
+            if (ps >= t->tREFI) {
+                MEMPOD_PANIC("config key 'dram.%s.%s': %llu ps must be "
+                             "below dram.%s.tREFI_ps (%llu ps)",
+                             tier, key,
+                             static_cast<unsigned long long>(ps), tier,
+                             static_cast<unsigned long long>(t->tREFI));
+            }
+        }
     }
     // An epoch or window shorter than one near-memory clock runs its
     // per-epoch work more often than the DRAM can issue a command, and

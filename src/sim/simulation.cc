@@ -370,7 +370,7 @@ Simulation::run(TraceSource &source, const std::string &workload_name)
     }
 
     // End-of-run audit over the fully assembled result (includes the
-    // paranoid-depth mechanism scan; the run is over, so it is free).
+    // paranoid-depth mechanism scan, which walks only migrated state).
     if (validator_)
         validator_->finalCheck(r);
 

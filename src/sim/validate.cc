@@ -30,30 +30,44 @@ relClose(double a, double b, double rel_tol)
 } // namespace
 
 void
-checkPermutation(const char *what,
-                 const std::vector<std::uint32_t> &location,
-                 const std::vector<std::uint32_t> &resident)
+checkPermutation(const char *what, std::uint64_t num_ids,
+                 const RemapTable::Moved &moved)
 {
-    for (std::uint64_t slot = 0; slot < resident.size(); ++slot) {
-        const std::uint32_t id = resident[slot];
-        if (id >= location.size() || location[id] != slot)
+    // An absent id is at its home slot, which holds it.
+    auto location = [&](std::uint64_t id) {
+        const RemapTable::Entry *e = moved.find(id);
+        return e ? std::uint64_t{e->location} : id;
+    };
+    auto resident = [&](std::uint64_t slot) {
+        const RemapTable::Entry *e = moved.find(slot);
+        return e ? std::uint64_t{e->resident} : slot;
+    };
+    moved.forEach([&](std::uint64_t id, const RemapTable::Entry &e) {
+        if (e.location == id && e.resident == id)
+            MEMPOD_PANIC("invariant violated [remap_bijection]: %s id "
+                         "%llu is stored at identity",
+                         what, static_cast<unsigned long long>(id));
+        if (id >= num_ids || e.location >= num_ids ||
+            e.resident >= num_ids)
+            MEMPOD_PANIC("invariant violated [remap_bijection]: %s id "
+                         "%llu maps to slot %u and holds id %u, outside "
+                         "%llu ids",
+                         what, static_cast<unsigned long long>(id),
+                         e.location, e.resident,
+                         static_cast<unsigned long long>(num_ids));
+        if (resident(e.location) != id)
+            MEMPOD_PANIC(
+                "invariant violated [remap_bijection]: %s id %llu "
+                "claims slot %u which holds id %llu",
+                what, static_cast<unsigned long long>(id), e.location,
+                static_cast<unsigned long long>(resident(e.location)));
+        if (location(e.resident) != id)
             MEMPOD_PANIC(
                 "invariant violated [remap_bijection]: %s slot %llu "
                 "holds id %u whose location entry points to %llu",
-                what, static_cast<unsigned long long>(slot), id,
-                id < location.size()
-                    ? static_cast<unsigned long long>(location[id])
-                    : ~0ull);
-    }
-    for (std::uint64_t id = 0; id < location.size(); ++id) {
-        const std::uint32_t slot = location[id];
-        if (slot < resident.size() && resident[slot] != id)
-            MEMPOD_PANIC(
-                "invariant violated [remap_bijection]: %s id %llu "
-                "claims slot %u which holds id %u",
-                what, static_cast<unsigned long long>(id), slot,
-                resident[slot]);
-    }
+                what, static_cast<unsigned long long>(id), e.resident,
+                static_cast<unsigned long long>(location(e.resident)));
+    });
 }
 
 void
@@ -220,7 +234,8 @@ InvariantChecker::finalCheck(const RunResult &r)
     }
 
     // Final deep scan regardless of the periodic mode: the run is
-    // over, so the O(pages) walk is off the hot path.
+    // over, and the remap scans walk only the stored off-identity
+    // entries (O(migrations), not O(pages)).
     manager_.validateInvariants(true);
 }
 

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
+#include "core/remap_table.h"
 #include "mem/memory_system.h"
 #include "sim/energy.h"
 
@@ -32,13 +32,17 @@ struct RunResult;
 struct SimConfig;
 
 /**
- * Verify that `location` (id -> slot) and `resident` (slot -> id)
- * describe mutually inverse permutations, the remap-table bijection
- * law. Panics naming `what` on the first inconsistent entry.
+ * The remap-table bijection law over the sparse form: `moved` holds
+ * the off-identity ids of [0, num_ids), each with its location (id ->
+ * slot) and resident (slot -> id), and every absent id maps to itself
+ * both ways. Verifies that the two halves are mutually inverse
+ * permutations and that no stored entry is at identity. An absent id
+ * is its own inverse, so checking each stored id's round trips covers
+ * every id: O(stored entries), not O(num_ids). Panics naming `what`
+ * on the first inconsistent entry.
  */
-void checkPermutation(const char *what,
-                      const std::vector<std::uint32_t> &location,
-                      const std::vector<std::uint32_t> &resident);
+void checkPermutation(const char *what, std::uint64_t num_ids,
+                      const RemapTable::Moved &moved);
 
 /**
  * Verify the AMMAT attribution components sum to the measured AMMAT

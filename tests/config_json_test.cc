@@ -316,6 +316,40 @@ TEST(ConfigDeathTest, RefreshIntervalNotAboveTrfcRejectedByKey)
     c.validate();
 }
 
+// A clock or timing at or above tREFI used to pass validation and then
+// run past 20 s or end in "simulation livelock" (2^40 ps, 3000 records).
+TEST(ConfigDeathTest, TimingNotBelowRefreshIntervalRejectedByKey)
+{
+    const char *const keys[] = {
+        "clock_ps", "tCL_ps",  "tCWL_ps", "tRCD_ps", "tRP_ps",
+        "tRAS_ps",  "tBL_ps",  "tCCD_ps", "tWR_ps",  "tWTR_ps",
+        "tRTP_ps",  "tRTW_ps", "tRRD_ps", "tFAW_ps"};
+    for (const char *tier : {"near", "far"}) {
+        const std::string prefix = std::string("dram.") + tier + ".";
+        const TimePs refi = tier == std::string("near")
+                                ? SimConfig{}.near.timing.tREFI
+                                : SimConfig{}.far.timing.tREFI;
+        for (const char *key : keys) {
+            for (const TimePs v : {refi, TimePs{1} << 40}) {
+                SimConfig c;
+                c.set(prefix + key, std::to_string(v));
+                EXPECT_DEATH(c.validate(),
+                             "config key '" + prefix + key + "': " +
+                                 std::to_string(v) +
+                                 " ps must be below " + prefix +
+                                 "tREFI_ps \\(" + std::to_string(refi) +
+                                 " ps\\)")
+                    << prefix << key << "=" << v;
+            }
+        }
+    }
+    SimConfig c;
+    c.set("dram.far.tCL_ps", std::to_string(c.far.timing.tREFI));
+    EXPECT_DEATH(Simulation sim(c), "config key 'dram.far.tCL_ps'");
+    c.far.timing.tREFI = 0; // refresh off: no interval to stay below
+    c.validate();
+}
+
 // A tier with channels but no capacity used to pass validation and
 // die later, in the placement, naming a core's footprint.
 TEST(ConfigDeathTest, ZeroCapacityTierWithChannelsRejectedByKey)

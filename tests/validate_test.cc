@@ -19,29 +19,52 @@
 namespace mempod {
 namespace {
 
+/** The sparse remap form: only the listed ids are off identity. */
+RemapTable::Moved
+moved(std::initializer_list<std::pair<std::uint64_t, RemapTable::Entry>>
+          entries)
+{
+    RemapTable::Moved m;
+    for (const auto &[id, e] : entries)
+        m[id] = e;
+    return m;
+}
+
 TEST(Validate, PermutationAcceptsMutualInverses)
 {
-    const std::vector<std::uint32_t> location{2, 0, 1};
-    const std::vector<std::uint32_t> resident{1, 2, 0};
-    checkPermutation("test", location, resident); // must not panic
+    // location {2, 0, 1} and resident {1, 2, 0} over ids 0-2; id 3 is
+    // at home and not stored.
+    const RemapTable::Moved m =
+        moved({{0, {2, 1}}, {1, {0, 2}}, {2, {1, 0}}});
+    checkPermutation("test", 4, m); // must not panic
+    checkPermutation("test", 4, moved({})); // the identity
 }
 
 TEST(ValidateDeath, CorruptedRemapTablePanics)
 {
-    // Slot 1 duplicated: resident is no longer a permutation.
-    const std::vector<std::uint32_t> location{0, 1, 2};
-    const std::vector<std::uint32_t> resident{0, 1, 1};
-    EXPECT_DEATH(checkPermutation("test", location, resident),
+    // Slot 2 also holds id 1: resident is no longer a permutation.
+    const RemapTable::Moved m = moved({{2, {2, 1}}});
+    EXPECT_DEATH(checkPermutation("test", 3, m),
                  "invariant violated \\[remap_bijection\\]");
 }
 
 TEST(ValidateDeath, OneSidedRemapCorruptionPanics)
 {
-    // location[2] points at slot 0, but slot 0 holds id 0.
-    const std::vector<std::uint32_t> location{0, 1, 0};
-    const std::vector<std::uint32_t> resident{0, 1, 2};
-    EXPECT_DEATH(checkPermutation("test", location, resident),
+    // Id 2's location points at slot 0, but slot 0 holds id 0.
+    const RemapTable::Moved m = moved({{2, {0, 2}}});
+    EXPECT_DEATH(checkPermutation("test", 3, m),
                  "invariant violated \\[remap_bijection\\]");
+}
+
+TEST(ValidateDeath, StoredIdentityEntryPanics)
+{
+    // A consistent swap of ids 0 and 1, plus id 2 stored at identity:
+    // the map must hold exactly the off-identity ids.
+    const RemapTable::Moved m =
+        moved({{0, {1, 1}}, {1, {0, 0}}, {2, {2, 2}}});
+    EXPECT_DEATH(checkPermutation("test", 3, m),
+                 "invariant violated \\[remap_bijection\\]: test id 2 "
+                 "is stored at identity");
 }
 
 RunResult
